@@ -38,6 +38,7 @@ from .field_states import (
 from .nonlinearity import Nonlinearity
 from .observables import (
     ObservableRecord,
+    ObservableSeries,
     ReducedAtomDensity,
     atomic_inversion,
     atomic_inversion_closed,
@@ -69,6 +70,7 @@ __all__ = [
     "Nonlinearity",
     "NumericalConsistencyError",
     "ObservableRecord",
+    "ObservableSeries",
     "OutputError",
     "PhotonDistribution",
     "PhysicsValidationError",

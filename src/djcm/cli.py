@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from types import SimpleNamespace
 
 from .errors import (
     ConfigError,
@@ -137,11 +136,7 @@ def _simulate(args) -> int:
 
 
 def _revivals(args) -> int:
-    series = read_csv_series(args.input)
-    records = [
-        SimpleNamespace(time=t, W=w) for t, w in zip(series["t"], series["W"])
-    ]
-    events = measure_revivals(records)
+    events = measure_revivals(read_csv_series(args.input))
     print(json.dumps(events, indent=1))
     return 0
 

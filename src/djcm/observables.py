@@ -15,6 +15,7 @@ sigma_alpha means E_alpha < 0.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +60,77 @@ class ObservableRecord:
     E_x: float
     E_y: float
     norm: float
+
+
+CSV_COLUMNS = (
+    "t",
+    "W",
+    "rho_ee",
+    "rho_gg",
+    "re_rho_eg",
+    "im_rho_eg",
+    "H_x",
+    "H_y",
+    "H_z",
+    "E_x",
+    "E_y",
+    "norm",
+)
+# the emitted columns, then dH_alpha = exp(H_alpha) for the entropic bound
+SERIES_COLUMNS = CSV_COLUMNS + ("dH_x", "dH_y", "dH_z")
+
+
+class ObservableSeries:
+    """Observables on a time grid, one read-only float64 array per quantity.
+
+    ``series["W"]`` is a column (names in :data:`SERIES_COLUMNS`);
+    ``series[i]`` and iteration give :class:`ObservableRecord` row views,
+    which are built only when asked for. ``len(series)`` is the number of
+    samples.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        arrays = {}
+        for name in SERIES_COLUMNS:
+            array = np.asarray(columns[name], dtype=float).view()
+            array.flags.writeable = False  # a view: the caller's array stays writable
+            arrays[name] = array
+        if len({a.shape for a in arrays.values()}) != 1 or arrays["t"].ndim != 1:
+            raise ValueError("series columns must be 1-D arrays of one length")
+        self.columns = arrays
+
+    @classmethod
+    def concatenate(cls, parts) -> "ObservableSeries":
+        """One series from consecutive blocks, in order."""
+        return cls(
+            {name: np.concatenate([p.columns[name] for p in parts]) for name in SERIES_COLUMNS}
+        )
+
+    def __len__(self) -> int:
+        return len(self.columns["t"])
+
+    def __getitem__(self, key):
+        if isinstance(key, str):
+            return self.columns[key]
+        i = range(len(self))[operator.index(key)]
+        return next(self._rows(slice(i, i + 1)))
+
+    def __iter__(self):
+        return self._rows(slice(None))
+
+    def _rows(self, index: slice):
+        c = {name: col[index].tolist() for name, col in self.columns.items()}
+        rho = map(
+            ReducedAtomDensity,
+            c["rho_ee"],
+            c["rho_gg"],
+            map(complex, c["re_rho_eg"], c["im_rho_eg"]),
+        )
+        # positional, in the field order of ObservableRecord
+        rest = ("H_x", "H_y", "H_z", "dH_x", "dH_y", "dH_z", "E_x", "E_y", "norm")
+        return map(ObservableRecord, c["t"], c["W"], rho, *(c[name] for name in rest))
 
 
 def atomic_inversion(state: AmplitudeState) -> float:
@@ -149,8 +221,8 @@ def records_from_series(
     ground: np.ndarray,
     k: int,
     coherence_phase: float = 0.0,
-) -> list[ObservableRecord]:
-    """Full observable records for a block of amplitude series.
+) -> ObservableSeries:
+    """Observable series for a block of amplitude series.
 
     ``coherence_phase`` reattaches the free-evolution phase to rho_eg as
     exp(-i * coherence_phase * t); the default 0 keeps the interaction
@@ -162,21 +234,24 @@ def records_from_series(
     H_x, H_y, H_z = _entropy_arrays(rho_ee, rho_gg, rho_eg)
     dH_x, dH_y, dH_z = np.exp(H_x), np.exp(H_y), np.exp(H_z)
     bound = 2.0 / np.sqrt(dH_z)
-    E_x = dH_x - bound
-    E_y = dH_y - bound
-    W = rho_ee - rho_gg
-    norms = rho_ee + rho_gg
-    # columns in the field order of ReducedAtomDensity and ObservableRecord
-    rho = map(ReducedAtomDensity, rho_ee.tolist(), rho_gg.tolist(), rho_eg.tolist())
-    columns = (H_x, H_y, H_z, dH_x, dH_y, dH_z, E_x, E_y, norms)
-    return list(
-        map(
-            ObservableRecord,
-            np.asarray(times, dtype=float).tolist(),
-            W.tolist(),
-            rho,
-            *(c.tolist() for c in columns),
-        )
+    return ObservableSeries(
+        {
+            "t": times,
+            "W": rho_ee - rho_gg,
+            "rho_ee": rho_ee,
+            "rho_gg": rho_gg,
+            "re_rho_eg": rho_eg.real,
+            "im_rho_eg": rho_eg.imag,
+            "H_x": H_x,
+            "H_y": H_y,
+            "H_z": H_z,
+            "E_x": dH_x - bound,
+            "E_y": dH_y - bound,
+            "norm": rho_ee + rho_gg,
+            "dH_x": dH_x,
+            "dH_y": dH_y,
+            "dH_z": dH_z,
+        }
     )
 
 

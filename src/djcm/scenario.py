@@ -23,6 +23,7 @@ separately so physical time stays recoverable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,25 +41,11 @@ from .errors import (
     PresetLookupError,
 )
 from .nonlinearity import Nonlinearity
-from .observables import ObservableRecord, records_from_series
-
-CSV_COLUMNS = (
-    "t",
-    "W",
-    "rho_ee",
-    "rho_gg",
-    "re_rho_eg",
-    "im_rho_eg",
-    "H_x",
-    "H_y",
-    "H_z",
-    "E_x",
-    "E_y",
-    "norm",
-)
+from .observables import CSV_COLUMNS, ObservableSeries, records_from_series
 
 ORACLE_DEVIATION_LIMIT = 1e-6
 _TIME_BLOCK = 256
+_EMIT_CHUNK = 4096  # rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -129,12 +116,23 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
             raise ConfigError(f"unknown key {where}.{key!r}")
 
 
+def _finite(value, what: str):
+    """A JSON number that is neither NaN nor infinite, else ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ConfigError(f"{what} must be finite, got {value!r}")
+    return value
+
+
 def _number(section: dict, key: str, default, where: str, integer: bool = False):
     if key not in section:
         return default
-    value = section[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    value = _finite(section[key], f"{where}.{key}")
     if integer:
         if int(value) != value:
             raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
@@ -183,6 +181,8 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
         table = selector.get("table")
         if not isinstance(table, list) or not table:
             raise ConfigError("nonlinearity.table must be a non-empty list of f(n) values")
+        for n, value in enumerate(table, start=1):
+            _finite(value, f"nonlinearity.table entry f({n})")
         nonlin = Nonlinearity.from_table(table)
     else:
         raise ConfigError(f"nonlinearity must be a name or an inline table, got {selector!r}")
@@ -195,8 +195,8 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     if kind not in field_states.KINDS:
         raise ConfigError(f"field.kind must be one of {field_states.KINDS}, got {kind!r}")
     tail_eps = _number(raw_field, "tail_eps", field_states.DEFAULT_TAIL_EPS, "field")
-    temperature = raw_field.get("temperature")
-    frequency = raw_field.get("frequency")
+    temperature = _number(raw_field, "temperature", None, "field")
+    frequency = _number(raw_field, "frequency", None, "field")
     if temperature is not None or frequency is not None:
         if kind != field_states.THERMAL:
             raise ConfigError("field.temperature/frequency only apply to thermal fields")
@@ -204,9 +204,7 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
             raise ConfigError("give field.nbar or field.temperature, not both")
         if temperature is None or frequency is None:
             raise ConfigError("thermal temperature input needs both temperature and frequency")
-        nbar = field_states.thermal_nbar_from_temperature(
-            float(frequency), float(temperature)
-        )
+        nbar = field_states.thermal_nbar_from_temperature(frequency, temperature)
     elif "nbar" in raw_field:
         nbar = _number(raw_field, "nbar", None, "field")
     else:
@@ -264,8 +262,8 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
         output_path=output_path,
         output_format=output_format,
         preset_name=preset_name,
-        temperature=float(temperature) if temperature is not None else None,
-        frequency=float(frequency) if frequency is not None else None,
+        temperature=temperature,
+        frequency=frequency,
     )
 
 
@@ -386,7 +384,7 @@ def merge_config(base: dict, override: dict) -> dict:
 @dataclass
 class ScenarioResult:
     config: ScenarioConfig
-    records: list
+    records: ObservableSeries
     metadata: dict
     oracle_deviation: np.ndarray | None = None
     counter_rotating_deviation: np.ndarray | None = None
@@ -398,8 +396,8 @@ class ScenarioResult:
         return float(np.max(self.oracle_deviation))
 
 
-def _per_sample_deviation(times, exc, gnd, states) -> np.ndarray:
-    dev = np.empty(len(times))
+def _per_sample_deviation(exc, gnd, states) -> np.ndarray:
+    dev = np.empty(len(states))
     for i, state in enumerate(states):
         dev[i] = max(
             float(np.max(np.abs(exc[i] - state.excited))),
@@ -409,13 +407,16 @@ def _per_sample_deviation(times, exc, gnd, states) -> np.ndarray:
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """One ObservableRecord per time sample via the closed-form evolution.
+    """The observable series on the configured grid, via the closed form.
 
-    With ``oracle_check`` the RK4 reference integration runs on the same
-    grid and the per-sample max amplitude deviation is reported alongside
-    the records; callers treat a deviation above 1e-6 as a failure (the
-    CLI exits 3). ``counter_rotating_diagnostic`` reports the same
-    deviation measure against the integration that retains the
+    The closed form runs _TIME_BLOCK samples at a time and each block is
+    reduced to observables at once, so only one block of amplitudes is
+    held, unless an oracle option keeps them all for comparison. With
+    ``oracle_check`` the RK4 reference integration runs on the same grid
+    and the per-sample max deviation from the emitted amplitudes is
+    reported alongside the series; callers treat a deviation above 1e-6 as
+    a failure (the CLI exits 3). ``counter_rotating_diagnostic`` reports
+    the same deviation measure against the integration that retains the
     counter-rotating terms: that difference measures the rotating-wave
     approximation itself, so it is reported, never gated on.
     """
@@ -425,36 +426,39 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     f.ensure(dist.n_cut + params.k)  # table fully populated before evolution
     times = config.times()
     coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
+    compare = config.oracle_check or config.counter_rotating_diagnostic
+    if compare:  # the oracle checks the very amplitudes that are emitted
+        excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
+        ground = np.empty_like(excited)
 
-    records: list[ObservableRecord] = []
+    blocks = []
     for start in range(0, len(times), _TIME_BLOCK):
         block = times[start : start + _TIME_BLOCK]
         exc, gnd = closed_form_series(params, f, dist, block)
-        records.extend(records_from_series(block, exc, gnd, params.k, coherence_phase))
+        blocks.append(records_from_series(block, exc, gnd, params.k, coherence_phase))
+        if compare:
+            excited[start : start + len(block)] = exc
+            ground[start : start + len(block)] = gnd
 
     metadata = config.echo()
     metadata["resolved"] = {
         "n_cut": dist.n_cut,
         "captured_mass": dist.captured_mass,
     }
-    result = ScenarioResult(config=config, records=records, metadata=metadata)
+    result = ScenarioResult(
+        config=config, records=ObservableSeries.concatenate(blocks), metadata=metadata
+    )
 
-    if config.oracle_check or config.counter_rotating_diagnostic:
-        exc, gnd = closed_form_series(params, f, dist, times)
-        if config.oracle_check:
-            states = evolve_ode_oracle(params, f, dist, times)
-            result.oracle_deviation = _per_sample_deviation(times, exc, gnd, states)
-            metadata["resolved"]["max_oracle_deviation"] = result.max_oracle_deviation
-        if config.counter_rotating_diagnostic:
-            states = evolve_ode_oracle(
-                params, f, dist, times, include_counter_rotating=True
-            )
-            result.counter_rotating_deviation = _per_sample_deviation(
-                times, exc, gnd, states
-            )
-            metadata["resolved"]["max_counter_rotating_deviation"] = float(
-                np.max(result.counter_rotating_deviation)
-            )
+    if config.oracle_check:
+        states = evolve_ode_oracle(params, f, dist, times)
+        result.oracle_deviation = _per_sample_deviation(excited, ground, states)
+        metadata["resolved"]["max_oracle_deviation"] = result.max_oracle_deviation
+    if config.counter_rotating_diagnostic:
+        states = evolve_ode_oracle(params, f, dist, times, include_counter_rotating=True)
+        result.counter_rotating_deviation = _per_sample_deviation(excited, ground, states)
+        metadata["resolved"]["max_counter_rotating_deviation"] = float(
+            np.max(result.counter_rotating_deviation)
+        )
     return result
 
 
@@ -463,47 +467,61 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-def _record_row(r: ObservableRecord) -> dict:
-    return {
-        "t": r.time,
-        "W": r.W,
-        "rho_ee": r.rho.rho_ee,
-        "rho_gg": r.rho.rho_gg,
-        "re_rho_eg": float(np.real(r.rho.rho_eg)),
-        "im_rho_eg": float(np.imag(r.rho.rho_eg)),
-        "H_x": r.H_x,
-        "H_y": r.H_y,
-        "H_z": r.H_z,
-        "E_x": r.E_x,
-        "E_y": r.E_y,
-        "norm": r.norm,
-    }
+_CSV_ROW = ",".join(["{}"] * len(CSV_COLUMNS)) + "\n"
+# one record of json.dump(..., indent=1) inside the top-level "records" list
+_JSON_ROW = (
+    "  {{\n"
+    + ",\n".join(f"   {json.dumps(name)}: {{}}" for name in CSV_COLUMNS)
+    + "\n  }}"
+)
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
-    """Write records as CSV or JSON; refuses to create empty outputs."""
+def _cells(column: np.ndarray, json_spelling: bool) -> list[str]:
+    """Each value as repr() writes it, or as the json module spells it."""
+    cells = list(map(float.__repr__, column.tolist()))
+    if json_spelling:
+        for i in np.flatnonzero(~np.isfinite(column)).tolist():
+            cells[i] = _JSON_NON_FINITE[cells[i]]
+    return cells
+
+
+def emit(records: ObservableSeries, format: str, path: str, metadata: dict | None = None) -> None:
+    """Write a series as CSV or JSON; refuses to create empty outputs.
+
+    Rows are formatted straight from the columns, _EMIT_CHUNK at a time.
+    The bytes are those of a CSV row of repr() values per sample, or of
+    ``json.dump({"metadata": ..., "records": [row, ...]}, indent=1)``
+    followed by a newline, with rows keyed in CSV_COLUMNS order.
+    """
     if not records:
         raise OutputError("no records to emit; not creating a file")
     if format not in ("csv", "json"):
         raise OutputError(f"unknown output format {format!r}")
-    rows = [_record_row(r) for r in records]
+    if format == "csv":
+        head, row, sep, tail = ",".join(CSV_COLUMNS) + "\n", _CSV_ROW, "", ""
+    else:
+        empty = json.dumps({"metadata": metadata or {}, "records": []}, indent=1)
+        head, row, sep, tail = empty[: -len("]\n}")] + "\n", _JSON_ROW, ",\n", "\n ]\n}\n"
+    columns = [records[name] for name in CSV_COLUMNS]
     try:
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            if format == "csv":
-                handle.write(",".join(CSV_COLUMNS) + "\n")
-                for row in rows:
-                    handle.write(",".join(repr(row[c]) for c in CSV_COLUMNS) + "\n")
-            else:
-                json.dump(
-                    {"metadata": metadata or {}, "records": rows}, handle, indent=1
-                )
-                handle.write("\n")
+            handle.write(head)
+            for start in range(0, len(records), _EMIT_CHUNK):
+                cells = [_cells(c[start : start + _EMIT_CHUNK], format == "json") for c in columns]
+                handle.write((sep if start else "") + sep.join(map(row.format, *cells)))
+            handle.write(tail)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
 
 
-def read_csv_series(path: str):
-    """Read back an emitted CSV into column arrays keyed by header name."""
+def read_csv_series(path: str) -> ObservableSeries:
+    """Read back an emitted CSV as a series, with dH_* = exp(H_*).
+
+    Every value comes back bit for bit as emitted. A cell that is not a
+    number, a row with the wrong number of cells or a file with no data
+    rows raises OutputError.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
             lines = [line for line in handle.read().splitlines() if line]
@@ -511,13 +529,20 @@ def read_csv_series(path: str):
         raise OutputError(f"cannot read {path!r}: {exc}") from exc
     if not lines:
         raise OutputError(f"{path!r} is empty")
-    header = lines[0].split(",")
-    if header != list(CSV_COLUMNS):
+    if lines[0].split(",") != list(CSV_COLUMNS):
         raise OutputError(f"{path!r} does not look like an emitted series")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if data.size == 0:
+    if len(lines) == 1:
         raise OutputError(f"{path!r} has no data rows")
-    return {name: data[:, i] for i, name in enumerate(CSV_COLUMNS)}
+    try:
+        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise OutputError(f"{path!r} has a malformed row: {exc}") from exc
+    if data.shape[1] != len(CSV_COLUMNS):
+        raise OutputError(f"{path!r} rows have {data.shape[1]} cells, not {len(CSV_COLUMNS)}")
+    columns = dict(zip(CSV_COLUMNS, data.T))
+    for axis in ("x", "y", "z"):
+        columns[f"dH_{axis}"] = np.exp(columns[f"H_{axis}"])
+    return ObservableSeries(columns)
 
 
 # ---------------------------------------------------------------------------
@@ -537,6 +562,9 @@ def sliding_rms(x: np.ndarray, window: int) -> np.ndarray:
 def measure_revivals(records, threshold_frac: float = 0.2):
     """Revival events {t_center, envelope_amplitude} of an inversion series.
 
+    ``records`` is an :class:`ObservableSeries`, or any mapping with "t"
+    and "W" arrays.
+
     The envelope is the sliding-window RMS of W - mean(W) with a window of
     2% of the grid. An event is an interior local maximum of the envelope
     that reaches ``threshold_frac`` of the initial envelope after the
@@ -544,12 +572,10 @@ def measure_revivals(records, threshold_frac: float = 0.2):
     collapse means no revival, so a flat (or merely rippling) envelope
     yields no events.
     """
-    if len(records) < 100:
-        raise InvalidParameterError(
-            f"revival detection needs >= 100 samples, got {len(records)}"
-        )
-    times = np.array([r.time for r in records])
-    w = np.array([r.W for r in records])
+    times = np.asarray(records["t"], dtype=float)
+    w = np.asarray(records["W"], dtype=float)
+    if len(w) < 100:
+        raise InvalidParameterError(f"revival detection needs >= 100 samples, got {len(w)}")
     x = w - np.mean(w)
     window = max(3, round(0.02 * len(w)))
     env = sliding_rms(x, window)

@@ -32,7 +32,7 @@ from djcm.field_states import (
     thermal_distribution,
 )
 from djcm.nonlinearity import Nonlinearity
-from djcm.observables import atomic_inversion_closed, records_from_series
+from djcm.observables import ObservableSeries, atomic_inversion_closed, records_from_series
 from djcm.scenario import (
     available_presets,
     config_from_dict,
@@ -59,7 +59,7 @@ class PresetSummary:
         times = np.linspace(0.0, GRID_END, GRID_SAMPLES)
 
         start = time.monotonic()
-        records = []
+        blocks = []
         unit_resid = 0.0
         w_amp = np.empty(GRID_SAMPLES)
         for s0 in range(0, GRID_SAMPLES, _TIME_BLOCK):
@@ -71,7 +71,8 @@ class PresetSummary:
                 unit_resid, float(np.max(np.abs(pe + pg - dist.probabilities[None, :])))
             )
             w_amp[s0 : s0 + len(block)] = np.sum(pe, axis=1) - np.sum(pg, axis=1)
-            records.extend(records_from_series(block, exc, gnd, params.k))
+            blocks.append(records_from_series(block, exc, gnd, params.k))
+        series = ObservableSeries.concatenate(blocks)
         self.elapsed = time.monotonic() - start
 
         # population route of the inversion, vectorized over the grid
@@ -97,15 +98,15 @@ class PresetSummary:
         self.mass = dist.captured_mass
         self.W_amp = w_amp
         self.W_closed = w_closed
-        self.W_rho = np.array([r.rho.rho_ee - r.rho.rho_gg for r in records])
-        self.E_x = np.array([r.E_x for r in records])
-        self.E_y = np.array([r.E_y for r in records])
-        self.dH_x = np.array([r.dH_x for r in records])
-        self.dH_y = np.array([r.dH_y for r in records])
-        self.dH_z = np.array([r.dH_z for r in records])
-        self.H_all = np.array([[r.H_x, r.H_y, r.H_z] for r in records])
-        self.norms = np.array([r.norm for r in records])
-        self.records0 = records[0]
+        self.series = series
+        self.W_rho = series["rho_ee"] - series["rho_gg"]
+        self.E_x = series["E_x"]
+        self.E_y = series["E_y"]
+        self.dH_x = series["dH_x"]
+        self.dH_y = series["dH_y"]
+        self.dH_z = series["dH_z"]
+        self.H_all = np.column_stack([series["H_x"], series["H_y"], series["H_z"]])
+        self.norms = series["norm"]
 
 
 _CACHE = {}
@@ -278,18 +279,18 @@ def test_criterion_5_exact_cases(summaries):
         "time": {"t_end": GRID_END, "samples": GRID_SAMPLES},
     }
     res = run_scenario(config_from_dict(doc))
-    t = np.array([r.time for r in res.records])
-    w = np.array([r.W for r in res.records])
+    t = res.records["t"]
+    w = res.records["W"]
     dev = float(np.max(np.abs(w - np.cos(t))))
     assert dev <= 1e-12
 
     for name in available_presets():
         s = summaries(name)
-        r0 = s.records0
-        assert abs(r0.W - s.mass) <= 1e-12
-        assert abs(r0.W - 1.0) <= 1e-11
-        assert abs(r0.E_x) <= 1e-11 and abs(r0.E_y) <= 1e-11
-        assert abs(r0.H_z) <= 1e-11
+        W0, E_x0, E_y0, H_z0 = (s.series[c][0] for c in ("W", "E_x", "E_y", "H_z"))
+        assert abs(W0 - s.mass) <= 1e-12
+        assert abs(W0 - 1.0) <= 1e-11
+        assert abs(E_x0) <= 1e-11 and abs(E_y0) <= 1e-11
+        assert abs(H_z0) <= 1e-11
     print(f"criterion 5 PASS: vacuum |W - cos(gamma t)| <= {dev:.2e}; t=0 state exact")
 
 
@@ -304,8 +305,8 @@ def test_criterion_6a_collapse_and_revival():
         {"time": {"t_end": 60.0, "samples": 2400}},
     )
     res = run_scenario(config_from_dict(doc))
-    t = np.array([r.time for r in res.records])
-    w = np.array([r.W for r in res.records])
+    t = res.records["t"]
+    w = res.records["W"]
     env = sliding_rms(w - np.mean(w), max(3, round(0.02 * len(w))))
     threshold = 0.2 * env[0]
     below = np.nonzero(env < threshold)[0]

@@ -117,6 +117,27 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", write_config(tmp_path, CHEAP)]) == 2
 
 
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"params": {"mu": float("nan")}},
+        {"params": {"chi": float("inf")}},
+        {"field": {"kind": "thermal", "temperature": "hot", "frequency": 1.0}},
+        {"field": {"kind": "thermal", "temperature": [1], "frequency": 1.0}},
+        {"field": {"kind": "thermal", "temperature": 1.0, "frequency": "x"}},
+        {"nonlinearity": {"table": ["x"]}},
+        {"nonlinearity": {"table": [1.0, float("nan")]}},
+    ],
+)
+def test_non_finite_or_mistyped_numbers_exit_2(tmp_path, capsys, override):
+    doc = {**CHEAP, **override}  # each override replaces a whole section
+    out_path = tmp_path / "never.csv"
+    code = main(["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_unwritable_output_exits_4(tmp_path):
     code = main(
         [
@@ -149,6 +170,26 @@ def test_revivals_subcommand(tmp_path, capsys):
 
 def test_revivals_missing_file(capsys):
     assert main(["revivals", "--input", "/no/such/file.csv"]) == 4
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        "0.1,0.9,0.95,0.05,0.0,0.0,oops,0.1,0.1,0.0,0.0,1.0",  # a cell that is not a number
+        "0.1,0.9,0.95",  # a ragged row
+    ],
+)
+def test_revivals_malformed_csv_exits_4(tmp_path, capsys, bad_row):
+    out_path = tmp_path / "series.csv"
+    assert main(
+        ["simulate", "--config", write_config(tmp_path, CHEAP), "--output", str(out_path)]
+    ) == 0
+    lines = out_path.read_text().splitlines()
+    lines[50] = bad_row
+    out_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["revivals", "--input", str(out_path)]) == 4
+    assert "I/O error" in capsys.readouterr().err
 
 
 def test_bad_usage_exits_2():

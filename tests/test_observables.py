@@ -9,6 +9,8 @@ from djcm.field_states import coherent_distribution, squeezed_distribution
 from djcm.nonlinearity import Nonlinearity
 from djcm.observables import (
     LN2,
+    SERIES_COLUMNS,
+    ObservableSeries,
     ReducedAtomDensity,
     atomic_inversion,
     atomic_inversion_closed,
@@ -247,18 +249,58 @@ def test_records_from_series_and_free_phase():
     exc, gnd = closed_form_series(params, F_SQ, d, times)
     plain = records_from_series(times, exc, gnd, params.k)
     phased = records_from_series(times, exc, gnd, params.k, coherence_phase=params.nu * params.k)
-    for r0, r1, t in zip(plain, phased, times):
-        # the free-evolution phase only rotates the coherence
-        assert r1.W == r0.W
-        assert r1.H_z == r0.H_z
-        assert abs(r1.rho.rho_eg) == pytest.approx(abs(r0.rho.rho_eg), abs=1e-15)
-        expected = r0.rho.rho_eg * np.exp(-1j * params.nu * params.k * t)
-        assert r1.rho.rho_eg == pytest.approx(expected, abs=1e-15)
-    # record invariants
-    for r in plain:
-        assert r.W == pytest.approx(r.rho.rho_ee - r.rho.rho_gg, abs=1e-10)
-        assert r.dH_x * r.dH_y >= 4.0 / r.dH_z - 1e-9
-        assert r.norm == pytest.approx(d.captured_mass, abs=1e-10)
+    # the free-evolution phase only rotates the coherence
+    assert np.array_equal(phased["W"], plain["W"])
+    assert np.array_equal(phased["H_z"], plain["H_z"])
+    rho0 = plain["re_rho_eg"] + 1j * plain["im_rho_eg"]
+    rho1 = phased["re_rho_eg"] + 1j * phased["im_rho_eg"]
+    assert np.max(np.abs(np.abs(rho1) - np.abs(rho0))) <= 1e-15
+    expected = rho0 * np.exp(-1j * params.nu * params.k * times)
+    assert np.max(np.abs(rho1 - expected)) <= 1e-15
+    # series invariants
+    assert np.max(np.abs(plain["W"] - (plain["rho_ee"] - plain["rho_gg"]))) <= 1e-10
+    assert np.all(plain["dH_x"] * plain["dH_y"] >= 4.0 / plain["dH_z"] - 1e-9)
+    assert np.max(np.abs(plain["norm"] - d.captured_mass)) <= 1e-10
+
+
+def test_series_row_views_match_columns():
+    params = ModelParams(k=2, gamma=1.0, mu=0.1, nu=1.5)
+    d = coherent_distribution(1.0)
+    times = np.linspace(0.0, 5.0, 11)
+    exc, gnd = closed_form_series(params, F_SQ, d, times)
+    series = records_from_series(times, exc, gnd, params.k, coherence_phase=3.0)
+    rows = list(series)
+    assert len(rows) == len(series) == len(times)
+    for i, row in enumerate(rows):
+        assert row == series[i] == series[i - len(series)]
+        assert row.time == series["t"][i]
+        assert row.rho.rho_ee == series["rho_ee"][i]
+        assert row.rho.rho_eg == complex(series["re_rho_eg"][i], series["im_rho_eg"][i])
+        for name in ("W", "H_x", "H_y", "H_z", "dH_x", "dH_y", "dH_z", "E_x", "E_y", "norm"):
+            assert getattr(row, name) == series[name][i]
+    with pytest.raises(IndexError):
+        series[len(series)]
+    with pytest.raises(TypeError):
+        series[1:3]
+    with pytest.raises(ValueError):
+        series["W"][0] = 0.0  # columns are read-only views
+    assert times.flags.writeable  # ... of arrays the caller still owns
+
+
+def test_series_concatenate_and_shape_check():
+    rng = np.random.default_rng(3)
+    parts = [
+        ObservableSeries({name: rng.normal(size=n) for name in SERIES_COLUMNS})
+        for n in (4, 1, 3)
+    ]
+    joined = ObservableSeries.concatenate(parts)
+    assert len(joined) == 8
+    for name in SERIES_COLUMNS:
+        assert np.array_equal(joined[name], np.concatenate([p[name] for p in parts]))
+    ragged = {name: np.zeros(3) for name in SERIES_COLUMNS}
+    ragged["E_y"] = np.zeros(2)
+    with pytest.raises(ValueError):
+        ObservableSeries(ragged)
 
 
 def test_observable_record_single_state():

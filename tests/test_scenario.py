@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from djcm import scenario
+from djcm.dynamics import evolve_ode_oracle
 from djcm.errors import (
     ConfigError,
     InvalidParameterError,
@@ -11,6 +13,7 @@ from djcm.errors import (
     PhysicsValidationError,
     PresetLookupError,
 )
+from djcm.observables import SERIES_COLUMNS, ObservableSeries
 from djcm.scenario import (
     CSV_COLUMNS,
     available_presets,
@@ -120,6 +123,37 @@ def test_inline_nonlinearity_table():
         config_from_dict(merge_config(MINIMAL, {"nonlinearity": 7}))
 
 
+THERMAL_BY_TEMPERATURE = {"kind": "thermal", "temperature": 1.0, "frequency": 1.0}
+
+
+@pytest.mark.parametrize(
+    "override, where",
+    [
+        ({"params": {"mu": math.nan}}, "params.mu"),
+        ({"params": {"chi": math.inf}}, "params.chi"),
+        ({"params": {"detuning": -math.inf}}, "params.detuning"),
+        ({"params": {"gamma": 10**400}}, "params.gamma"),
+        ({"field": {"nbar": math.nan}}, "field.nbar"),
+        ({"time": {"t_end": math.inf}}, "time.t_end"),
+        ({"field": dict(THERMAL_BY_TEMPERATURE, temperature="hot")}, "field.temperature"),
+        ({"field": dict(THERMAL_BY_TEMPERATURE, temperature=[1])}, "field.temperature"),
+        ({"field": dict(THERMAL_BY_TEMPERATURE, temperature=math.nan)}, "field.temperature"),
+        ({"field": dict(THERMAL_BY_TEMPERATURE, frequency=True)}, "field.frequency"),
+        ({"field": dict(THERMAL_BY_TEMPERATURE, frequency=math.inf)}, "field.frequency"),
+        ({"nonlinearity": {"table": [1.0, "x"]}}, r"f\(2\)"),
+        ({"nonlinearity": {"table": [math.nan]}}, r"f\(1\)"),
+        ({"nonlinearity": {"table": [1.0, 1.0, math.inf]}}, r"f\(3\)"),
+        ({"nonlinearity": {"table": [[1.0]]}}, r"f\(1\)"),
+    ],
+)
+def test_non_finite_or_mistyped_numbers_rejected(override, where):
+    doc = json.loads(json.dumps(MINIMAL))
+    if "kind" in override.get("field", {}):
+        doc.pop("field")  # temperature input replaces nbar
+    with pytest.raises(ConfigError, match=where):
+        config_from_dict(merge_config(doc, override))
+
+
 def test_field_kind_required_and_checked():
     with pytest.raises(ConfigError):
         config_from_dict({"time": {"t_end": 1.0, "samples": 2}})
@@ -199,15 +233,15 @@ def test_preset_merge_override():
 def test_run_scenario_records_and_t0():
     cfg = small_config()
     res = run_scenario(cfg)
-    assert len(res.records) == cfg.samples
-    first = res.records[0]
-    assert first.time == 0.0
-    assert first.W == pytest.approx(1.0, abs=1e-11)
-    assert first.E_x == pytest.approx(0.0, abs=1e-11)
-    assert first.H_z == pytest.approx(0.0, abs=1e-11)
+    series = res.records
+    assert len(series) == cfg.samples
+    assert series["t"][0] == 0.0
+    assert series["W"][0] == pytest.approx(1.0, abs=1e-11)
+    assert series["E_x"][0] == pytest.approx(0.0, abs=1e-11)
+    assert series["H_z"][0] == pytest.approx(0.0, abs=1e-11)
     mass = res.metadata["resolved"]["captured_mass"]
-    for r in res.records[:: len(res.records) // 7]:
-        assert r.norm == pytest.approx(mass, abs=1e-10)
+    for norm in series["norm"][:: len(series) // 7]:
+        assert norm == pytest.approx(mass, abs=1e-10)
 
 
 def test_run_scenario_oracle_check_small():
@@ -234,12 +268,14 @@ def test_run_scenario_free_phase_option():
     res0 = run_scenario(base)
     res1 = run_scenario(phased)
     i = 37
-    t = res0.records[i].time
+    t = res0.records["t"][i]
     rot = np.exp(-1j * 2.0 * 1 * t)
-    assert res1.records[i].rho.rho_eg == pytest.approx(
-        res0.records[i].rho.rho_eg * rot, abs=1e-13
-    )
-    assert res1.records[i].W == res0.records[i].W
+
+    def rho_eg(res):
+        return complex(res.records["re_rho_eg"][i], res.records["im_rho_eg"][i])
+
+    assert rho_eg(res1) == pytest.approx(rho_eg(res0) * rot, abs=1e-13)
+    assert res1.records["W"][i] == res0.records["W"][i]
 
 
 def test_metadata_echoes_defaults():
@@ -269,8 +305,8 @@ def test_emit_csv_layout(tmp_path):
     assert len(lines) == 4 and lines[3] == ""  # header + 2 rows, newline-terminated
     # full double precision round-trip
     series = read_csv_series(str(path))
-    assert series["W"][0] == res.records[0].W
-    assert series["E_y"][1] == res.records[1].E_y
+    assert series["W"][0] == res.records["W"][0]
+    assert series["E_y"][1] == res.records["E_y"][1]
 
 
 def test_emit_refuses_empty(tmp_path):
@@ -295,12 +331,10 @@ def test_emit_json_round_trip(tmp_path):
     doc = json.loads(path.read_text())
     assert doc["metadata"]["field"]["nbar"] == 0.5
     assert len(doc["records"]) == 5
-    for row, rec in zip(doc["records"], res.records):
-        assert row["t"] == rec.time
-        assert row["W"] == rec.W
-        assert row["re_rho_eg"] == float(np.real(rec.rho.rho_eg))
-        assert row["im_rho_eg"] == float(np.imag(rec.rho.rho_eg))
-        assert row["norm"] == rec.norm
+    for i, row in enumerate(doc["records"]):
+        assert list(row) == list(CSV_COLUMNS)
+        for name in CSV_COLUMNS:
+            assert row[name] == res.records[name][i]
 
 
 def test_emitted_bytes_deterministic(tmp_path):
@@ -312,19 +346,137 @@ def test_emitted_bytes_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def _parent_emit(records, format, path, metadata=None):
+    """The row-dict emitter that the columnar one replaced, kept as reference."""
+    rows = [
+        {
+            "t": r.time,
+            "W": r.W,
+            "rho_ee": r.rho.rho_ee,
+            "rho_gg": r.rho.rho_gg,
+            "re_rho_eg": float(np.real(r.rho.rho_eg)),
+            "im_rho_eg": float(np.imag(r.rho.rho_eg)),
+            "H_x": r.H_x,
+            "H_y": r.H_y,
+            "H_z": r.H_z,
+            "E_x": r.E_x,
+            "E_y": r.E_y,
+            "norm": r.norm,
+        }
+        for r in records
+    ]
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        if format == "csv":
+            handle.write(",".join(CSV_COLUMNS) + "\n")
+            for row in rows:
+                handle.write(",".join(repr(row[c]) for c in CSV_COLUMNS) + "\n")
+        else:
+            json.dump({"metadata": metadata or {}, "records": rows}, handle, indent=1)
+            handle.write("\n")
+
+
+def _assert_same_bytes(series, metadata, tmp_path):
+    for format in ("csv", "json"):
+        new, old = tmp_path / f"new.{format}", tmp_path / f"old.{format}"
+        emit(series, format, str(new), metadata)
+        _parent_emit(series, format, str(old), metadata)
+        assert new.read_bytes() == old.read_bytes(), format
+
+
+@pytest.mark.parametrize(
+    "name, override",
+    [
+        ("squeezed_bare_sqrt_n_k2", {}),
+        ("thermal_kerr_sqrt_n", {}),
+        ("coherent_kerr_stark_sqrt_n", {"options": {"free_phase_on_coherence": True}}),
+    ],
+)
+def test_emitted_bytes_match_row_emitter(name, override, tmp_path, monkeypatch):
+    # a chunk size that leaves a short last chunk exercises the chunk seams
+    monkeypatch.setattr(scenario, "_EMIT_CHUNK", 333)
+    res = run_scenario(config_from_dict(merge_config(preset_dict(name), override), name))
+    _assert_same_bytes(res.records, res.metadata, tmp_path)
+
+
+def test_emit_spells_non_finite_values(tmp_path):
+    values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5e17])
+    series = ObservableSeries({name: np.roll(values, i) for i, name in enumerate(SERIES_COLUMNS)})
+    _assert_same_bytes(series, {"note": math.nan}, tmp_path)
+    text = (tmp_path / "new.json").read_text()
+    assert "NaN" in text and "-Infinity" in text and "nan" not in text
+    csv_cells = (tmp_path / "new.csv").read_text().splitlines()[1].split(",")
+    assert {"nan", "inf", "-inf", "-0.0", "1e-300"} <= set(csv_cells)
+    # the CSV reads back bit for bit, non-finite cells included
+    back = read_csv_series(str(tmp_path / "new.csv"))
+    for name in CSV_COLUMNS:
+        assert back[name].tobytes() == series[name].tobytes()
+
+
+def test_csv_read_back_re_emits_same_bytes(tmp_path):
+    res = run_scenario(small_config(options={"free_phase_on_coherence": True}))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    emit(res.records, "csv", str(first))
+    back = read_csv_series(str(first))
+    assert len(back) == len(res.records)
+    for name in ("H_x", "H_y", "H_z", "dH_x", "dH_y", "dH_z", "E_x"):
+        assert back[name].tobytes() == res.records[name].tobytes()
+    emit(back, "csv", str(second))
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "body, match",
+    [
+        ("0.0,1.0,x,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n", "malformed"),
+        ("0.0,1.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n0.1,1.0\n", "malformed"),
+        ("0.0,1.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0,7.0\n", "13 cells"),
+        ("", "no data rows"),
+    ],
+)
+def test_read_csv_series_rejects_malformed_rows(tmp_path, body, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + body)
+    with pytest.raises(OutputError, match=match):
+        read_csv_series(str(path))
+
+
+def test_oracle_checks_emitted_amplitudes(monkeypatch):
+    cfg = small_config(options={"oracle_check": True, "counter_rotating_diagnostic": True})
+    seen = []
+    kernel = scenario.closed_form_series
+
+    def recording_kernel(params, f, dist, times):
+        seen.append(len(times))
+        return kernel(params, f, dist, times)
+
+    monkeypatch.setattr(scenario, "closed_form_series", recording_kernel)
+    res = run_scenario(cfg)
+    # one kernel call per emitted block, no second pass over the full grid
+    assert sum(seen) == cfg.samples and max(seen) <= scenario._TIME_BLOCK
+
+    dist = cfg.build_distribution()
+    times = cfg.times()
+    blocks = [
+        kernel(cfg.params, cfg.nonlinearity, dist, times[i : i + scenario._TIME_BLOCK])
+        for i in range(0, len(times), scenario._TIME_BLOCK)
+    ]
+    exc = np.concatenate([b[0] for b in blocks])
+    gnd = np.concatenate([b[1] for b in blocks])
+    states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
+    expected = [
+        max(np.max(np.abs(exc[i] - st.excited)), np.max(np.abs(gnd[i] - st.ground)))
+        for i, st in enumerate(states)
+    ]
+    assert res.oracle_deviation.tolist() == expected
+
+
 # ---------------------------------------------------------------------------
 # revival detection
 # ---------------------------------------------------------------------------
 
 
-class _Rec:
-    def __init__(self, t, w):
-        self.time = t
-        self.W = w
-
-
 def _records_from(times, values):
-    return [_Rec(t, w) for t, w in zip(times, values)]
+    return {"t": times, "W": values}
 
 
 def test_revivals_needs_samples():
