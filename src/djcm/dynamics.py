@@ -58,7 +58,12 @@ class ModelParams:
     nu: float = 0.0
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        for name in ("gamma", "mu", "detuning", "chi", "beta1", "beta2", "nu"):
+            if not math.isfinite(getattr(self, name)):
+                raise PhysicsValidationError(
+                    f"{name} must be finite, got {getattr(self, name)!r}"
+                )
+        if not math.isfinite(self.k) or int(self.k) != self.k or self.k < 1:
             raise PhysicsValidationError(f"k must be a positive integer, got {self.k!r}")
         if not (self.gamma > 0.0):
             raise PhysicsValidationError(f"gamma must be > 0, got {self.gamma!r}")
@@ -361,6 +366,8 @@ def evolve_closed_form(
 
 # Steps between direct evaluations of the coupling phases in the oracle.
 _REANCHOR = 128
+# Grid rows whose diagonal phases the oracle reattaches together.
+_PHASE_BLOCK = 256
 
 
 class _PairBatch:
@@ -369,7 +376,7 @@ class _PairBatch:
     The amplitude equations are linear, so each output segment is fully
     described by a 2x2 propagator per doublet, and propagators of
     different segments are independent. Integrating them all side by side
-    keeps the RK4 inner loop on wide arrays.
+    keeps every array operation of a sweep on wide arrays.
     """
 
     def __init__(self, t0, dt, alpha, Rn, weight, mu, counter_rotating):
@@ -390,8 +397,8 @@ class _PairBatch:
     def coupling(self, t):
         """Off-diagonal entries (a01, a10) of the coefficient matrix at t.
 
-        Direct evaluation, the definition that :meth:`sweep` follows by
-        recurrence.
+        Direct evaluation: the definition that :meth:`sweep` follows, in
+        a rotating frame (power form) or by recurrence (step loop).
         """
         half = -0.5j * self.alpha
         e = np.exp(-1j * ((self.mu - self.Rn) * t))
@@ -408,53 +415,96 @@ class _PairBatch:
         c = exp(i (mu + Rn) t) with the counter-rotating terms. With a0, a1
         and a2 the coupling at the start, middle and end of a step, one
         classic RK4 step of this linear system, its four stages multiplied
-        out, is the matrix [[p, q], [-conj(q), conj(p)]] with
-
-            p = 1 - (h^2/6) (a1 a0* + |a1|^2 + a2 a1*) + (h^4/24) |a1|^2 a2 a0*
-            q = (h/6) (a0 + 4 a1 + a2) - (h^3/12) |a1|^2 (a0 + a2)
-
+        out, is the matrix [[p, q], [-conj(q), conj(p)]] (:func:`_rk4_step`),
         so the propagator keeps the form [[u, v], [-conj(v), conj(u)]] and
-        only (u, v) is carried. The phases follow by recurrence: a step's
-        end value starts the next, and e(t + h/2) = e(t) exp(-i (mu - Rn) h/2)
-        (likewise c), with a direct ``exp`` every ``_REANCHOR`` steps to
-        bound the drift.
+        only (u, v) is carried.
+
+        Rotating-wave form: with w = mu - Rn and D(t) = diag(exp(-i w t/2),
+        exp(i w t/2)), a(t0 + s) is a(s) conjugated by D(t0), so the step
+        at t_j is D(t_j) S0 D(t_j)^-1 with S0 the step at t = 0, and the m
+        steps multiply out to D(t0 + dt) T^m D(t0)^-1 with T = D(-h) S0.
+        T^m is taken by binary powering, about 2 log2(m) array products
+        instead of m steps (:meth:`_power_sweep`).
+
+        Counter-rotating form: the two rotation frequencies share no
+        frame, so the m steps are applied one by one (:meth:`_step_sweep`).
+        """
+        if self.counter_rotating:
+            u, v = self._step_sweep(m)
+        else:
+            u, v = self._power_sweep(m)
+        return np.stack([u, v, -np.conj(v), np.conj(u)])
+
+    def _power_sweep(self, m: int):
+        """(u, v) of the rotating-wave propagator as D(t0 + dt) T^m D(t0)^-1."""
+        h = self.dt / m
+        z = 0.5 * self.alpha * h
+        w = self.mu - self.Rn
+        half = np.exp(-0.5j * (w * h))  # s at the step's midpoint, t = h/2
+        p, q = _rk4_step(z, 1.0, half, half * half)
+        # T = D(-h) S0 = [[a, b], [-conj(b), conj(a)]]; products of this
+        # form keep it, so only (a, b) is carried while squaring
+        back = np.conj(half)
+        a, b = back * p, back * q
+        big_a, big_b = np.ones_like(a), np.zeros_like(b)
+        while m:
+            if m & 1:
+                big_a, big_b = big_a * a - big_b * np.conj(b), big_a * b + big_b * np.conj(a)
+            a, b = a * a - (b.real * b.real + b.imag * b.imag), (2.0 * a.real) * b
+            m >>= 1
+        u = big_a * np.exp(-0.5j * (w * self.dt))
+        v = big_b * np.exp(-0.5j * (w * (2.0 * self.t0 + self.dt)))
+        return u, v
+
+    def _step_sweep(self, m: int):
+        """(u, v) of the counter-rotating propagator, one RK4 step at a time.
+
+        The phases follow by recurrence: a step's end value starts the
+        next, and e(t + h/2) = e(t) exp(-i (mu - Rn) h/2) (likewise c),
+        with a direct ``exp`` every ``_REANCHOR`` steps to bound the drift.
         """
         h = self.dt / m
         z = 0.5 * self.alpha * h
-        z2 = z * z
         w = self.mu - self.Rn
+        w_c = self.mu + self.Rn
         rot = np.exp(-0.5j * (w * h))
-        if self.counter_rotating:
-            w_c = self.mu + self.Rn
-            rot_c = np.exp(0.5j * (w_c * h))
+        rot_c = np.exp(0.5j * (w_c * h))
         u = np.ones(len(self.t0), dtype=complex)
         v = np.zeros_like(u)
         for j in range(m):
             if j % _REANCHOR == 0:
                 ta = self.t0 + j * h
                 e0 = np.exp(-1j * (w * ta))
-                if self.counter_rotating:
-                    c0 = np.exp(1j * (w_c * ta))
+                c0 = np.exp(1j * (w_c * ta))
             e1 = e0 * rot
             e2 = e1 * rot
-            if self.counter_rotating:
-                c1 = c0 * rot_c
-                c2 = c1 * rot_c
-                s0, s1, s2 = e0 + c0, e1 + c1, e2 + c2
-                c0 = c2
-            else:
-                s0, s1, s2 = e0, e1, e2
+            c1 = c0 * rot_c
+            c2 = c1 * rot_c
+            p, q = _rk4_step(z, e0 + c0, e1 + c1, e2 + c2)
             e0 = e2
-            # p and q of the docstring in terms of s = a / (-i alpha/2)
-            mid2 = s1.real * s1.real + s1.imag * s1.imag
-            s0c = np.conj(s0)
-            p = 1.0 - (z2 / 6.0) * (s1 * s0c + mid2 + s2 * np.conj(s1)) + (
-                z2 * z2 / 24.0
-            ) * (mid2 * (s2 * s0c))
-            ends = s0 + s2
-            q = (-1j / 6.0 * z) * (ends + 4.0 * s1 - (0.5 * z2 * mid2) * ends)
+            c0 = c2
             u, v = p * u - q * np.conj(v), p * v + q * np.conj(u)
-        return np.stack([u, v, -np.conj(v), np.conj(u)])
+        return u, v
+
+
+def _rk4_step(z, s0, s1, s2):
+    """Entries (p, q) of one classic RK4 step matrix [[p, q], [-conj(q), conj(p)]].
+
+    With a = -i (alpha/2) s at the start (s0), middle (s1) and end (s2)
+    of a step of length h, and z = alpha h / 2:
+
+        p = 1 - (h^2/6) (a1 a0* + |a1|^2 + a2 a1*) + (h^4/24) |a1|^2 a2 a0*
+        q = (h/6) (a0 + 4 a1 + a2) - (h^3/12) |a1|^2 (a0 + a2)
+    """
+    z2 = z * z
+    mid2 = s1.real * s1.real + s1.imag * s1.imag
+    s0c = np.conj(s0)
+    p = 1.0 - (z2 / 6.0) * (s1 * s0c + mid2 + s2 * np.conj(s1)) + (
+        z2 * z2 / 24.0
+    ) * (mid2 * (s2 * s0c))
+    ends = s0 + s2
+    q = (-1j / 6.0 * z) * (ends + 4.0 * s1 - (0.5 * z2 * mid2) * ends)
+    return p, q
 
 
 def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info):
@@ -466,6 +516,11 @@ def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info
     4th-order method its true error is about 1/15 of the observed
     disagreement (Richardson), so accumulated error over the output grid
     stays well under segments * tol.
+
+    Each sweep is evaluated in the form :meth:`_PairBatch.sweep` picks:
+    by matrix powers in the rotating-wave case (cost ~ log2 m per sweep),
+    step by step with the counter-rotating terms (cost ~ m). The steps
+    compared and accepted are the same either way.
     """
     idx = np.arange(len(batch.t0))
     m = m0
@@ -512,7 +567,10 @@ def evolve_ode_oracle(
     phases e^{-i R1 t}, e^{-i R2 t}. Classic fixed-order RK4 with step
     halving per output segment until two refinements agree below ``tol``
     for every doublet; doublets with no initial population are carried as
-    exact zeros.
+    exact zeros. The rotating-wave product of m RK4 steps is evaluated by
+    binary powering of one step matrix; the counter-rotating form applies
+    its m steps one at a time, so ``include_counter_rotating`` costs time
+    proportional to the step count (see :meth:`_PairBatch.sweep`).
 
     Returns one :class:`AmplitudeState` per grid time.
     """
@@ -545,11 +603,7 @@ def evolve_ode_oracle(
         # coupling frequencies is what step counts cannot afford).
         frozen = weight_all <= 0.5 * tol
         live = np.nonzero(~frozen)[0]
-
-        # Per-segment propagators, (4, n_seg, d) component layout.
-        props = np.empty((4, n_seg, d), dtype=complex)
-        props[0] = props[3] = 1.0
-        props[1] = props[2] = 0.0
+        excited[1:, active[frozen]] = c0[active[frozen]]
 
         alpha = co.alpha[active][live]
         Rn = co.Rn[active][live]
@@ -563,6 +617,12 @@ def evolve_ode_oracle(
             w = np.maximum(w, np.abs(mu + Rn))
         w = np.maximum(w, 1.0)
 
+        # The slow variables X, Y of the live doublets are chained through
+        # each block's propagators as soon as they are integrated, so only
+        # one block of propagators is held.
+        live_cols = _as_slice(active[live])
+        X = c0[active[live]].astype(complex)
+        Y = np.zeros_like(X)
         d_live = len(live)
         seg_block = max(1, _max_pairs // max(d_live, 1))
         for s0 in range(0, n_seg if d_live else 0, seg_block):
@@ -591,21 +651,24 @@ def evolve_ode_oracle(
                 _refine_bucket(
                     batch_all.take(slots), int(m_init), tol, out, slots, pair_info
                 )
-            props[:, s0:s1, :][:, :, live] = out.reshape(4, s1 - s0, d_live)
+            props = out.reshape(4, s1 - s0, d_live)
+            for i in range(s1 - s0):
+                X, Y = (
+                    props[0, i] * X + props[1, i] * Y,
+                    props[2, i] * X + props[3, i] * Y,
+                )
+                excited[s0 + i + 1, live_cols] = X
+                ground[s0 + i + 1, live_cols] = Y
 
-        # Chain the propagators and reattach the diagonal phases.
-        R1 = co.R1[active]
-        R2 = co.R2[active]
-        X = c0[active].astype(complex)
-        Y = np.zeros_like(X)
-        for i in range(n_seg):
-            X, Y = (
-                props[0, i] * X + props[1, i] * Y,
-                props[2, i] * X + props[3, i] * Y,
-            )
-            t1 = t_grid[i + 1]
-            excited[i + 1, active] = X * np.exp(-1j * R1 * t1)
-            ground[i + 1, active] = Y * np.exp(-1j * R2 * t1)
+        # Reattach the diagonal phases, _PHASE_BLOCK rows at a time.
+        cols = _as_slice(active)
+        r1 = -1j * co.R1[active]
+        r2 = -1j * co.R2[active]
+        for start in range(1, n_seg + 1, _PHASE_BLOCK):
+            rows = slice(start, start + _PHASE_BLOCK)
+            t1 = t_grid[rows, None]
+            excited[rows, cols] *= np.exp(r1 * t1)
+            ground[rows, cols] *= np.exp(r2 * t1)
 
     k = params.k
     return [

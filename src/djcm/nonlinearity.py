@@ -128,11 +128,5 @@ class Nonlinearity:
             return np.arange(n_max + 1, dtype=float)
         return np.array([self.eval_f(j) ** 2 for j in range(n_max + 1)])
 
-    def selector(self):
-        """Round-trippable description for config echoes."""
-        if self.kind == CUSTOM:
-            return {"kind": CUSTOM}
-        return self.kind
-
     def __repr__(self) -> str:
         return f"Nonlinearity({self.kind!r})"

@@ -172,10 +172,12 @@ def reduced_density(state: AmplitudeState) -> ReducedAtomDensity:
 
 def _clamped(p, what: str):
     p = np.asarray(p, dtype=float)
-    if np.any(p < -PROB_SLACK) or np.any(p > 1.0 + PROB_SLACK):
-        bad = p[(p < -PROB_SLACK) | (p > 1.0 + PROB_SLACK)]
+    # NaN fails both comparisons, so it is caught with the out-of-range values
+    ok = (p >= -PROB_SLACK) & (p <= 1.0 + PROB_SLACK)
+    if not np.all(ok):
         raise NumericalConsistencyError(
-            f"{what} outside [0,1] beyond roundoff slack {PROB_SLACK}: {bad[:4]!r}"
+            f"{what} outside [0,1] beyond roundoff slack {PROB_SLACK}, "
+            f"or NaN: {p[~ok][:4]!r}"
         )
     return np.clip(p, 0.0, 1.0)
 

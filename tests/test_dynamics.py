@@ -71,6 +71,16 @@ def test_params_domain_checks():
         ModelParams(nu=-1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name", ["k", "gamma", "mu", "detuning", "chi", "beta1", "beta2", "nu"]
+)
+def test_params_reject_non_finite(name, value):
+    # k=2 so the Stark coefficients pass the k check and reach the finite check
+    with pytest.raises(PhysicsValidationError, match=f"^{name} must be"):
+        ModelParams(**{"k": 2, name: value})
+
+
 def test_omega_atom_implicit():
     p = ModelParams(k=2, detuning=0.5, nu=1.25)
     assert p.omega_atom == pytest.approx(0.5 + 2 * 1.25)
@@ -350,6 +360,23 @@ def test_tiny_coupling_keeps_amplitudes_constant():
     assert np.max(np.abs(gnd)) <= 1e-10
 
 
+def test_oracle_carries_frozen_doublets_exactly():
+    # amplitudes at or below tol/(2 sqrt 2) are not integrated; they keep
+    # their initial value times the diagonal phase at every grid time
+    p = ModelParams(k=1, gamma=1.0, mu=0.3, detuning=0.2)
+    d = coherent_distribution(1.0)
+    c0 = np.sqrt(d.probabilities).astype(complex)
+    c0[[1, 4]] = [3e-11, 2e-11j]
+    t = np.linspace(0.0, 2.0, 9)
+    states = evolve_ode_oracle(p, F_ID, d, t, initial_amplitudes=c0)
+    r1 = CoefficientTable(p, F_ID, d.n_cut).R1
+    for s in states:
+        for n in (1, 4):
+            assert s.excited[n] == c0[n] * np.exp(-1j * r1[n] * s.time)
+            assert s.ground[n] == 0.0
+    assert max_amplitude_deviation(states, closed_states(p, F_ID, d, t, c0)) <= 1e-8
+
+
 def test_oracle_grid_validation():
     p = ModelParams()
     d = coherent_distribution(0.0)
@@ -481,7 +508,7 @@ def test_uniform_step_rejects_other_grids():
 
 
 # ---------------------------------------------------------------------------
-# coupling recurrence in the RK4 oracle sweep
+# RK4 oracle sweep (power form and step loop) against direct-exp stepping
 # ---------------------------------------------------------------------------
 
 
@@ -512,8 +539,10 @@ def _direct_exp_sweep(batch, m):
 
 
 @pytest.mark.parametrize("counter_rotating", [False, True])
-@pytest.mark.parametrize("m", [300, 1000])
+@pytest.mark.parametrize("m", [300, 1000, 4096])
 def test_sweep_recurrence_matches_direct_exp(counter_rotating, m):
+    # 300 and 1000 exercise the powering's odd-bit products; 4096 is a
+    # step count of the oracle's own power-of-two ladder
     # alpha reaches 182, so w*h stays below the 0.75 the oracle starts from
     params = ModelParams(k=2, gamma=1.0, mu=0.7, detuning=0.3, beta1=0.05, beta2=0.08)
     co = CoefficientTable(params, F_SQ, 12)
@@ -531,3 +560,26 @@ def test_sweep_recurrence_matches_direct_exp(counter_rotating, m):
     got = batch.sweep(m)
     ref = _direct_exp_sweep(batch, m)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):
+    # criterion 2's preset at the window its step-cost model picks
+    cfg = preset("coherent_bare_sqrt_n_k2")
+    dist = cfg.build_distribution()
+    t_grid = np.linspace(0.0, 0.1, 33)
+
+    def run(sweep):
+        calls = []
+
+        def recorded(batch, m):
+            calls.append((m, len(batch.t0)))
+            return sweep(batch, m)
+
+        monkeypatch.setattr(_PairBatch, "sweep", recorded)
+        states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, t_grid, tol=1e-10)
+        return calls, states
+
+    calls, states = run(_PairBatch.sweep)
+    ref_calls, ref_states = run(_direct_exp_sweep)
+    assert calls == ref_calls
+    assert max_amplitude_deviation(states, ref_states) <= 1e-12

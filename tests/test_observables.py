@@ -226,6 +226,21 @@ def test_probability_clamp_and_error():
         pauli_entropies(ReducedAtomDensity(0.5, 0.5, 0.6 + 0.0j))
 
 
+@pytest.mark.parametrize(
+    "rho",
+    [
+        ReducedAtomDensity(math.nan, 0.5, 0.0),
+        ReducedAtomDensity(0.5, math.nan, 0.0),
+        ReducedAtomDensity(0.5, 0.5, complex(math.nan, 0.0)),
+        ReducedAtomDensity(0.5, 0.5, complex(0.0, math.nan)),
+    ],
+)
+def test_nan_probabilities_rejected(rho):
+    # NaN fails every comparison, so a plain range check would let it through
+    with pytest.raises(NumericalConsistencyError):
+        pauli_entropies(rho)
+
+
 def test_uncertainty_relation_random_states():
     # delta H_x delta H_y >= 4 / delta H_z for arbitrary valid qubit states
     rng = np.random.default_rng(42)
