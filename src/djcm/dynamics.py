@@ -158,20 +158,38 @@ def norm(state: AmplitudeState) -> float:
     )
 
 
-def _sin_over_omega(omega: np.ndarray, t) -> np.ndarray:
-    """sin(omega t)/omega with a series branch near omega t = 0.
+# |Omega t| below which sin(Omega t)/Omega takes its series
+_SERIES_LIMIT = 1e-4
 
-    The limit sin(Omega t)/Omega -> t keeps the degenerate Omega = 0
-    doublet finite; the series branch avoids 0/0 without catastrophic
-    cancellation for |Omega t| < 1e-4.
+
+def _sin_over_omega(omega: np.ndarray, t, sin_x=None, out=None) -> np.ndarray:
+    """sin(Omega t)/Omega for doublets ``omega`` (last axis) and times ``t``.
+
+    ``t`` is a scalar or a column of times, one row each; ``sin_x`` is
+    sin(Omega t) when the caller already has it, and ``out`` an array of
+    the result's shape to write into. The limit
+    sin(Omega t)/Omega -> t keeps the degenerate Omega = 0 doublet finite:
+    where |Omega t| < 1e-4 the series t (1 - x^2/6 + x^4/120), x = Omega t,
+    replaces the quotient, avoiding 0/0 without catastrophic cancellation.
+    Such a cell needs |t| min(Omega) < 1e-4, so only the rows up to the
+    last such time are searched (a prefix of an ascending grid).
     """
-    x = omega * t
-    small = np.abs(x) < 1e-4
-    safe = np.where(small, 1.0, omega)
-    series = t * (1.0 - x * x / 6.0 + x**4 / 120.0)
-    with np.errstate(invalid="ignore"):
-        exact = np.sin(x) / safe
-    return np.where(small, series, exact)
+    shape = np.broadcast_shapes(np.shape(omega), np.shape(t))
+    t = np.reshape(t, (-1, 1))
+    if sin_x is None:
+        sin_x = np.sin(omega * t)
+    s = np.divide(sin_x, np.where(omega > 0.0, omega, 1.0), out=out)
+    s = s.reshape(len(t), -1)
+    low = np.flatnonzero(np.min(omega, initial=np.inf) * np.abs(t[:, 0]) < _SERIES_LIMIT)
+    if len(low):
+        rows = slice(0, int(low[-1]) + 1)
+        x = omega * t[rows]
+        small = np.abs(x) < _SERIES_LIMIT
+        if small.any():
+            xs = x[small]
+            ts = np.broadcast_to(t[rows], x.shape)[small]
+            s[rows][small] = ts * (1.0 - xs * xs / 6.0 + xs**4 / 120.0)
+    return s.reshape(shape)
 
 
 def initial_excited_amplitudes(dist: PhotonDistribution) -> np.ndarray:
@@ -199,6 +217,12 @@ def _resolve_initial(dist, initial_amplitudes):
 # Shortest grid that takes the table path; below it direct evaluation is
 # as cheap and keeps a single-time call exact.
 _TABLE_MIN_SAMPLES = 16
+# Rows of the fine phase tables, shared by a whole run: grid sample j is
+# coarse[j // _FINE] * fine[j % _FINE], with the coarse rows evaluated per
+# block. Blocks therefore start at multiples of _FINE.
+_FINE = 16
+# Samples per block of closed_form_blocks.
+_BLOCK_ROWS = 256
 # Doublets evaluated together by the closed form.
 _DOUBLET_CHUNK = 128
 _EPS = float(np.finfo(float).eps)
@@ -222,42 +246,30 @@ def _uniform_step(times: np.ndarray):
     return float(step)
 
 
-def _phase_table(w: np.ndarray, times: np.ndarray, step: float):
-    """exp(-i w t) on a uniform grid as a two-level table (coarse, fine).
+def _expand(coarse: np.ndarray, fine: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[J * _FINE + r] = coarse[J] * fine[r], for a contiguous out."""
+    np.multiply(coarse[:, None, :], fine, out=out.reshape(len(coarse), _FINE, -1))
+    return out
 
-    With B = ceil(sqrt(T)), grid sample j = J*B + r is coarse[J] * fine[r],
-    where coarse[J] = exp(-i w t_{J*B}) is anchored at the grid's own time
-    and fine[r] = exp(-i w r*step): 2 sqrt(T) rows of ``exp`` instead of
-    T. The product departs from direct evaluation only by |w| times the
-    grid's distance from exact uniformity plus rounding, a few
-    eps * (1 + |w| t_end) per cell.
+
+class _Scratch:
+    """Flat work buffers that the chunks of one plan share, block after block.
+
+    :func:`_view` hands out a contiguous (rows, width) array at the head of
+    one, so a narrower last chunk still works on contiguous memory.
     """
-    b = math.isqrt(len(times) - 1) + 1
-    coarse = np.exp(-1j * (w * times[::b, None]))
-    fine = np.exp(-1j * (w * (step * np.arange(b))[:, None]))
-    return coarse, fine
+
+    def __init__(self, rows: int, width: int):
+        size = rows * width
+        self.arg = np.empty(size)
+        self.sin = np.empty(size)
+        self.rot = np.empty(size, dtype=complex)
+        self.excited = np.empty(size, dtype=complex)
+        self.ground = np.empty(size, dtype=complex)
 
 
-def _expand(coarse: np.ndarray, fine: np.ndarray, n: int) -> np.ndarray:
-    """The (n, columns) grid of a two-level table from :func:`_phase_table`."""
-    return (coarse[:, None, :] * fine).reshape(-1, coarse.shape[1])[:n]
-
-
-def _table_remainder(w: np.ndarray, times: np.ndarray, step: float) -> np.ndarray:
-    """Direct argument fl(w t_j) minus the table's fl(w t_{J*B}) + fl(w r*step).
-
-    Computed exactly: the first difference is exact by Sterbenz's lemma
-    once t_j <= 2 t_{J*B}, and the rest is small. The table cell times
-    exp(-i d) is then exp(-i fl(w t_j)), the direct path's value.
-    """
-    n = len(times)
-    b = math.isqrt(n - 1) + 1
-    rows = -(-n // b) * b
-    grid = np.concatenate((times, times[-1] + step * np.arange(1, rows - n + 1)))
-    d = (w * grid[:, None]).reshape(-1, b, len(w))
-    d -= (w * times[::b, None])[:, None, :]
-    d -= w * (step * np.arange(b))[:, None]
-    return d.reshape(rows, len(w))[:n]
+def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    return buffer[: rows * width].reshape(rows, width)
 
 
 def _as_slice(idx: np.ndarray):
@@ -269,85 +281,228 @@ def _as_slice(idx: np.ndarray):
     return idx
 
 
+def _product_into(out: np.ndarray, cols, a, b) -> None:
+    """out[:, cols] = a * b, written in place when cols is a slice."""
+    if isinstance(cols, slice):
+        np.multiply(a, b, out=out[:, cols])
+    else:
+        out[:, cols] = a * b
+
+
+class _DoubletChunk:
+    """Per-run data of up to _DOUBLET_CHUNK active doublets.
+
+    Their coefficient slices and, on a uniform grid of step ``step``, the
+    fine tables exp(-i w r step), r < _FINE, of the Rabi rotation
+    (w = -Omega), the ground phase (w = phi - mu/2) and the excited phase
+    (the ground phase times exp(-i mu r step)), with c0 and the constant
+    factors of the closed form folded in.
+    """
+
+    def __init__(self, co: CoefficientTable, idx, c0a, mu: float, step, scratch):
+        self.cols = _as_slice(idx)
+        self.omega, self.rn = co.Omega[idx], co.Rn[idx]
+        self.alpha, self.phi = co.alpha[idx], co.phi[idx]
+        self.c0a = c0a
+        self.mu = mu
+        self.scratch = scratch  # the plan's shared _Scratch on the table path
+        if step is None:
+            return
+        r_step = (step * np.arange(_FINE))[:, None]
+        self.rabi = -self.omega
+        self.rabi_fine_arg = self.rabi * r_step
+        self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
+        self.ground_rate = self.phi - 0.5 * mu
+        ground_fine = np.exp(-1j * (self.ground_rate * r_step))
+        self.excited_fine = ground_fine * (np.exp(-1j * (mu * r_step)) * c0a)
+        self.ground_fine = ground_fine * (-0.5j * self.alpha * c0a)
+        self.envelope_rate = -0.5 * (self.rn - mu)
+
+    def direct(self, t: np.ndarray, excited: np.ndarray, ground: np.ndarray) -> None:
+        """Write the amplitudes at the times column t, every cell evaluated directly."""
+        omega, mu = self.omega, self.mu
+        x = omega * t
+        cosx = np.cos(x)
+        s = _sin_over_omega(omega, t, np.sin(x))
+        envelope = cosx - 0.5j * (self.rn - mu) * s
+        phase_g = np.exp(-1j * ((self.phi - 0.5 * mu) * t))
+        phase_e = phase_g * np.exp(-1j * mu * t)
+        _product_into(excited, self.cols, self.c0a * envelope, phase_e)
+        _product_into(ground, self.cols, (-0.5j * self.alpha) * s * self.c0a, phase_g)
+
+    def phases(self, t: np.ndarray, n: int):
+        """(rotation, excited phase, ground phase) of one block from the tables.
+
+        ``t`` is the block's column of grid times, padded to whole
+        _FINE-row groups; its rows 0, _FINE, 2 _FINE, ... are the coarse
+        anchors. The rotation exp(i Omega t) covers every row of ``t``;
+        the phases, c0 exp(-i (phi + mu/2) t) and
+        -i (alpha/2) c0 exp(-i (phi - mu/2) t), cover the first n.
+
+        The rotation from the tables is moved onto the direct argument
+        fl(Omega t) by exp(-i d) ~ 1 - d^2/2 - i d, where
+        d = fl(w t_j) - fl(w t_anchor) - fl(w r step) is exact (Sterbenz)
+        and a few eps |Omega t| in size: cos and sin then carry the direct
+        path's rounding, so unitarity and the population route to W hold
+        as tightly as there.
+        """
+        m, w = len(t), len(self.omega)
+        work = self.scratch
+        anchors = t[::_FINE]
+        d = np.multiply(self.rabi, t, out=_view(work.arg, m, w))  # fl(w t_j), made d below
+        anchor_arg = self.rabi * anchors
+        rot = _expand(np.exp(-1j * anchor_arg), self.rabi_fine, _view(work.rot, m, w))
+        groups = d.reshape(len(anchors), _FINE, w)
+        groups -= anchor_arg[:, None, :]
+        groups -= self.rabi_fine_arg
+        correction = _view(work.excited, m, w)  # free until the excited phase
+        re = correction.real
+        np.multiply(d, 0.5, out=re)
+        re *= d
+        np.subtract(1.0, re, out=re)
+        np.subtract(0.0, d, out=correction.imag)  # 0 - d keeps the signs of zero
+        rot *= correction
+        ground_coarse = np.exp(-1j * (self.ground_rate * anchors))
+        shift = np.exp(-1j * (self.mu * anchors))
+        excited_phase = _expand(ground_coarse * shift, self.excited_fine, correction)
+        ground_phase = _expand(ground_coarse, self.ground_fine, _view(work.ground, m, w))
+        return rot, excited_phase[:n], ground_phase[:n]
+
+    def table(self, t: np.ndarray, excited: np.ndarray, ground: np.ndarray) -> None:
+        """Write the amplitudes of one block, its phases from :meth:`phases`."""
+        n = len(excited)
+        rot, excited_phase, ground_phase = self.phases(t, n)
+        s = _sin_over_omega(self.omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
+        envelope = rot  # its real part already holds cos(Omega t)
+        np.multiply(self.envelope_rate, s, out=envelope.imag)
+        _product_into(excited, self.cols, excited_phase, envelope[:n])
+        _product_into(ground, self.cols, ground_phase, s[:n])
+
+
+class ClosedFormPlan:
+    """Closed-form amplitudes of one time grid, evaluated block by block.
+
+    Built once per run: the coefficient table, the active doublets in
+    _DOUBLET_CHUNK-wide chunks with their coefficient slices and, on a
+    uniform grid, their fine phase tables at the whole grid's step. Each
+    block then evaluates only its coarse rows, anchored at the grid's own
+    times t_{_FINE J}, and writes the active columns into one pair of
+    (rows, n_cut+1) buffers, allocated here and reused by every block:
+    inactive columns stay zero. Iterating yields (start, excited, ground)
+    per block; the two arrays are views of those buffers, valid until the
+    next iteration.
+    """
+
+    def __init__(self, params, f, dist, times, rows: int, initial_amplitudes=None):
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        if np.any(times < 0.0):
+            raise InvalidParameterError("evolution times must be >= 0")
+        self.params, self.f, self.dist = params, f, dist
+        self.times = times
+        self.rows = rows
+        co = CoefficientTable(params, f, dist.n_cut)
+        c0 = _resolve_initial(dist, initial_amplitudes)
+        active = np.nonzero(c0 != 0.0)[0]
+        self.active_doublets = len(active)
+        mu = params.mu
+        # the largest phase argument the kernel evaluates: Omega t, the
+        # ground phase (phi - mu/2) t and the shift mu t, at the last time
+        rates = np.abs(np.concatenate((co.Omega[active], co.phi[active] - 0.5 * mu, [mu])))
+        self.max_phase_argument = float(np.max(rates) * np.max(times, initial=0.0))
+        self.step = step = _uniform_step(times)
+        padded_rows = -(-min(rows, len(times)) // _FINE) * _FINE
+        scratch = None if step is None else _Scratch(padded_rows, min(len(active), _DOUBLET_CHUNK))
+        self.chunks = [
+            _DoubletChunk(co, idx, c0[idx], mu, step, scratch)
+            for idx in (
+                active[i : i + _DOUBLET_CHUNK] for i in range(0, len(active), _DOUBLET_CHUNK)
+            )
+        ]
+        self.excited = np.zeros((min(rows, len(times)), len(c0)), dtype=complex)
+        self.ground = np.zeros_like(self.excited)
+
+    def __iter__(self):
+        for start in range(0, len(self.times), self.rows):
+            block = self.times[start : start + self.rows]
+            excited, ground = closed_form_series(
+                self.params, self.f, self.dist, block, plan=self, start=start
+            )
+            yield start, excited, ground
+
+    def _block(self, start: int):
+        n = min(self.rows, len(self.times) - start)
+        excited, ground = self.excited[:n], self.ground[:n]
+        if self.step is None:
+            t = self.times[start : start + n, None]
+            for chunk in self.chunks:
+                chunk.direct(t, excited, ground)
+        else:
+            t = self._table_times(start, n)
+            for chunk in self.chunks:
+                chunk.table(t, excited, ground)
+        return excited, ground
+
+    def _table_times(self, start: int, n: int) -> np.ndarray:
+        """Column of the block's grid times, padded on the grid to whole _FINE-row groups."""
+        t = self.times[start : start + n]
+        pad = (-n) % _FINE
+        if pad:
+            t = np.concatenate((t, t[-1] + self.step * np.arange(1, pad + 1)))
+        return t[:, None]
+
+
+def closed_form_blocks(
+    params: ModelParams,
+    f: Nonlinearity,
+    dist: PhotonDistribution,
+    times,
+    rows: int = _BLOCK_ROWS,
+    initial_amplitudes=None,
+) -> ClosedFormPlan:
+    """Closed-form amplitudes on a grid, ``rows`` samples at a time.
+
+    Iterating the returned plan yields (start, excited, ground) for
+    consecutive blocks, the arrays being (block length, n_cut+1) views of
+    one reused buffer pair, valid until the next iteration (copy them to
+    keep them). ``rows`` must be a positive multiple of 16. The plan also
+    reports ``active_doublets`` and ``max_phase_argument``.
+    """
+    if rows < _FINE or rows % _FINE:
+        raise InvalidParameterError(f"rows must be a positive multiple of {_FINE}, got {rows!r}")
+    return ClosedFormPlan(params, f, dist, times, rows, initial_amplitudes)
+
+
 def closed_form_series(
     params: ModelParams,
     f: Nonlinearity,
     dist: PhotonDistribution,
     times,
     initial_amplitudes=None,
+    *,
+    plan: ClosedFormPlan | None = None,
+    start: int = 0,
 ):
     """Closed-form amplitudes on a grid: arrays of shape (len(times), n_cut+1).
 
-    Doublets with no initial amplitude stay exactly zero and are skipped
-    (half of every squeezed-vacuum distribution, plus the truncation pad).
-    The others are evaluated _DOUBLET_CHUNK at a time, which keeps each
-    chunk's temporaries in cache and bounds their memory.
+    The grid is evaluated as the single block of its own
+    :class:`ClosedFormPlan`. Doublets with no initial amplitude stay
+    exactly zero and are skipped (half of every squeezed-vacuum
+    distribution, plus the truncation pad). The others are evaluated
+    _DOUBLET_CHUNK at a time, which keeps each chunk's temporaries in
+    cache and bounds their memory. On a uniform grid of at least 16
+    samples the phases come from two-level tables; other grids are
+    evaluated directly, cell by cell.
+
+    A plan evaluates each of its blocks through this function, passing
+    itself as ``plan`` and the block's first sample as ``start``, so that
+    every evaluation of the kernel, a whole run's or a single call's,
+    enters at this one function; the arrays returned are then views of
+    the plan's buffers.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0.0):
-        raise InvalidParameterError("evolution times must be >= 0")
-    co = CoefficientTable(params, f, dist.n_cut)
-    c0 = _resolve_initial(dist, initial_amplitudes)
-    active = np.nonzero(c0 != 0.0)[0]
-    step = _uniform_step(times)
-    excited = np.zeros((len(times), len(c0)), dtype=complex)
-    ground = np.zeros_like(excited)
-    for start in range(0, len(active), _DOUBLET_CHUNK):
-        idx = active[start : start + _DOUBLET_CHUNK]
-        cols = _as_slice(idx)
-        excited[:, cols], ground[:, cols] = _doublet_series(
-            co, idx, c0[idx], params.mu, times, step
-        )
-    return excited, ground
-
-
-def _doublet_series(co: CoefficientTable, idx, c0a, mu: float, times, step):
-    """Closed-form (excited, ground) amplitudes of the doublets idx on the grid.
-
-    ``step`` is the grid's uniform step (table-driven phases) or None
-    (direct evaluation of every cell).
-    """
-    omega, rn, alpha, phi = co.Omega[idx], co.Rn[idx], co.alpha[idx], co.phi[idx]
-    t = times[:, None]
-    x = omega * t
-    if step is None:
-        cosx = np.cos(x)
-        sinx = np.sin(x)
-    else:
-        # exp(i Omega t) moved onto the direct argument fl(Omega t) by
-        # exp(-i d) ~ 1 - d^2/2 - i d, |d| a few eps |Omega t|: cos and sin
-        # then carry the direct path's rounding, so unitarity and the
-        # population route to W hold as tightly as there
-        rot = _expand(*_phase_table(-omega, times, step), len(times))
-        d = _table_remainder(-omega, times, step)
-        rot *= (1.0 - 0.5 * d * d) - 1j * d
-        cosx = rot.real
-        sinx = rot.imag
-    s = sinx / np.where(omega > 0.0, omega, 1.0)
-    small = np.abs(x) < 1e-4
-    if small.any():
-        # series limit of sin(Omega t)/Omega, avoids 0/0 at Omega -> 0
-        xs = x[small]
-        ts = np.broadcast_to(t, x.shape)[small]
-        s[small] = ts * (1.0 - xs * xs / 6.0 + xs**4 / 120.0)
-
-    if step is None:
-        envelope = cosx - 0.5j * (rn - mu) * s
-        phase_g = np.exp(-1j * ((phi - 0.5 * mu) * t))
-        phase_e = phase_g * np.exp(-1j * mu * t)
-        exc_a = c0a * envelope * phase_e
-        gnd_a = (-0.5j * alpha) * s * c0a * phase_g
-    else:
-        envelope = rot  # its real part already holds cos(Omega t)
-        np.multiply(-0.5 * (rn - mu), s, out=envelope.imag)
-        # phase_e = phase_g * exp(-i mu t), both factors from tables
-        coarse, fine = _phase_table(phi - 0.5 * mu, times, step)
-        shift_c, shift_f = _phase_table(np.array([mu]), times, step)
-        exc_a = _expand(coarse * shift_c, fine * (shift_f * c0a), len(times))
-        exc_a *= envelope
-        gnd_a = _expand(coarse, fine * (-0.5j * alpha * c0a), len(times))
-        gnd_a *= s
-    return exc_a, gnd_a
+    if plan is None:
+        times = np.atleast_1d(np.asarray(times, dtype=float))
+        plan = ClosedFormPlan(params, f, dist, times, len(times), initial_amplitudes)
+    return plan._block(start)
 
 
 def evolve_closed_form(

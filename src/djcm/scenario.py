@@ -31,7 +31,7 @@ import numpy as np
 from . import field_states
 from .dynamics import (
     ModelParams,
-    closed_form_series,
+    closed_form_blocks,
     evolve_ode_oracle,
 )
 from .errors import (
@@ -412,8 +412,12 @@ def _per_sample_deviation(exc, gnd, states) -> np.ndarray:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """The observable series on the configured grid, via the closed form.
 
-    The closed form runs _TIME_BLOCK samples at a time and each block is
-    reduced to observables at once, so only one block of amplitudes is
+    The closed form runs _TIME_BLOCK samples at a time
+    (:func:`~djcm.dynamics.closed_form_blocks`): the coefficient table,
+    the active doublets and, on the uniform grid, the 16-row fine phase
+    tables are built once for the run; each block evaluates its 16
+    coarse phase rows and fills one reused pair of block buffers, which
+    is reduced to observables at once. Only one block of amplitudes is
     held, unless an oracle option keeps them all for comparison. With
     ``oracle_check`` the RK4 reference integration runs on the same grid
     and the per-sample max deviation from the emitted amplitudes is
@@ -422,6 +426,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     the same deviation measure against the integration that retains the
     counter-rotating terms: that difference measures the rotating-wave
     approximation itself, so it is reported, never gated on.
+
+    ``metadata["resolved"]`` holds the truncation (``n_cut``,
+    ``captured_mass``), the number of active doublets and the largest
+    phase argument the kernel evaluates (``max_phase_argument``, |w| t_end
+    over the Rabi and phase frequencies of the active doublets).
     """
     params = config.params
     f = config.nonlinearity
@@ -434,10 +443,10 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
         ground = np.empty_like(excited)
 
+    plan = closed_form_blocks(params, f, dist, times, rows=_TIME_BLOCK)
     blocks = []
-    for start in range(0, len(times), _TIME_BLOCK):
-        block = times[start : start + _TIME_BLOCK]
-        exc, gnd = closed_form_series(params, f, dist, block)
+    for start, exc, gnd in plan:
+        block = times[start : start + len(exc)]
         blocks.append(records_from_series(block, exc, gnd, params.k, coherence_phase))
         if compare:
             excited[start : start + len(block)] = exc
@@ -447,7 +456,12 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     metadata["resolved"] = {
         "n_cut": dist.n_cut,
         "captured_mass": dist.captured_mass,
+        "active_doublets": plan.active_doublets,
+        "max_phase_argument": plan.max_phase_argument,
     }
+    # the block buffers, held by the plan and the last block's views, are
+    # not needed while an oracle runs
+    del plan, exc, gnd
     result = ScenarioResult(
         config=config, records=ObservableSeries.concatenate(blocks), metadata=metadata
     )

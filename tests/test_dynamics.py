@@ -8,11 +8,9 @@ from djcm.dynamics import (
     AmplitudeState,
     CoefficientTable,
     ModelParams,
-    _expand,
     _PairBatch,
-    _phase_table,
-    _table_remainder,
     _uniform_step,
+    closed_form_blocks,
     closed_form_series,
     evolve_closed_form,
     evolve_ode_oracle,
@@ -267,6 +265,21 @@ def test_degenerate_rabi_frequency_continuity():
         assert abs(excited_amp(eps) - limit) <= 2.0 * eps * t + 1e-13
 
 
+def test_sin_over_omega_takes_series_on_every_small_row():
+    from djcm.dynamics import _sin_over_omega
+
+    omega = np.array([0.0, 1e-9, 2.0])
+    t = np.linspace(0.0, 50.0, 300)[:, None]
+    s = _sin_over_omega(omega, t)
+    # Omega = 0 has the limit t on every row, not 0/1
+    assert np.array_equal(s[:, 0], t[:, 0])
+    x = omega[1] * t[:, 0]
+    assert np.array_equal(s[:, 1], t[:, 0] * (1.0 - x * x / 6.0 + x**4 / 120.0))
+    assert np.array_equal(s[:, 2], np.sin(omega[2] * t[:, 0]) / omega[2])
+    # a scalar time, as the population route passes it, gives the same row
+    assert np.array_equal(_sin_over_omega(omega, float(t[7, 0])), s[7])
+
+
 def test_custom_initial_amplitudes_supported():
     p = ModelParams(k=1, gamma=1.0, mu=0.1)
     d = coherent_distribution(1.0)
@@ -404,57 +417,51 @@ EPS = float(np.finfo(float).eps)
 KERR_SQRT_N_PRESETS = ["coherent_kerr_sqrt_n", "squeezed_kerr_sqrt_n", "thermal_kerr_sqrt_n"]
 
 
-def _kernel_frequencies(name):
-    """-Omega, the ground-state phase rate and mu of a preset's active doublets."""
-    cfg = preset(name)
-    dist = cfg.build_distribution()
-    co = CoefficientTable(cfg.params, cfg.nonlinearity, dist.n_cut)
-    active = np.nonzero(dist.probabilities)[0]
-    mu = cfg.params.mu
-    return -co.Omega[active], co.phi[active] - 0.5 * mu, mu
-
-
-def _uniform_blocks():
-    long_grid = np.linspace(0.0, 200.0, 50000)
-    grid = np.linspace(0.0, 50.0, 2000)
+def _uniform_grids():
     yield "oracle", np.linspace(0.0, 0.01, 33), None
-    for s0 in range(0, len(grid), 256):
-        yield f"block {s0}", grid[s0 : s0 + 256], None
-    # the long grid in one call, on a spread of columns that keeps memory small
-    yield "long", long_grid, 32
+    yield "grid", np.linspace(0.0, 50.0, 2000), None
+    # the long grid on a spread of columns that keeps the work small
+    yield "long", np.linspace(0.0, 200.0, 50000), 32
 
 
 @pytest.mark.parametrize("name", KERR_SQRT_N_PRESETS)
 def test_phase_table_matches_direct_on_uniform_grids(name):
-    rabi, ground, mu = _kernel_frequencies(name)
-    for label, times, n_cols in _uniform_blocks():
-        step = _uniform_step(times)
-        assert step is not None, label
-        n = len(times)
-        pick = slice(None)
+    cfg = preset(name)
+    dist = cfg.build_distribution()
+    active = np.nonzero(dist.probabilities)[0]
+    mu = cfg.params.mu
+    for label, times, n_cols in _uniform_grids():
+        cols = active
         if n_cols is not None:
-            pick = np.unique(np.linspace(0, len(rabi) - 1, n_cols).astype(int))
-        t = times[:, None]
-        for kind, w in (("rabi", rabi[pick]), ("ground", ground[pick])):
-            direct = np.exp(-1j * w * t)
-            bound = 8.0 * EPS * (1.0 + np.abs(w) * times[-1])
-            table = _expand(*_phase_table(w, times, step), n)
-            assert np.all(np.abs(table - direct) <= bound), (label, kind)
-            # the remainder moves the table onto the direct argument itself
-            d = _table_remainder(w, times, step)
-            moved = table * ((1.0 - 0.5 * d * d) - 1j * d)
-            modest = np.abs(w) * times[-1] <= 1e7
-            err = np.abs(moved - direct)[:, modest]
-            assert np.all(err <= 8.0 * EPS), (label, kind)
-        # the excited-state phase as the kernel builds it, against the
-        # direct path's exp(-i w t) * exp(-i mu t)
-        w = ground[pick]
-        coarse, fine = _phase_table(w, times, step)
-        shift_c, shift_f = _phase_table(np.array([mu]), times, step)
-        table = _expand(coarse * shift_c, fine * shift_f, n)
-        direct = np.exp(-1j * w * t) * np.exp(-1j * mu * t)
-        bound = 8.0 * EPS * (1.0 + (np.abs(w) + mu) * times[-1])
-        assert np.all(np.abs(table - direct) <= bound), (label, "excited")
+            cols = active[np.unique(np.linspace(0, len(active) - 1, n_cols).astype(int))]
+        c0 = np.zeros(dist.n_cut + 1, dtype=complex)
+        c0[cols] = 1.0  # unit amplitudes, so the tables carry no c0
+        plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=c0)
+        assert plan.step is not None, label
+        for start in range(0, len(times), plan.rows):
+            n = min(plan.rows, len(times) - start)
+            t = plan._table_times(start, n)
+            tn = t[:n]
+            t_end = tn[-1, 0]
+            for chunk in plan.chunks:
+                rot, excited_phase, ground_phase = chunk.phases(t, n)
+                # the Rabi rotation, moved onto the direct argument itself
+                w = chunk.rabi
+                direct = np.exp(-1j * w * tn)
+                err = np.abs(rot[:n] - direct)
+                assert np.all(err <= 8.0 * EPS * (1.0 + np.abs(w) * t_end)), (label, start, "rabi")
+                modest = np.abs(w) * t_end <= 1e7
+                assert np.all(err[:, modest] <= 8.0 * EPS), (label, start, "rabi")
+                w = chunk.ground_rate
+                direct = np.exp(-1j * w * tn)
+                table = ground_phase / (-0.5j * chunk.alpha)
+                bound = 8.0 * EPS * (1.0 + np.abs(w) * t_end)
+                assert np.all(np.abs(table - direct) <= bound), (label, start, "ground")
+                # the excited-state phase against the direct path's
+                # exp(-i w t) * exp(-i mu t)
+                direct = np.exp(-1j * w * tn) * np.exp(-1j * mu * tn)
+                bound = 8.0 * EPS * (1.0 + (np.abs(w) + mu) * t_end)
+                assert np.all(np.abs(excited_phase - direct) <= bound), (label, start, "excited")
 
 
 def _closed_form_direct(params, f, dist, times):

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from djcm import scenario
-from djcm.dynamics import evolve_ode_oracle
+from djcm.dynamics import (
+    CoefficientTable,
+    closed_form_blocks,
+    closed_form_series,
+    evolve_closed_form,
+    evolve_ode_oracle,
+)
 from djcm.errors import (
     ConfigError,
     InvalidParameterError,
@@ -13,7 +19,7 @@ from djcm.errors import (
     PhysicsValidationError,
     PresetLookupError,
 )
-from djcm.observables import SERIES_COLUMNS, ObservableSeries
+from djcm.observables import SERIES_COLUMNS, ObservableSeries, observable_record
 from djcm.scenario import (
     CSV_COLUMNS,
     available_presets,
@@ -440,34 +446,157 @@ def test_read_csv_series_rejects_malformed_rows(tmp_path, body, match):
         read_csv_series(str(path))
 
 
+class _RecordingBlocks:
+    """A closed_form_blocks plan that keeps a copy of every block it yields."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.blocks = []
+
+    def __getattr__(self, name):
+        return getattr(self.plan, name)
+
+    def __iter__(self):
+        for start, exc, gnd in self.plan:
+            self.blocks.append((start, exc.copy(), gnd.copy()))
+            yield start, exc, gnd
+
+
+def _record_blocks(monkeypatch):
+    """Patch run_scenario's closed_form_blocks; return the list of plans made."""
+    plans = []
+    make = scenario.closed_form_blocks
+
+    def recording(*args, **kwargs):
+        plans.append(_RecordingBlocks(make(*args, **kwargs)))
+        return plans[-1]
+
+    monkeypatch.setattr(scenario, "closed_form_blocks", recording)
+    return plans
+
+
+def _emitted(plan, samples):
+    """The recorded blocks as whole-grid arrays, after checking they tile the grid once."""
+    starts = [start for start, _, _ in plan.blocks]
+    lengths = [len(exc) for _, exc, _ in plan.blocks]
+    assert starts == list(np.cumsum([0] + lengths[:-1]))
+    assert sum(lengths) == samples and max(lengths) <= scenario._TIME_BLOCK
+    exc = np.concatenate([e for _, e, _ in plan.blocks])
+    gnd = np.concatenate([g for _, _, g in plan.blocks])
+    return exc, gnd
+
+
 def test_oracle_checks_emitted_amplitudes(monkeypatch):
-    cfg = small_config(options={"oracle_check": True, "counter_rotating_diagnostic": True})
-    seen = []
-    kernel = scenario.closed_form_series
-
-    def recording_kernel(params, f, dist, times):
-        seen.append(len(times))
-        return kernel(params, f, dist, times)
-
-    monkeypatch.setattr(scenario, "closed_form_series", recording_kernel)
+    cfg = small_config(
+        time={"samples": 600},
+        options={"oracle_check": True, "counter_rotating_diagnostic": True},
+    )
+    plans = _record_blocks(monkeypatch)
     res = run_scenario(cfg)
-    # one kernel call per emitted block, no second pass over the full grid
-    assert sum(seen) == cfg.samples and max(seen) <= scenario._TIME_BLOCK
+    # one plan, iterated once: one pass over the grid, no second pass
+    assert len(plans) == 1
+    exc, gnd = _emitted(plans[0], cfg.samples)
 
     dist = cfg.build_distribution()
     times = cfg.times()
-    blocks = [
-        kernel(cfg.params, cfg.nonlinearity, dist, times[i : i + scenario._TIME_BLOCK])
-        for i in range(0, len(times), scenario._TIME_BLOCK)
-    ]
-    exc = np.concatenate([b[0] for b in blocks])
-    gnd = np.concatenate([b[1] for b in blocks])
-    states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
-    expected = [
-        max(np.max(np.abs(exc[i] - st.excited)), np.max(np.abs(gnd[i] - st.ground)))
-        for i, st in enumerate(states)
-    ]
-    assert res.oracle_deviation.tolist() == expected
+    for deviation, rwa in (
+        (res.oracle_deviation, False),
+        (res.counter_rotating_deviation, True),
+    ):
+        states = evolve_ode_oracle(
+            cfg.params, cfg.nonlinearity, dist, times, include_counter_rotating=rwa
+        )
+        expected = [
+            max(np.max(np.abs(exc[i] - st.excited)), np.max(np.abs(gnd[i] - st.ground)))
+            for i, st in enumerate(states)
+        ]
+        assert deviation.tolist() == expected
+
+
+EDGE_DOC = {
+    "params": {"k": 2, "gamma": 1.0, "mu": 0.1, "chi": 0.03, "beta1": 0.1, "beta2": 0.1},
+    "nonlinearity": "sqrt_n",
+    "field": {"kind": "thermal", "nbar": 4.0},
+    "time": {"t_end": 20.0},
+}
+
+
+def _rate_bound(cfg, dist, t_end):
+    """8 eps (1 + |w| t_end) per doublet, w the largest phase rate of its amplitudes."""
+    co = CoefficientTable(cfg.params, cfg.nonlinearity, dist.n_cut)
+    mu = cfg.params.mu
+    rate = np.maximum(co.Omega, np.abs(co.phi - 0.5 * mu) + mu)
+    return 8.0 * np.finfo(float).eps * (1.0 + rate * t_end)
+
+
+@pytest.mark.parametrize("samples", [2, 15, 16, 17, 255, 256, 257, 513])
+def test_run_scenario_block_edges_match_per_time_closed_form(monkeypatch, samples):
+    cfg = config_from_dict(merge_config(EDGE_DOC, {"time": {"samples": samples}}))
+    plans = _record_blocks(monkeypatch)
+    res = run_scenario(cfg)
+    exc, gnd = _emitted(plans[0], samples)
+    dist = cfg.build_distribution()
+    times = cfg.times()
+    states = [evolve_closed_form(cfg.params, cfg.nonlinearity, dist, t) for t in times]
+    ref_e = np.array([st.excited for st in states])
+    ref_g = np.array([st.ground for st in states])
+    bound = _rate_bound(cfg, dist, times[-1])
+    assert np.all(np.abs(exc - ref_e) <= bound)
+    assert np.all(np.abs(gnd - ref_g) <= bound)
+    # and the emitted rows are those of the recorded amplitudes
+    assert res.records["t"].tolist() == times.tolist()
+    w_ref = [observable_record(st).W for st in states]
+    assert np.max(np.abs(res.records["W"] - w_ref)) <= 2e-15
+
+
+@pytest.mark.parametrize("name", ["squeezed_kerr_stark_sqrt_n", "thermal_kerr_sqrt_n"])
+def test_blocks_match_whole_grid_series(name):
+    cfg = preset(name)
+    dist = cfg.build_distribution()
+    times = np.linspace(0.0, 50.0, 700)
+    exc, gnd = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
+    bound = _rate_bound(cfg, dist, times[-1])
+    plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times)
+    assert plan.active_doublets == np.count_nonzero(dist.probabilities)
+    for start, block_e, block_g in plan:
+        rows = slice(start, start + len(block_e))
+        assert np.all(np.abs(block_e - exc[rows]) <= bound)
+        assert np.all(np.abs(block_g - gnd[rows]) <= bound)
+        # doublets with no amplitude stay zero in the reused buffers
+        assert not np.any(block_e[:, dist.probabilities == 0.0])
+    with pytest.raises(InvalidParameterError, match="multiple of 16"):
+        closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times, rows=100)
+
+
+def test_same_config_twice_gives_same_bytes(tmp_path):
+    doc = merge_config(EDGE_DOC, {"time": {"samples": 600}})
+    for fmt in ("csv", "json"):
+        outputs = []
+        # another run in between must leave no trace in the next one
+        for cfg in (config_from_dict(doc), small_config(), config_from_dict(doc)):
+            res = run_scenario(cfg)
+            path = tmp_path / f"{len(outputs)}.{fmt}"
+            emit(res.records, fmt, str(path), res.metadata)
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[2]
+
+
+def test_metadata_reports_active_doublets_and_phase_argument(tmp_path):
+    cfg = preset("squeezed_bare_sqrt_n_k4")
+    res = run_scenario(cfg)
+    resolved = res.metadata["resolved"]
+    dist = cfg.build_distribution()
+    active = np.nonzero(dist.probabilities)[0]
+    # squeezed vacuum: even levels only
+    assert resolved["active_doublets"] == len(active) == 656
+    assert np.all(active % 2 == 0)
+    co = CoefficientTable(cfg.params, cfg.nonlinearity, dist.n_cut)
+    # the tail Rabi frequency dominates: |Omega| t_end ~ 7.4e13
+    assert resolved["max_phase_argument"] == float(np.max(co.Omega[active]) * cfg.t_end)
+    assert resolved["max_phase_argument"] == pytest.approx(7.4188506e13, rel=1e-7)
+    path = tmp_path / "run.json"
+    emit(res.records, "json", str(path), res.metadata)
+    assert json.loads(path.read_text())["metadata"]["resolved"] == resolved
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,60 @@
+import importlib.util
+import json
+import os
+
+import numpy as np
+
+from djcm.scenario import CSV_COLUMNS, config_from_dict, emit, run_scenario
+
+_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "emit_all.py")
+_SPEC = importlib.util.spec_from_file_location("emit_all", _PATH)
+emit_all = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(emit_all)
+
+
+SMALL = {
+    "params": {"k": 1, "gamma": 1.0, "mu": 0.1},
+    "nonlinearity": "sqrt_n",
+    "field": {"kind": "coherent", "nbar": 0.5},
+    "time": {"t_end": 5.0, "samples": 120},
+}
+
+
+def _write_pair(tmp_path, fmt):
+    res = run_scenario(config_from_dict(SMALL))
+    a, b = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+    for path in (a, b):
+        emit(res.records, fmt, str(path), res.metadata)
+    return a, b
+
+
+def test_compare_reports_identical_files(tmp_path):
+    for fmt in ("csv", "json"):
+        a, b = _write_pair(tmp_path, fmt)
+        assert emit_all.compare_file(str(a), str(b)) == (True, f"a.{fmt}: identical", {})
+    same, report, _ = emit_all.compare_file(str(a), str(tmp_path / "absent.json"))
+    assert not same and "missing" in report
+
+
+def test_compare_reports_largest_change_per_column(tmp_path):
+    a, b = _write_pair(tmp_path, "csv")
+    lines = b.read_text().splitlines()
+    cells = lines[5].split(",")
+    w = CSV_COLUMNS.index("W")
+    cells[w] = repr(float(cells[w]) + 2.5e-12)
+    lines[5] = ",".join(cells)
+    b.write_text("\n".join(lines) + "\n")
+    same, report, worst = emit_all.compare_file(str(a), str(b))
+    assert not same and "max |change| W 2.50e-12" in report
+    assert list(worst) == ["W"]
+    assert np.isclose(worst["W"], 2.5e-12, rtol=1e-3)
+
+
+def test_compare_names_changed_metadata_keys(tmp_path):
+    a, b = _write_pair(tmp_path, "json")
+    doc = json.loads(b.read_text())
+    doc["metadata"]["resolved"]["active_doublets"] += 1
+    b.write_text(json.dumps(doc, indent=1) + "\n")
+    same, report, worst = emit_all.compare_file(str(a), str(b))
+    assert not same and worst == {}
+    assert report.endswith("0 in every column; metadata keys changed: resolved.active_doublets")

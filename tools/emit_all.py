@@ -1,0 +1,139 @@
+"""Emit every preset, and the long revival grid, for a byte-level regression check.
+
+    PYTHONPATH=src python tools/emit_all.py OUTDIR [--compare OTHERDIR]
+
+Writes ``<preset>.csv`` and ``<preset>.json`` for all 45 presets, plus
+``revival_grid.csv`` and ``revival_grid.json`` (coherent_bare_identity on
+50 000 samples up to t = 75, the README's revival workflow), into OUTDIR
+with the djcm found on the import path. Point PYTHONPATH at another
+checkout's ``src`` to emit that version's files.
+
+With ``--compare OTHERDIR`` it then reports, per file, whether the bytes
+equal those of the same file in OTHERDIR and, where they differ, the
+largest absolute change per CSV column and the JSON metadata keys that
+changed. The exit code is 0 when every file is byte-identical, 1 when any
+differs or is missing.
+
+Each config's ``output.path`` is the bare file name, so the metadata echo
+in the JSON files does not depend on OUTDIR.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import sys
+
+import numpy as np
+
+from djcm import scenario
+
+REVIVAL_GRID = "revival_grid"
+REVIVAL_PRESET = "coherent_bare_identity"
+REVIVAL_TIME = {"t_end": 75.0, "samples": 50000}
+
+
+def _configs():
+    for name in scenario.available_presets():
+        yield name, scenario.preset_dict(name)
+    yield REVIVAL_GRID, scenario.merge_config(
+        scenario.preset_dict(REVIVAL_PRESET), {"time": dict(REVIVAL_TIME)}
+    )
+
+
+def emit_all(outdir: str) -> list[str]:
+    """Write every file into outdir; return their names in order."""
+    os.makedirs(outdir, exist_ok=True)
+    names = []
+    for name, doc in _configs():
+        preset_name = None if name == REVIVAL_GRID else name
+        cfg = scenario.config_from_dict(doc, preset_name=preset_name)
+        result = scenario.run_scenario(cfg)
+        for fmt in ("csv", "json"):
+            file_name = f"{name}.{fmt}"
+            result.metadata["output"] = {"path": file_name, "format": fmt}
+            scenario.emit(result.records, fmt, os.path.join(outdir, file_name), result.metadata)
+            names.append(file_name)
+    return names
+
+
+def _columns(path: str):
+    """(column names, (rows, columns) values, metadata or None) of an emitted file."""
+    with open(path, encoding="utf-8") as handle:
+        if path.endswith(".json"):
+            doc = json.load(handle)
+            records = doc["records"]
+            names = list(records[0]) if records else []
+            values = np.array([[row[c] for c in names] for row in records], dtype=float)
+            return names, values, doc["metadata"]
+        names = handle.readline().rstrip("\n").split(",")
+        values = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+        return names, values, None
+
+
+def _changed_keys(a, b, prefix=""):
+    """Dotted keys whose values differ between two metadata trees."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        out = []
+        for key in list(a) + [k for k in b if k not in a]:
+            out += _changed_keys(a.get(key), b.get(key), f"{prefix}{key}.")
+        return out
+    return [] if a == b else [prefix.rstrip(".")]
+
+
+def compare_file(path: str, other: str) -> tuple[bool, str, dict]:
+    """(identical, one-line report, largest |change| per changed column) of one file."""
+    name = os.path.basename(path)
+    if not os.path.exists(other):
+        return False, f"{name}: missing in the other directory", {}
+    with open(path, "rb") as a, open(other, "rb") as b:
+        if a.read() == b.read():
+            return True, f"{name}: identical", {}
+    names, values, meta = _columns(path)
+    other_names, other_values, other_meta = _columns(other)
+    if names != other_names or values.shape != other_values.shape:
+        return False, f"{name}: differs in layout ({values.shape} vs {other_values.shape})", {}
+    with np.errstate(invalid="ignore"):
+        change = np.abs(values - other_values)
+    same_nan = np.isnan(values) & np.isnan(other_values)
+    change[same_nan] = 0.0
+    worst = {
+        c: float(w) for c, w in zip(names, np.max(change, axis=0, initial=0.0)) if not w == 0.0
+    }
+    parts = [f"{c} {w:.2e}" for c, w in worst.items()]
+    report = f"{name}: differs; max |change| " + (", ".join(parts) if parts else "0 in every column")
+    if meta is not None:
+        keys = _changed_keys(meta, other_meta)
+        if keys:
+            report += "; metadata keys changed: " + ", ".join(keys)
+    return False, report, worst
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("outdir")
+    parser.add_argument("--compare", metavar="OTHERDIR")
+    args = parser.parse_args(argv)
+    names = emit_all(args.outdir)
+    if args.compare is None:
+        print(f"wrote {len(names)} files to {args.outdir}")
+        return 0
+    identical = 0
+    overall = {}
+    for file_name in names:
+        same, report, worst = compare_file(
+            os.path.join(args.outdir, file_name), os.path.join(args.compare, file_name)
+        )
+        identical += same
+        for column, change in worst.items():
+            overall[column] = max(overall.get(column, 0.0), change)
+        print(report)
+    print(f"{identical} of {len(names)} files byte-identical")
+    if overall:
+        print("max |change| over all files: " + ", ".join(f"{c} {w:.2e}" for c, w in overall.items()))
+    return 0 if identical == len(names) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
