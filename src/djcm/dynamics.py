@@ -221,7 +221,7 @@ _TABLE_MIN_SAMPLES = 16
 # coarse[j // _FINE] * fine[j % _FINE], with the coarse rows evaluated per
 # block. Blocks therefore start at multiples of _FINE.
 _FINE = 16
-# Samples per block of closed_form_blocks.
+# Samples per block of closed_form_blocks; a multiple of _FINE.
 _BLOCK_ROWS = 256
 # Doublets evaluated together by the closed form.
 _DOUBLET_CHUNK = 128
@@ -456,20 +456,17 @@ def closed_form_blocks(
     f: Nonlinearity,
     dist: PhotonDistribution,
     times,
-    rows: int = _BLOCK_ROWS,
     initial_amplitudes=None,
 ) -> ClosedFormPlan:
-    """Closed-form amplitudes on a grid, ``rows`` samples at a time.
+    """Closed-form amplitudes on a grid, _BLOCK_ROWS samples at a time.
 
     Iterating the returned plan yields (start, excited, ground) for
     consecutive blocks, the arrays being (block length, n_cut+1) views of
     one reused buffer pair, valid until the next iteration (copy them to
-    keep them). ``rows`` must be a positive multiple of 16. The plan also
-    reports ``active_doublets`` and ``max_phase_argument``.
+    keep them). The plan also reports ``active_doublets`` and
+    ``max_phase_argument``.
     """
-    if rows < _FINE or rows % _FINE:
-        raise InvalidParameterError(f"rows must be a positive multiple of {_FINE}, got {rows!r}")
-    return ClosedFormPlan(params, f, dist, times, rows, initial_amplitudes)
+    return ClosedFormPlan(params, f, dist, times, _BLOCK_ROWS, initial_amplitudes)
 
 
 def closed_form_series(
@@ -497,11 +494,25 @@ def closed_form_series(
     itself as ``plan`` and the block's first sample as ``start``, so that
     every evaluation of the kernel, a whole run's or a single call's,
     enters at this one function; the arrays returned are then views of
-    the plan's buffers.
+    the plan's buffers. With ``plan`` the other arguments must be the
+    plan's own ``params``, ``f`` and ``dist`` and the block's times, with
+    no ``initial_amplitudes`` (the plan holds them); anything else is
+    rejected rather than silently ignored.
     """
     if plan is None:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         plan = ClosedFormPlan(params, f, dist, times, len(times), initial_amplitudes)
+    elif not (
+        params is plan.params
+        and f is plan.f
+        and dist is plan.dist
+        and initial_amplitudes is None
+        and np.array_equal(times, plan.times[start : start + plan.rows])
+    ):
+        raise InvalidParameterError(
+            "with a plan, closed_form_series takes the plan's params, f and dist "
+            "and the times of its block at start"
+        )
     return plan._block(start)
 
 

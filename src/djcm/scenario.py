@@ -30,6 +30,7 @@ import numpy as np
 
 from . import field_states
 from .dynamics import (
+    _BLOCK_ROWS,
     ModelParams,
     closed_form_blocks,
     evolve_ode_oracle,
@@ -44,7 +45,6 @@ from .nonlinearity import Nonlinearity
 from .observables import CSV_COLUMNS, ObservableSeries, records_from_series
 
 ORACLE_DEVIATION_LIMIT = 1e-6
-_TIME_BLOCK = 256
 _EMIT_CHUNK = 4096  # rows formatted per write
 
 
@@ -397,10 +397,10 @@ class ScenarioResult:
 
 
 def _per_sample_deviation(exc, gnd, states) -> np.ndarray:
-    """Largest |amplitude difference| per sample, _TIME_BLOCK samples at a time."""
+    """Largest |amplitude difference| per sample, _BLOCK_ROWS samples at a time."""
     dev = np.empty(len(states))
-    for start in range(0, len(states), _TIME_BLOCK):
-        rows = slice(start, start + _TIME_BLOCK)
+    for start in range(0, len(states), _BLOCK_ROWS):
+        rows = slice(start, start + _BLOCK_ROWS)
         block = states[rows]
         dev[rows] = np.maximum(
             np.max(np.abs(exc[rows] - np.stack([s.excited for s in block])), axis=1),
@@ -412,7 +412,7 @@ def _per_sample_deviation(exc, gnd, states) -> np.ndarray:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """The observable series on the configured grid, via the closed form.
 
-    The closed form runs _TIME_BLOCK samples at a time
+    The closed form runs _BLOCK_ROWS samples at a time
     (:func:`~djcm.dynamics.closed_form_blocks`): the coefficient table,
     the active doublets and, on the uniform grid, the 16-row fine phase
     tables are built once for the run; each block evaluates its 16
@@ -443,7 +443,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
         ground = np.empty_like(excited)
 
-    plan = closed_form_blocks(params, f, dist, times, rows=_TIME_BLOCK)
+    plan = closed_form_blocks(params, f, dist, times)
     blocks = []
     for start, exc, gnd in plan:
         block = times[start : start + len(exc)]

@@ -6,6 +6,7 @@ import pytest
 
 from djcm import scenario
 from djcm.dynamics import (
+    _BLOCK_ROWS,
     CoefficientTable,
     closed_form_blocks,
     closed_form_series,
@@ -480,7 +481,7 @@ def _emitted(plan, samples):
     starts = [start for start, _, _ in plan.blocks]
     lengths = [len(exc) for _, exc, _ in plan.blocks]
     assert starts == list(np.cumsum([0] + lengths[:-1]))
-    assert sum(lengths) == samples and max(lengths) <= scenario._TIME_BLOCK
+    assert sum(lengths) == samples and max(lengths) <= _BLOCK_ROWS
     exc = np.concatenate([e for _, e, _ in plan.blocks])
     gnd = np.concatenate([g for _, _, g in plan.blocks])
     return exc, gnd
@@ -564,8 +565,6 @@ def test_blocks_match_whole_grid_series(name):
         assert np.all(np.abs(block_g - gnd[rows]) <= bound)
         # doublets with no amplitude stay zero in the reused buffers
         assert not np.any(block_e[:, dist.probabilities == 0.0])
-    with pytest.raises(InvalidParameterError, match="multiple of 16"):
-        closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times, rows=100)
 
 
 def test_same_config_twice_gives_same_bytes(tmp_path):
