@@ -261,10 +261,10 @@ class _Scratch:
 
     def __init__(self, rows: int, width: int):
         size = rows * width
-        self.arg = np.empty(size)
-        self.sin = np.empty(size)
-        self.rot = np.empty(size, dtype=complex)
-        self.excited = np.empty(size, dtype=complex)
+        self.arg = np.empty(2 * size)  # phase arguments, then squares for the populations
+        self.sin = np.empty(size)  # s = sin(Omega t)/Omega
+        self.rot = np.empty(size, dtype=complex)  # the rotation, then the envelope
+        self.excited = np.empty(size, dtype=complex)  # the correction, then a sink's terms
         self.ground = np.empty(size, dtype=complex)
 
 
@@ -290,54 +290,61 @@ def _product_into(out: np.ndarray, cols, a, b) -> None:
 
 
 class _DoubletChunk:
-    """Per-run data of up to _DOUBLET_CHUNK active doublets.
+    """The rotation stage of up to _DOUBLET_CHUNK active doublets and their halo.
 
-    Their coefficient slices and, on a uniform grid of step ``step``, the
-    fine tables exp(-i w r step), r < _FINE, of the Rabi rotation
-    (w = -Omega), the ground phase (w = phi - mu/2) and the excited phase
-    (the ground phase times exp(-i mu r step)), with c0 and the constant
-    factors of the closed form folded in.
+    ``idx`` holds the chunk's own active levels, then its halo: the next
+    active levels up to level n + k of the last own one that has an
+    active partner, so that each coherence pair (n, n + k) with n in the
+    chunk finds both members among the chunk's columns (``pairs`` holds
+    their positions). :meth:`rotation` evaluates every column once per
+    block; each sink then reads it through its own per-chunk tables
+    (:class:`_AmplitudeTables`, :class:`_DensityTables`).
+
+    On a uniform grid of step ``step`` the chunk holds the fine table
+    exp(-i w r step), r < _FINE, of the Rabi rotation (w = -Omega).
     """
 
-    def __init__(self, co: CoefficientTable, idx, c0a, mu: float, step, scratch):
-        self.cols = _as_slice(idx)
+    def __init__(self, co: CoefficientTable, idx, own: int, pairs, mu: float, step, scratch):
+        self.idx, self.own, self.pairs = idx, own, pairs
+        self.cols = _as_slice(idx[:own])
         self.omega, self.rn = co.Omega[idx], co.Rn[idx]
-        self.alpha, self.phi = co.alpha[idx], co.phi[idx]
-        self.c0a = c0a
         self.mu = mu
-        self.scratch = scratch  # the plan's shared _Scratch on the table path
+        self.step = step
+        self.scratch = scratch  # the plan's shared _Scratch
         if step is None:
             return
-        r_step = (step * np.arange(_FINE))[:, None]
+        self.r_step = (step * np.arange(_FINE))[:, None]
         self.rabi = -self.omega
-        self.rabi_fine_arg = self.rabi * r_step
+        self.rabi_fine_arg = self.rabi * self.r_step
         self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
-        self.ground_rate = self.phi - 0.5 * mu
-        ground_fine = np.exp(-1j * (self.ground_rate * r_step))
-        self.excited_fine = ground_fine * (np.exp(-1j * (mu * r_step)) * c0a)
-        self.ground_fine = ground_fine * (-0.5j * self.alpha * c0a)
         self.envelope_rate = -0.5 * (self.rn - mu)
 
-    def direct(self, t: np.ndarray, excited: np.ndarray, ground: np.ndarray) -> None:
-        """Write the amplitudes at the times column t, every cell evaluated directly."""
-        omega, mu = self.omega, self.mu
-        x = omega * t
-        cosx = np.cos(x)
-        s = _sin_over_omega(omega, t, np.sin(x))
-        envelope = cosx - 0.5j * (self.rn - mu) * s
-        phase_g = np.exp(-1j * ((self.phi - 0.5 * mu) * t))
-        phase_e = phase_g * np.exp(-1j * mu * t)
-        _product_into(excited, self.cols, self.c0a * envelope, phase_e)
-        _product_into(ground, self.cols, (-0.5j * self.alpha) * s * self.c0a, phase_g)
+    def rotation(self, t: np.ndarray):
+        """(envelope, s) of every column at the times column t.
 
-    def phases(self, t: np.ndarray, n: int):
-        """(rotation, excited phase, ground phase) of one block from the tables.
+        envelope = cos(Omega t) - i (R_n - mu)/2 s and s = sin(Omega t)/Omega.
+        Directly evaluated off the table path; there, the rotation
+        exp(i Omega t) comes from :meth:`_rotation`, its real part being
+        cos(Omega t) and its imaginary part giving s.
+        """
+        if self.step is None:
+            omega, mu = self.omega, self.mu
+            x = omega * t
+            cosx = np.cos(x)
+            s = _sin_over_omega(omega, t, np.sin(x))
+            return cosx - 0.5j * (self.rn - mu) * s, s
+        rot = self._rotation(t)
+        s = _sin_over_omega(self.omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
+        envelope = rot  # its real part already holds cos(Omega t)
+        np.multiply(self.envelope_rate, s, out=envelope.imag)
+        return envelope, s
+
+    def _rotation(self, t: np.ndarray) -> np.ndarray:
+        """exp(i Omega t) of one block from the tables.
 
         ``t`` is the block's column of grid times, padded to whole
         _FINE-row groups; its rows 0, _FINE, 2 _FINE, ... are the coarse
-        anchors. The rotation exp(i Omega t) covers every row of ``t``;
-        the phases, c0 exp(-i (phi + mu/2) t) and
-        -i (alpha/2) c0 exp(-i (phi - mu/2) t), cover the first n.
+        anchors.
 
         The rotation from the tables is moved onto the direct argument
         fl(Omega t) by exp(-i d) ~ 1 - d^2/2 - i d, where
@@ -355,42 +362,196 @@ class _DoubletChunk:
         groups = d.reshape(len(anchors), _FINE, w)
         groups -= anchor_arg[:, None, :]
         groups -= self.rabi_fine_arg
-        correction = _view(work.excited, m, w)  # free until the excited phase
+        correction = _view(work.excited, m, w)
         re = correction.real
         np.multiply(d, 0.5, out=re)
         re *= d
         np.subtract(1.0, re, out=re)
         np.subtract(0.0, d, out=correction.imag)  # 0 - d keeps the signs of zero
         rot *= correction
-        ground_coarse = np.exp(-1j * (self.ground_rate * anchors))
-        shift = np.exp(-1j * (self.mu * anchors))
-        excited_phase = _expand(ground_coarse * shift, self.excited_fine, correction)
-        ground_phase = _expand(ground_coarse, self.ground_fine, _view(work.ground, m, w))
-        return rot, excited_phase[:n], ground_phase[:n]
+        return rot
 
-    def table(self, t: np.ndarray, excited: np.ndarray, ground: np.ndarray) -> None:
-        """Write the amplitudes of one block, its phases from :meth:`phases`."""
-        n = len(excited)
-        rot, excited_phase, ground_phase = self.phases(t, n)
-        s = _sin_over_omega(self.omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
-        envelope = rot  # its real part already holds cos(Omega t)
-        np.multiply(self.envelope_rate, s, out=envelope.imag)
-        _product_into(excited, self.cols, excited_phase, envelope[:n])
-        _product_into(ground, self.cols, ground_phase, s[:n])
+
+class _AmplitudeTables:
+    """The amplitude sink's per-run data of one chunk's own doublets.
+
+    Their coefficient slices and c0 and, on a uniform grid, the fine
+    tables of the ground phase (w = phi - mu/2) and the excited phase (the
+    ground phase times exp(-i mu r step)), with c0 and the constant
+    factors of the closed form folded in.
+    """
+
+    def __init__(self, chunk: _DoubletChunk, co: CoefficientTable, c0):
+        mine = chunk.idx[: chunk.own]
+        self.chunk = chunk
+        self.alpha, self.phi = co.alpha[mine], co.phi[mine]
+        self.c0a = c0a = c0[mine]
+        if chunk.step is None:
+            return
+        mu, r_step = chunk.mu, chunk.r_step
+        self.ground_rate = self.phi - 0.5 * mu
+        ground_fine = np.exp(-1j * (self.ground_rate * r_step))
+        self.excited_fine = ground_fine * (np.exp(-1j * (mu * r_step)) * c0a)
+        self.ground_fine = ground_fine * (-0.5j * self.alpha * c0a)
+
+    def phases(self, t: np.ndarray, n: int):
+        """(excited phase, ground phase) of the own columns from the tables.
+
+        c0 exp(-i (phi + mu/2) t) and -i (alpha/2) c0 exp(-i (phi - mu/2) t)
+        on the first n rows of the padded times column t.
+        """
+        chunk = self.chunk
+        m, w = len(t), chunk.own
+        work = chunk.scratch
+        anchors = t[::_FINE]
+        ground_coarse = np.exp(-1j * (self.ground_rate * anchors))
+        shift = np.exp(-1j * (chunk.mu * anchors))
+        excited_phase = _expand(ground_coarse * shift, self.excited_fine, _view(work.excited, m, w))
+        ground_phase = _expand(ground_coarse, self.ground_fine, _view(work.ground, m, w))
+        return excited_phase[:n], ground_phase[:n]
+
+    def write(self, t, envelope, s, excited: np.ndarray, ground: np.ndarray) -> None:
+        """Write the own columns of one block's amplitudes."""
+        chunk = self.chunk
+        n, w, cols = len(excited), chunk.own, chunk.cols
+        if chunk.step is None:
+            mu = chunk.mu
+            phase_g = np.exp(-1j * ((self.phi - 0.5 * mu) * t))
+            phase_e = phase_g * np.exp(-1j * mu * t)
+            _product_into(excited, cols, self.c0a * envelope[:, :w], phase_e)
+            _product_into(ground, cols, (-0.5j * self.alpha) * s[:, :w] * self.c0a, phase_g)
+            return
+        excited_phase, ground_phase = self.phases(t, n)
+        _product_into(excited, cols, excited_phase, envelope[:n, :w])
+        _product_into(ground, cols, ground_phase, s[:n, :w])
+
+
+class _DensityTables:
+    """The density sink's per-run data of one chunk.
+
+    |c0|^2 and alpha/2 of the own doublets, and of the coherence pairs
+    (n, n + k) the weight i (alpha_n/2) conj(c0_n) c0_{n+k} and the rate
+    phi_{n+k} - phi_n + mu of their phase: on a uniform grid as the fine
+    table exp(-i w r step), r < _FINE, with the weight folded in,
+    otherwise the weight alone (one direct row per time).
+    """
+
+    def __init__(self, chunk: _DoubletChunk, co: CoefficientTable, c0):
+        idx, mu = chunk.idx, chunk.mu
+        mine = idx[: chunk.own]
+        self.chunk = chunk
+        c0a = c0[mine]
+        # |c0|^2, twice: once for the real, once for the imaginary part of
+        # the envelope
+        self.population = c0a.real * c0a.real + c0a.imag * c0a.imag
+        self.population_twice = np.repeat(self.population, 2)
+        self.half_alpha = 0.5 * co.alpha[mine]
+        lo, hi = chunk.pairs
+        self.pairs = (_as_slice(lo), _as_slice(hi)) if len(lo) else None
+        if self.pairs is None:
+            return
+        self.pair_rate = co.phi[idx[hi]] - co.phi[idx[lo]] + mu
+        weight = 0.5j * co.alpha[idx[lo]] * np.conj(c0[idx[lo]]) * c0[idx[hi]]
+        if chunk.step is None:
+            self.group, self.pair_fine = 1, weight[None, :]
+        else:
+            self.group = _FINE
+            self.pair_fine = np.exp(-1j * (self.pair_rate * chunk.r_step)) * weight
+
+    def reduce(self, t, envelope, s, rho_ee, rho_gg, rho_eg) -> None:
+        """Add the chunk's share of one block's density to the three rows.
+
+        The populations carry no phase: rho_ee = |envelope|^2 . |c0|^2, with
+        |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2, and
+        rho_gg = ((alpha/2) s)^2 . |c0|^2, each a real matrix-vector
+        product. The factors are squared after they are multiplied, as in
+        |amplitude|^2, so no weight overflows where the amplitudes stay
+        finite (((alpha/2) s)^2 is bounded, (alpha/2)^2 alone is not).
+
+        The coherence rho_eg = sum_n i (alpha_n/2) conj(c0_n) c0_{n+k}
+        s_n envelope_{n+k} exp(-i (phi_{n+k} - phi_n + mu) t) takes its pair
+        phase as coarse x fine rows: the fine factor, weight included,
+        multiplies the terms, and each group's sum against its coarse row
+        is one matrix product. Without an active pair it is not computed.
+        """
+        n, w = len(rho_ee), self.chunk.own
+        work = self.chunk.scratch
+        ground = np.multiply(s[:n, :w], self.half_alpha, out=_view(work.arg, n, w))
+        rho_gg += np.square(ground, out=ground) @ self.population
+        # |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2: its parts side by side
+        parts = np.square(envelope[:n, :w].view(float), out=_view(work.arg, n, 2 * w))
+        rho_ee += parts @ self.population_twice
+        if self.pairs is None:
+            return
+        lo, hi = self.pairs
+        m, p, g = len(t), len(self.pair_rate), self.group
+        terms = np.multiply(s[:, lo], envelope[:, hi], out=_view(work.excited, m, p))
+        terms = terms.reshape(m // g, g, p)
+        terms *= self.pair_fine
+        coarse = np.exp(-1j * (self.pair_rate * t[::g]))
+        rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
+
+
+class AmplitudeSink:
+    """Closed-form amplitudes of each block, (rows, n_cut+1) for excited and ground.
+
+    ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g}, views of one
+    buffer pair that every block of the plan reuses: inactive columns stay
+    zero, and the views are valid until the next block.
+    """
+
+    def __init__(self, plan: "ClosedFormPlan"):
+        self.tables = [_AmplitudeTables(c, plan.coefficients, plan.c0) for c in plan.chunks]
+        rows = min(plan.rows, len(plan.times))
+        self._excited = np.zeros((rows, len(plan.c0)), dtype=complex)
+        self._ground = np.zeros_like(self._excited)
+
+    def start(self, n: int) -> None:
+        self.excited, self.ground = self._excited[:n], self._ground[:n]
+
+    def take(self, i: int, t, envelope, s) -> None:
+        self.tables[i].write(t, envelope, s, self.excited, self.ground)
+
+    def finite(self) -> bool:
+        # a NaN or an infinity anywhere reaches the sum
+        return bool(np.isfinite(np.sum(self.excited) + np.sum(self.ground)))
+
+
+class DensitySink:
+    """The reduced atomic density of each block, reduced without amplitudes.
+
+    After each block ``rho_ee``, ``rho_gg`` (float) and ``rho_eg``
+    (complex, rho_eg = sum_n conj(c_{n+k,g}) c_{n+k,e}) hold one value per
+    sample; they are new arrays for every block.
+    """
+
+    def __init__(self, plan: "ClosedFormPlan"):
+        self.tables = [_DensityTables(c, plan.coefficients, plan.c0) for c in plan.chunks]
+
+    def start(self, n: int) -> None:
+        self.rho_ee, self.rho_gg = np.zeros(n), np.zeros(n)
+        self.rho_eg = np.zeros(n, dtype=complex)
+
+    def take(self, i: int, t, envelope, s) -> None:
+        self.tables[i].reduce(t, envelope, s, self.rho_ee, self.rho_gg, self.rho_eg)
+
+    def finite(self) -> bool:
+        return bool(np.isfinite(np.sum(self.rho_ee) + np.sum(self.rho_gg) + np.sum(self.rho_eg)))
 
 
 class ClosedFormPlan:
-    """Closed-form amplitudes of one time grid, evaluated block by block.
+    """Closed form of one time grid, evaluated block by block into sinks.
 
     Built once per run: the coefficient table, the active doublets in
-    _DOUBLET_CHUNK-wide chunks with their coefficient slices and, on a
-    uniform grid, their fine phase tables at the whole grid's step. Each
-    block then evaluates only its coarse rows, anchored at the grid's own
-    times t_{_FINE J}, and writes the active columns into one pair of
-    (rows, n_cut+1) buffers, allocated here and reused by every block:
-    inactive columns stay zero. Iterating yields (start, excited, ground)
-    per block; the two arrays are views of those buffers, valid until the
-    next iteration.
+    _DOUBLET_CHUNK-wide chunks (each with the halo its coherence pairs
+    need) and, on a uniform grid, their fine Rabi tables at the whole
+    grid's step. A sink builds its own per-chunk tables when it is made
+    for the plan: the amplitude phases (:class:`AmplitudeSink`), or the
+    population weights and pair phases (:class:`DensitySink`). Each block
+    then evaluates only its coarse rows, anchored at the grid's own times
+    t_{_FINE J}, and each chunk's rotation stage once for all the sinks it
+    feeds (:meth:`blocks`). Iterating yields (start, excited, ground) per
+    block, from the amplitude sink alone.
     """
 
     def __init__(self, params, f, dist, times, rows: int, initial_amplitudes=None):
@@ -400,26 +561,51 @@ class ClosedFormPlan:
         self.params, self.f, self.dist = params, f, dist
         self.times = times
         self.rows = rows
-        co = CoefficientTable(params, f, dist.n_cut)
-        c0 = _resolve_initial(dist, initial_amplitudes)
+        self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
+        self.c0 = c0 = _resolve_initial(dist, initial_amplitudes)
         active = np.nonzero(c0 != 0.0)[0]
         self.active_doublets = len(active)
-        mu = params.mu
+        mu, k = params.mu, params.k
+        # position of level n + k among the active levels, -1 where inactive
+        position = np.full(len(c0) + k, -1)
+        position[active] = np.arange(len(active))
+        partner = position[active + k]
         # the largest phase argument the kernel evaluates: Omega t, the
-        # ground phase (phi - mu/2) t and the shift mu t, at the last time
-        rates = np.abs(np.concatenate((co.Omega[active], co.phi[active] - 0.5 * mu, [mu])))
+        # ground phase (phi - mu/2) t, the shift mu t and the pair phase
+        # (phi_{n+k} - phi_n + mu) t, at the last time
+        paired = partner >= 0
+        pair_rate = co.phi[active[paired] + k] - co.phi[active[paired]] + mu
+        rates = np.abs(
+            np.concatenate((co.Omega[active], co.phi[active] - 0.5 * mu, [mu], pair_rate))
+        )
         self.max_phase_argument = float(np.max(rates) * np.max(times, initial=0.0))
         self.step = step = _uniform_step(times)
+        spans = []
+        for i0 in range(0, len(active), _DOUBLET_CHUNK):
+            i1 = min(i0 + _DOUBLET_CHUNK, len(active))
+            lo = np.nonzero(paired[i0:i1])[0]
+            hi = partner[i0:i1][lo] - i0
+            spans.append((i0, i1, lo, hi, max(i1, i0 + int(np.max(hi, initial=-1)) + 1)))
+        width = max((end - i0 for i0, _, _, _, end in spans), default=0)
         padded_rows = -(-min(rows, len(times)) // _FINE) * _FINE
-        scratch = None if step is None else _Scratch(padded_rows, min(len(active), _DOUBLET_CHUNK))
+        scratch = _Scratch(padded_rows, width)
         self.chunks = [
-            _DoubletChunk(co, idx, c0[idx], mu, step, scratch)
-            for idx in (
-                active[i : i + _DOUBLET_CHUNK] for i in range(0, len(active), _DOUBLET_CHUNK)
-            )
+            _DoubletChunk(co, active[i0:end], i1 - i0, (lo, hi), mu, step, scratch)
+            for i0, i1, lo, hi, end in spans
         ]
-        self.excited = np.zeros((min(rows, len(times)), len(c0)), dtype=complex)
-        self.ground = np.zeros_like(self.excited)
+        self._amplitude_sink = None
+
+    def blocks(self, *sinks):
+        """Evaluate the grid block by block into ``sinks``; yield each block's start.
+
+        When a block is yielded every sink holds its values; each chunk's
+        rotation stage is evaluated once per block, whatever the sinks. A
+        block with a value that is not finite in any sink raises
+        PhysicsValidationError: its phase arguments overflowed.
+        """
+        for start in range(0, len(self.times), self.rows):
+            self._evaluate(start, sinks)
+            yield start
 
     def __iter__(self):
         for start in range(0, len(self.times), self.rows):
@@ -430,17 +616,34 @@ class ClosedFormPlan:
             yield start, excited, ground
 
     def _block(self, start: int):
+        """(excited, ground) of the block at start, from the plan's own amplitude sink."""
+        if self._amplitude_sink is None:
+            self._amplitude_sink = AmplitudeSink(self)
+        sink = self._amplitude_sink
+        self._evaluate(start, (sink,))
+        return sink.excited, sink.ground
+
+    def _evaluate(self, start: int, sinks) -> None:
         n = min(self.rows, len(self.times) - start)
-        excited, ground = self.excited[:n], self.ground[:n]
         if self.step is None:
             t = self.times[start : start + n, None]
-            for chunk in self.chunks:
-                chunk.direct(t, excited, ground)
         else:
             t = self._table_times(start, n)
-            for chunk in self.chunks:
-                chunk.table(t, excited, ground)
-        return excited, ground
+        for sink in sinks:
+            sink.start(n)
+        # a phase argument that overflows shows as a value that is not
+        # finite, reported once below instead of as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, chunk in enumerate(self.chunks):
+                envelope, s = chunk.rotation(t)
+                for sink in sinks:
+                    sink.take(i, t, envelope, s)
+            finite = all(sink.finite() for sink in sinks)
+        if not finite:
+            raise PhysicsValidationError(
+                "phase overflow: the closed form is not finite; the largest phase "
+                f"argument |w| t_end is {self.max_phase_argument:.6g}"
+            )
 
     def _table_times(self, start: int, n: int) -> np.ndarray:
         """Column of the block's grid times, padded on the grid to whole _FINE-row groups."""
@@ -458,12 +661,17 @@ def closed_form_blocks(
     times,
     initial_amplitudes=None,
 ) -> ClosedFormPlan:
-    """Closed-form amplitudes on a grid, _BLOCK_ROWS samples at a time.
+    """The closed form on a grid, _BLOCK_ROWS samples at a time.
 
-    Iterating the returned plan yields (start, excited, ground) for
-    consecutive blocks, the arrays being (block length, n_cut+1) views of
-    one reused buffer pair, valid until the next iteration (copy them to
-    keep them). The plan also reports ``active_doublets`` and
+    ``plan.blocks(*sinks)`` evaluates each block once into every sink
+    given: a :class:`DensitySink` reduces rho_ee, rho_gg and rho_eg per
+    block without writing any amplitude, an :class:`AmplitudeSink` holds
+    the block's (block length, n_cut+1) amplitudes. Iterating the plan
+    yields (start, excited, ground) for consecutive blocks from the
+    amplitude sink alone, the arrays being views of one reused buffer
+    pair, valid until the next iteration (copy them to keep them). A
+    block that is not finite raises PhysicsValidationError (the phase
+    arguments overflowed). The plan also reports ``active_doublets`` and
     ``max_phase_argument``.
     """
     return ClosedFormPlan(params, f, dist, times, _BLOCK_ROWS, initial_amplitudes)
@@ -482,21 +690,21 @@ def closed_form_series(
     """Closed-form amplitudes on a grid: arrays of shape (len(times), n_cut+1).
 
     The grid is evaluated as the single block of its own
-    :class:`ClosedFormPlan`. Doublets with no initial amplitude stay
-    exactly zero and are skipped (half of every squeezed-vacuum
-    distribution, plus the truncation pad). The others are evaluated
-    _DOUBLET_CHUNK at a time, which keeps each chunk's temporaries in
-    cache and bounds their memory. On a uniform grid of at least 16
-    samples the phases come from two-level tables; other grids are
-    evaluated directly, cell by cell.
+    :class:`ClosedFormPlan`, into its amplitude sink. Doublets with no
+    initial amplitude stay exactly zero and are skipped (half of every
+    squeezed-vacuum distribution, plus the truncation pad). The others are
+    evaluated _DOUBLET_CHUNK at a time, which keeps each chunk's
+    temporaries in cache and bounds their memory. On a uniform grid of at
+    least 16 samples the phases come from two-level tables; other grids
+    are evaluated directly, cell by cell. Amplitudes that are not finite
+    raise PhysicsValidationError (the phase arguments overflowed).
 
-    A plan evaluates each of its blocks through this function, passing
-    itself as ``plan`` and the block's first sample as ``start``, so that
-    every evaluation of the kernel, a whole run's or a single call's,
-    enters at this one function; the arrays returned are then views of
-    the plan's buffers. With ``plan`` the other arguments must be the
-    plan's own ``params``, ``f`` and ``dist`` and the block's times, with
-    no ``initial_amplitudes`` (the plan holds them); anything else is
+    A plan evaluates each of its blocks through this function when it is
+    iterated, passing itself as ``plan`` and the block's first sample as
+    ``start``; the arrays returned are then views of the plan's buffers.
+    With ``plan`` the other arguments must be the plan's own ``params``,
+    ``f`` and ``dist`` and the block's times, with no
+    ``initial_amplitudes`` (the plan holds them); anything else is
     rejected rather than silently ignored.
     """
     if plan is None:

@@ -231,6 +231,22 @@ def records_from_series(
     picture in which the closed form is written.
     """
     rho_ee, rho_gg, rho_eg = _density_arrays(excited, ground, k)
+    return series_from_density(times, rho_ee, rho_gg, rho_eg, coherence_phase)
+
+
+def series_from_density(
+    times: np.ndarray,
+    rho_ee: np.ndarray,
+    rho_gg: np.ndarray,
+    rho_eg: np.ndarray,
+    coherence_phase: float = 0.0,
+) -> ObservableSeries:
+    """Observable series for a block of reduced densities, one value per time.
+
+    The entropies and columns that :func:`records_from_series` builds from
+    amplitudes, here from rho_ee, rho_gg and rho_eg directly (as the
+    closed form's density sink reduces them); ``coherence_phase`` as there.
+    """
     if coherence_phase != 0.0:
         rho_eg = rho_eg * np.exp(-1j * coherence_phase * times)
     H_x, H_y, H_z = _entropy_arrays(rho_ee, rho_gg, rho_eg)

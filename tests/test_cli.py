@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import djcm
 from djcm.cli import main
 from djcm.scenario import CSV_COLUMNS
 
@@ -135,6 +139,26 @@ def test_non_finite_or_mistyped_numbers_exit_2(tmp_path, capsys, override):
     code = main(["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_phase_overflow_exits_2_with_one_stderr_line(tmp_path):
+    # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
+    doc = {**CHEAP, "params": {**CHEAP["params"], "chi": 1e200}}
+    out_path = tmp_path / "never.csv"
+    src = os.path.dirname(os.path.dirname(djcm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "djcm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: phase overflow"), proc.stderr
     assert not out_path.exists()
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln
 
 from djcm.dynamics import (
+    AmplitudeSink,
     AmplitudeState,
     CoefficientTable,
     ModelParams,
@@ -443,8 +444,9 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
             t = plan._table_times(start, n)
             tn = t[:n]
             t_end = tn[-1, 0]
-            for chunk in plan.chunks:
-                rot, excited_phase, ground_phase = chunk.phases(t, n)
+            for chunk, tables in zip(plan.chunks, AmplitudeSink(plan).tables):
+                rot = chunk._rotation(t)
+                excited_phase, ground_phase = tables.phases(t, n)
                 # the Rabi rotation, moved onto the direct argument itself
                 w = chunk.rabi
                 direct = np.exp(-1j * w * tn)
@@ -452,9 +454,9 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
                 assert np.all(err <= 8.0 * EPS * (1.0 + np.abs(w) * t_end)), (label, start, "rabi")
                 modest = np.abs(w) * t_end <= 1e7
                 assert np.all(err[:, modest] <= 8.0 * EPS), (label, start, "rabi")
-                w = chunk.ground_rate
+                w = tables.ground_rate
                 direct = np.exp(-1j * w * tn)
-                table = ground_phase / (-0.5j * chunk.alpha)
+                table = ground_phase / (-0.5j * tables.alpha)
                 bound = 8.0 * EPS * (1.0 + np.abs(w) * t_end)
                 assert np.all(np.abs(table - direct) <= bound), (label, start, "ground")
                 # the excited-state phase against the direct path's

@@ -7,6 +7,7 @@ import pytest
 from djcm import scenario
 from djcm.dynamics import (
     _BLOCK_ROWS,
+    AmplitudeSink,
     CoefficientTable,
     closed_form_blocks,
     closed_form_series,
@@ -448,19 +449,24 @@ def test_read_csv_series_rejects_malformed_rows(tmp_path, body, match):
 
 
 class _RecordingBlocks:
-    """A closed_form_blocks plan that keeps a copy of every block it yields."""
+    """A closed_form_blocks plan that keeps a copy of the amplitudes of every block.
+
+    It adds one amplitude sink to the sinks of each ``blocks`` call, so the
+    amplitudes come from the same chunk evaluations as the run's own sinks.
+    """
 
     def __init__(self, plan):
         self.plan = plan
-        self.blocks = []
+        self.recorded = []
 
     def __getattr__(self, name):
         return getattr(self.plan, name)
 
-    def __iter__(self):
-        for start, exc, gnd in self.plan:
-            self.blocks.append((start, exc.copy(), gnd.copy()))
-            yield start, exc, gnd
+    def blocks(self, *sinks):
+        amplitudes = AmplitudeSink(self.plan)
+        for start in self.plan.blocks(*sinks, amplitudes):
+            self.recorded.append((start, amplitudes.excited.copy(), amplitudes.ground.copy()))
+            yield start
 
 
 def _record_blocks(monkeypatch):
@@ -478,12 +484,12 @@ def _record_blocks(monkeypatch):
 
 def _emitted(plan, samples):
     """The recorded blocks as whole-grid arrays, after checking they tile the grid once."""
-    starts = [start for start, _, _ in plan.blocks]
-    lengths = [len(exc) for _, exc, _ in plan.blocks]
+    starts = [start for start, _, _ in plan.recorded]
+    lengths = [len(exc) for _, exc, _ in plan.recorded]
     assert starts == list(np.cumsum([0] + lengths[:-1]))
     assert sum(lengths) == samples and max(lengths) <= _BLOCK_ROWS
-    exc = np.concatenate([e for _, e, _ in plan.blocks])
-    gnd = np.concatenate([g for _, _, g in plan.blocks])
+    exc = np.concatenate([e for _, e, _ in plan.recorded])
+    gnd = np.concatenate([g for _, _, g in plan.recorded])
     return exc, gnd
 
 

@@ -58,3 +58,35 @@ def test_compare_names_changed_metadata_keys(tmp_path):
     same, report, worst = emit_all.compare_file(str(a), str(b))
     assert not same and worst == {}
     assert report.endswith("0 in every column; metadata keys changed: resolved.active_doublets")
+
+
+def _shift_cell(path, row, column, by):
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    i = CSV_COLUMNS.index(column)
+    cells[i] = repr(float(cells[i]) + by)
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
+def test_compare_exit_code_follows_the_column_limits(tmp_path, capsys):
+    res = run_scenario(config_from_dict(SMALL))
+    one, two = tmp_path / "one", tmp_path / "two"
+    for folder in (one, two):
+        folder.mkdir()
+        emit(res.records, "csv", str(folder / "run.csv"))
+    assert emit_all.compare_dirs(str(one), str(two), ["run.csv"]) == 0
+    assert emit_all.compare_dirs(str(one), str(two), ["run.csv", "absent.csv"]) == 1
+    # within the limits: W by 1e-15 (limit 2e-15), E_x by 5e-11 (limit 1e-10)
+    _shift_cell(two / "run.csv", 7, "W", 1e-15)
+    _shift_cell(two / "run.csv", 7, "E_x", 5e-11)
+    capsys.readouterr()
+    assert emit_all.compare_dirs(str(one), str(two), ["run.csv"]) == 1
+    assert "beyond" not in capsys.readouterr().out
+    # beyond them: each column is named
+    _shift_cell(two / "run.csv", 9, "rho_gg", 4e-15)
+    _shift_cell(two / "run.csv", 9, "E_y", 3e-10)
+    assert emit_all.compare_dirs(str(one), str(two), ["run.csv"]) == 2
+    last = capsys.readouterr().out.splitlines()[-1]
+    assert last.startswith("beyond the per-column limits: ")
+    assert "rho_gg" in last and "E_y" in last and "W" not in last and "E_x" not in last

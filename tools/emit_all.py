@@ -12,7 +12,10 @@ With ``--compare OTHERDIR`` it then reports, per file, whether the bytes
 equal those of the same file in OTHERDIR and, where they differ, the
 largest absolute change per CSV column and the JSON metadata keys that
 changed. The exit code is 0 when every file is byte-identical, 1 when any
-differs or is missing.
+differs within the per-column limits or is missing, and 2 when a column
+changed beyond its limit (``LIMITS``: t not at all; W, rho_ee, rho_gg,
+H_z and norm by 2e-15; every other column by 1e-10); the report then
+names those columns.
 
 Each config's ``output.path`` is the bare file name, so the metadata echo
 in the JSON files does not depend on OUTDIR.
@@ -32,6 +35,9 @@ from djcm import scenario
 REVIVAL_GRID = "revival_grid"
 REVIVAL_PRESET = "coherent_bare_identity"
 REVIVAL_TIME = {"t_end": 75.0, "samples": 50000}
+# largest |change| per column that a change of summation order may leave
+LIMITS = {"t": 0.0, "W": 2e-15, "rho_ee": 2e-15, "rho_gg": 2e-15, "H_z": 2e-15, "norm": 2e-15}
+OTHER_LIMIT = 1e-10
 
 
 def _configs():
@@ -110,6 +116,32 @@ def compare_file(path: str, other: str) -> tuple[bool, str, dict]:
     return False, report, worst
 
 
+def compare_dirs(outdir: str, other: str, names) -> int:
+    """Print each file's report and the summary; return the exit code."""
+    identical = 0
+    overall = {}
+    for file_name in names:
+        same, report, worst = compare_file(
+            os.path.join(outdir, file_name), os.path.join(other, file_name)
+        )
+        identical += same
+        for column, change in worst.items():
+            overall[column] = max(overall.get(column, 0.0), change)
+        print(report)
+    print(f"{identical} of {len(names)} files byte-identical")
+    if overall:
+        print("max |change| over all files: " + ", ".join(f"{c} {w:.2e}" for c, w in overall.items()))
+    beyond = [
+        f"{c} {w:.2e} > {LIMITS.get(c, OTHER_LIMIT):.0e}"
+        for c, w in overall.items()
+        if w > LIMITS.get(c, OTHER_LIMIT)
+    ]
+    if beyond:
+        print("beyond the per-column limits: " + ", ".join(beyond))
+        return 2
+    return 0 if identical == len(names) else 1
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("outdir")
@@ -119,20 +151,7 @@ def main(argv=None) -> int:
     if args.compare is None:
         print(f"wrote {len(names)} files to {args.outdir}")
         return 0
-    identical = 0
-    overall = {}
-    for file_name in names:
-        same, report, worst = compare_file(
-            os.path.join(args.outdir, file_name), os.path.join(args.compare, file_name)
-        )
-        identical += same
-        for column, change in worst.items():
-            overall[column] = max(overall.get(column, 0.0), change)
-        print(report)
-    print(f"{identical} of {len(names)} files byte-identical")
-    if overall:
-        print("max |change| over all files: " + ", ".join(f"{c} {w:.2e}" for c, w in overall.items()))
-    return 0 if identical == len(names) else 1
+    return compare_dirs(args.outdir, args.compare, names)
 
 
 if __name__ == "__main__":
