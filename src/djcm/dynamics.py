@@ -550,15 +550,13 @@ class ClosedFormPlan:
     population weights and pair phases (:class:`DensitySink`). Each block
     then evaluates only its coarse rows, anchored at the grid's own times
     t_{_FINE J}, and each chunk's rotation stage once for all the sinks it
-    feeds (:meth:`blocks`). Iterating yields (start, excited, ground) per
-    block, from the amplitude sink alone.
+    feeds (:meth:`blocks`).
     """
 
     def __init__(self, params, f, dist, times, rows: int, initial_amplitudes=None):
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if np.any(times < 0.0):
             raise InvalidParameterError("evolution times must be >= 0")
-        self.params, self.f, self.dist = params, f, dist
         self.times = times
         self.rows = rows
         self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
@@ -593,7 +591,6 @@ class ClosedFormPlan:
             _DoubletChunk(co, active[i0:end], i1 - i0, (lo, hi), mu, step, scratch)
             for i0, i1, lo, hi, end in spans
         ]
-        self._amplitude_sink = None
 
     def blocks(self, *sinks):
         """Evaluate the grid block by block into ``sinks``; yield each block's start.
@@ -606,22 +603,6 @@ class ClosedFormPlan:
         for start in range(0, len(self.times), self.rows):
             self._evaluate(start, sinks)
             yield start
-
-    def __iter__(self):
-        for start in range(0, len(self.times), self.rows):
-            block = self.times[start : start + self.rows]
-            excited, ground = closed_form_series(
-                self.params, self.f, self.dist, block, plan=self, start=start
-            )
-            yield start, excited, ground
-
-    def _block(self, start: int):
-        """(excited, ground) of the block at start, from the plan's own amplitude sink."""
-        if self._amplitude_sink is None:
-            self._amplitude_sink = AmplitudeSink(self)
-        sink = self._amplitude_sink
-        self._evaluate(start, (sink,))
-        return sink.excited, sink.ground
 
     def _evaluate(self, start: int, sinks) -> None:
         n = min(self.rows, len(self.times) - start)
@@ -664,15 +645,13 @@ def closed_form_blocks(
     """The closed form on a grid, _BLOCK_ROWS samples at a time.
 
     ``plan.blocks(*sinks)`` evaluates each block once into every sink
-    given: a :class:`DensitySink` reduces rho_ee, rho_gg and rho_eg per
-    block without writing any amplitude, an :class:`AmplitudeSink` holds
-    the block's (block length, n_cut+1) amplitudes. Iterating the plan
-    yields (start, excited, ground) for consecutive blocks from the
-    amplitude sink alone, the arrays being views of one reused buffer
-    pair, valid until the next iteration (copy them to keep them). A
-    block that is not finite raises PhysicsValidationError (the phase
-    arguments overflowed). The plan also reports ``active_doublets`` and
-    ``max_phase_argument``.
+    given and yields the block's first sample: a :class:`DensitySink`
+    reduces rho_ee, rho_gg and rho_eg per block without writing any
+    amplitude, an :class:`AmplitudeSink` holds the block's (block length,
+    n_cut+1) amplitudes as views of one reused buffer pair, valid until
+    the next block (copy them to keep them). A block that is not finite
+    raises PhysicsValidationError (the phase arguments overflowed). The
+    plan also reports ``active_doublets`` and ``max_phase_argument``.
     """
     return ClosedFormPlan(params, f, dist, times, _BLOCK_ROWS, initial_amplitudes)
 
@@ -683,9 +662,6 @@ def closed_form_series(
     dist: PhotonDistribution,
     times,
     initial_amplitudes=None,
-    *,
-    plan: ClosedFormPlan | None = None,
-    start: int = 0,
 ):
     """Closed-form amplitudes on a grid: arrays of shape (len(times), n_cut+1).
 
@@ -698,30 +674,13 @@ def closed_form_series(
     least 16 samples the phases come from two-level tables; other grids
     are evaluated directly, cell by cell. Amplitudes that are not finite
     raise PhysicsValidationError (the phase arguments overflowed).
-
-    A plan evaluates each of its blocks through this function when it is
-    iterated, passing itself as ``plan`` and the block's first sample as
-    ``start``; the arrays returned are then views of the plan's buffers.
-    With ``plan`` the other arguments must be the plan's own ``params``,
-    ``f`` and ``dist`` and the block's times, with no
-    ``initial_amplitudes`` (the plan holds them); anything else is
-    rejected rather than silently ignored.
     """
-    if plan is None:
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        plan = ClosedFormPlan(params, f, dist, times, len(times), initial_amplitudes)
-    elif not (
-        params is plan.params
-        and f is plan.f
-        and dist is plan.dist
-        and initial_amplitudes is None
-        and np.array_equal(times, plan.times[start : start + plan.rows])
-    ):
-        raise InvalidParameterError(
-            "with a plan, closed_form_series takes the plan's params, f and dist "
-            "and the times of its block at start"
-        )
-    return plan._block(start)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    plan = ClosedFormPlan(params, f, dist, times, len(times), initial_amplitudes)
+    sink = AmplitudeSink(plan)
+    for _ in plan.blocks(sink):
+        pass
+    return sink.excited, sink.ground
 
 
 def evolve_closed_form(

@@ -46,10 +46,6 @@ from .errors import (
 from .nonlinearity import Nonlinearity
 from .observables import CSV_COLUMNS, ObservableSeries, series_from_density
 
-# run_scenario reduces no amplitudes; records_from_series stays importable
-# here, where perfbench's tracer looks up the observables layer
-from .observables import records_from_series  # noqa: F401
-
 ORACLE_DEVIATION_LIMIT = 1e-6
 _EMIT_CHUNK = 4096  # rows formatted per write
 

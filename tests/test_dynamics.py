@@ -506,28 +506,6 @@ def test_non_uniform_and_single_time_take_direct_path(name):
     assert np.array_equal(st.excited, ref_e[0]) and np.array_equal(st.ground, ref_g[0])
 
 
-def test_series_with_a_plan_takes_only_its_own_block():
-    cfg = preset("squeezed_kerr_stark_sqrt_n")
-    dist = cfg.build_distribution()
-    times = np.linspace(0.0, 50.0, 600)
-    plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times)
-    block = times[plan.rows : 2 * plan.rows]
-    exc, _ = closed_form_series(cfg.params, cfg.nonlinearity, dist, block, plan=plan, start=plan.rows)
-    whole, _ = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
-    assert np.all(np.abs(exc - whole[plan.rows : 2 * plan.rows]) <= 1e-12)
-    other = preset("coherent_kerr_sqrt_n")
-    mismatched = [
-        (other.params, cfg.nonlinearity, dist, block, None),
-        (cfg.params, other.nonlinearity, dist, block, None),
-        (cfg.params, cfg.nonlinearity, other.build_distribution(), block, None),
-        (cfg.params, cfg.nonlinearity, dist, times[: plan.rows], None),
-        (cfg.params, cfg.nonlinearity, dist, block, np.ones(dist.n_cut + 1)),
-    ]
-    for params, f, d, t, c0 in mismatched:
-        with pytest.raises(InvalidParameterError, match="with a plan"):
-            closed_form_series(params, f, d, t, c0, plan=plan, start=plan.rows)
-
-
 def test_uniform_step_rejects_other_grids():
     grid = np.linspace(0.0, 50.0, 2000)
     assert _uniform_step(grid) == pytest.approx(50.0 / 1999, rel=1e-15)

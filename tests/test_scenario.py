@@ -550,7 +550,9 @@ def test_run_scenario_block_edges_match_per_time_closed_form(monkeypatch, sample
     bound = _rate_bound(cfg, dist, times[-1])
     assert np.all(np.abs(exc - ref_e) <= bound)
     assert np.all(np.abs(gnd - ref_g) <= bound)
-    # and the emitted rows are those of the recorded amplitudes
+    # the emitted W, from the density sink, is that of the per-time closed
+    # form; the other density columns at block edges are pinned against the
+    # amplitude route by test_density_sink_matches_amplitude_route_at_block_edges
     assert res.records["t"].tolist() == times.tolist()
     w_ref = [observable_record(st).W for st in states]
     assert np.max(np.abs(res.records["W"] - w_ref)) <= 2e-15
@@ -565,7 +567,9 @@ def test_blocks_match_whole_grid_series(name):
     bound = _rate_bound(cfg, dist, times[-1])
     plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times)
     assert plan.active_doublets == np.count_nonzero(dist.probabilities)
-    for start, block_e, block_g in plan:
+    sink = AmplitudeSink(plan)
+    for start in plan.blocks(sink):
+        block_e, block_g = sink.excited, sink.ground
         rows = slice(start, start + len(block_e))
         assert np.all(np.abs(block_e - exc[rows]) <= bound)
         assert np.all(np.abs(block_g - gnd[rows]) <= bound)
