@@ -51,6 +51,7 @@ from .scenario import (
     ScenarioResult,
     available_presets,
     emit,
+    iter_scenario,
     measure_revivals,
     parse_config,
     preset,
@@ -88,6 +89,7 @@ __all__ = [
     "entropy_squeezing",
     "evolve_closed_form",
     "evolve_ode_oracle",
+    "iter_scenario",
     "max_amplitude_deviation",
     "measure_revivals",
     "mode_coefficients",

@@ -33,11 +33,11 @@ from .scenario import (
     available_presets,
     config_from_dict,
     emit,
+    iter_scenario,
     measure_revivals,
     merge_config,
     preset_dict,
     read_csv_series,
-    run_scenario,
 )
 
 _VALIDATION_ERRORS = (
@@ -114,17 +114,19 @@ def _simulate(args) -> int:
     if config.output_path is None:
         raise ConfigError("no output path (set output.path or pass --output)")
 
-    result = run_scenario(config)
-    emit(result.records, config.output_format, config.output_path, result.metadata)
-    print(f"wrote {len(result.records)} records to {config.output_path}")
+    # plan -> observables -> bytes, one block at a time
+    stream = iter_scenario(config)
+    emit(stream, config.output_format, config.output_path, stream.metadata)
+    print(f"wrote {config.samples} records to {config.output_path}")
 
-    if result.counter_rotating_deviation is not None:
+    resolved = stream.metadata["resolved"]
+    if config.counter_rotating_diagnostic:
         print(
             "counter-rotating diagnostic: max amplitude deviation "
-            f"{float(result.counter_rotating_deviation.max()):.3e} (not gated)"
+            f"{resolved['max_counter_rotating_deviation']:.3e} (not gated)"
         )
-    if result.oracle_deviation is not None:
-        dev = result.max_oracle_deviation
+    if config.oracle_check:
+        dev = resolved["max_oracle_deviation"]
         print(f"oracle check: max amplitude deviation {dev:.3e}")
         if dev > ORACLE_DEVIATION_LIMIT:
             print(

@@ -226,6 +226,9 @@ _BLOCK_ROWS = 256
 # Doublets evaluated together by the closed form.
 _DOUBLET_CHUNK = 128
 _EPS = float(np.finfo(float).eps)
+# Largest phase argument |w| t_end the closed form accepts: beyond it the
+# rounding eps |w| t_end of a phase is 1 rad or more.
+_PHASE_LIMIT = 2.0**52
 
 
 def _uniform_step(times: np.ndarray):
@@ -244,6 +247,53 @@ def _uniform_step(times: np.ndarray):
     if np.max(np.abs(times - ideal)) > 2.0 * _EPS * np.max(np.abs(times)):
         return None
     return float(step)
+
+
+class UniformGrid:
+    """The grid ``np.linspace(0.0, t_end, samples)``, made a slice at a time.
+
+    ``grid[a:b]`` equals ``np.linspace(0.0, t_end, samples)[a:b]`` bit for
+    bit (sample j is j * step, the last one t_end, as numpy computes them),
+    so a run can walk a grid of any length holding one block of it.
+    :class:`ClosedFormPlan` and :func:`ode_oracle_blocks` take one
+    wherever they take an array of times.
+    """
+
+    def __init__(self, t_end: float, samples: int):
+        if not (math.isfinite(t_end) and t_end >= 0.0) or samples < 2:
+            raise InvalidParameterError(
+                f"a uniform grid needs t_end >= 0 and >= 2 samples, got {t_end!r}, {samples!r}"
+            )
+        self.t_end, self.samples = float(t_end), int(samples)
+        self.div = self.samples - 1
+        self.step = self.t_end / self.div  # as np.linspace: 0.0 when it underflows
+
+    def __len__(self) -> int:
+        return self.samples
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        start, stop, _ = rows.indices(self.samples)
+        t = np.arange(start, max(start, stop), dtype=float)
+        if self.step == 0.0:  # np.linspace's order for a step that underflows
+            t /= self.div
+            t *= self.t_end
+        else:
+            t *= self.step
+        t += 0.0
+        if stop == self.samples and len(t):
+            t[-1] = self.t_end
+        return t
+
+
+def _grid_span(times):
+    """(times, largest time, table step or None) of an array of times or a UniformGrid."""
+    if isinstance(times, UniformGrid):
+        uniform = len(times) >= _TABLE_MIN_SAMPLES and times.step > 0.0
+        return times, times.t_end, times.step if uniform else None
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0.0):
+        raise InvalidParameterError("evolution times must be >= 0")
+    return times, float(np.max(times, initial=0.0)), _uniform_step(times)
 
 
 def _expand(coarse: np.ndarray, fine: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -551,13 +601,16 @@ class ClosedFormPlan:
     then evaluates only its coarse rows, anchored at the grid's own times
     t_{_FINE J}, and each chunk's rotation stage once for all the sinks it
     feeds (:meth:`blocks`).
+
+    ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
+    as they are evaluated. A grid whose largest phase argument |w| t_end
+    reaches 2^52 is refused with PhysicsValidationError ("phase overflow")
+    before any block is evaluated, on the table path and the direct path
+    alike: there eps |w| t_end >= 1 rad, so no digit of the phase is right.
     """
 
     def __init__(self, params, f, dist, times, rows: int, initial_amplitudes=None):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        if np.any(times < 0.0):
-            raise InvalidParameterError("evolution times must be >= 0")
-        self.times = times
+        self.times, t_max, step = _grid_span(times)
         self.rows = rows
         self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
         self.c0 = c0 = _resolve_initial(dist, initial_amplitudes)
@@ -576,8 +629,15 @@ class ClosedFormPlan:
         rates = np.abs(
             np.concatenate((co.Omega[active], co.phi[active] - 0.5 * mu, [mu], pair_rate))
         )
-        self.max_phase_argument = float(np.max(rates) * np.max(times, initial=0.0))
-        self.step = step = _uniform_step(times)
+        self.max_phase_argument = float(np.max(rates) * t_max)
+        # cos, sin and exp of such arguments may still be finite, but meaningless
+        if not self.max_phase_argument < _PHASE_LIMIT:
+            raise PhysicsValidationError(
+                "phase overflow: the largest phase argument |w| t_end is "
+                f"{self.max_phase_argument:.6g} >= 2^52, where the rounding of the "
+                "phases reaches 1 rad"
+            )
+        self.step = step
         spans = []
         for i0 in range(0, len(active), _DOUBLET_CHUNK):
             i1 = min(i0 + _DOUBLET_CHUNK, len(active))
@@ -585,7 +645,7 @@ class ClosedFormPlan:
             hi = partner[i0:i1][lo] - i0
             spans.append((i0, i1, lo, hi, max(i1, i0 + int(np.max(hi, initial=-1)) + 1)))
         width = max((end - i0 for i0, _, _, _, end in spans), default=0)
-        padded_rows = -(-min(rows, len(times)) // _FINE) * _FINE
+        padded_rows = -(-min(rows, len(self.times)) // _FINE) * _FINE
         scratch = _Scratch(padded_rows, width)
         self.chunks = [
             _DoubletChunk(co, active[i0:end], i1 - i0, (lo, hi), mu, step, scratch)
@@ -607,7 +667,7 @@ class ClosedFormPlan:
     def _evaluate(self, start: int, sinks) -> None:
         n = min(self.rows, len(self.times) - start)
         if self.step is None:
-            t = self.times[start : start + n, None]
+            t = self.times[start : start + n][:, None]
         else:
             t = self._table_times(start, n)
         for sink in sinks:
@@ -644,14 +704,16 @@ def closed_form_blocks(
 ) -> ClosedFormPlan:
     """The closed form on a grid, _BLOCK_ROWS samples at a time.
 
+    ``times`` is an array or a :class:`UniformGrid`.
     ``plan.blocks(*sinks)`` evaluates each block once into every sink
     given and yields the block's first sample: a :class:`DensitySink`
     reduces rho_ee, rho_gg and rho_eg per block without writing any
     amplitude, an :class:`AmplitudeSink` holds the block's (block length,
     n_cut+1) amplitudes as views of one reused buffer pair, valid until
-    the next block (copy them to keep them). A block that is not finite
-    raises PhysicsValidationError (the phase arguments overflowed). The
-    plan also reports ``active_doublets`` and ``max_phase_argument``.
+    the next block (copy them to keep them). A largest phase argument of
+    2^52 or more, or a block that is not finite, raises
+    PhysicsValidationError (the phase arguments overflowed). The plan
+    also reports ``active_doublets`` and ``max_phase_argument``.
     """
     return ClosedFormPlan(params, f, dist, times, _BLOCK_ROWS, initial_amplitudes)
 
@@ -672,8 +734,9 @@ def closed_form_series(
     evaluated _DOUBLET_CHUNK at a time, which keeps each chunk's
     temporaries in cache and bounds their memory. On a uniform grid of at
     least 16 samples the phases come from two-level tables; other grids
-    are evaluated directly, cell by cell. Amplitudes that are not finite
-    raise PhysicsValidationError (the phase arguments overflowed).
+    are evaluated directly, cell by cell. A largest phase argument of
+    2^52 or more, or amplitudes that are not finite, raise
+    PhysicsValidationError (the phase arguments overflowed).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     plan = ClosedFormPlan(params, f, dist, times, len(times), initial_amplitudes)
@@ -699,8 +762,10 @@ def evolve_closed_form(
 
 # Steps between direct evaluations of the coupling phases in the oracle.
 _REANCHOR = 128
-# Grid rows whose diagonal phases the oracle reattaches together.
-_PHASE_BLOCK = 256
+# (segment, doublet) pairs the oracle integrates side by side, unless one
+# segment has more doublets: a batch's arrays, about 0.5 kB a pair, then
+# stay below the size of the block buffers and mostly in cache.
+_MAX_PAIRS = 4096
 
 
 class _PairBatch:
@@ -882,6 +947,138 @@ def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info
         coarse = fine[:, ~done]
 
 
+def _oracle_grid(t_grid):
+    """The oracle's grid, an array or a UniformGrid, once it is known to be valid."""
+    if isinstance(t_grid, UniformGrid):
+        if not t_grid.step > 0.0:  # an underflowing step repeats times
+            raise InvalidParameterError("t_grid must be strictly ascending")
+        return t_grid
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.ndim != 1 or len(t_grid) < 1:
+        raise InvalidParameterError("t_grid must be a 1-d array of times")
+    if t_grid[0] != 0.0:
+        raise InvalidParameterError("t_grid must start at 0")
+    if np.any(np.diff(t_grid) <= 0.0):
+        raise InvalidParameterError("t_grid must be strictly ascending")
+    return t_grid
+
+
+def ode_oracle_blocks(
+    params: ModelParams,
+    f: Nonlinearity,
+    dist: PhotonDistribution,
+    t_grid,
+    include_counter_rotating: bool = False,
+    tol: float = 1e-10,
+    initial_amplitudes=None,
+    _max_pairs: int = _MAX_PAIRS,
+):
+    """The RK4 reference evolution, _BLOCK_ROWS grid rows at a time.
+
+    Yields ``(excited, ground)`` for each block of rows, of shape (block
+    rows, n_cut+1) and laid out as :class:`AmplitudeSink`'s, so a caller
+    can compare them with the closed form block by block. They are views
+    of one buffer pair that every block reuses: valid until the next
+    block, and free for the caller to overwrite. ``t_grid``
+    is an array or a :class:`UniformGrid`; it starts at 0 and ascends
+    strictly. See :func:`evolve_ode_oracle` for the integration.
+
+    The slow variables X, Y of each integrated doublet are chained through
+    each output segment's propagator as soon as it is integrated. The
+    propagators are integrated side by side in batches of at most
+    ``_max_pairs`` (segment, doublet) pairs within a block, or one
+    segment's doublets where those are more, so the memory held is one
+    block of rows plus one batch, whatever the grid's length.
+    """
+    grid = _oracle_grid(t_grid)
+    n_cut = dist.n_cut
+    co = CoefficientTable(params, f, n_cut)
+    c0 = _resolve_initial(dist, initial_amplitudes)
+    active = np.nonzero(c0 != 0.0)[0]
+    mu = params.mu
+    weight_all = math.sqrt(2.0) * np.abs(c0[active])
+    # Doublets whose whole amplitude stays below the agreement tolerance
+    # are carried frozen: unitarity keeps the true state within |c0| of
+    # the initial one, so the deviation bound already holds without
+    # integrating (and integrating them at huge coupling frequencies is
+    # what step counts cannot afford).
+    is_frozen = weight_all <= 0.5 * tol
+    frozen = active[is_frozen]
+    live = np.nonzero(~is_frozen)[0]
+    alpha = co.alpha[active][live]
+    Rn = co.Rn[active][live]
+    weight = weight_all[live]
+    # Frequencies the steps must resolve for an accurate propagator: the
+    # explicit exponentials and the coupling rotation. Starting at
+    # w*h <= 0.75 keeps the first refinement comparison inside the
+    # asymptotic regime of the method, where agreement is meaningful.
+    w = np.maximum(np.abs(mu - Rn), alpha)
+    if include_counter_rotating:
+        w = np.maximum(w, np.abs(mu + Rn))
+    w = np.maximum(w, 1.0)
+    live_cols = _as_slice(active[live])
+    X = c0[active[live]].astype(complex)
+    Y = np.zeros_like(X)
+    d_live = len(live)
+    seg_block = max(1, _max_pairs // max(d_live, 1))
+    cols = _as_slice(active)
+    r1 = -1j * co.R1[active]
+    r2 = -1j * co.R2[active]
+
+    buffers = np.empty((2, min(_BLOCK_ROWS, len(grid)), n_cut + 1), dtype=complex)
+    for b0 in range(0, len(grid), _BLOCK_ROWS):
+        b1 = min(b0 + _BLOCK_ROWS, len(grid))
+        excited, ground = buffers[:, : b1 - b0]
+        buffers.fill(0.0)  # a caller may have written into the last block
+        if b0 == 0:
+            excited[0] = c0
+        first = max(b0, 1)  # rows from here on end a segment
+        if first == b1 or not len(active):
+            yield excited, ground
+            continue
+        excited[first - b0 :, frozen] = c0[frozen]
+        # times of rows first - 1 .. b1 - 1: segment i runs from tb[i] to tb[i + 1]
+        tb = grid[first - 1 : b1]
+        dt = np.diff(tb)
+        for s0 in range(0, len(dt), seg_block):
+            s1 = min(s0 + seg_block, len(dt))
+            rows = slice(first - b0 + s0, first - b0 + s1)
+            if d_live:
+                batch = _PairBatch(
+                    np.repeat(tb[s0:s1], d_live),
+                    np.repeat(dt[s0:s1], d_live),
+                    np.tile(alpha, s1 - s0),
+                    np.tile(Rn, s1 - s0),
+                    np.tile(weight, s1 - s0),
+                    mu,
+                    include_counter_rotating,
+                )
+                m0p = np.maximum(np.ceil(batch.dt * np.tile(w, s1 - s0) / 0.75).astype(int), 2)
+                m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
+                out = np.empty((4, (s1 - s0) * d_live), dtype=complex)
+
+                def pair_info(slot, s0=s0):
+                    seg, di = divmod(int(slot), d_live)
+                    return int(active[live[di]]), float(tb[s0 + seg + 1])
+
+                for m_init in np.unique(m0p):
+                    slots = np.nonzero(m0p == m_init)[0]
+                    _refine_bucket(batch.take(slots), int(m_init), tol, out, slots, pair_info)
+                props = out.reshape(4, s1 - s0, d_live)
+                for i in range(s1 - s0):
+                    X, Y = (
+                        props[0, i] * X + props[1, i] * Y,
+                        props[2, i] * X + props[3, i] * Y,
+                    )
+                    excited[rows.start + i, live_cols] = X
+                    ground[rows.start + i, live_cols] = Y
+            # reattach the diagonal phases
+            t1 = tb[s0 + 1 : s1 + 1, None]
+            excited[rows, cols] *= np.exp(r1 * t1)
+            ground[rows, cols] *= np.exp(r2 * t1)
+        yield excited, ground
+
+
 def evolve_ode_oracle(
     params: ModelParams,
     f: Nonlinearity,
@@ -890,7 +1087,7 @@ def evolve_ode_oracle(
     include_counter_rotating: bool = False,
     tol: float = 1e-10,
     initial_amplitudes=None,
-    _max_pairs: int = 200_000,
+    _max_pairs: int = _MAX_PAIRS,
 ):
     """Runge-Kutta reference evolution, independent of the closed form.
 
@@ -905,108 +1102,22 @@ def evolve_ode_oracle(
     its m steps one at a time, so ``include_counter_rotating`` costs time
     proportional to the step count (see :meth:`_PairBatch.sweep`).
 
-    Returns one :class:`AmplitudeState` per grid time.
+    Returns one :class:`AmplitudeState` per grid time: the blocks of
+    :func:`ode_oracle_blocks`, concatenated.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or len(t_grid) < 1:
-        raise InvalidParameterError("t_grid must be a 1-d array of times")
-    if t_grid[0] != 0.0:
-        raise InvalidParameterError("t_grid must start at 0")
-    if np.any(np.diff(t_grid) <= 0.0):
-        raise InvalidParameterError("t_grid must be strictly ascending")
-
-    n_cut = dist.n_cut
-    co = CoefficientTable(params, f, n_cut)
-    c0 = _resolve_initial(dist, initial_amplitudes)
-    active = np.nonzero(c0 != 0.0)[0]
-
-    excited = np.zeros((len(t_grid), n_cut + 1), dtype=complex)
-    ground = np.zeros_like(excited)
-    excited[0] = c0
-
-    n_seg = len(t_grid) - 1
-    d = len(active)
-    if n_seg and d:
-        mu = params.mu
-        weight_all = math.sqrt(2.0) * np.abs(c0[active])
-        # Doublets whose whole amplitude stays below the agreement
-        # tolerance are carried frozen: unitarity keeps the true state
-        # within |c0| of the initial one, so the deviation bound already
-        # holds without integrating (and integrating them at huge
-        # coupling frequencies is what step counts cannot afford).
-        frozen = weight_all <= 0.5 * tol
-        live = np.nonzero(~frozen)[0]
-        excited[1:, active[frozen]] = c0[active[frozen]]
-
-        alpha = co.alpha[active][live]
-        Rn = co.Rn[active][live]
-        weight = weight_all[live]
-        # Frequencies the steps must resolve for an accurate propagator:
-        # the explicit exponentials and the coupling rotation. Starting at
-        # w*h <= 0.75 keeps the first refinement comparison inside the
-        # asymptotic regime of the method, where agreement is meaningful.
-        w = np.maximum(np.abs(mu - Rn), alpha)
-        if include_counter_rotating:
-            w = np.maximum(w, np.abs(mu + Rn))
-        w = np.maximum(w, 1.0)
-
-        # The slow variables X, Y of the live doublets are chained through
-        # each block's propagators as soon as they are integrated, so only
-        # one block of propagators is held.
-        live_cols = _as_slice(active[live])
-        X = c0[active[live]].astype(complex)
-        Y = np.zeros_like(X)
-        d_live = len(live)
-        seg_block = max(1, _max_pairs // max(d_live, 1))
-        for s0 in range(0, n_seg if d_live else 0, seg_block):
-            s1 = min(s0 + seg_block, n_seg)
-            t0p = np.repeat(t_grid[s0:s1], d_live)
-            dtp = np.repeat(np.diff(t_grid)[s0:s1], d_live)
-            batch_all = _PairBatch(
-                t0p,
-                dtp,
-                np.tile(alpha, s1 - s0),
-                np.tile(Rn, s1 - s0),
-                np.tile(weight, s1 - s0),
-                mu,
-                include_counter_rotating,
-            )
-            m0p = np.maximum(np.ceil(dtp * np.tile(w, s1 - s0) / 0.75).astype(int), 2)
-            m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
-            out = np.empty((4, (s1 - s0) * d_live), dtype=complex)
-
-            def pair_info(slot, s0=s0):
-                seg, di = divmod(int(slot), d_live)
-                return int(active[live[di]]), float(t_grid[s0 + seg + 1])
-
-            for m_init in np.unique(m0p):
-                slots = np.nonzero(m0p == m_init)[0]
-                _refine_bucket(
-                    batch_all.take(slots), int(m_init), tol, out, slots, pair_info
-                )
-            props = out.reshape(4, s1 - s0, d_live)
-            for i in range(s1 - s0):
-                X, Y = (
-                    props[0, i] * X + props[1, i] * Y,
-                    props[2, i] * X + props[3, i] * Y,
-                )
-                excited[s0 + i + 1, live_cols] = X
-                ground[s0 + i + 1, live_cols] = Y
-
-        # Reattach the diagonal phases, _PHASE_BLOCK rows at a time.
-        cols = _as_slice(active)
-        r1 = -1j * co.R1[active]
-        r2 = -1j * co.R2[active]
-        for start in range(1, n_seg + 1, _PHASE_BLOCK):
-            rows = slice(start, start + _PHASE_BLOCK)
-            t1 = t_grid[rows, None]
-            excited[rows, cols] *= np.exp(r1 * t1)
-            ground[rows, cols] *= np.exp(r2 * t1)
-
+    times = _oracle_grid(t_grid)[:]
+    excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
+    ground = np.empty_like(excited)
+    blocks = ode_oracle_blocks(
+        params, f, dist, times, include_counter_rotating, tol, initial_amplitudes, _max_pairs
+    )
+    for start, (block_e, block_g) in zip(range(0, len(times), _BLOCK_ROWS), blocks):
+        excited[start : start + len(block_e)] = block_e
+        ground[start : start + len(block_g)] = block_g
     k = params.k
     return [
         AmplitudeState(time=float(t), excited=excited[i], ground=ground[i], k=k)
-        for i, t in enumerate(t_grid)
+        for i, t in enumerate(times)
     ]
 
 

@@ -22,20 +22,24 @@ separately so physical time stays recoverable.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import shutil
+import uuid
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import field_states
 from .dynamics import (
-    _BLOCK_ROWS,
     AmplitudeSink,
     DensitySink,
     ModelParams,
+    UniformGrid,
     closed_form_blocks,
-    evolve_ode_oracle,
+    ode_oracle_blocks,
 )
 from .errors import (
     ConfigError,
@@ -71,6 +75,10 @@ class ScenarioConfig:
 
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.t_end, self.samples)
+
+    def grid(self) -> UniformGrid:
+        """The same grid as :meth:`times`, made a block at a time."""
+        return UniformGrid(self.t_end, self.samples)
 
     def build_distribution(self) -> field_states.PhotonDistribution:
         return field_states.build_distribution(
@@ -398,21 +406,104 @@ class ScenarioResult:
         return float(np.max(self.oracle_deviation))
 
 
-def _per_sample_deviation(exc, gnd, states) -> np.ndarray:
-    """Largest |amplitude difference| per sample, _BLOCK_ROWS samples at a time."""
-    dev = np.empty(len(states))
-    for start in range(0, len(states), _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        block = states[rows]
-        dev[rows] = np.maximum(
-            np.max(np.abs(exc[rows] - np.stack([s.excited for s in block])), axis=1),
-            np.max(np.abs(gnd[rows] - np.stack([s.ground for s in block])), axis=1),
-        )
-    return dev
+def _block_deviation(amplitudes: AmplitudeSink, oracle) -> np.ndarray:
+    """Largest |amplitude difference| per sample of one block; overwrites the oracle's block."""
+    excited, ground = oracle
+    excited = np.subtract(amplitudes.excited, excited, out=excited)
+    ground = np.subtract(amplitudes.ground, ground, out=ground)
+    return np.maximum(np.max(np.abs(excited), axis=1), np.max(np.abs(ground), axis=1))
+
+
+class ScenarioStream:
+    """One run of a config, as _BLOCK_ROWS-sample :class:`ObservableSeries` blocks.
+
+    Made by :func:`iter_scenario`. ``metadata`` holds the config's echo
+    and, under ``resolved``, ``n_cut``, ``captured_mass``,
+    ``active_doublets`` and ``max_phase_argument`` as soon as the stream
+    exists, before any block is evaluated. Iterating it (once) evaluates
+    the closed form block by block through the density sink and yields
+    each block's series.
+
+    With ``oracle_check`` and/or ``counter_rotating_diagnostic`` the same
+    chunk evaluation also feeds an amplitude sink, and each block is
+    compared with the matching block of the RK4 integration
+    (:func:`~djcm.dynamics.ode_oracle_blocks`) as soon as both exist:
+    after each block ``oracle_deviation`` and
+    ``counter_rotating_deviation`` hold that block's per-sample maximum
+    amplitude deviation (None without the option), and once the last
+    block is out ``metadata["resolved"]`` also holds
+    ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
+
+    Whatever the grid's length, the stream holds one block: the plan's
+    chunk buffers, the sinks' block buffers (the amplitude sink's are
+    (block, n_cut+1)), the oracle's block and pair batch, and the series
+    it yields.
+    """
+
+    def __init__(self, config: ScenarioConfig):
+        params = config.params
+        self.config = config
+        self._dist = dist = config.build_distribution()
+        config.nonlinearity.ensure(dist.n_cut + params.k)  # table fully populated before evolution
+        self._plan = plan = closed_form_blocks(params, config.nonlinearity, dist, config.grid())
+        self.metadata = config.echo()
+        self.metadata["resolved"] = {
+            "n_cut": dist.n_cut,
+            "captured_mass": dist.captured_mass,
+            "active_doublets": plan.active_doublets,
+            "max_phase_argument": plan.max_phase_argument,
+        }
+        self.oracle_deviation = self.counter_rotating_deviation = None
+
+    def __iter__(self):
+        config, dist, plan = self.config, self._dist, self._plan
+        if plan is None:
+            raise RuntimeError("a ScenarioStream is iterated once")
+        self._plan = None
+        params, f, grid = config.params, config.nonlinearity, plan.times
+        coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
+        density = DensitySink(plan)
+        sinks = (density,)
+        # the oracle checks amplitudes of the very chunk evaluations emitted
+        oracles = {}
+        if config.oracle_check:
+            oracles["oracle"] = ode_oracle_blocks(params, f, dist, grid)
+        if config.counter_rotating_diagnostic:
+            oracles["counter_rotating"] = ode_oracle_blocks(
+                params, f, dist, grid, include_counter_rotating=True
+            )
+        if oracles:
+            amplitudes = AmplitudeSink(plan)
+            sinks += (amplitudes,)
+        worst = dict.fromkeys(oracles, -np.inf)
+        for start in plan.blocks(*sinks):
+            for name, blocks in oracles.items():
+                deviation = _block_deviation(amplitudes, next(blocks))
+                setattr(self, f"{name}_deviation", deviation)
+                worst[name] = np.maximum(worst[name], np.max(deviation))
+            times = grid[start : start + len(density.rho_ee)]
+            yield series_from_density(
+                times, density.rho_ee, density.rho_gg, density.rho_eg, coherence_phase
+            )
+        for name, value in worst.items():
+            self.metadata["resolved"][f"max_{name}_deviation"] = float(value)
+
+
+def iter_scenario(config: ScenarioConfig) -> ScenarioStream:
+    """The run of ``config`` as a stream of _BLOCK_ROWS-sample series blocks.
+
+    The closed form's plan is built here, so a config whose phase
+    arguments overflow (PhysicsValidationError) or whose grid is invalid
+    fails before the first block; the metadata known up front is then
+    available as ``stream.metadata`` (see :class:`ScenarioStream`). The
+    CLI hands the stream to :func:`emit`, which writes each block as it
+    comes, so memory stays bounded in the number of samples.
+    """
+    return ScenarioStream(config)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
-    """The observable series on the configured grid, via the closed form.
+    """The observable series on the configured grid: :func:`iter_scenario`, concatenated.
 
     The closed form runs _BLOCK_ROWS samples at a time
     (:func:`~djcm.dynamics.closed_form_blocks`): the coefficient table,
@@ -422,75 +513,38 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     rho_eg straight from the rotation and the phase tables, so no
     amplitude is written. With ``oracle_check`` or
     ``counter_rotating_diagnostic`` the same chunk evaluation also feeds
-    an amplitude sink, whose blocks are kept for the comparison; the
-    emitted rows come from the density sink either way. With
-    ``oracle_check`` the RK4 reference integration runs on the same grid
-    and the per-sample max deviation from those amplitudes is reported
-    alongside the series; callers treat a deviation above 1e-6 as a
-    failure (the CLI exits 3). ``counter_rotating_diagnostic`` reports
-    the same deviation measure against the integration that retains the
+    an amplitude sink, whose blocks are compared with the RK4 reference
+    integration on the same grid block by block; the emitted rows come
+    from the density sink either way. With ``oracle_check`` the
+    per-sample max deviation from those amplitudes is reported alongside
+    the series; callers treat a deviation above 1e-6 as a failure (the
+    CLI exits 3). ``counter_rotating_diagnostic`` reports the same
+    deviation measure against the integration that retains the
     counter-rotating terms: that difference measures the rotating-wave
     approximation itself, so it is reported, never gated on.
 
     ``metadata["resolved"]`` holds the truncation (``n_cut``,
     ``captured_mass``), the number of active doublets and the largest
     phase argument the kernel evaluates (``max_phase_argument``, |w| t_end
-    over the Rabi and phase frequencies of the active doublets).
+    over the Rabi and phase frequencies of the active doublets), plus the
+    largest deviation of each oracle option. The series, and the
+    per-sample deviations, are whole-grid arrays; the CLI streams instead.
     """
-    params = config.params
-    f = config.nonlinearity
-    dist = config.build_distribution()
-    f.ensure(dist.n_cut + params.k)  # table fully populated before evolution
-    times = config.times()
-    coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
-    compare = config.oracle_check or config.counter_rotating_diagnostic
-
-    plan = closed_form_blocks(params, f, dist, times)
-    density = DensitySink(plan)
-    sinks = (density,)
-    if compare:  # the oracle checks amplitudes of the very chunk evaluations emitted
-        amplitudes = AmplitudeSink(plan)
-        sinks += (amplitudes,)
-        excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
-        ground = np.empty_like(excited)
-    blocks = []
-    for start in plan.blocks(*sinks):
-        rows = slice(start, start + len(density.rho_ee))
-        blocks.append(
-            series_from_density(
-                times[rows], density.rho_ee, density.rho_gg, density.rho_eg, coherence_phase
-            )
-        )
-        if compare:
-            excited[rows] = amplitudes.excited
-            ground[rows] = amplitudes.ground
-
-    metadata = config.echo()
-    metadata["resolved"] = {
-        "n_cut": dist.n_cut,
-        "captured_mass": dist.captured_mass,
-        "active_doublets": plan.active_doublets,
-        "max_phase_argument": plan.max_phase_argument,
-    }
-    # the plan's scratch, which every sink's tables reach through their
-    # chunks, and the amplitude sink's buffers are not needed while an
-    # oracle runs
-    plan = sinks = density = amplitudes = None
-    result = ScenarioResult(
-        config=config, records=ObservableSeries.concatenate(blocks), metadata=metadata
+    stream = iter_scenario(config)
+    blocks, oracle, counter_rotating = [], [], []
+    for block in stream:
+        blocks.append(block)
+        oracle.append(stream.oracle_deviation)
+        counter_rotating.append(stream.counter_rotating_deviation)
+    return ScenarioResult(
+        config=config,
+        records=ObservableSeries.concatenate(blocks),
+        metadata=stream.metadata,
+        oracle_deviation=np.concatenate(oracle) if config.oracle_check else None,
+        counter_rotating_deviation=(
+            np.concatenate(counter_rotating) if config.counter_rotating_diagnostic else None
+        ),
     )
-
-    if config.oracle_check:
-        states = evolve_ode_oracle(params, f, dist, times)
-        result.oracle_deviation = _per_sample_deviation(excited, ground, states)
-        metadata["resolved"]["max_oracle_deviation"] = result.max_oracle_deviation
-    if config.counter_rotating_diagnostic:
-        states = evolve_ode_oracle(params, f, dist, times, include_counter_rotating=True)
-        result.counter_rotating_deviation = _per_sample_deviation(excited, ground, states)
-        metadata["resolved"]["max_counter_rotating_deviation"] = float(
-            np.max(result.counter_rotating_deviation)
-        )
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +552,6 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-_CSV_ROW = ",".join(["{}"] * len(CSV_COLUMNS)) + "\n"
 # one record of json.dump(..., indent=1) inside the top-level "records" list
 _JSON_ROW = (
     "  {{\n"
@@ -517,57 +570,118 @@ def _cells(column: np.ndarray, json_spelling: bool) -> list[str]:
     return cells
 
 
-def emit(records: ObservableSeries, format: str, path: str, metadata: dict | None = None) -> None:
-    """Write a series as CSV or JSON; refuses to create empty outputs.
+def _head(format: str, metadata) -> str:
+    """The text before the first row; JSON's holds the metadata."""
+    if format == "csv":
+        return ",".join(CSV_COLUMNS) + "\n"
+    empty = json.dumps({"metadata": metadata or {}, "records": []}, indent=1)
+    return empty[: -len("]\n}")] + "\n"
 
-    Rows are formatted straight from the columns, _EMIT_CHUNK at a time.
-    The bytes are those of a CSV row of repr() values per sample, or of
+
+def _write_rows(handle, series: ObservableSeries, json_format: bool, first: bool) -> None:
+    """Append the series' rows, _EMIT_CHUNK at a time; ``first`` when none precede them."""
+    columns = [series[name] for name in CSV_COLUMNS]
+    for start in range(0, len(series), _EMIT_CHUNK):
+        cells = [_cells(c[start : start + _EMIT_CHUNK], json_format) for c in columns]
+        if json_format:
+            handle.write(("" if first else ",\n") + ",\n".join(map(_JSON_ROW.format, *cells)))
+        else:
+            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        first = False
+
+
+def _spool_path(path: str) -> str:
+    """A fresh hidden file name beside path."""
+    folder, name = os.path.split(path)
+    return os.path.join(folder, f".{name}.{uuid.uuid4().hex}.part")
+
+
+def _copy_with_head(source: str, skip: int, head: str, target: str) -> None:
+    """Write target as head, then the bytes of source after its first ``skip``."""
+    with open(source, "rb") as rows, open(target, "xb") as out:
+        out.write(head.encode("utf-8"))
+        rows.seek(skip)
+        shutil.copyfileobj(rows, out, 1 << 20)
+
+
+def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
+    """Write a series, or a stream of series blocks, as CSV or JSON.
+
+    ``records`` is an :class:`ObservableSeries` or an iterable of
+    consecutive blocks, such as the stream of :func:`iter_scenario`; each
+    block's rows are formatted and written before the next block is
+    pulled, _EMIT_CHUNK rows at a time, so only that much text is held,
+    whatever the number of samples. The bytes
+    are those of a CSV row of repr() values per sample, or of
     ``json.dump({"metadata": ..., "records": [row, ...]}, indent=1)``
     followed by a newline, with rows keyed in CSV_COLUMNS order.
+
+    JSON's metadata is that of ``metadata`` once the last block is
+    written: a stream that completes it on the way (the oracle options'
+    ``max_*_deviation``) has its rows, spooled behind the head first
+    written, copied behind the final one.
+
+    The file appears only when it is complete: everything goes to a
+    hidden file in the same directory, renamed onto ``path`` at the end.
+    A run that fails, or yields no rows (OutputError), leaves no file and
+    the file that ``path`` held, if any, as it was.
     """
-    if not records:
-        raise OutputError("no records to emit; not creating a file")
     if format not in ("csv", "json"):
         raise OutputError(f"unknown output format {format!r}")
-    if format == "csv":
-        head, row, sep, tail = ",".join(CSV_COLUMNS) + "\n", _CSV_ROW, "", ""
-    else:
-        empty = json.dumps({"metadata": metadata or {}, "records": []}, indent=1)
-        head, row, sep, tail = empty[: -len("]\n}")] + "\n", _JSON_ROW, ",\n", "\n ]\n}\n"
-    columns = [records[name] for name in CSV_COLUMNS]
+    blocks = (records,) if isinstance(records, ObservableSeries) else records
+    json_format = format == "json"
+    head = _head(format, metadata)
+    spools = [_spool_path(path)]
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        with open(spools[0], "x", encoding="utf-8", newline="") as handle:
             handle.write(head)
-            for start in range(0, len(records), _EMIT_CHUNK):
-                cells = [_cells(c[start : start + _EMIT_CHUNK], format == "json") for c in columns]
-                handle.write((sep if start else "") + sep.join(map(row.format, *cells)))
-            handle.write(tail)
+            rows = 0
+            for block in blocks:
+                if len(block):
+                    _write_rows(handle, block, json_format, first=not rows)
+                    rows += len(block)
+            if not rows:
+                raise OutputError("no records to emit; not creating a file")
+            handle.write("\n ]\n}\n" if json_format else "")
+        final = _head(format, metadata)
+        if final != head:
+            spools.append(_spool_path(path))
+            _copy_with_head(spools[0], len(head.encode("utf-8")), final, spools[1])
+        os.replace(spools[-1], path)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
+    finally:  # the spools that were not renamed onto path
+        for spool in spools:
+            with contextlib.suppress(OSError):
+                os.remove(spool)
 
 
 def read_csv_series(path: str) -> ObservableSeries:
     """Read back an emitted CSV as a series, with dH_* = exp(H_*).
 
-    Every value comes back bit for bit as emitted. A cell that is not a
-    number, a row with the wrong number of cells or a file with no data
-    rows raises OutputError.
+    The header is checked, then the open file goes to ``np.loadtxt``, so
+    no copy of the file's text is held. Every value comes back bit for
+    bit as emitted. A cell that is not a number, a row with the wrong
+    number of cells or a file with no data rows raises OutputError.
     """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            lines = [line for line in handle.read().splitlines() if line]
+            header = handle.readline()
+            if not header:
+                raise OutputError(f"{path!r} is empty")
+            if header.rstrip("\n").split(",") != list(CSV_COLUMNS):
+                raise OutputError(f"{path!r} does not look like an emitted series")
+            body = handle.tell()
+            # np.loadtxt skips blank lines and only warns when no row is left
+            if not any(line != "\n" for line in iter(handle.readline, "")):
+                raise OutputError(f"{path!r} has no data rows")
+            handle.seek(body)
+            try:
+                data = np.loadtxt(handle, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise OutputError(f"{path!r} has a malformed row: {exc}") from exc
     except OSError as exc:
         raise OutputError(f"cannot read {path!r}: {exc}") from exc
-    if not lines:
-        raise OutputError(f"{path!r} is empty")
-    if lines[0].split(",") != list(CSV_COLUMNS):
-        raise OutputError(f"{path!r} does not look like an emitted series")
-    if len(lines) == 1:
-        raise OutputError(f"{path!r} has no data rows")
-    try:
-        data = np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise OutputError(f"{path!r} has a malformed row: {exc}") from exc
     if data.shape[1] != len(CSV_COLUMNS):
         raise OutputError(f"{path!r} rows have {data.shape[1]} cells, not {len(CSV_COLUMNS)}")
     columns = dict(zip(CSV_COLUMNS, data.T))

@@ -99,6 +99,8 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "integration failure" in capsys.readouterr().err
+    # the rows were on their way to the file when the oracle failed
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 
 def test_validation_errors_exit_2(tmp_path, capsys):
@@ -142,13 +144,30 @@ def test_non_finite_or_mistyped_numbers_exit_2(tmp_path, capsys, override):
     assert not out_path.exists()
 
 
-def test_phase_overflow_exits_2_with_one_stderr_line(tmp_path):
+@pytest.mark.parametrize(
+    "chi, samples, fmt",
+    [
+        (1e200, 120, "csv"),
+        # under 16 samples the closed form is evaluated directly, where cos,
+        # sin and exp of such arguments stay finite but mean nothing
+        (1e200, 10, "json"),
+        (1e200, 50, "json"),
+        (1e20, 10, "json"),
+        (1e20, 50, "json"),
+    ],
+)
+def test_phase_overflow_exits_2_with_one_stderr_line(tmp_path, chi, samples, fmt):
     # a fresh interpreter, so numpy's RuntimeWarnings would reach stderr
-    doc = {**CHEAP, "params": {**CHEAP["params"], "chi": 1e200}}
-    out_path = tmp_path / "never.csv"
+    doc = {
+        **CHEAP,
+        "params": {**CHEAP["params"], "chi": chi},
+        "time": {**CHEAP["time"], "samples": samples},
+    }
+    out_path = tmp_path / f"never.{fmt}"
     src = os.path.dirname(os.path.dirname(djcm.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     argv = ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    argv += ["--format", fmt]
     proc = subprocess.run(
         [sys.executable, "-m", "djcm.cli", *argv],
         capture_output=True,
@@ -159,7 +178,7 @@ def test_phase_overflow_exits_2_with_one_stderr_line(tmp_path):
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: phase overflow"), proc.stderr
-    assert not out_path.exists()
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 
 def test_unwritable_output_exits_4(tmp_path):

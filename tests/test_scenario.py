@@ -640,3 +640,19 @@ def test_revivals_synthetic_collapse_revival():
     assert len(events) == 1
     assert events[0]["t_center"] == pytest.approx(60.0, abs=2.0)
     assert events[0]["envelope_amplitude"] > 0.3
+
+
+def test_first_revival_at_mu_zero_is_the_one_sideband_value():
+    # with one retained sideband the coupling is gamma/2, so the first
+    # revival of a coherent field sits at 4 pi sqrt(nbar)/gamma, not at the
+    # constant-coupling 2 pi sqrt(nbar)/gamma
+    cfg = config_from_dict(
+        merge_config(
+            preset_dict("coherent_bare_identity"),
+            {"params": {"mu": 0.0}, "time": {"t_end": 150.0, "samples": 6000}},
+        )
+    )
+    events = measure_revivals(run_scenario(cfg).records)
+    window = round(0.02 * cfg.samples) * cfg.t_end / (cfg.samples - 1)  # 3.0 time units
+    expected = 4.0 * math.pi * math.sqrt(cfg.nbar) / cfg.params.gamma
+    assert abs(events[0]["t_center"] - expected) <= window, (events[0], expected)

@@ -4,7 +4,14 @@ import os
 
 import numpy as np
 
-from djcm.scenario import CSV_COLUMNS, config_from_dict, emit, run_scenario
+from djcm.scenario import (
+    CSV_COLUMNS,
+    config_from_dict,
+    emit,
+    merge_config,
+    preset_dict,
+    run_scenario,
+)
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "emit_all.py")
 _SPEC = importlib.util.spec_from_file_location("emit_all", _PATH)
@@ -90,3 +97,43 @@ def test_compare_exit_code_follows_the_column_limits(tmp_path, capsys):
     last = capsys.readouterr().out.splitlines()[-1]
     assert last.startswith("beyond the per-column limits: ")
     assert "rho_gg" in last and "E_y" in last and "W" not in last and "E_x" not in last
+
+
+def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
+    name = "coherent_kerr_sqrt_n_lown"
+    monkeypatch.setattr(emit_all.scenario, "available_presets", lambda: [name])
+    monkeypatch.setattr(emit_all, "REVIVAL_TIME", {"t_end": 75.0, "samples": 3000})
+    outdir = tmp_path / "out"
+    here = os.getcwd()
+    names = emit_all.emit_all(str(outdir))
+    assert os.getcwd() == here
+    assert names == [
+        f"{name}.csv",
+        f"{name}.json",
+        "revival_grid.csv",
+        "revival_grid.json",
+        "coherent_bare_identity_oracle.json",
+    ]
+    assert sorted(os.listdir(outdir)) == sorted(names)
+    # the same bytes as run_scenario + emit, with the bare file name echoed
+    revival = merge_config(preset_dict("coherent_bare_identity"), {"time": emit_all.REVIVAL_TIME})
+    oracle = merge_config(
+        preset_dict("coherent_bare_identity"),
+        {"options": {"oracle_check": True, "counter_rotating_diagnostic": True}},
+    )
+    runs = [
+        (names[0], preset_dict(name), name),
+        (names[1], preset_dict(name), name),
+        (names[2], revival, None),
+        (names[3], revival, None),
+        (names[4], oracle, "coherent_bare_identity"),
+    ]
+    for file_name, doc, preset_name in runs:
+        fmt = file_name.rsplit(".", 1)[1]
+        doc = merge_config(doc, {"output": {"path": file_name, "format": fmt}})
+        res = run_scenario(config_from_dict(doc, preset_name))
+        emit(res.records, fmt, str(tmp_path / "expected"), res.metadata)
+        assert (outdir / file_name).read_bytes() == (tmp_path / "expected").read_bytes(), file_name
+    resolved = json.loads((outdir / names[4]).read_text())["metadata"]["resolved"]
+    assert resolved["max_oracle_deviation"] <= 1e-6
+    assert resolved["max_counter_rotating_deviation"] > 0.1

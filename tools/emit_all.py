@@ -2,10 +2,14 @@
 
     PYTHONPATH=src python tools/emit_all.py OUTDIR [--compare OTHERDIR]
 
-Writes ``<preset>.csv`` and ``<preset>.json`` for all 45 presets, plus
+Writes ``<preset>.csv`` and ``<preset>.json`` for all 45 presets,
 ``revival_grid.csv`` and ``revival_grid.json`` (coherent_bare_identity on
-50 000 samples up to t = 75, the README's revival workflow), into OUTDIR
-with the djcm found on the import path. Point PYTHONPATH at another
+50 000 samples up to t = 75, the README's revival workflow) and
+``coherent_bare_identity_oracle.json`` (that preset with ``--oracle
+--counter-rotating-diagnostic``, so its metadata carries both
+deviations) into OUTDIR with the djcm found on the import path: 93
+files, each written by ``djcm simulate`` (``cli.main``), so the check
+covers the streamed writer the CLI uses. Point PYTHONPATH at another
 checkout's ``src`` to emit that version's files.
 
 With ``--compare OTHERDIR`` it then reports, per file, whether the bytes
@@ -17,50 +21,65 @@ changed beyond its limit (``LIMITS``: t not at all; W, rho_ee, rho_gg,
 H_z and norm by 2e-15; every other column by 1e-10); the report then
 names those columns.
 
-Each config's ``output.path`` is the bare file name, so the metadata echo
-in the JSON files does not depend on OUTDIR.
+Each file is written from within OUTDIR under its bare name, so the
+metadata echo in the JSON files does not depend on OUTDIR.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
+import tempfile
 
 import numpy as np
 
-from djcm import scenario
+from djcm import cli, scenario
 
 REVIVAL_GRID = "revival_grid"
 REVIVAL_PRESET = "coherent_bare_identity"
 REVIVAL_TIME = {"t_end": 75.0, "samples": 50000}
+ORACLE_PRESET = "coherent_bare_identity"
+ORACLE_FLAGS = ["--oracle", "--counter-rotating-diagnostic"]
 # largest |change| per column that a change of summation order may leave
 LIMITS = {"t": 0.0, "W": 2e-15, "rho_ee": 2e-15, "rho_gg": 2e-15, "H_z": 2e-15, "norm": 2e-15}
 OTHER_LIMIT = 1e-10
 
 
-def _configs():
+def _runs(config_dir: str):
+    """(file name, ``djcm simulate`` arguments but --output) of every file, in order."""
     for name in scenario.available_presets():
-        yield name, scenario.preset_dict(name)
-    yield REVIVAL_GRID, scenario.merge_config(
-        scenario.preset_dict(REVIVAL_PRESET), {"time": dict(REVIVAL_TIME)}
-    )
+        for fmt in ("csv", "json"):
+            yield f"{name}.{fmt}", ["--preset", name, "--format", fmt]
+    revival = os.path.join(config_dir, f"{REVIVAL_GRID}.json")
+    doc = scenario.merge_config(scenario.preset_dict(REVIVAL_PRESET), {"time": dict(REVIVAL_TIME)})
+    with open(revival, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    for fmt in ("csv", "json"):
+        yield f"{REVIVAL_GRID}.{fmt}", ["--config", revival, "--format", fmt]
+    oracle_args = ["--preset", ORACLE_PRESET, "--format", "json", *ORACLE_FLAGS]
+    yield f"{ORACLE_PRESET}_oracle.json", oracle_args
 
 
 def emit_all(outdir: str) -> list[str]:
-    """Write every file into outdir; return their names in order."""
+    """Write every file into outdir through the CLI; return their names in order."""
     os.makedirs(outdir, exist_ok=True)
     names = []
-    for name, doc in _configs():
-        preset_name = None if name == REVIVAL_GRID else name
-        cfg = scenario.config_from_dict(doc, preset_name=preset_name)
-        result = scenario.run_scenario(cfg)
-        for fmt in ("csv", "json"):
-            file_name = f"{name}.{fmt}"
-            result.metadata["output"] = {"path": file_name, "format": fmt}
-            scenario.emit(result.records, fmt, os.path.join(outdir, file_name), result.metadata)
-            names.append(file_name)
+    back = os.getcwd()
+    with tempfile.TemporaryDirectory() as config_dir:
+        os.chdir(outdir)
+        try:
+            for file_name, argv in _runs(config_dir):
+                with contextlib.redirect_stdout(io.StringIO()):
+                    code = cli.main(["simulate", *argv, "--output", file_name])
+                if code != 0:
+                    raise RuntimeError(f"djcm simulate {' '.join(argv)} exited {code}")
+                names.append(file_name)
+        finally:
+            os.chdir(back)
     return names
 
 
