@@ -8,13 +8,9 @@ time series for coherent, squeezed-vacuum and thermal initial fields.
 
 from .dynamics import (
     AmplitudeState,
-    ModeCoefficients,
     ModelParams,
-    evolve_closed_form,
     evolve_ode_oracle,
     max_amplitude_deviation,
-    mode_coefficients,
-    norm,
 )
 from .errors import (
     ConfigError,
@@ -40,11 +36,7 @@ from .observables import (
     ObservableRecord,
     ObservableSeries,
     ReducedAtomDensity,
-    atomic_inversion,
     atomic_inversion_closed,
-    entropy_squeezing,
-    pauli_entropies,
-    reduced_density,
 )
 from .scenario import (
     ScenarioConfig,
@@ -66,7 +58,6 @@ __all__ = [
     "IntegrationFailureError",
     "InvalidNonlinearityError",
     "InvalidParameterError",
-    "ModeCoefficients",
     "ModelParams",
     "Nonlinearity",
     "NumericalConsistencyError",
@@ -80,24 +71,17 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "SimulationError",
-    "atomic_inversion",
     "atomic_inversion_closed",
     "available_presets",
     "choose_truncation",
     "coherent_distribution",
     "emit",
-    "entropy_squeezing",
-    "evolve_closed_form",
     "evolve_ode_oracle",
     "iter_scenario",
     "max_amplitude_deviation",
     "measure_revivals",
-    "mode_coefficients",
-    "norm",
     "parse_config",
-    "pauli_entropies",
     "preset",
-    "reduced_density",
     "run_scenario",
     "squeezed_distribution",
     "thermal_distribution",

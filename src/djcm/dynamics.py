@@ -7,13 +7,16 @@ Omega_n = sqrt((R_n - mu)^2 + alpha_n^2)/2 fully determine the motion.
 
 Two independent routes are provided:
 
-* :func:`evolve_closed_form` evaluates the analytic solution of the
-  rotating-wave amplitude equations.
-* :func:`evolve_ode_oracle` integrates those equations numerically
-  (classic RK4 with per-doublet step halving), optionally retaining the
-  counter-rotating terms, and maps the slow variables back through
-  X = c_{n,e} e^{i R1 t}, Y = c_{n+k,g} e^{i R2 t} so its output is
-  directly comparable with the closed form.
+* :func:`closed_form_blocks` evaluates the analytic solution of the
+  rotating-wave amplitude equations on a time grid, block by block into
+  sinks (:class:`AmplitudeSink`, :class:`DensitySink`);
+  :func:`closed_form_series` returns a whole grid's amplitudes.
+* :func:`evolve_ode_oracle` (block by block: :func:`ode_oracle_blocks`)
+  integrates those equations numerically (classic RK4 with per-doublet
+  step halving), optionally retaining the counter-rotating terms, and
+  maps the slow variables back through X = c_{n,e} e^{i R1 t},
+  Y = c_{n+k,g} e^{i R2 t} so its output is directly comparable with the
+  closed form.
 
 Everything here is a pure function of immutable inputs; reductions run in
 a fixed order so results do not depend on how callers parallelize.
@@ -80,24 +83,13 @@ class ModelParams:
         return self.detuning + self.k * self.nu
 
 
-@dataclass(frozen=True)
-class ModeCoefficients:
-    n: int
-    R1: float
-    R2: float
-    Rn: float
-    alpha_n: float
-    phi_n: float
-    Omega_n: float
-
-
 class CoefficientTable:
     """Vectorized R1, R2, Rn, alpha, phi, Omega over n = 0..n_max."""
 
     def __init__(self, params: ModelParams, f: Nonlinearity, n_max: int):
         k = params.k
         n = np.arange(n_max + 1, dtype=float)
-        f2 = f.f_squared_table(n_max + k)
+        f2, lf = f.tables(n_max + k)
         f2n = f2[: n_max + 1]
         f2n_m1 = np.concatenate(([0.0], f2[:n_max]))  # paired with n(n-1) = 0 at n=0
         f2nk = f2[k : k + n_max + 1]
@@ -114,7 +106,6 @@ class CoefficientTable:
         self.Rn = self.R1 - self.R2
         self.phi = 0.5 * params.chi * (kerr_e + kerr_g) + 0.5 * (stark_e + stark_g)
 
-        lf = f.log_table(n_max + k)
         ni = self.n
         log_alpha = (
             math.log(params.gamma)
@@ -125,22 +116,6 @@ class CoefficientTable:
         self.Omega = 0.5 * np.hypot(self.Rn - params.mu, self.alpha)
 
 
-def mode_coefficients(params: ModelParams, f: Nonlinearity, n: int) -> ModeCoefficients:
-    """Coefficients of the n-th Fock doublet."""
-    if n < 0:
-        raise InvalidParameterError(f"Fock index must be >= 0, got {n}")
-    table = CoefficientTable(params, f, n)
-    return ModeCoefficients(
-        n=n,
-        R1=float(table.R1[n]),
-        R2=float(table.R2[n]),
-        Rn=float(table.Rn[n]),
-        alpha_n=float(table.alpha[n]),
-        phi_n=float(table.phi[n]),
-        Omega_n=float(table.Omega[n]),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class AmplitudeState:
     """Doublet amplitudes at one time: excited[n] = c_{n,e}, ground[n] = c_{n+k,g}."""
@@ -149,13 +124,6 @@ class AmplitudeState:
     excited: np.ndarray
     ground: np.ndarray
     k: int
-
-
-def norm(state: AmplitudeState) -> float:
-    """Total population sum |c_{n,e}|^2 + |c_{n+k,g}|^2 in a fixed order."""
-    return float(
-        np.sum(np.abs(state.excited) ** 2) + np.sum(np.abs(state.ground) ** 2)
-    )
 
 
 # |Omega t| below which sin(Omega t)/Omega takes its series
@@ -746,20 +714,6 @@ def closed_form_series(
     return sink.excited, sink.ground
 
 
-def evolve_closed_form(
-    params: ModelParams,
-    f: Nonlinearity,
-    dist: PhotonDistribution,
-    t: float,
-    initial_amplitudes=None,
-) -> AmplitudeState:
-    """Analytic solution of the rotating-wave amplitude equations at time t."""
-    if t < 0.0:
-        raise InvalidParameterError(f"evolution time must be >= 0, got {t!r}")
-    excited, ground = closed_form_series(params, f, dist, [t], initial_amplitudes)
-    return AmplitudeState(time=float(t), excited=excited[0], ground=ground[0], k=params.k)
-
-
 # Steps between direct evaluations of the coupling phases in the oracle.
 _REANCHOR = 128
 # (segment, doublet) pairs the oracle integrates side by side, unless one
@@ -971,7 +925,6 @@ def ode_oracle_blocks(
     include_counter_rotating: bool = False,
     tol: float = 1e-10,
     initial_amplitudes=None,
-    _max_pairs: int = _MAX_PAIRS,
 ):
     """The RK4 reference evolution, _BLOCK_ROWS grid rows at a time.
 
@@ -986,7 +939,7 @@ def ode_oracle_blocks(
     The slow variables X, Y of each integrated doublet are chained through
     each output segment's propagator as soon as it is integrated. The
     propagators are integrated side by side in batches of at most
-    ``_max_pairs`` (segment, doublet) pairs within a block, or one
+    ``_MAX_PAIRS`` (segment, doublet) pairs within a block, or one
     segment's doublets where those are more, so the memory held is one
     block of rows plus one batch, whatever the grid's length.
     """
@@ -1020,7 +973,7 @@ def ode_oracle_blocks(
     X = c0[active[live]].astype(complex)
     Y = np.zeros_like(X)
     d_live = len(live)
-    seg_block = max(1, _max_pairs // max(d_live, 1))
+    seg_block = max(1, _MAX_PAIRS // max(d_live, 1))
     cols = _as_slice(active)
     r1 = -1j * co.R1[active]
     r2 = -1j * co.R2[active]
@@ -1087,7 +1040,6 @@ def evolve_ode_oracle(
     include_counter_rotating: bool = False,
     tol: float = 1e-10,
     initial_amplitudes=None,
-    _max_pairs: int = _MAX_PAIRS,
 ):
     """Runge-Kutta reference evolution, independent of the closed form.
 
@@ -1109,7 +1061,7 @@ def evolve_ode_oracle(
     excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
     ground = np.empty_like(excited)
     blocks = ode_oracle_blocks(
-        params, f, dist, times, include_counter_rotating, tol, initial_amplitudes, _max_pairs
+        params, f, dist, times, include_counter_rotating, tol, initial_amplitudes
     )
     for start, (block_e, block_g) in zip(range(0, len(times), _BLOCK_ROWS), blocks):
         excited[start : start + len(block_e)] = block_e

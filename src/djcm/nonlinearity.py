@@ -1,17 +1,19 @@
-"""Intensity deformation f(n) and overflow-safe f-factorial ratios.
+"""Intensity deformation f(n) and its overflow-safe tables.
 
 Every coupling in the model is dressed by products of f over a range of
-Fock levels, f(n+1)...f(n+k).  Those products are accumulated as sums of
-ln f(j) so that mean photon numbers around 25 (Fock levels near 100, or
-several hundred for thermal fields) never overflow. The running sums
-``table[n] = sum_{j=1..n} ln f(j)`` are cached, with ``table[0] = 0``
-(empty product), so f(0) = 0 for the sqrt deformation is harmless: it is
-never a factor of any ratio.
+Fock levels, f(n+1)...f(n+k). Those products are taken as differences of
+ln[f(n)]! = sum_{j=1..n} ln f(j) so that mean photon numbers around 25
+(Fock levels near 100, or several hundred for thermal fields) never
+overflow. :meth:`Nonlinearity.tables` builds that running sum, with
+ln[f(0)]! = 0 (empty product), and f(n)^2 for the Kerr and Stark terms,
+fresh on every call. f(0) is never evaluated, so f(0) = 0 for the sqrt
+deformation, or a deformation undefined at 0, is harmless.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,22 +25,18 @@ SQRT_N = "sqrt_n"
 CUSTOM = "custom"
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class Nonlinearity:
-    """Deformation function f(n) plus cached log f-factorial table.
+    """Deformation function f(n): an immutable value, safe to share."""
 
-    Instances are meant to be built once, primed with :meth:`ensure` up to
-    the scenario truncation bound, and then shared read-only between
-    workers. The table only ever grows.
-    """
+    kind: str
+    fn: Callable[[int], float] | None = None
 
-    def __init__(self, kind: str, fn: Callable[[int], float] | None = None):
-        if kind not in (IDENTITY, SQRT_N, CUSTOM):
-            raise InvalidNonlinearityError(f"unknown nonlinearity kind {kind!r}")
-        if kind == CUSTOM and fn is None:
+    def __post_init__(self):
+        if self.kind not in (IDENTITY, SQRT_N, CUSTOM):
+            raise InvalidNonlinearityError(f"unknown nonlinearity kind {self.kind!r}")
+        if self.kind == CUSTOM and self.fn is None:
             raise InvalidNonlinearityError("custom nonlinearity needs an evaluator")
-        self.kind = kind
-        self._fn = fn
-        self._log_table = [0.0]  # [f(0)]! := 1
 
     @classmethod
     def identity(cls) -> "Nonlinearity":
@@ -86,7 +84,7 @@ class Nonlinearity:
             return 1.0
         if self.kind == SQRT_N:
             return math.sqrt(n)
-        value = float(self._fn(n))
+        value = float(self.fn(n))
         if n >= 1 and (not math.isfinite(value) or value <= 0.0):
             raise InvalidNonlinearityError(
                 f"custom nonlinearity returned f({n})={value!r}; "
@@ -94,39 +92,25 @@ class Nonlinearity:
             )
         return value
 
-    def ensure(self, n_max: int) -> None:
-        """Extend the cached log f-factorial table through n_max."""
-        while len(self._log_table) <= n_max:
-            j = len(self._log_table)
-            self._log_table.append(self._log_table[-1] + math.log(self.eval_f(j)))
+    def tables(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only arrays (f(n)^2, ln[f(n)]!) for n = 0..n_max.
 
-    def f_factorial_log(self, n: int) -> float:
-        """ln([f(n)]!) = sum_{j=1..n} ln f(j); 0 for n = 0."""
-        if n < 0:
-            raise InvalidNonlinearityError(f"[f(n)]! undefined for n={n} < 0")
-        self.ensure(n)
-        return self._log_table[n]
-
-    def f_ratio(self, n: int, k: int) -> float:
-        """[f(n+k)]! / [f(n)]! = f(n+1)...f(n+k), computed in log space."""
-        if n < 0 or k < 1:
-            raise InvalidNonlinearityError(f"f_ratio needs n >= 0, k >= 1; got {n}, {k}")
+        f is evaluated at n >= 1 only: entry 0 of f(n)^2 is 0, which the
+        coefficient formulas only ever multiply by n(n-1) or n, both 0
+        there, and ln[f(0)]! = 0. The running sum adds ln f(j) in order.
+        """
         if self.kind == IDENTITY:
-            return 1.0
-        return math.exp(self.f_factorial_log(n + k) - self.f_factorial_log(n))
-
-    def log_table(self, n_max: int) -> np.ndarray:
-        """Array view of ln([f(n)]!) for n = 0..n_max."""
-        self.ensure(n_max)
-        return np.asarray(self._log_table[: n_max + 1], dtype=float)
-
-    def f_squared_table(self, n_max: int) -> np.ndarray:
-        """Array of f(n)^2 for n = 0..n_max, used by the coefficient formulas."""
-        if self.kind == IDENTITY:
-            return np.ones(n_max + 1)
-        if self.kind == SQRT_N:
-            return np.arange(n_max + 1, dtype=float)
-        return np.array([self.eval_f(j) ** 2 for j in range(n_max + 1)])
+            f2, log_factorial = np.ones(n_max + 1), np.zeros(n_max + 1)
+        else:
+            values = [self.eval_f(j) for j in range(1, n_max + 1)]
+            log_factorial = np.cumsum([0.0] + [math.log(v) for v in values])
+            if self.kind == SQRT_N:
+                f2 = np.arange(n_max + 1, dtype=float)  # exact, unlike sqrt(n)**2
+            else:
+                f2 = np.array([0.0] + [v**2 for v in values])
+        f2[0] = 0.0
+        f2.flags.writeable = log_factorial.flags.writeable = False
+        return f2, log_factorial
 
     def __repr__(self) -> str:
         return f"Nonlinearity({self.kind!r})"

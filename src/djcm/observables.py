@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    AmplitudeState,
-    CoefficientTable,
-    ModelParams,
-    _sin_over_omega,
-)
+from .dynamics import CoefficientTable, ModelParams, _sin_over_omega
 from .errors import NumericalConsistencyError
 from .field_states import PhotonDistribution
 from .nonlinearity import Nonlinearity
@@ -133,13 +128,6 @@ class ObservableSeries:
         return map(ObservableRecord, c["t"], c["W"], rho, *(c[name] for name in rest))
 
 
-def atomic_inversion(state: AmplitudeState) -> float:
-    """W = sum_n (|c_{n,e}|^2 - |c_{n+k,g}|^2)."""
-    return float(
-        np.sum(np.abs(state.excited) ** 2) - np.sum(np.abs(state.ground) ** 2)
-    )
-
-
 def atomic_inversion_closed(
     params: ModelParams, f: Nonlinearity, dist: PhotonDistribution, t: float
 ) -> float:
@@ -162,12 +150,6 @@ def _density_arrays(excited: np.ndarray, ground: np.ndarray, k: int):
     # excited amplitude at level n+k against ground amplitude at level n+k
     rho_eg = np.vecdot(ground[..., : excited.shape[-1] - k], excited[..., k:])
     return rho_ee, rho_gg, rho_eg
-
-
-def reduced_density(state: AmplitudeState) -> ReducedAtomDensity:
-    """Partial trace of the pure joint state over the field."""
-    rho_ee, rho_gg, rho_eg = _density_arrays(state.excited, state.ground, state.k)
-    return ReducedAtomDensity(float(rho_ee), float(rho_gg), complex(rho_eg))
 
 
 def _clamped(p, what: str):
@@ -202,19 +184,6 @@ def _entropy_arrays(rho_ee, rho_gg, rho_eg):
     H_y = _h2(py, 1.0 - py)
     H_z = _h2(pe, pg)
     return H_x, H_y, H_z
-
-
-def pauli_entropies(rho: ReducedAtomDensity):
-    """(H_x, H_y, H_z) from the measurement outcome probabilities."""
-    H_x, H_y, H_z = _entropy_arrays(rho.rho_ee, rho.rho_gg, rho.rho_eg)
-    return float(H_x), float(H_y), float(H_z)
-
-
-def entropy_squeezing(rho: ReducedAtomDensity):
-    """(E_x, E_y); component sigma_alpha is squeezed iff E_alpha < 0."""
-    H_x, H_y, H_z = pauli_entropies(rho)
-    bound = 2.0 / np.sqrt(np.exp(H_z))
-    return float(np.exp(H_x) - bound), float(np.exp(H_y) - bound)
 
 
 def records_from_series(
@@ -271,14 +240,3 @@ def series_from_density(
             "dH_z": dH_z,
         }
     )
-
-
-def observable_record(state: AmplitudeState, coherence_phase: float = 0.0) -> ObservableRecord:
-    """Record for a single state; see :func:`records_from_series`."""
-    return records_from_series(
-        np.array([state.time]),
-        state.excited[None, :],
-        state.ground[None, :],
-        state.k,
-        coherence_phase,
-    )[0]

@@ -73,11 +73,8 @@ class ScenarioConfig:
     temperature: float | None = None
     frequency: float | None = None
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t_end, self.samples)
-
     def grid(self) -> UniformGrid:
-        """The same grid as :meth:`times`, made a block at a time."""
+        """The run's grid ``np.linspace(0.0, t_end, samples)``, made a block at a time."""
         return UniformGrid(self.t_end, self.samples)
 
     def build_distribution(self) -> field_states.PhotonDistribution:
@@ -444,7 +441,6 @@ class ScenarioStream:
         params = config.params
         self.config = config
         self._dist = dist = config.build_distribution()
-        config.nonlinearity.ensure(dist.n_cut + params.k)  # table fully populated before evolution
         self._plan = plan = closed_form_blocks(params, config.nonlinearity, dist, config.grid())
         self.metadata = config.echo()
         self.metadata["resolved"] = {

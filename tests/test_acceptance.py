@@ -55,7 +55,6 @@ class PresetSummary:
         params = cfg.params
         f = cfg.nonlinearity
         dist = cfg.build_distribution()
-        f.ensure(dist.n_cut + params.k)
         times = np.linspace(0.0, GRID_END, GRID_SAMPLES)
 
         start = time.monotonic()

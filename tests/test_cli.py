@@ -144,6 +144,22 @@ def test_non_finite_or_mistyped_numbers_exit_2(tmp_path, capsys, override):
     assert not out_path.exists()
 
 
+def test_too_short_inline_table_exits_2_naming_the_missing_entry(tmp_path, capsys):
+    # nbar 25 needs f(n) far beyond the table's two entries; the coefficient
+    # table's build refuses it before any file is opened
+    doc = {
+        **CHEAP,
+        "nonlinearity": {"table": [1.0, 2.0]},
+        "field": {"kind": "coherent", "nbar": 25.0},
+    }
+    out_path = tmp_path / "never.csv"
+    code = main(["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "f(3)" in err[0]
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
 @pytest.mark.parametrize(
     "chi, samples, fmt",
     [

@@ -35,7 +35,7 @@ LIMITS = {c: 0.0 if c == "t" else 2e-15 if c in POPULATION_COLUMNS else 1e-10 fo
 
 def _amplitude_route(cfg):
     dist = cfg.build_distribution()
-    times = cfg.times()
+    times = cfg.grid()[:]
     excited, ground = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
     return records_from_series(times, excited, ground, cfg.params.k)
 
@@ -150,4 +150,4 @@ def test_both_sinks_report_phase_overflow_once():
         with pytest.raises(PhysicsValidationError, match="phase overflow"):
             run_scenario(cfg)
         with pytest.raises(PhysicsValidationError, match="phase overflow"):
-            closed_form_series(cfg.params, cfg.nonlinearity, dist, cfg.times())
+            closed_form_series(cfg.params, cfg.nonlinearity, dist, cfg.grid()[:])

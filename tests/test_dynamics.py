@@ -13,11 +13,8 @@ from djcm.dynamics import (
     _uniform_step,
     closed_form_blocks,
     closed_form_series,
-    evolve_closed_form,
     evolve_ode_oracle,
     max_amplitude_deviation,
-    mode_coefficients,
-    norm,
 )
 from djcm.errors import (
     IntegrationFailureError,
@@ -42,6 +39,11 @@ def closed_states(params, f, dist, t_grid, initial_amplitudes=None):
         AmplitudeState(time=float(t), excited=exc[i], ground=gnd[i], k=params.k)
         for i, t in enumerate(t_grid)
     ]
+
+
+def closed_state(params, f, dist, t, initial_amplitudes=None):
+    """The closed form at one time: a one-sample grid, so the direct path."""
+    return closed_states(params, f, dist, [t], initial_amplitudes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -92,35 +94,36 @@ def test_omega_atom_implicit():
 
 def test_vacuum_rabi_coefficients():
     p = ModelParams(k=1, gamma=0.7, mu=0.0)
-    co = mode_coefficients(p, F_ID, 0)
-    assert co.R1 == 0.0 and co.R2 == 0.0 and co.Rn == 0.0
-    assert co.alpha_n == pytest.approx(0.7, rel=1e-14)
-    assert co.phi_n == 0.0
-    assert co.Omega_n == pytest.approx(0.35, rel=1e-14)
+    co = CoefficientTable(p, F_ID, 0)
+    assert co.R1[0] == 0.0 and co.R2[0] == 0.0 and co.Rn[0] == 0.0
+    assert co.alpha[0] == pytest.approx(0.7, rel=1e-14)
+    assert co.phi[0] == 0.0
+    assert co.Omega[0] == pytest.approx(0.35, rel=1e-14)
 
 
 def test_detuning_only_survives():
     p = ModelParams(k=1, gamma=1.0, detuning=0.37)
+    co = CoefficientTable(p, F_ID, 17)
     for n in (0, 3, 17):
-        assert mode_coefficients(p, F_ID, n).Rn == pytest.approx(0.37, abs=1e-15)
+        assert co.Rn[n] == pytest.approx(0.37, abs=1e-15)
 
 
 def test_sqrt_alpha_collapses_to_factorial_ratio():
     # [sqrt(n)]! = sqrt(n!) makes alpha_n = gamma (n+k)!/n!
     p = ModelParams(k=1, gamma=2.5)
-    assert mode_coefficients(p, F_SQ, 3).alpha_n == pytest.approx(10.0, rel=1e-12)
+    assert CoefficientTable(p, F_SQ, 3).alpha[3] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_mode_coefficients_pinned_case():
     # direct substitution, high-precision reference values
     p = ModelParams(k=2, gamma=1.0, mu=0.0, chi=0.01, beta1=0.1, beta2=0.1)
-    co = mode_coefficients(p, F_SQ, 2)
-    assert co.R1 == pytest.approx(0.44, rel=1e-12)
-    assert co.R2 == pytest.approx(3.04, rel=1e-12)
-    assert co.Rn == pytest.approx(-2.6, rel=1e-12)
-    assert co.alpha_n == pytest.approx(12.0, rel=1e-12)
-    assert co.phi_n == pytest.approx(1.74, rel=1e-12)
-    assert co.Omega_n == pytest.approx(6.139218191268331, rel=1e-12)
+    co = CoefficientTable(p, F_SQ, 2)
+    assert co.R1[2] == pytest.approx(0.44, rel=1e-12)
+    assert co.R2[2] == pytest.approx(3.04, rel=1e-12)
+    assert co.Rn[2] == pytest.approx(-2.6, rel=1e-12)
+    assert co.alpha[2] == pytest.approx(12.0, rel=1e-12)
+    assert co.phi[2] == pytest.approx(1.74, rel=1e-12)
+    assert co.Omega[2] == pytest.approx(6.139218191268331, rel=1e-12)
 
 
 def test_rn_is_difference_and_omega_definition():
@@ -136,12 +139,12 @@ def test_rn_is_difference_and_omega_definition():
             beta2=float(rng.uniform(-0.2, 0.2)),
         )
         n = int(rng.integers(0, 40))
-        co = mode_coefficients(p, F_SQ, n)
-        assert co.Rn == co.R1 - co.R2
-        assert co.Omega_n == pytest.approx(
-            0.5 * math.hypot(co.Rn - p.mu, co.alpha_n), rel=1e-14
+        co = CoefficientTable(p, F_SQ, n)
+        assert co.Rn[n] == co.R1[n] - co.R2[n]
+        assert co.Omega[n] == pytest.approx(
+            0.5 * math.hypot(co.Rn[n] - p.mu, co.alpha[n]), rel=1e-14
         )
-        assert co.Omega_n >= abs(co.alpha_n) / 2.0
+        assert co.Omega[n] >= abs(co.alpha[n]) / 2.0
 
 
 def test_linear_limit_recovers_reference_formulas():
@@ -159,13 +162,13 @@ def test_linear_limit_recovers_reference_formulas():
         )
         for n in rng.integers(0, 51, size=8):
             n = int(n)
-            co = mode_coefficients(p, F_ID, n)
+            co = CoefficientTable(p, F_ID, n)
             alpha_ref = 1.3 * math.exp(0.5 * (gammaln(n + k + 1) - gammaln(n + 1)))
             r1_ref = 0.35 + n * p.beta2 + 0.02 * n * (n - 1)
             r2_ref = -0.35 + (n + k) * p.beta1 + 0.02 * (n + k) * (n + k - 1)
-            assert co.alpha_n == pytest.approx(alpha_ref, rel=1e-12)
-            assert co.R1 == pytest.approx(r1_ref, rel=1e-12, abs=1e-12)
-            assert co.R2 == pytest.approx(r2_ref, rel=1e-12, abs=1e-12)
+            assert co.alpha[n] == pytest.approx(alpha_ref, rel=1e-12)
+            assert co.R1[n] == pytest.approx(r1_ref, rel=1e-12, abs=1e-12)
+            assert co.R2[n] == pytest.approx(r2_ref, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +179,7 @@ def test_linear_limit_recovers_reference_formulas():
 def test_identity_at_t0():
     p = ModelParams(k=1, gamma=1.0, mu=0.1)
     d = coherent_distribution(2.0)
-    st = evolve_closed_form(p, F_SQ, d, 0.0)
+    st = closed_state(p, F_SQ, d, 0.0)
     assert np.array_equal(st.excited, np.sqrt(d.probabilities).astype(complex))
     assert np.all(st.ground == 0.0)
 
@@ -185,7 +188,7 @@ def test_vacuum_rabi_population():
     p = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
     for t in (0.3, 1.1, 2.9, 7.7):
-        st = evolve_closed_form(p, F_ID, d, t)
+        st = closed_state(p, F_ID, d, t)
         assert abs(st.excited[0]) ** 2 == pytest.approx(math.cos(t / 2.0) ** 2, abs=1e-14)
 
 
@@ -193,7 +196,7 @@ def test_negative_time_rejected():
     p = ModelParams()
     d = coherent_distribution(0.0)
     with pytest.raises(InvalidParameterError):
-        evolve_closed_form(p, F_ID, d, -0.1)
+        closed_form_series(p, F_ID, d, [-0.1])
 
 
 @pytest.mark.parametrize(
@@ -219,16 +222,9 @@ def test_norm_equals_captured_mass():
     p = ModelParams(k=2, gamma=1.0, mu=0.1)
     d = coherent_distribution(3.0)
     for t in (0.0, 4.2, 31.0):
-        st = evolve_closed_form(p, F_SQ, d, t)
-        assert norm(st) == pytest.approx(d.captured_mass, abs=1e-10)
-
-
-def test_norm_quadratic_scaling():
-    p = ModelParams(k=1, gamma=1.0)
-    d = coherent_distribution(1.0)
-    st = evolve_closed_form(p, F_ID, d, 2.0)
-    doubled = AmplitudeState(st.time, 2.0 * st.excited, 2.0 * st.ground, st.k)
-    assert norm(doubled) == pytest.approx(4.0 * norm(st), rel=1e-12)
+        st = closed_state(p, F_SQ, d, t)
+        total = np.sum(np.abs(st.excited) ** 2) + np.sum(np.abs(st.ground) ** 2)
+        assert total == pytest.approx(d.captured_mass, abs=1e-10)
 
 
 def test_amplitude_magnitudes_ignore_phase_constants():
@@ -237,8 +233,8 @@ def test_amplitude_magnitudes_ignore_phase_constants():
     p = ModelParams(k=2, gamma=1.2, mu=0.3, chi=0.02, beta1=0.07, beta2=0.11)
     d = coherent_distribution(2.0)
     t = 5.3
-    st = evolve_closed_form(p, F_SQ, d, t)
-    from djcm.dynamics import CoefficientTable, _sin_over_omega
+    st = closed_state(p, F_SQ, d, t)
+    from djcm.dynamics import _sin_over_omega
 
     co = CoefficientTable(p, F_SQ, d.n_cut)
     c0 = np.sqrt(d.probabilities)
@@ -258,7 +254,7 @@ def test_degenerate_rabi_frequency_continuity():
     def excited_amp(eps):
         f = Nonlinearity.from_table([eps] + [1.0] * (d.n_cut + 2))
         p = ModelParams(k=1, gamma=1.0, mu=mu, detuning=mu)
-        return evolve_closed_form(p, f, d, t).excited[0]
+        return closed_state(p, f, d, t).excited[0]
 
     # analytic limit: pure phase rotation of the initial amplitude
     limit = np.exp(-1j * (0.0 + 0.5 * mu) * t)
@@ -295,11 +291,35 @@ def test_custom_initial_amplitudes_supported():
     assert np.abs(ref[-1].excited) == pytest.approx(np.abs(plain[-1].excited), abs=1e-13)
 
 
+@pytest.mark.parametrize(
+    "fn",
+    [
+        lambda n: 1.0 / math.sqrt(n),  # ZeroDivisionError at n = 0
+        lambda n: math.nan if n == 0 else 1.0 / math.sqrt(n),
+    ],
+    ids=["raises_at_0", "nan_at_0"],
+)
+def test_custom_deformation_is_not_evaluated_at_zero(fn):
+    # f(0)^2 only ever multiplies n(n-1) or n at n = 0, so f(0) must not
+    # reach R1, R2 or Omega
+    f = Nonlinearity.custom(fn)
+    p = ModelParams(k=1, gamma=1.0, mu=0.1, detuning=0.2, chi=0.02)
+    d = coherent_distribution(2.0)
+    co = CoefficientTable(p, f, d.n_cut)
+    for name in ("R1", "R2", "Rn", "phi", "alpha", "Omega"):
+        assert np.all(np.isfinite(getattr(co, name))), name
+    t = np.linspace(0.0, 5.0, 21)
+    ref = closed_states(p, f, d, t)
+    assert all(np.all(np.isfinite(st.excited)) and np.all(np.isfinite(st.ground)) for st in ref)
+    states = evolve_ode_oracle(p, f, d, t)
+    assert max_amplitude_deviation(states, ref) <= 1e-8
+
+
 def test_initial_amplitudes_shape_checked():
     p = ModelParams(k=1)
     d = coherent_distribution(1.0)
     with pytest.raises(InvalidParameterError):
-        evolve_closed_form(p, F_ID, d, 1.0, initial_amplitudes=np.ones(3, complex))
+        closed_form_series(p, F_ID, d, [1.0], initial_amplitudes=np.ones(3, complex))
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +522,6 @@ def test_non_uniform_and_single_time_take_direct_path(name):
         exc, gnd = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
         ref_e, ref_g = _closed_form_direct(cfg.params, cfg.nonlinearity, dist, times)
         assert np.array_equal(exc, ref_e) and np.array_equal(gnd, ref_g)
-    st = evolve_closed_form(cfg.params, cfg.nonlinearity, dist, 37.25)
-    assert np.array_equal(st.excited, ref_e[0]) and np.array_equal(st.ground, ref_g[0])
 
 
 def test_uniform_step_rejects_other_grids():

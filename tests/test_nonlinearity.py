@@ -3,8 +3,19 @@ import math
 import numpy as np
 import pytest
 
+from djcm.dynamics import CoefficientTable, ModelParams
 from djcm.errors import InvalidNonlinearityError
 from djcm.nonlinearity import Nonlinearity
+
+
+def log_factorial(f, n_max):
+    return f.tables(n_max)[1]
+
+
+def f_ratio(f, n, k):
+    """[f(n+k)]! / [f(n)]! = f(n+1)...f(n+k), from the log table."""
+    lf = log_factorial(f, n + k)
+    return math.exp(lf[n + k] - lf[n])
 
 
 def test_eval_f_identity_constant():
@@ -21,22 +32,22 @@ def test_eval_f_sqrt():
 
 def test_f_factorial_log_identity_zero():
     f = Nonlinearity.identity()
-    assert f.f_factorial_log(10) == 0.0
-    assert f.f_factorial_log(0) == 0.0
+    assert np.array_equal(log_factorial(f, 10), np.zeros(11))
+    assert log_factorial(f, 0)[0] == 0.0
 
 
 def test_f_factorial_log_sqrt():
     # [sqrt(n)]! = sqrt(n!), so ln at n=3 is ln(6)/2
     f = Nonlinearity.sqrt_n()
-    assert f.f_factorial_log(3) == pytest.approx(0.5 * math.log(6.0), rel=1e-14)
-    assert f.f_factorial_log(0) == 0.0
+    assert log_factorial(f, 3)[3] == pytest.approx(0.5 * math.log(6.0), rel=1e-14)
+    assert log_factorial(f, 0)[0] == 0.0
 
 
 def test_f_ratio_examples():
-    assert Nonlinearity.identity().f_ratio(5, 2) == 1.0
+    assert f_ratio(Nonlinearity.identity(), 5, 2) == 1.0
     f = Nonlinearity.sqrt_n()
-    assert f.f_ratio(3, 1) == pytest.approx(2.0, rel=1e-13)
-    assert f.f_ratio(2, 2) == pytest.approx(math.sqrt(12.0), rel=1e-13)
+    assert f_ratio(f, 3, 1) == pytest.approx(2.0, rel=1e-13)
+    assert f_ratio(f, 2, 2) == pytest.approx(math.sqrt(12.0), rel=1e-13)
 
 
 @pytest.mark.parametrize("kind", ["sqrt_n", "custom"])
@@ -54,12 +65,12 @@ def test_f_ratio_matches_direct_product(kind):
             direct = 1.0
             for j in range(n + 1, n + k + 1):
                 direct *= fn(j)
-            assert f.f_ratio(n, k) == pytest.approx(direct, rel=1e-12)
+            assert f_ratio(f, n, k) == pytest.approx(direct, rel=1e-12)
 
 
 def test_log_table_increments_match_eval():
     f = Nonlinearity.sqrt_n()
-    table = f.log_table(40)
+    table = log_factorial(f, 40)
     for n in range(40):
         assert table[n + 1] - table[n] == pytest.approx(
             math.log(f.eval_f(n + 1)), rel=1e-13, abs=1e-15
@@ -69,7 +80,7 @@ def test_log_table_increments_match_eval():
 
 def test_table_monotone_for_f_ge_one():
     f = Nonlinearity.from_table(np.linspace(1.0, 4.0, 30))
-    table = f.log_table(30)
+    table = log_factorial(f, 30)
     assert np.all(np.diff(table) >= 0.0)
 
 
@@ -78,13 +89,13 @@ def test_custom_negative_value_rejected():
     with pytest.raises(InvalidNonlinearityError):
         f.eval_f(3)
     with pytest.raises(InvalidNonlinearityError):
-        f.f_factorial_log(3)
+        f.tables(3)
 
 
 def test_custom_nonfinite_value_rejected():
     f = Nonlinearity.custom(lambda n: math.inf)
     with pytest.raises(InvalidNonlinearityError):
-        f.f_ratio(0, 2)
+        f.tables(2)
 
 
 def test_inline_table_too_short():
@@ -105,14 +116,50 @@ def test_negative_index_rejected():
     f = Nonlinearity.sqrt_n()
     with pytest.raises(InvalidNonlinearityError):
         f.eval_f(-1)
-    with pytest.raises(InvalidNonlinearityError):
-        f.f_ratio(-1, 1)
-    with pytest.raises(InvalidNonlinearityError):
-        f.f_ratio(0, 0)
 
 
 def test_f_squared_table():
-    assert np.array_equal(Nonlinearity.identity().f_squared_table(5), np.ones(6))
-    assert np.array_equal(
-        Nonlinearity.sqrt_n().f_squared_table(5), np.arange(6, dtype=float)
-    )
+    # entry 0 is 0 whatever f(0): it only ever multiplies n(n-1) or n at n = 0
+    f2, _ = Nonlinearity.identity().tables(5)
+    assert np.array_equal(f2, [0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+    f2, _ = Nonlinearity.sqrt_n().tables(5)
+    assert np.array_equal(f2, np.arange(6, dtype=float))
+    # a custom f is squared as Python floats, and never evaluated at 0
+
+    def f(n):
+        return 1.0 / math.sqrt(n)  # ZeroDivisionError at n = 0
+
+    f2, lf = Nonlinearity.custom(f).tables(6)
+    assert f2.tolist() == [0.0] + [f(n) ** 2 for n in range(1, 7)]
+    assert lf[0] == 0.0
+    assert lf[6] == pytest.approx(-0.5 * math.log(720.0), rel=1e-14)
+
+
+def test_nonlinearity_is_immutable():
+    f = Nonlinearity.sqrt_n()
+    with pytest.raises(AttributeError):
+        f.kind = "identity"
+    with pytest.raises(AttributeError):
+        f.fn = math.sqrt
+    f2, lf = f.tables(8)
+    with pytest.raises(ValueError):
+        f2[3] = 1.0
+    with pytest.raises(ValueError):
+        lf[3] = 1.0
+    # a fresh table every call: nothing a caller holds is shared
+    assert f.tables(8)[0] is not f2
+
+
+@pytest.mark.parametrize(
+    "f",
+    [Nonlinearity.sqrt_n(), Nonlinearity.from_table(np.linspace(0.5, 3.0, 500))],
+    ids=["sqrt_n", "table"],
+)
+def test_shared_instance_gives_the_same_tables_in_any_order(f):
+    params = ModelParams(k=2, gamma=1.0, mu=0.1, detuning=0.3, chi=0.01, beta1=0.1, beta2=0.2)
+    names = ("R1", "R2", "Rn", "phi", "alpha", "Omega")
+    first, wide, again = (CoefficientTable(params, f, n_max) for n_max in (40, 400, 40))
+    for name in names:
+        a = getattr(first, name)
+        assert getattr(again, name).tobytes() == a.tobytes(), name
+        assert getattr(wide, name)[:41].tobytes() == a.tobytes(), name

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from djcm.dynamics import AmplitudeState, ModelParams, closed_form_series, evolve_closed_form
+from djcm.dynamics import AmplitudeState, ModelParams, closed_form_series
 from djcm.errors import NumericalConsistencyError
 from djcm.field_states import coherent_distribution, squeezed_distribution
 from djcm.nonlinearity import Nonlinearity
@@ -12,17 +12,46 @@ from djcm.observables import (
     SERIES_COLUMNS,
     ObservableSeries,
     ReducedAtomDensity,
-    atomic_inversion,
     atomic_inversion_closed,
-    entropy_squeezing,
-    observable_record,
-    pauli_entropies,
     records_from_series,
-    reduced_density,
+    series_from_density,
 )
 
 F_ID = Nonlinearity.identity()
 F_SQ = Nonlinearity.sqrt_n()
+
+
+def closed_state(params, f, dist, t):
+    """The closed form at one time: a one-sample grid, so the direct path."""
+    exc, gnd = closed_form_series(params, f, dist, [t])
+    return AmplitudeState(time=float(t), excited=exc[0], ground=gnd[0], k=params.k)
+
+
+def record(state: AmplitudeState):
+    """The observables of one state, as one row of records_from_series."""
+    return records_from_series(
+        np.array([state.time]), state.excited[None, :], state.ground[None, :], state.k
+    )[0]
+
+
+def density_record(rho: ReducedAtomDensity):
+    """The observables of one reduced density, as one row of series_from_density."""
+    return series_from_density(
+        np.zeros(1),
+        np.array([rho.rho_ee], dtype=float),
+        np.array([rho.rho_gg], dtype=float),
+        np.array([rho.rho_eg], dtype=complex),
+    )[0]
+
+
+def entropies(rho: ReducedAtomDensity):
+    r = density_record(rho)
+    return r.H_x, r.H_y, r.H_z
+
+
+def squeezing(rho: ReducedAtomDensity):
+    r = density_record(rho)
+    return r.E_x, r.E_y
 
 
 def dense_partial_trace(state: AmplitudeState):
@@ -46,16 +75,16 @@ def dense_partial_trace(state: AmplitudeState):
 def test_inversion_initial_excited():
     p = ModelParams(k=1, gamma=1.0, mu=0.1)
     d = coherent_distribution(25.0)
-    st = evolve_closed_form(p, F_SQ, d, 0.0)
-    assert atomic_inversion(st) == pytest.approx(d.captured_mass, abs=1e-13)
+    st = closed_state(p, F_SQ, d, 0.0)
+    assert record(st).W == pytest.approx(d.captured_mass, abs=1e-13)
 
 
 def test_inversion_vacuum_cosine():
     p = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
     for t in (0.0, 0.9, 3.3, 12.0):
-        st = evolve_closed_form(p, F_ID, d, t)
-        assert atomic_inversion(st) == pytest.approx(math.cos(t), abs=1e-12)
+        st = closed_state(p, F_ID, d, t)
+        assert record(st).W == pytest.approx(math.cos(t), abs=1e-12)
         assert atomic_inversion_closed(p, F_ID, d, t) == pytest.approx(math.cos(t), abs=1e-12)
 
 
@@ -100,7 +129,7 @@ def test_population_route_equals_amplitude_route(params, f, nbar, builder):
 def test_reduced_density_initial():
     p = ModelParams(k=1, gamma=1.0)
     d = coherent_distribution(2.0)
-    rho = reduced_density(evolve_closed_form(p, F_ID, d, 0.0))
+    rho = record(closed_state(p, F_ID, d, 0.0)).rho
     assert rho.rho_ee == pytest.approx(d.captured_mass, abs=1e-13)
     assert rho.rho_gg == 0.0
     assert rho.rho_eg == 0.0
@@ -111,8 +140,8 @@ def test_reduced_density_vacuum_half_flip():
     # and rho_eg stays 0 because level 1 has no excited amplitude
     p = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
-    st = evolve_closed_form(p, F_ID, d, math.pi / 2.0)
-    rho = reduced_density(st)
+    st = closed_state(p, F_ID, d, math.pi / 2.0)
+    rho = record(st).rho
     assert rho.rho_ee == pytest.approx(0.5, abs=1e-12)
     assert rho.rho_gg == pytest.approx(0.5, abs=1e-12)
     assert rho.rho_eg == 0.0
@@ -124,7 +153,7 @@ def test_reduced_density_pairing_on_hand_built_state():
     exc = np.array([0.1 + 0.2j, 0.3 - 0.1j, 0.05 + 0.4j])
     gnd = np.array([0.2 - 0.3j, 0.15 + 0.25j, 0.1 + 0.0j])
     st = AmplitudeState(time=0.0, excited=exc, ground=gnd, k=1)
-    rho = reduced_density(st)
+    rho = record(st).rho
     expected = exc[1] * np.conj(gnd[0]) + exc[2] * np.conj(gnd[1])
     assert rho.rho_eg == pytest.approx(expected, abs=1e-15)
     # the wrong (field-off-diagonal) pairing would give a different number
@@ -144,8 +173,8 @@ def test_reduced_density_matches_dense_partial_trace(k):
     )
     d = coherent_distribution(1.0)
     for t in (0.4, 2.7, 9.1):
-        st = evolve_closed_form(params, F_SQ, d, t)
-        rho = reduced_density(st)
+        st = closed_state(params, F_SQ, d, t)
+        rho = record(st).rho
         dense = dense_partial_trace(st)
         assert rho.rho_ee == pytest.approx(dense[0, 0].real, abs=1e-13)
         assert rho.rho_gg == pytest.approx(dense[1, 1].real, abs=1e-13)
@@ -164,7 +193,7 @@ def test_rho_eg_pinned_against_rk_trace():
     t_grid = np.array([0.0, 0.35])
     st = evolve_ode_oracle(params, F_SQ, d, t_grid)[-1]
     dense = dense_partial_trace(st)
-    rho = reduced_density(evolve_closed_form(params, F_SQ, d, 0.35))
+    rho = record(closed_state(params, F_SQ, d, 0.35)).rho
     assert rho.rho_eg == pytest.approx(dense[0, 1], abs=1e-9)
 
 
@@ -175,29 +204,29 @@ def test_rho_eg_pinned_against_rk_trace():
 
 def test_entropies_pure_excited():
     rho = ReducedAtomDensity(1.0, 0.0, 0.0)
-    hx, hy, hz = pauli_entropies(rho)
+    hx, hy, hz = entropies(rho)
     assert hx == pytest.approx(LN2, rel=1e-15)
     assert hy == pytest.approx(LN2, rel=1e-15)
     assert hz == 0.0
-    ex, ey = entropy_squeezing(rho)
+    ex, ey = squeezing(rho)
     assert ex == pytest.approx(0.0, abs=1e-14)
     assert ey == pytest.approx(0.0, abs=1e-14)
 
 
 def test_entropies_sigma_x_eigenstate():
     rho = ReducedAtomDensity(0.5, 0.5, 0.5)
-    hx, hy, hz = pauli_entropies(rho)
+    hx, hy, hz = entropies(rho)
     assert hx == 0.0
     assert hy == pytest.approx(LN2, rel=1e-15)
     assert hz == pytest.approx(LN2, rel=1e-15)
-    ex, ey = entropy_squeezing(rho)
+    ex, ey = squeezing(rho)
     assert ex == pytest.approx(1.0 - math.sqrt(2.0), rel=1e-14)
     assert ey == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
 
 
 def test_entropies_maximally_mixed():
     rho = ReducedAtomDensity(0.5, 0.5, 0.0)
-    ex, ey = entropy_squeezing(rho)
+    ex, ey = squeezing(rho)
     assert ex == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
     assert ey == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
 
@@ -206,24 +235,24 @@ def test_entropies_pinned_case():
     # rho_eg = (1+i)/(2 sqrt 2) * 0.9; reference values from a scalar
     # high-precision evaluation
     rho = ReducedAtomDensity(0.5, 0.5, (1.0 + 1.0j) / (2.0 * math.sqrt(2.0)) * 0.9)
-    hx, hy, hz = pauli_entropies(rho)
+    hx, hy, hz = entropies(rho)
     assert hx == pytest.approx(0.47411489595408113, rel=1e-12)
     assert hy == pytest.approx(0.47411489595408113, rel=1e-12)
     assert hz == pytest.approx(LN2, rel=1e-15)
-    ex, _ = entropy_squeezing(rho)
+    ex, _ = squeezing(rho)
     assert ex == pytest.approx(0.19237800492134236, rel=1e-12)
 
 
 def test_probability_clamp_and_error():
     # slightly out of range from roundoff: clamped
     rho = ReducedAtomDensity(1.0 + 5e-10, -5e-10, 0.0)
-    hx, hy, hz = pauli_entropies(rho)
+    hx, hy, hz = entropies(rho)
     assert hz == 0.0
     # beyond roundoff slack: logic error
     with pytest.raises(NumericalConsistencyError):
-        pauli_entropies(ReducedAtomDensity(1.0 + 1e-8, 0.0, 0.0))
+        entropies(ReducedAtomDensity(1.0 + 1e-8, 0.0, 0.0))
     with pytest.raises(NumericalConsistencyError):
-        pauli_entropies(ReducedAtomDensity(0.5, 0.5, 0.6 + 0.0j))
+        entropies(ReducedAtomDensity(0.5, 0.5, 0.6 + 0.0j))
 
 
 @pytest.mark.parametrize(
@@ -238,7 +267,7 @@ def test_probability_clamp_and_error():
 def test_nan_probabilities_rejected(rho):
     # NaN fails every comparison, so a plain range check would let it through
     with pytest.raises(NumericalConsistencyError):
-        pauli_entropies(rho)
+        entropies(rho)
 
 
 def test_uncertainty_relation_random_states():
@@ -251,7 +280,7 @@ def test_uncertainty_relation_random_states():
         rho = ReducedAtomDensity(
             0.5 * (1.0 + v[2]), 0.5 * (1.0 - v[2]), 0.5 * (v[0] + 1j * v[1])
         )
-        hx, hy, hz = pauli_entropies(rho)
+        hx, hy, hz = entropies(rho)
         assert math.exp(hx) * math.exp(hy) >= 4.0 / math.exp(hz) - 1e-9
         for h in (hx, hy, hz):
             assert -1e-12 <= h <= LN2 + 1e-12
@@ -321,7 +350,7 @@ def test_series_concatenate_and_shape_check():
 def test_observable_record_single_state():
     params = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
-    rec = observable_record(evolve_closed_form(params, F_ID, d, 0.0))
+    rec = record(closed_state(params, F_ID, d, 0.0))
     assert rec.W == pytest.approx(1.0, abs=1e-12)
     assert rec.E_x == pytest.approx(0.0, abs=1e-11)
     assert rec.E_y == pytest.approx(0.0, abs=1e-11)

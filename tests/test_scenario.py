@@ -11,7 +11,6 @@ from djcm.dynamics import (
     CoefficientTable,
     closed_form_blocks,
     closed_form_series,
-    evolve_closed_form,
     evolve_ode_oracle,
 )
 from djcm.errors import (
@@ -21,7 +20,7 @@ from djcm.errors import (
     PhysicsValidationError,
     PresetLookupError,
 )
-from djcm.observables import SERIES_COLUMNS, ObservableSeries, observable_record
+from djcm.observables import SERIES_COLUMNS, ObservableSeries, records_from_series
 from djcm.scenario import (
     CSV_COLUMNS,
     available_presets,
@@ -505,7 +504,7 @@ def test_oracle_checks_emitted_amplitudes(monkeypatch):
     exc, gnd = _emitted(plans[0], cfg.samples)
 
     dist = cfg.build_distribution()
-    times = cfg.times()
+    times = cfg.grid()[:]
     for deviation, rwa in (
         (res.oracle_deviation, False),
         (res.counter_rotating_deviation, True),
@@ -543,10 +542,11 @@ def test_run_scenario_block_edges_match_per_time_closed_form(monkeypatch, sample
     res = run_scenario(cfg)
     exc, gnd = _emitted(plans[0], samples)
     dist = cfg.build_distribution()
-    times = cfg.times()
-    states = [evolve_closed_form(cfg.params, cfg.nonlinearity, dist, t) for t in times]
-    ref_e = np.array([st.excited for st in states])
-    ref_g = np.array([st.ground for st in states])
+    times = cfg.grid()[:]
+    # one single-time grid per sample: the direct path, not the tables
+    singles = [closed_form_series(cfg.params, cfg.nonlinearity, dist, [t]) for t in times]
+    ref_e = np.concatenate([e for e, _ in singles])
+    ref_g = np.concatenate([g for _, g in singles])
     bound = _rate_bound(cfg, dist, times[-1])
     assert np.all(np.abs(exc - ref_e) <= bound)
     assert np.all(np.abs(gnd - ref_g) <= bound)
@@ -554,7 +554,7 @@ def test_run_scenario_block_edges_match_per_time_closed_form(monkeypatch, sample
     # form; the other density columns at block edges are pinned against the
     # amplitude route by test_density_sink_matches_amplitude_route_at_block_edges
     assert res.records["t"].tolist() == times.tolist()
-    w_ref = [observable_record(st).W for st in states]
+    w_ref = records_from_series(times, ref_e, ref_g, cfg.params.k)["W"]
     assert np.max(np.abs(res.records["W"] - w_ref)) <= 2e-15
 
 

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from djcm import cli, scenario
+from djcm import cli, dynamics, scenario
 from djcm.dynamics import (
     _BLOCK_ROWS,
     DensitySink,
@@ -70,7 +70,7 @@ def test_plan_on_a_grid_matches_plan_on_its_array(samples):
     cfg = small(time={"samples": samples}, params={"chi": 0.03})
     dist = cfg.build_distribution()
     rows, plans = [], []
-    for times in (cfg.times(), cfg.grid()):
+    for times in (np.linspace(0.0, cfg.t_end, cfg.samples), cfg.grid()):
         plans.append(closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times))
         sink = DensitySink(plans[-1])
         rows.append([(s, sink.rho_ee.copy(), sink.rho_eg.copy()) for s in plans[-1].blocks(sink)])
@@ -89,7 +89,7 @@ def test_plan_on_a_grid_matches_plan_on_its_array(samples):
 def test_oracle_blocks_tile_the_grid_and_make_up_the_list():
     cfg = small(params={"chi": 0.03}, time={"samples": 700})
     dist = cfg.build_distribution()
-    states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, cfg.times())
+    states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, cfg.grid()[:])
     start = 0
     for excited, ground in ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, cfg.grid()):
         assert len(excited) == len(ground) == min(_BLOCK_ROWS, cfg.samples - start)
@@ -100,13 +100,14 @@ def test_oracle_blocks_tile_the_grid_and_make_up_the_list():
     assert start == cfg.samples
 
 
-def test_oracle_batches_do_not_change_the_integration():
+def test_oracle_batches_do_not_change_the_integration(monkeypatch):
     # one segment's doublets per batch against the default cap
     cfg = small(params={"chi": 0.03}, field={"nbar": 4.0}, time={"samples": 300})
     dist = cfg.build_distribution()
-    times = cfg.times()
-    narrow = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, _max_pairs=1)
+    times = cfg.grid()[:]
     wide = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
+    monkeypatch.setattr(dynamics, "_MAX_PAIRS", 1)
+    narrow = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
     for a, b in zip(narrow, wide, strict=True):
         assert np.max(np.abs(a.excited - b.excited)) <= 1e-15
         assert np.max(np.abs(a.ground - b.ground)) <= 1e-15

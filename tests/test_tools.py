@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 
+import djcm
 from djcm.scenario import (
     CSV_COLUMNS,
     config_from_dict,
@@ -137,3 +138,9 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
     resolved = json.loads((outdir / names[4]).read_text())["metadata"]["resolved"]
     assert resolved["max_oracle_deviation"] <= 1e-6
     assert resolved["max_counter_rotating_deviation"] > 0.1
+
+
+def test_package_exports_are_sorted_unique_and_resolve():
+    names = djcm.__all__
+    assert names == sorted(set(names))
+    assert [name for name in names if not hasattr(djcm, name)] == []
