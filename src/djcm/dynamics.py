@@ -182,12 +182,13 @@ def _resolve_initial(dist, initial_amplitudes):
     return c0
 
 
-# Shortest grid that takes the table path; below it direct evaluation is
-# as cheap and keeps a single-time call exact.
+# Shortest grid whose phases come from fine tables of _FINE rows; a
+# shorter grid pays for no table.
 _TABLE_MIN_SAMPLES = 16
-# Rows of the fine phase tables, shared by a whole run: grid sample j is
-# coarse[j // _FINE] * fine[j % _FINE], with the coarse rows evaluated per
-# block. Blocks therefore start at multiples of _FINE.
+# Rows of the fine phase tables of a uniform grid, shared by a whole run:
+# grid sample j is coarse[j // _FINE] * fine[j % _FINE], with the coarse
+# rows evaluated per block. Blocks therefore start at multiples of _FINE.
+# Any other grid has groups of one row, each time its own anchor.
 _FINE = 16
 # Samples per block of closed_form_blocks; a multiple of _FINE.
 _BLOCK_ROWS = 256
@@ -240,6 +241,8 @@ class UniformGrid:
         return self.samples
 
     def __getitem__(self, rows: slice) -> np.ndarray:
+        if not isinstance(rows, slice) or rows.step not in (None, 1):
+            raise InvalidParameterError(f"a uniform grid takes slices of step 1, got {rows!r}")
         start, stop, _ = rows.indices(self.samples)
         t = np.arange(start, max(start, stop), dtype=float)
         if self.step == 0.0:  # np.linspace's order for a step that underflows
@@ -265,8 +268,8 @@ def _grid_span(times):
 
 
 def _expand(coarse: np.ndarray, fine: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out[J * _FINE + r] = coarse[J] * fine[r], for a contiguous out."""
-    np.multiply(coarse[:, None, :], fine, out=out.reshape(len(coarse), _FINE, -1))
+    """out[J * g + r] = coarse[J] * fine[r], g = len(fine), for a contiguous out."""
+    np.multiply(coarse[:, None, :], fine, out=out.reshape(len(coarse), len(fine), -1))
     return out
 
 
@@ -318,39 +321,30 @@ class _DoubletChunk:
     block; each sink then reads it through its own per-chunk tables
     (:class:`_AmplitudeTables`, :class:`_DensityTables`).
 
-    On a uniform grid of step ``step`` the chunk holds the fine table
-    exp(-i w r step), r < _FINE, of the Rabi rotation (w = -Omega).
+    ``r_step`` is the column of fine offsets r step, one per row of a
+    group (the plan's :attr:`~ClosedFormPlan.group`); the chunk holds the
+    fine table exp(-i w r step) of the Rabi rotation (w = -Omega).
     """
 
-    def __init__(self, co: CoefficientTable, idx, own: int, pairs, mu: float, step, scratch):
+    def __init__(self, co: CoefficientTable, idx, own: int, pairs, mu: float, r_step, scratch):
         self.idx, self.own, self.pairs = idx, own, pairs
         self.cols = _as_slice(idx[:own])
-        self.omega, self.rn = co.Omega[idx], co.Rn[idx]
+        self.omega = co.Omega[idx]
         self.mu = mu
-        self.step = step
+        self.r_step, self.group = r_step, len(r_step)
         self.scratch = scratch  # the plan's shared _Scratch
-        if step is None:
-            return
-        self.r_step = (step * np.arange(_FINE))[:, None]
         self.rabi = -self.omega
-        self.rabi_fine_arg = self.rabi * self.r_step
+        self.rabi_fine_arg = self.rabi * r_step
         self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
-        self.envelope_rate = -0.5 * (self.rn - mu)
+        self.envelope_rate = -0.5 * (co.Rn[idx] - mu)
 
     def rotation(self, t: np.ndarray):
         """(envelope, s) of every column at the times column t.
 
-        envelope = cos(Omega t) - i (R_n - mu)/2 s and s = sin(Omega t)/Omega.
-        Directly evaluated off the table path; there, the rotation
-        exp(i Omega t) comes from :meth:`_rotation`, its real part being
-        cos(Omega t) and its imaginary part giving s.
+        envelope = cos(Omega t) - i (R_n - mu)/2 s and s = sin(Omega t)/Omega,
+        from the rotation exp(i Omega t) of :meth:`_rotation`: its real part
+        is cos(Omega t) and its imaginary part gives s.
         """
-        if self.step is None:
-            omega, mu = self.omega, self.mu
-            x = omega * t
-            cosx = np.cos(x)
-            s = _sin_over_omega(omega, t, np.sin(x))
-            return cosx - 0.5j * (self.rn - mu) * s, s
         rot = self._rotation(t)
         s = _sin_over_omega(self.omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
         envelope = rot  # its real part already holds cos(Omega t)
@@ -360,24 +354,25 @@ class _DoubletChunk:
     def _rotation(self, t: np.ndarray) -> np.ndarray:
         """exp(i Omega t) of one block from the tables.
 
-        ``t`` is the block's column of grid times, padded to whole
-        _FINE-row groups; its rows 0, _FINE, 2 _FINE, ... are the coarse
-        anchors.
+        ``t`` is the block's column of grid times, padded to whole groups
+        of g = ``group`` rows; its rows 0, g, 2 g, ... are the coarse
+        anchors. With g = 1 every time is its own anchor, the fine factor
+        is 1 and the correction d below is exactly 0.
 
         The rotation from the tables is moved onto the direct argument
         fl(Omega t) by exp(-i d) ~ 1 - d^2/2 - i d, where
         d = fl(w t_j) - fl(w t_anchor) - fl(w r step) is exact (Sterbenz)
-        and a few eps |Omega t| in size: cos and sin then carry the direct
-        path's rounding, so unitarity and the population route to W hold
-        as tightly as there.
+        and a few eps |Omega t| in size: cos and sin then carry the
+        rounding of fl(Omega t) evaluated directly, so unitarity and the
+        population route to W hold as tightly as there.
         """
-        m, w = len(t), len(self.omega)
+        m, w, g = len(t), len(self.omega), self.group
         work = self.scratch
-        anchors = t[::_FINE]
+        anchors = t[::g]
         d = np.multiply(self.rabi, t, out=_view(work.arg, m, w))  # fl(w t_j), made d below
         anchor_arg = self.rabi * anchors
         rot = _expand(np.exp(-1j * anchor_arg), self.rabi_fine, _view(work.rot, m, w))
-        groups = d.reshape(len(anchors), _FINE, w)
+        groups = d.reshape(len(anchors), g, w)
         groups -= anchor_arg[:, None, :]
         groups -= self.rabi_fine_arg
         correction = _view(work.excited, m, w)
@@ -393,21 +388,18 @@ class _DoubletChunk:
 class _AmplitudeTables:
     """The amplitude sink's per-run data of one chunk's own doublets.
 
-    Their coefficient slices and c0 and, on a uniform grid, the fine
-    tables of the ground phase (w = phi - mu/2) and the excited phase (the
-    ground phase times exp(-i mu r step)), with c0 and the constant
-    factors of the closed form folded in.
+    The fine tables of the ground phase (w = phi - mu/2) and the excited
+    phase (the ground phase times exp(-i mu r step)), with c0 and the
+    constant factors of the closed form folded in.
     """
 
     def __init__(self, chunk: _DoubletChunk, co: CoefficientTable, c0):
         mine = chunk.idx[: chunk.own]
         self.chunk = chunk
-        self.alpha, self.phi = co.alpha[mine], co.phi[mine]
-        self.c0a = c0a = c0[mine]
-        if chunk.step is None:
-            return
+        self.alpha = co.alpha[mine]
+        c0a = c0[mine]
         mu, r_step = chunk.mu, chunk.r_step
-        self.ground_rate = self.phi - 0.5 * mu
+        self.ground_rate = co.phi[mine] - 0.5 * mu
         ground_fine = np.exp(-1j * (self.ground_rate * r_step))
         self.excited_fine = ground_fine * (np.exp(-1j * (mu * r_step)) * c0a)
         self.ground_fine = ground_fine * (-0.5j * self.alpha * c0a)
@@ -421,7 +413,7 @@ class _AmplitudeTables:
         chunk = self.chunk
         m, w = len(t), chunk.own
         work = chunk.scratch
-        anchors = t[::_FINE]
+        anchors = t[:: chunk.group]
         ground_coarse = np.exp(-1j * (self.ground_rate * anchors))
         shift = np.exp(-1j * (chunk.mu * anchors))
         excited_phase = _expand(ground_coarse * shift, self.excited_fine, _view(work.excited, m, w))
@@ -432,13 +424,6 @@ class _AmplitudeTables:
         """Write the own columns of one block's amplitudes."""
         chunk = self.chunk
         n, w, cols = len(excited), chunk.own, chunk.cols
-        if chunk.step is None:
-            mu = chunk.mu
-            phase_g = np.exp(-1j * ((self.phi - 0.5 * mu) * t))
-            phase_e = phase_g * np.exp(-1j * mu * t)
-            _product_into(excited, cols, self.c0a * envelope[:, :w], phase_e)
-            _product_into(ground, cols, (-0.5j * self.alpha) * s[:, :w] * self.c0a, phase_g)
-            return
         excited_phase, ground_phase = self.phases(t, n)
         _product_into(excited, cols, excited_phase, envelope[:n, :w])
         _product_into(ground, cols, ground_phase, s[:n, :w])
@@ -449,9 +434,8 @@ class _DensityTables:
 
     |c0|^2 and alpha/2 of the own doublets, and of the coherence pairs
     (n, n + k) the weight i (alpha_n/2) conj(c0_n) c0_{n+k} and the rate
-    phi_{n+k} - phi_n + mu of their phase: on a uniform grid as the fine
-    table exp(-i w r step), r < _FINE, with the weight folded in,
-    otherwise the weight alone (one direct row per time).
+    phi_{n+k} - phi_n + mu of their phase as the fine table
+    exp(-i w r step), with the weight folded in.
     """
 
     def __init__(self, chunk: _DoubletChunk, co: CoefficientTable, c0):
@@ -470,11 +454,7 @@ class _DensityTables:
             return
         self.pair_rate = co.phi[idx[hi]] - co.phi[idx[lo]] + mu
         weight = 0.5j * co.alpha[idx[lo]] * np.conj(c0[idx[lo]]) * c0[idx[hi]]
-        if chunk.step is None:
-            self.group, self.pair_fine = 1, weight[None, :]
-        else:
-            self.group = _FINE
-            self.pair_fine = np.exp(-1j * (self.pair_rate * chunk.r_step)) * weight
+        self.pair_fine = np.exp(-1j * (self.pair_rate * chunk.r_step)) * weight
 
     def reduce(self, t, envelope, s, rho_ee, rho_gg, rho_eg) -> None:
         """Add the chunk's share of one block's density to the three rows.
@@ -502,7 +482,7 @@ class _DensityTables:
         if self.pairs is None:
             return
         lo, hi = self.pairs
-        m, p, g = len(t), len(self.pair_rate), self.group
+        m, p, g = len(t), len(self.pair_rate), self.chunk.group
         terms = np.multiply(s[:, lo], envelope[:, hi], out=_view(work.excited, m, p))
         terms = terms.reshape(m // g, g, p)
         terms *= self.pair_fine
@@ -520,7 +500,7 @@ class AmplitudeSink:
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.tables = [_AmplitudeTables(c, plan.coefficients, plan.c0) for c in plan.chunks]
-        rows = min(plan.rows, len(plan.times))
+        rows = min(_BLOCK_ROWS, len(plan.times))
         self._excited = np.zeros((rows, len(plan.c0)), dtype=complex)
         self._ground = np.zeros_like(self._excited)
 
@@ -562,24 +542,28 @@ class ClosedFormPlan:
 
     Built once per run: the coefficient table, the active doublets in
     _DOUBLET_CHUNK-wide chunks (each with the halo its coherence pairs
-    need) and, on a uniform grid, their fine Rabi tables at the whole
-    grid's step. A sink builds its own per-chunk tables when it is made
-    for the plan: the amplitude phases (:class:`AmplitudeSink`), or the
-    population weights and pair phases (:class:`DensitySink`). Each block
-    then evaluates only its coarse rows, anchored at the grid's own times
-    t_{_FINE J}, and each chunk's rotation stage once for all the sinks it
+    need) and their fine Rabi tables. A sink builds its own per-chunk
+    tables when it is made for the plan: the amplitude phases
+    (:class:`AmplitudeSink`), or the population weights and pair phases
+    (:class:`DensitySink`). Each block of _BLOCK_ROWS samples then
+    evaluates only its coarse rows, anchored at the grid's own times
+    t_{group J}, and each chunk's rotation stage once for all the sinks it
     feeds (:meth:`blocks`).
+
+    ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
+    uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
+    its step, the fine tables' spacing), 1 on any other grid (``step`` is
+    None), where every time is its own anchor.
 
     ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
     as they are evaluated. A grid whose largest phase argument |w| t_end
     reaches 2^52 is refused with PhysicsValidationError ("phase overflow")
-    before any block is evaluated, on the table path and the direct path
-    alike: there eps |w| t_end >= 1 rad, so no digit of the phase is right.
+    before any block is evaluated: there eps |w| t_end >= 1 rad, so no
+    digit of the phase is right.
     """
 
-    def __init__(self, params, f, dist, times, rows: int, initial_amplitudes=None):
+    def __init__(self, params, f, dist, times, initial_amplitudes=None):
         self.times, t_max, step = _grid_span(times)
-        self.rows = rows
         self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
         self.c0 = c0 = _resolve_initial(dist, initial_amplitudes)
         active = np.nonzero(c0 != 0.0)[0]
@@ -606,6 +590,9 @@ class ClosedFormPlan:
                 "phases reaches 1 rad"
             )
         self.step = step
+        self.group = 1 if step is None else _FINE
+        # the fine offsets r step of a group's rows: 0 alone in a group of one
+        r_step = np.arange(self.group)[:, None] * (step or 0.0)
         spans = []
         for i0 in range(0, len(active), _DOUBLET_CHUNK):
             i1 = min(i0 + _DOUBLET_CHUNK, len(active))
@@ -613,10 +600,10 @@ class ClosedFormPlan:
             hi = partner[i0:i1][lo] - i0
             spans.append((i0, i1, lo, hi, max(i1, i0 + int(np.max(hi, initial=-1)) + 1)))
         width = max((end - i0 for i0, _, _, _, end in spans), default=0)
-        padded_rows = -(-min(rows, len(self.times)) // _FINE) * _FINE
+        padded_rows = -(-min(_BLOCK_ROWS, len(self.times)) // self.group) * self.group
         scratch = _Scratch(padded_rows, width)
         self.chunks = [
-            _DoubletChunk(co, active[i0:end], i1 - i0, (lo, hi), mu, step, scratch)
+            _DoubletChunk(co, active[i0:end], i1 - i0, (lo, hi), mu, r_step, scratch)
             for i0, i1, lo, hi, end in spans
         ]
 
@@ -628,16 +615,13 @@ class ClosedFormPlan:
         block with a value that is not finite in any sink raises
         PhysicsValidationError: its phase arguments overflowed.
         """
-        for start in range(0, len(self.times), self.rows):
+        for start in range(0, len(self.times), _BLOCK_ROWS):
             self._evaluate(start, sinks)
             yield start
 
     def _evaluate(self, start: int, sinks) -> None:
-        n = min(self.rows, len(self.times) - start)
-        if self.step is None:
-            t = self.times[start : start + n][:, None]
-        else:
-            t = self._table_times(start, n)
+        n = min(_BLOCK_ROWS, len(self.times) - start)
+        t = self._table_times(start, n)
         for sink in sinks:
             sink.start(n)
         # a phase argument that overflows shows as a value that is not
@@ -655,9 +639,9 @@ class ClosedFormPlan:
             )
 
     def _table_times(self, start: int, n: int) -> np.ndarray:
-        """Column of the block's grid times, padded on the grid to whole _FINE-row groups."""
+        """Column of the block's grid times, padded on the grid to whole groups."""
         t = self.times[start : start + n]
-        pad = (-n) % _FINE
+        pad = (-n) % self.group
         if pad:
             t = np.concatenate((t, t[-1] + self.step * np.arange(1, pad + 1)))
         return t[:, None]
@@ -683,7 +667,7 @@ def closed_form_blocks(
     PhysicsValidationError (the phase arguments overflowed). The plan
     also reports ``active_doublets`` and ``max_phase_argument``.
     """
-    return ClosedFormPlan(params, f, dist, times, _BLOCK_ROWS, initial_amplitudes)
+    return ClosedFormPlan(params, f, dist, times, initial_amplitudes)
 
 
 def closed_form_series(
@@ -695,23 +679,24 @@ def closed_form_series(
 ):
     """Closed-form amplitudes on a grid: arrays of shape (len(times), n_cut+1).
 
-    The grid is evaluated as the single block of its own
-    :class:`ClosedFormPlan`, into its amplitude sink. Doublets with no
-    initial amplitude stay exactly zero and are skipped (half of every
+    The blocks of :func:`closed_form_blocks` through one
+    :class:`AmplitudeSink`, concatenated. Doublets with no initial
+    amplitude stay exactly zero and are skipped (half of every
     squeezed-vacuum distribution, plus the truncation pad). The others are
     evaluated _DOUBLET_CHUNK at a time, which keeps each chunk's
-    temporaries in cache and bounds their memory. On a uniform grid of at
-    least 16 samples the phases come from two-level tables; other grids
-    are evaluated directly, cell by cell. A largest phase argument of
-    2^52 or more, or amplitudes that are not finite, raise
+    temporaries in cache and bounds their memory. A largest phase argument
+    of 2^52 or more, or amplitudes that are not finite, raise
     PhysicsValidationError (the phase arguments overflowed).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    plan = ClosedFormPlan(params, f, dist, times, len(times), initial_amplitudes)
+    plan = closed_form_blocks(params, f, dist, times, initial_amplitudes)
     sink = AmplitudeSink(plan)
-    for _ in plan.blocks(sink):
-        pass
-    return sink.excited, sink.ground
+    excited = np.empty((len(times), len(plan.c0)), dtype=complex)
+    ground = np.empty_like(excited)
+    for start in plan.blocks(sink):
+        excited[start : start + len(sink.excited)] = sink.excited
+        ground[start : start + len(sink.ground)] = sink.ground
+    return excited, ground
 
 
 # Steps between direct evaluations of the coupling phases in the oracle.

@@ -97,7 +97,7 @@ class ScenarioConfig:
                 "beta2": p.beta2,
                 "nu": p.nu,
             },
-            "nonlinearity": self.nonlinearity_selector,
+            "nonlinearity": json.loads(json.dumps(self.nonlinearity_selector)),  # deep copy
             "field": {
                 "kind": self.field_kind,
                 "nbar": self.nbar,
@@ -253,7 +253,7 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     return ScenarioConfig(
         params=params,
         nonlinearity=nonlin,
-        nonlinearity_selector=selector,
+        nonlinearity_selector=json.loads(json.dumps(selector)),  # deep copy
         field_kind=kind,
         nbar=float(nbar),
         tail_eps=tail_eps,

@@ -164,8 +164,8 @@ def test_too_short_inline_table_exits_2_naming_the_missing_entry(tmp_path, capsy
     "chi, samples, fmt",
     [
         (1e200, 120, "csv"),
-        # under 16 samples the closed form is evaluated directly, where cos,
-        # sin and exp of such arguments stay finite but mean nothing
+        # under 16 samples each time is its own anchor, where exp of such
+        # arguments stays finite but means nothing
         (1e200, 10, "json"),
         (1e200, 50, "json"),
         (1e20, 10, "json"),

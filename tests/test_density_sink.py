@@ -81,7 +81,7 @@ GRID_DOCS = {
 @pytest.mark.parametrize("samples", [2, 15, 16, 17, 257, 513])
 @pytest.mark.parametrize("doc", sorted(GRID_DOCS))
 def test_density_sink_matches_amplitude_route_at_block_edges(doc, samples):
-    # under 16 samples the grid is evaluated directly, from 16 on by tables
+    # under 16 samples each time is its own anchor, from 16 on 16-row groups
     cfg = config_from_dict(merge_config(GRID_DOCS[doc], {"time": {"samples": samples}}))
     _assert_routes_agree(cfg, (doc, samples))
 

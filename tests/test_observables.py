@@ -22,7 +22,7 @@ F_SQ = Nonlinearity.sqrt_n()
 
 
 def closed_state(params, f, dist, t):
-    """The closed form at one time: a one-sample grid, so the direct path."""
+    """The closed form at one time: a one-sample grid, its time its own anchor."""
     exc, gnd = closed_form_series(params, f, dist, [t])
     return AmplitudeState(time=float(t), excited=exc[0], ground=gnd[0], k=params.k)
 

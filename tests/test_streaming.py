@@ -63,6 +63,12 @@ def test_uniform_grid_rejects_what_linspace_grids_never_are():
     for t_end, samples in ((-1.0, 10), (float("nan"), 10), (1.0, 1)):
         with pytest.raises(InvalidParameterError):
             UniformGrid(t_end, samples)
+    # only the slices of step 1 that a run walks, not numpy's other keys
+    grid = UniformGrid(1.0, 11)
+    assert grid[2:5:1].tobytes() == np.linspace(0.0, 1.0, 11)[2:5].tobytes()
+    for key in (slice(None, None, 2), slice(5, 2, -1), 3):
+        with pytest.raises(InvalidParameterError):
+            grid[key]
 
 
 @pytest.mark.parametrize("samples", [15, 16, 600])

@@ -114,6 +114,8 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
         "revival_grid.csv",
         "revival_grid.json",
         "coherent_bare_identity_oracle.json",
+        "short_grid.csv",
+        "short_grid_oracle.json",
     ]
     assert sorted(os.listdir(outdir)) == sorted(names)
     # the same bytes as run_scenario + emit, with the bare file name echoed
@@ -122,12 +124,16 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
         preset_dict("coherent_bare_identity"),
         {"options": {"oracle_check": True, "counter_rotating_diagnostic": True}},
     )
+    short = merge_config(preset_dict("coherent_bare_identity_k2"), {"time": {"samples": 15}})
+    short_oracle = merge_config(short, {"options": {"oracle_check": True}})
     runs = [
         (names[0], preset_dict(name), name),
         (names[1], preset_dict(name), name),
         (names[2], revival, None),
         (names[3], revival, None),
         (names[4], oracle, "coherent_bare_identity"),
+        (names[5], short, None),
+        (names[6], short_oracle, None),
     ]
     for file_name, doc, preset_name in runs:
         fmt = file_name.rsplit(".", 1)[1]
@@ -138,6 +144,8 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
     resolved = json.loads((outdir / names[4]).read_text())["metadata"]["resolved"]
     assert resolved["max_oracle_deviation"] <= 1e-6
     assert resolved["max_counter_rotating_deviation"] > 0.1
+    resolved = json.loads((outdir / names[6]).read_text())["metadata"]["resolved"]
+    assert resolved["max_oracle_deviation"] <= 1e-6
 
 
 def test_package_exports_are_sorted_unique_and_resolve():

@@ -4,12 +4,15 @@
 
 Writes ``<preset>.csv`` and ``<preset>.json`` for all 45 presets,
 ``revival_grid.csv`` and ``revival_grid.json`` (coherent_bare_identity on
-50 000 samples up to t = 75, the README's revival workflow) and
+50 000 samples up to t = 75, the README's revival workflow),
 ``coherent_bare_identity_oracle.json`` (that preset with ``--oracle
 --counter-rotating-diagnostic``, so its metadata carries both
-deviations) into OUTDIR with the djcm found on the import path: 93
-files, each written by ``djcm simulate`` (``cli.main``), so the check
-covers the streamed writer the CLI uses. Point PYTHONPATH at another
+deviations), and ``short_grid.csv`` and ``short_grid_oracle.json``
+(coherent_bare_identity_k2 on 15 samples, under the 16 that take fine
+phase tables, the second with ``--oracle``; k = 2 so that rho_eg is not
+zero) into OUTDIR with the djcm found on the import path: 95 files,
+each written by ``djcm simulate`` (``cli.main``), so the check covers
+the streamed writer the CLI uses. Point PYTHONPATH at another
 checkout's ``src`` to emit that version's files.
 
 With ``--compare OTHERDIR`` it then reports, per file, whether the bytes
@@ -44,9 +47,21 @@ REVIVAL_PRESET = "coherent_bare_identity"
 REVIVAL_TIME = {"t_end": 75.0, "samples": 50000}
 ORACLE_PRESET = "coherent_bare_identity"
 ORACLE_FLAGS = ["--oracle", "--counter-rotating-diagnostic"]
+SHORT_GRID = "short_grid"
+SHORT_PRESET = "coherent_bare_identity_k2"
+SHORT_SAMPLES = 15
 # largest |change| per column that a change of summation order may leave
 LIMITS = {"t": 0.0, "W": 2e-15, "rho_ee": 2e-15, "rho_gg": 2e-15, "H_z": 2e-15, "norm": 2e-15}
 OTHER_LIMIT = 1e-10
+
+
+def _config_file(config_dir: str, name: str, preset: str, time: dict) -> str:
+    """Path of a config file, written into config_dir: ``preset`` on the grid ``time``."""
+    path = os.path.join(config_dir, f"{name}.json")
+    doc = scenario.merge_config(scenario.preset_dict(preset), {"time": dict(time)})
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(doc, handle)
+    return path
 
 
 def _runs(config_dir: str):
@@ -54,14 +69,14 @@ def _runs(config_dir: str):
     for name in scenario.available_presets():
         for fmt in ("csv", "json"):
             yield f"{name}.{fmt}", ["--preset", name, "--format", fmt]
-    revival = os.path.join(config_dir, f"{REVIVAL_GRID}.json")
-    doc = scenario.merge_config(scenario.preset_dict(REVIVAL_PRESET), {"time": dict(REVIVAL_TIME)})
-    with open(revival, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
+    revival = _config_file(config_dir, REVIVAL_GRID, REVIVAL_PRESET, REVIVAL_TIME)
     for fmt in ("csv", "json"):
         yield f"{REVIVAL_GRID}.{fmt}", ["--config", revival, "--format", fmt]
     oracle_args = ["--preset", ORACLE_PRESET, "--format", "json", *ORACLE_FLAGS]
     yield f"{ORACLE_PRESET}_oracle.json", oracle_args
+    short = _config_file(config_dir, SHORT_GRID, SHORT_PRESET, {"samples": SHORT_SAMPLES})
+    yield f"{SHORT_GRID}.csv", ["--config", short, "--format", "csv"]
+    yield f"{SHORT_GRID}_oracle.json", ["--config", short, "--format", "json", "--oracle"]
 
 
 def emit_all(outdir: str) -> list[str]:
