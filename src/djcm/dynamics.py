@@ -7,7 +7,7 @@ Omega_n = sqrt((R_n - mu)^2 + alpha_n^2)/2 fully determine the motion.
 
 Two independent routes are provided:
 
-* :func:`closed_form_blocks` evaluates the analytic solution of the
+* :class:`ClosedFormPlan` evaluates the analytic solution of the
   rotating-wave amplitude equations on a time grid, block by block into
   sinks (:class:`AmplitudeSink`, :class:`DensitySink`);
   :func:`closed_form_series` returns a whole grid's amplitudes.
@@ -161,11 +161,15 @@ def _sin_over_omega(omega: np.ndarray, t, sin_x=None, out=None) -> np.ndarray:
 
 
 def initial_excited_amplitudes(dist: PhotonDistribution) -> np.ndarray:
-    """c_{n,e}(0) = +sqrt(rho_nn(0)): the zero-phase convention.
+    """c_{n,e}(0) = +sqrt(rho_nn(0)): the field starts in sum_n sqrt(p_n) |n>.
 
-    Only populations are specified by the initial field states; with
-    c_{n+k,g}(0) = 0 every implemented observable is insensitive to a
-    per-n phase of c_n(0), so the real non-negative root is used.
+    The field states give only the populations p_n; this root also fixes
+    the phases. W, rho_ee, rho_gg and H_z depend on the populations alone,
+    but rho_eg pairs doublet n with doublet n + k through
+    c_{n+k}(0) conj(c_n(0)), so it, H_x, H_y, E_x and E_y depend on the
+    phases too. The README's "Initial field states" says what the
+    convention means for each field kind; ``initial_amplitudes`` of the
+    closed form and the oracle takes any other choice.
     """
     return np.sqrt(dist.probabilities)
 
@@ -190,7 +194,7 @@ _TABLE_MIN_SAMPLES = 16
 # rows evaluated per block. Blocks therefore start at multiples of _FINE.
 # Any other grid has groups of one row, each time its own anchor.
 _FINE = 16
-# Samples per block of closed_form_blocks; a multiple of _FINE.
+# Samples per block of a ClosedFormPlan; a multiple of _FINE.
 _BLOCK_ROWS = 256
 # Doublets evaluated together by the closed form.
 _DOUBLET_CHUNK = 128
@@ -538,7 +542,16 @@ class DensitySink:
 
 
 class ClosedFormPlan:
-    """Closed form of one time grid, evaluated block by block into sinks.
+    """The closed form on a grid, evaluated _BLOCK_ROWS samples at a time into sinks.
+
+    ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
+    as they are evaluated. ``plan.blocks(*sinks)`` evaluates each block
+    once into every sink given and yields the block's first sample: a
+    :class:`DensitySink` reduces rho_ee, rho_gg and rho_eg per block
+    without writing any amplitude, an :class:`AmplitudeSink` holds the
+    block's (block length, n_cut+1) amplitudes as views of one reused
+    buffer pair, valid until the next block (copy them to keep them). The
+    plan also reports ``active_doublets`` and ``max_phase_argument``.
 
     Built once per run: the coefficient table, the active doublets in
     _DOUBLET_CHUNK-wide chunks (each with the halo its coherence pairs
@@ -555,11 +568,11 @@ class ClosedFormPlan:
     its step, the fine tables' spacing), 1 on any other grid (``step`` is
     None), where every time is its own anchor.
 
-    ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
-    as they are evaluated. A grid whose largest phase argument |w| t_end
-    reaches 2^52 is refused with PhysicsValidationError ("phase overflow")
-    before any block is evaluated: there eps |w| t_end >= 1 rad, so no
-    digit of the phase is right.
+    A grid whose largest phase argument |w| t_end reaches 2^52 is refused
+    with PhysicsValidationError ("phase overflow") before any block is
+    evaluated: there eps |w| t_end >= 1 rad, so no digit of the phase is
+    right. A block that is not finite in any sink raises the same error
+    (:meth:`blocks`).
     """
 
     def __init__(self, params, f, dist, times, initial_amplitudes=None):
@@ -647,29 +660,6 @@ class ClosedFormPlan:
         return t[:, None]
 
 
-def closed_form_blocks(
-    params: ModelParams,
-    f: Nonlinearity,
-    dist: PhotonDistribution,
-    times,
-    initial_amplitudes=None,
-) -> ClosedFormPlan:
-    """The closed form on a grid, _BLOCK_ROWS samples at a time.
-
-    ``times`` is an array or a :class:`UniformGrid`.
-    ``plan.blocks(*sinks)`` evaluates each block once into every sink
-    given and yields the block's first sample: a :class:`DensitySink`
-    reduces rho_ee, rho_gg and rho_eg per block without writing any
-    amplitude, an :class:`AmplitudeSink` holds the block's (block length,
-    n_cut+1) amplitudes as views of one reused buffer pair, valid until
-    the next block (copy them to keep them). A largest phase argument of
-    2^52 or more, or a block that is not finite, raises
-    PhysicsValidationError (the phase arguments overflowed). The plan
-    also reports ``active_doublets`` and ``max_phase_argument``.
-    """
-    return ClosedFormPlan(params, f, dist, times, initial_amplitudes)
-
-
 def closed_form_series(
     params: ModelParams,
     f: Nonlinearity,
@@ -679,7 +669,7 @@ def closed_form_series(
 ):
     """Closed-form amplitudes on a grid: arrays of shape (len(times), n_cut+1).
 
-    The blocks of :func:`closed_form_blocks` through one
+    The blocks of a :class:`ClosedFormPlan` through one
     :class:`AmplitudeSink`, concatenated. Doublets with no initial
     amplitude stay exactly zero and are skipped (half of every
     squeezed-vacuum distribution, plus the truncation pad). The others are
@@ -689,7 +679,7 @@ def closed_form_series(
     PhysicsValidationError (the phase arguments overflowed).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    plan = closed_form_blocks(params, f, dist, times, initial_amplitudes)
+    plan = ClosedFormPlan(params, f, dist, times, initial_amplitudes)
     sink = AmplitudeSink(plan)
     excited = np.empty((len(times), len(plan.c0)), dtype=complex)
     ground = np.empty_like(excited)
@@ -705,6 +695,11 @@ _REANCHOR = 128
 # segment has more doublets: a batch's arrays, about 0.5 kB a pair, then
 # stay below the size of the block buffers and mostly in cache.
 _MAX_PAIRS = 4096
+# A complex product whose right operand is a temporary is written
+# np.multiply(x, temp): numpy computes ``x * temp`` in place into a
+# temporary of 256 KiB or more, with the operands swapped, and its complex
+# multiply is not bitwise commutative, so the digits would otherwise
+# depend on the batch size.
 
 
 class _PairBatch:
@@ -786,11 +781,14 @@ class _PairBatch:
         big_a, big_b = np.ones_like(a), np.zeros_like(b)
         while m:
             if m & 1:
-                big_a, big_b = big_a * a - big_b * np.conj(b), big_a * b + big_b * np.conj(a)
+                big_a, big_b = (
+                    big_a * a - np.multiply(big_b, np.conj(b)),
+                    big_a * b + np.multiply(big_b, np.conj(a)),
+                )
             a, b = a * a - (b.real * b.real + b.imag * b.imag), (2.0 * a.real) * b
             m >>= 1
-        u = big_a * np.exp(-0.5j * (w * self.dt))
-        v = big_b * np.exp(-0.5j * (w * (2.0 * self.t0 + self.dt)))
+        u = np.multiply(big_a, np.exp(-0.5j * (w * self.dt)))
+        v = np.multiply(big_b, np.exp(-0.5j * (w * (2.0 * self.t0 + self.dt))))
         return u, v
 
     def _step_sweep(self, m: int):
@@ -820,7 +818,7 @@ class _PairBatch:
             p, q = _rk4_step(z, e0 + c0, e1 + c1, e2 + c2)
             e0 = e2
             c0 = c2
-            u, v = p * u - q * np.conj(v), p * v + q * np.conj(u)
+            u, v = p * u - np.multiply(q, np.conj(v)), p * v + np.multiply(q, np.conj(u))
         return u, v
 
 
@@ -836,7 +834,7 @@ def _rk4_step(z, s0, s1, s2):
     z2 = z * z
     mid2 = s1.real * s1.real + s1.imag * s1.imag
     s0c = np.conj(s0)
-    p = 1.0 - (z2 / 6.0) * (s1 * s0c + mid2 + s2 * np.conj(s1)) + (
+    p = 1.0 - (z2 / 6.0) * (s1 * s0c + mid2 + np.multiply(s2, np.conj(s1))) + (
         z2 * z2 / 24.0
     ) * (mid2 * (s2 * s0c))
     ends = s0 + s2

@@ -2,8 +2,11 @@
 
 Coherent, squeezed-vacuum and thermal fields are all parameterized by the
 mean photon number nbar (|alpha|^2 = nbar, sinh^2 r = nbar, and the
-Bose-Einstein occupation respectively); only the diagonal populations
-rho_nn(0) enter the dynamics because the atom starts excited. Weights are
+Bose-Einstein occupation respectively). Only their populations rho_nn(0)
+are built here; the dynamics starts the field in the pure state
+sum_n sqrt(rho_nn(0)) |n> (dynamics.initial_excited_amplitudes), which is
+the coherent state for a real alpha but neither the squeezed vacuum's
+signs nor the thermal mixture (see the README). Weights are
 evaluated in log space: (2n)!/(2^n n!)^2 at n ~ 50 and Poisson terms at
 n ~ 100 overflow naive evaluation long before the truncation bound.
 
@@ -75,16 +78,12 @@ def _log_weights(kind: str, n: np.ndarray, nbar: float) -> np.ndarray:
     raise InvalidParameterError(f"unknown field kind {kind!r}")
 
 
-def _check_args(nbar: float, tail_eps: float) -> None:
+def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
+    """Smallest N with cumulative mass >= 1 - tail_eps, padded by k + 10."""
     if not (nbar >= 0.0) or not math.isfinite(nbar):
         raise InvalidParameterError(f"mean photon number must be >= 0, got {nbar!r}")
     if not (0.0 < tail_eps < 1.0):
         raise InvalidParameterError(f"tail_eps must lie in (0, 1), got {tail_eps!r}")
-
-
-def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
-    """Smallest N with cumulative mass >= 1 - tail_eps, padded by k + 10."""
-    _check_args(nbar, tail_eps)
     if kind not in KINDS:
         raise InvalidParameterError(f"unknown field kind {kind!r}")
     if k < 1:
@@ -110,7 +109,10 @@ def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
         start += block
 
 
-def _build(kind: str, nbar: float, tail_eps: float, k: int) -> PhotonDistribution:
+def build_distribution(
+    kind: str, nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, k: int = 1
+) -> PhotonDistribution:
+    """rho_nn(0) of the field kind named in scenario configs, truncated by choose_truncation."""
     n_cut = choose_truncation(kind, nbar, tail_eps, k)
     n = np.arange(n_cut + 1)
     if kind == THERMAL and nbar > 0.0:
@@ -136,8 +138,7 @@ def coherent_distribution(
     nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, k: int = 1
 ) -> PhotonDistribution:
     """Poisson populations e^{-nbar} nbar^n / n!."""
-    _check_args(nbar, tail_eps)
-    return _build(COHERENT, nbar, tail_eps, k)
+    return build_distribution(COHERENT, nbar, tail_eps, k)
 
 
 def squeezed_distribution(
@@ -148,16 +149,14 @@ def squeezed_distribution(
     rho_{2n,2n} = nbar^n (2n)! / ((2^n n!)^2 (1+nbar)^(n+1/2)), which is the
     tanh^{2n}(r) (2n)! / ((2^n n!)^2 cosh r) form with sinh^2 r = nbar.
     """
-    _check_args(nbar, tail_eps)
-    return _build(SQUEEZED, nbar, tail_eps, k)
+    return build_distribution(SQUEEZED, nbar, tail_eps, k)
 
 
 def thermal_distribution(
     nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, k: int = 1
 ) -> PhotonDistribution:
     """Bose-Einstein populations nbar^n / (1+nbar)^(n+1)."""
-    _check_args(nbar, tail_eps)
-    return _build(THERMAL, nbar, tail_eps, k)
+    return build_distribution(THERMAL, nbar, tail_eps, k)
 
 
 def thermal_nbar_from_temperature(
@@ -175,15 +174,3 @@ def thermal_nbar_from_temperature(
         return 0.0
     return 1.0 / math.expm1(x)
 
-
-def build_distribution(
-    kind: str, nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, k: int = 1
-) -> PhotonDistribution:
-    """Dispatch on the field kind names used in scenario configs."""
-    if kind == COHERENT:
-        return coherent_distribution(nbar, tail_eps, k)
-    if kind == SQUEEZED:
-        return squeezed_distribution(nbar, tail_eps, k)
-    if kind == THERMAL:
-        return thermal_distribution(nbar, tail_eps, k)
-    raise InvalidParameterError(f"unknown field kind {kind!r}")

@@ -3,6 +3,8 @@
 A scenario document is JSON with the sections below; unknown keys are
 rejected anywhere in the tree. Every value has a default except the
 field mean photon number (or temperature+frequency for thermal fields).
+The params keys, their defaults and their order are the fields of
+:class:`~djcm.dynamics.ModelParams`.
 
     {
       "params":       {"k", "gamma", "mu", "detuning", "chi",
@@ -28,17 +30,17 @@ import math
 import os
 import shutil
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import field_states
 from .dynamics import (
     AmplitudeSink,
+    ClosedFormPlan,
     DensitySink,
     ModelParams,
     UniformGrid,
-    closed_form_blocks,
     ode_oracle_blocks,
 )
 from .errors import (
@@ -52,6 +54,8 @@ from .observables import CSV_COLUMNS, ObservableSeries, series_from_density
 
 ORACLE_DEVIATION_LIMIT = 1e-6
 _EMIT_CHUNK = 4096  # rows formatted per write
+# the option flags of a scenario document, each false unless it sets them
+_OPTIONS = ("oracle_check", "counter_rotating_diagnostic", "free_phase_on_coherence")
 
 
 @dataclass(frozen=True)
@@ -84,19 +88,9 @@ class ScenarioConfig:
 
     def echo(self) -> dict:
         """Every resolved parameter, defaults included (audit trail)."""
-        p = self.params
         out = {
             "preset": self.preset_name,
-            "params": {
-                "k": p.k,
-                "gamma": p.gamma,
-                "mu": p.mu,
-                "detuning": p.detuning,
-                "chi": p.chi,
-                "beta1": p.beta1,
-                "beta2": p.beta2,
-                "nu": p.nu,
-            },
+            "params": asdict(self.params),
             "nonlinearity": json.loads(json.dumps(self.nonlinearity_selector)),  # deep copy
             "field": {
                 "kind": self.field_kind,
@@ -104,11 +98,7 @@ class ScenarioConfig:
                 "tail_eps": self.tail_eps,
             },
             "time": {"t_start": 0.0, "t_end": self.t_end, "samples": self.samples},
-            "options": {
-                "oracle_check": self.oracle_check,
-                "counter_rotating_diagnostic": self.counter_rotating_diagnostic,
-                "free_phase_on_coherence": self.free_phase_on_coherence,
-            },
+            "options": {name: getattr(self, name) for name in _OPTIONS},
             "output": {"path": self.output_path, "format": self.output_format},
         }
         if self.temperature is not None:
@@ -117,10 +107,21 @@ class ScenarioConfig:
         return out
 
 
-def _require_keys(section: dict, allowed: set, where: str) -> None:
+def _require_keys(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
             raise ConfigError(f"unknown key {where}.{key!r}")
+
+
+def _section(doc: dict, name: str, allowed, required: bool = False) -> dict:
+    """The object ``doc[name]``, holding only keys in ``allowed``; {} if absent and optional."""
+    section = doc.get(name) if required else doc.get(name, {})
+    if not isinstance(section, dict):
+        if required:
+            raise ConfigError(f"config.{name} section is required")
+        raise ConfigError(f"config.{name} must be an object")
+    _require_keys(section, allowed, name)
+    return section
 
 
 def _finite(value, what: str):
@@ -147,45 +148,33 @@ def _number(section: dict, key: str, default, where: str, integer: bool = False)
     return float(value)
 
 
-def _flag(section: dict, key: str, default: bool, where: str) -> bool:
-    value = section.get(key, default)
+def _flag(section: dict, key: str) -> bool:
+    value = section.get(key, False)
     if not isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} must be true or false, got {value!r}")
+        raise ConfigError(f"options.{key} must be true or false, got {value!r}")
     return value
 
 
 def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfig:
     if not isinstance(doc, dict):
         raise ConfigError("scenario document must be a JSON object")
-    _require_keys(
-        doc, {"params", "nonlinearity", "field", "time", "options", "output"}, "config"
-    )
+    _require_keys(doc, ("params", "nonlinearity", "field", "time", "options", "output"), "config")
 
-    raw_params = doc.get("params", {})
-    if not isinstance(raw_params, dict):
-        raise ConfigError("config.params must be an object")
-    _require_keys(
-        raw_params,
-        {"k", "gamma", "mu", "detuning", "chi", "beta1", "beta2", "nu"},
-        "params",
-    )
+    # keys, defaults and order from ModelParams; k, whose default is an int, is an integer
+    declared = fields(ModelParams)
+    raw_params = _section(doc, "params", [f.name for f in declared])
     params = ModelParams(
-        k=_number(raw_params, "k", 1, "params", integer=True),
-        gamma=_number(raw_params, "gamma", 1.0, "params"),
-        mu=_number(raw_params, "mu", 0.0, "params"),
-        detuning=_number(raw_params, "detuning", 0.0, "params"),
-        chi=_number(raw_params, "chi", 0.0, "params"),
-        beta1=_number(raw_params, "beta1", 0.0, "params"),
-        beta2=_number(raw_params, "beta2", 0.0, "params"),
-        nu=_number(raw_params, "nu", 0.0, "params"),
+        **{
+            f.name: _number(raw_params, f.name, f.default, "params", isinstance(f.default, int))
+            for f in declared
+        }
     )
 
     selector = doc.get("nonlinearity", "identity")
     if isinstance(selector, str):
         nonlin = Nonlinearity.from_name(selector)
     elif isinstance(selector, dict):
-        _require_keys(selector, {"table"}, "nonlinearity")
-        table = selector.get("table")
+        table = _section(doc, "nonlinearity", ("table",)).get("table")
         if not isinstance(table, list) or not table:
             raise ConfigError("nonlinearity.table must be a non-empty list of f(n) values")
         for n, value in enumerate(table, start=1):
@@ -194,10 +183,9 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     else:
         raise ConfigError(f"nonlinearity must be a name or an inline table, got {selector!r}")
 
-    raw_field = doc.get("field")
-    if not isinstance(raw_field, dict):
-        raise ConfigError("config.field section is required")
-    _require_keys(raw_field, {"kind", "nbar", "temperature", "frequency", "tail_eps"}, "field")
+    raw_field = _section(
+        doc, "field", ("kind", "nbar", "temperature", "frequency", "tail_eps"), required=True
+    )
     kind = raw_field.get("kind")
     if kind not in field_states.KINDS:
         raise ConfigError(f"field.kind must be one of {field_states.KINDS}, got {kind!r}")
@@ -219,10 +207,7 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     if nbar < 0.0:
         raise ConfigError(f"field.nbar must be >= 0, got {nbar!r}")
 
-    raw_time = doc.get("time", {})
-    if not isinstance(raw_time, dict):
-        raise ConfigError("config.time must be an object")
-    _require_keys(raw_time, {"t_end", "samples"}, "time")
+    raw_time = _section(doc, "time", ("t_end", "samples"))
     t_end = _number(raw_time, "t_end", 50.0, "time")
     samples = _number(raw_time, "samples", 2000, "time", integer=True)
     if samples < 2:
@@ -230,19 +215,9 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     if not (t_end > 0.0):
         raise ConfigError(f"time.t_end must be > 0, got {t_end!r}")
 
-    raw_options = doc.get("options", {})
-    if not isinstance(raw_options, dict):
-        raise ConfigError("config.options must be an object")
-    _require_keys(
-        raw_options,
-        {"oracle_check", "counter_rotating_diagnostic", "free_phase_on_coherence"},
-        "options",
-    )
+    raw_options = _section(doc, "options", _OPTIONS)
 
-    raw_output = doc.get("output", {})
-    if not isinstance(raw_output, dict):
-        raise ConfigError("config.output must be an object")
-    _require_keys(raw_output, {"path", "format"}, "output")
+    raw_output = _section(doc, "output", ("path", "format"))
     output_format = raw_output.get("format", "csv")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {output_format!r}")
@@ -259,13 +234,7 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
         tail_eps=tail_eps,
         t_end=t_end,
         samples=samples,
-        oracle_check=_flag(raw_options, "oracle_check", False, "options"),
-        counter_rotating_diagnostic=_flag(
-            raw_options, "counter_rotating_diagnostic", False, "options"
-        ),
-        free_phase_on_coherence=_flag(
-            raw_options, "free_phase_on_coherence", False, "options"
-        ),
+        **{name: _flag(raw_options, name) for name in _OPTIONS},
         output_path=output_path,
         output_format=output_format,
         preset_name=preset_name,
@@ -286,33 +255,27 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Presets
 #
-# mu = 0.1 and nbar = 25 throughout, except the documented low-intensity
-# squeezing presets (nbar = 1). chi = 0.03 on Kerr tiers, beta1 = beta2 =
-# 0.1 on Stark tiers (which force k = 2), detuning = 5 on detuned tiers;
-# those values are artifact choices (figure-caption values are not
-# available) and every key can be overridden per-config.
+# mu = 0.1, nu = 1 and nbar = 25 throughout, except the documented
+# low-intensity squeezing presets (nbar = 1). chi = 0.03 on Kerr tiers,
+# beta1 = beta2 = 0.1 on Stark tiers (which force k = 2), detuning = 5 on
+# detuned tiers; those values are artifact choices (figure-caption values
+# are not available) and every key can be overridden per-config.
 # ---------------------------------------------------------------------------
 
+_BASE_PARAMS = {**asdict(ModelParams()), "mu": 0.1, "nu": 1.0}
+_STARK = {"k": 2, "chi": 0.03, "beta1": 0.1, "beta2": 0.1}
+# each tier's params, as overrides of _BASE_PARAMS
 _TIERS = {
-    "bare": {"k": 1, "chi": 0.0, "beta": 0.0, "detuning": 0.0},
-    "kerr": {"k": 1, "chi": 0.03, "beta": 0.0, "detuning": 0.0},
-    "kerr_stark": {"k": 2, "chi": 0.03, "beta": 0.1, "detuning": 0.0},
-    "kerr_stark_detuned": {"k": 2, "chi": 0.03, "beta": 0.1, "detuning": 5.0},
+    "bare": {},
+    "kerr": {"chi": 0.03},
+    "kerr_stark": _STARK,
+    "kerr_stark_detuned": {**_STARK, "detuning": 5.0},
 }
 
 
-def _preset_doc(field_kind, nonlin, nbar, k, chi, beta, detuning):
+def _preset_doc(field_kind: str, nonlin: str, nbar: float = 25.0, **params) -> dict:
     return {
-        "params": {
-            "k": k,
-            "gamma": 1.0,
-            "mu": 0.1,
-            "detuning": detuning,
-            "chi": chi,
-            "beta1": beta,
-            "beta2": beta,
-            "nu": 1.0,
-        },
+        "params": {**_BASE_PARAMS, **params},
         "nonlinearity": nonlin,
         "field": {"kind": field_kind, "nbar": nbar, "tail_eps": 1e-12},
         "time": {"t_end": 50.0, "samples": 2000},
@@ -322,35 +285,19 @@ def _preset_doc(field_kind, nonlin, nbar, k, chi, beta, detuning):
 def _build_presets() -> dict:
     presets = {}
     for field_kind in field_states.KINDS:
-        for tier, knobs in _TIERS.items():
+        for tier, params in _TIERS.items():
             for nonlin in ("identity", "sqrt_n"):
-                presets[f"{field_kind}_{tier}_{nonlin}"] = _preset_doc(
-                    field_kind,
-                    nonlin,
-                    25.0,
-                    knobs["k"],
-                    knobs["chi"],
-                    knobs["beta"],
-                    knobs["detuning"],
-                )
+                presets[f"{field_kind}_{tier}_{nonlin}"] = _preset_doc(field_kind, nonlin, **params)
         # bare multiphoton variants, used for the k = 2, 3, 4 checks
         for nonlin in ("identity", "sqrt_n"):
             for k in (2, 3, 4):
-                presets[f"{field_kind}_bare_{nonlin}_k{k}"] = _preset_doc(
-                    field_kind, nonlin, 25.0, k, 0.0, 0.0, 0.0
-                )
-    presets["squeezed_bare_sqrt_n_lown"] = _preset_doc(
-        "squeezed", "sqrt_n", 1.0, 1, 0.0, 0.0, 0.0
-    )
+                presets[f"{field_kind}_bare_{nonlin}_k{k}"] = _preset_doc(field_kind, nonlin, k=k)
+    presets["squeezed_bare_sqrt_n_lown"] = _preset_doc("squeezed", "sqrt_n", 1.0)
     # Squeezed fields populate even levels only, so the atomic coherence
     # rho_eg vanishes identically for odd k; the two-photon variant is the
     # regime where low-intensity squeezed-field entropy squeezing shows up.
-    presets["squeezed_bare_sqrt_n_lown_k2"] = _preset_doc(
-        "squeezed", "sqrt_n", 1.0, 2, 0.0, 0.0, 0.0
-    )
-    presets["coherent_kerr_sqrt_n_lown"] = _preset_doc(
-        "coherent", "sqrt_n", 1.0, 1, 0.03, 0.0, 0.0
-    )
+    presets["squeezed_bare_sqrt_n_lown_k2"] = _preset_doc("squeezed", "sqrt_n", 1.0, k=2)
+    presets["coherent_kerr_sqrt_n_lown"] = _preset_doc("coherent", "sqrt_n", 1.0, chi=0.03)
     return presets
 
 
@@ -441,7 +388,7 @@ class ScenarioStream:
         params = config.params
         self.config = config
         self._dist = dist = config.build_distribution()
-        self._plan = plan = closed_form_blocks(params, config.nonlinearity, dist, config.grid())
+        self._plan = plan = ClosedFormPlan(params, config.nonlinearity, dist, config.grid())
         self.metadata = config.echo()
         self.metadata["resolved"] = {
             "n_cut": dist.n_cut,
@@ -502,7 +449,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """The observable series on the configured grid: :func:`iter_scenario`, concatenated.
 
     The closed form runs _BLOCK_ROWS samples at a time
-    (:func:`~djcm.dynamics.closed_form_blocks`): the coefficient table,
+    (:class:`~djcm.dynamics.ClosedFormPlan`): the coefficient table,
     the active doublets and, on the uniform grid, the 16-row fine phase
     tables are built once for the run; each block evaluates its 16
     coarse phase rows and its density sink reduces rho_ee, rho_gg and

@@ -7,12 +7,12 @@ from scipy.special import gammaln
 from djcm.dynamics import (
     AmplitudeSink,
     AmplitudeState,
+    ClosedFormPlan,
     CoefficientTable,
     ModelParams,
     _BLOCK_ROWS,
     _PairBatch,
     _uniform_step,
-    closed_form_blocks,
     closed_form_series,
     evolve_ode_oracle,
     max_amplitude_deviation,
@@ -458,7 +458,7 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
             cols = active[np.unique(np.linspace(0, len(active) - 1, n_cols).astype(int))]
         c0 = np.zeros(dist.n_cut + 1, dtype=complex)
         c0[cols] = 1.0  # unit amplitudes, so the tables carry no c0
-        plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=c0)
+        plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=c0)
         assert plan.step is not None, label
         for start in range(0, len(times), _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, len(times) - start)
@@ -521,7 +521,7 @@ def test_non_uniform_and_short_grids_have_groups_of_one_time(name):
     grids = (uneven, np.array([37.25]), np.linspace(0.0, 50.0, 2), np.linspace(0.0, 50.0, 15))
     for times in grids:
         assert _uniform_step(times) is None
-        plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times)
+        plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times)
         assert plan.group == 1
         # each time its own anchor: the phases are those of fl(w t) itself,
         # through exp where the reference takes cos and sin

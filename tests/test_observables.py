@@ -16,6 +16,7 @@ from djcm.observables import (
     records_from_series,
     series_from_density,
 )
+from djcm.scenario import preset
 
 F_ID = Nonlinearity.identity()
 F_SQ = Nonlinearity.sqrt_n()
@@ -355,3 +356,42 @@ def test_observable_record_single_state():
     assert rec.E_x == pytest.approx(0.0, abs=1e-11)
     assert rec.E_y == pytest.approx(0.0, abs=1e-11)
     assert rec.H_z == pytest.approx(0.0, abs=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# the initial phases: c_n(0) = +sqrt(p_n) is a choice that rho_eg sees
+# ---------------------------------------------------------------------------
+
+
+def _preset_series(name, initial_amplitudes=None):
+    """The preset's observables on 400 samples up to t = 50, from the given c_n(0)."""
+    cfg = preset(name)
+    dist = cfg.build_distribution()
+    times = np.linspace(0.0, 50.0, 400)
+    exc, gnd = closed_form_series(
+        cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=initial_amplitudes
+    )
+    return dist, records_from_series(times, exc, gnd, cfg.params.k)
+
+
+@pytest.mark.parametrize("name", ["squeezed_bare_identity_k2", "squeezed_bare_sqrt_n_lown_k2"])
+def test_squeezed_vacuum_sign_negates_rho_eg_at_k2(name):
+    # S(r)|0>, S(r) = exp(r (a^2 - a+^2) / 2), carries (-1)^m on level 2m
+    dist, ours = _preset_series(name)
+    n = np.arange(dist.n_cut + 1)
+    _, squeezed = _preset_series(name, np.sqrt(dist.probabilities) * (-1.0) ** (n // 2))
+    assert np.max(np.abs(ours["re_rho_eg"])) > 0.1
+    for column in ("re_rho_eg", "im_rho_eg"):
+        assert np.max(np.abs(squeezed[column] + ours[column])) <= 1e-15
+    for column in ("W", "H_x", "H_y", "H_z", "E_x", "E_y"):
+        assert np.max(np.abs(squeezed[column] - ours[column])) <= 1e-15
+
+
+def test_initial_phases_move_the_coherence_but_not_the_inversion():
+    dist, ours = _preset_series("coherent_bare_identity")
+    phases = np.random.default_rng(1).uniform(0.0, 2.0 * np.pi, dist.n_cut + 1)
+    _, phased = _preset_series(
+        "coherent_bare_identity", np.sqrt(dist.probabilities) * np.exp(1j * phases)
+    )
+    assert np.max(np.abs(phased["W"] - ours["W"])) <= 1e-15
+    assert np.max(np.abs(phased["re_rho_eg"] - ours["re_rho_eg"])) > 0.1

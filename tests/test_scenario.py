@@ -8,8 +8,8 @@ from djcm import scenario
 from djcm.dynamics import (
     _BLOCK_ROWS,
     AmplitudeSink,
+    ClosedFormPlan,
     CoefficientTable,
-    closed_form_blocks,
     closed_form_series,
     evolve_ode_oracle,
 )
@@ -459,7 +459,7 @@ def test_read_csv_series_rejects_malformed_rows(tmp_path, body, match):
 
 
 class _RecordingBlocks:
-    """A closed_form_blocks plan that keeps a copy of the amplitudes of every block.
+    """A ClosedFormPlan wrapper that keeps a copy of the amplitudes of every block.
 
     It adds one amplitude sink to the sinks of each ``blocks`` call, so the
     amplitudes come from the same chunk evaluations as the run's own sinks.
@@ -480,15 +480,15 @@ class _RecordingBlocks:
 
 
 def _record_blocks(monkeypatch):
-    """Patch run_scenario's closed_form_blocks; return the list of plans made."""
+    """Patch run_scenario's ClosedFormPlan; return the list of plans made."""
     plans = []
-    make = scenario.closed_form_blocks
+    make = scenario.ClosedFormPlan
 
     def recording(*args, **kwargs):
         plans.append(_RecordingBlocks(make(*args, **kwargs)))
         return plans[-1]
 
-    monkeypatch.setattr(scenario, "closed_form_blocks", recording)
+    monkeypatch.setattr(scenario, "ClosedFormPlan", recording)
     return plans
 
 
@@ -575,7 +575,7 @@ def test_blocks_match_whole_grid_series(name):
     dist = cfg.build_distribution()
     times = np.linspace(0.0, 50.0, 700)
     exc, gnd = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
-    plan = closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times)
+    plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times)
     assert plan.active_doublets == np.count_nonzero(dist.probabilities)
     sink = AmplitudeSink(plan)
     for start in plan.blocks(sink):

@@ -18,9 +18,9 @@ import pytest
 from djcm import cli, dynamics, scenario
 from djcm.dynamics import (
     _BLOCK_ROWS,
+    ClosedFormPlan,
     DensitySink,
     UniformGrid,
-    closed_form_blocks,
     evolve_ode_oracle,
     ode_oracle_blocks,
 )
@@ -77,7 +77,7 @@ def test_plan_on_a_grid_matches_plan_on_its_array(samples):
     dist = cfg.build_distribution()
     rows, plans = [], []
     for times in (np.linspace(0.0, cfg.t_end, cfg.samples), cfg.grid()):
-        plans.append(closed_form_blocks(cfg.params, cfg.nonlinearity, dist, times))
+        plans.append(ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times))
         sink = DensitySink(plans[-1])
         rows.append([(s, sink.rho_ee.copy(), sink.rho_eg.copy()) for s in plans[-1].blocks(sink)])
     assert plans[0].step == plans[1].step
@@ -107,16 +107,31 @@ def test_oracle_blocks_tile_the_grid_and_make_up_the_list():
 
 
 def test_oracle_batches_do_not_change_the_integration(monkeypatch):
-    # one segment's doublets per batch against the default cap
-    cfg = small(params={"chi": 0.03}, field={"nbar": 4.0}, time={"samples": 300})
-    dist = cfg.build_distribution()
-    times = cfg.grid()[:]
-    wide = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
-    monkeypatch.setattr(dynamics, "_MAX_PAIRS", 1)
-    narrow = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
-    for a, b in zip(narrow, wide, strict=True):
-        assert np.max(np.abs(a.excited - b.excited)) <= 1e-15
-        assert np.max(np.abs(a.ground - b.ground)) <= 1e-15
+    # one segment's doublets per batch, the default cap and no cap: the same bytes
+    kerr = merge_config(
+        SMALL, {"params": {"chi": 0.03}, "field": {"nbar": 4.0}, "time": {"samples": 300}}
+    )
+    # 80 live doublets: an uncapped batch holds 20 480 pairs, arrays past
+    # numpy's 256 KiB threshold for computing into a temporary. The
+    # counter-rotating coupling of a bare tier is real, so the Kerr tier is
+    # the one whose step loop multiplies complex numbers in both orders.
+    t10 = {"time": {"t_end": 10.0, "samples": 300}}
+    bare = merge_config(scenario.preset_dict("coherent_bare_identity"), t10)
+    kerr80 = merge_config(scenario.preset_dict("coherent_kerr_identity"), t10)
+    for doc, counter_rotating in ((kerr, False), (bare, False), (bare, True), (kerr80, True)):
+        cfg = config_from_dict(doc)
+        dist = cfg.build_distribution()
+        times = cfg.grid()[:]
+        runs = []
+        for cap in (1, 4096, 10**7):
+            monkeypatch.setattr(dynamics, "_MAX_PAIRS", cap)
+            runs.append(
+                evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, counter_rotating)
+            )
+        for states in runs[1:]:
+            for a, b in zip(states, runs[0], strict=True):
+                assert a.excited.tobytes() == b.excited.tobytes()
+                assert a.ground.tobytes() == b.ground.tobytes()
 
 
 def test_oracle_rejects_a_grid_with_repeated_times():

@@ -116,6 +116,7 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
         "coherent_bare_identity_oracle.json",
         "short_grid.csv",
         "short_grid_oracle.json",
+        "config_variants.json",
     ]
     assert sorted(os.listdir(outdir)) == sorted(names)
     # the same bytes as run_scenario + emit, with the bare file name echoed
@@ -134,6 +135,7 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
         (names[4], oracle, "coherent_bare_identity"),
         (names[5], short, None),
         (names[6], short_oracle, None),
+        (names[7], emit_all.VARIANTS_DOC, None),
     ]
     for file_name, doc, preset_name in runs:
         fmt = file_name.rsplit(".", 1)[1]
@@ -146,6 +148,12 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
     assert resolved["max_counter_rotating_deviation"] > 0.1
     resolved = json.loads((outdir / names[6]).read_text())["metadata"]["resolved"]
     assert resolved["max_oracle_deviation"] <= 1e-6
+    # the echo keys and the option that no preset sets
+    metadata = json.loads((outdir / names[7]).read_text())["metadata"]
+    assert metadata["field"]["temperature"] == 2.0 and metadata["field"]["frequency"] == 1.0
+    assert len(metadata["nonlinearity"]["table"]) == 80
+    assert metadata["options"]["free_phase_on_coherence"] is True
+    assert metadata["resolved"]["n_cut"] == 67
 
 
 def test_package_exports_are_sorted_unique_and_resolve():

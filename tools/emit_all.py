@@ -10,7 +10,10 @@ Writes ``<preset>.csv`` and ``<preset>.json`` for all 45 presets,
 deviations), and ``short_grid.csv`` and ``short_grid_oracle.json``
 (coherent_bare_identity_k2 on 15 samples, under the 16 that take fine
 phase tables, the second with ``--oracle``; k = 2 so that rho_eg is not
-zero) into OUTDIR with the djcm found on the import path: 95 files,
+zero) and ``config_variants.json`` (``VARIANTS_DOC``: a thermal field
+given by temperature and frequency, an inline f(n) table and
+``free_phase_on_coherence``, the echo keys and options no preset sets)
+into OUTDIR with the djcm found on the import path: 96 files,
 each written by ``djcm simulate`` (``cli.main``), so the check covers
 the streamed writer the CLI uses. Point PYTHONPATH at another
 checkout's ``src`` to emit that version's files.
@@ -34,6 +37,7 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -50,18 +54,30 @@ ORACLE_FLAGS = ["--oracle", "--counter-rotating-diagnostic"]
 SHORT_GRID = "short_grid"
 SHORT_PRESET = "coherent_bare_identity_k2"
 SHORT_SAMPLES = 15
+VARIANTS = "config_variants"
+VARIANTS_DOC = {
+    "params": {"k": 2, "mu": 0.1, "chi": 0.01, "nu": 1.0},
+    "nonlinearity": {"table": [1.0 / math.sqrt(1.0 + 0.1 * n) for n in range(1, 81)]},
+    "field": {"kind": "thermal", "temperature": 2.0, "frequency": 1.0},
+    "time": {"t_end": 10.0, "samples": 300},
+    "options": {"free_phase_on_coherence": True},
+}
 # largest |change| per column that a change of summation order may leave
 LIMITS = {"t": 0.0, "W": 2e-15, "rho_ee": 2e-15, "rho_gg": 2e-15, "H_z": 2e-15, "norm": 2e-15}
 OTHER_LIMIT = 1e-10
 
 
-def _config_file(config_dir: str, name: str, preset: str, time: dict) -> str:
-    """Path of a config file, written into config_dir: ``preset`` on the grid ``time``."""
+def _config_file(config_dir: str, name: str, doc: dict) -> str:
+    """Path of the config file ``doc``, written into config_dir."""
     path = os.path.join(config_dir, f"{name}.json")
-    doc = scenario.merge_config(scenario.preset_dict(preset), {"time": dict(time)})
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(doc, handle)
     return path
+
+
+def _on_grid(preset: str, time: dict) -> dict:
+    """The document of ``preset`` on the grid ``time``."""
+    return scenario.merge_config(scenario.preset_dict(preset), {"time": dict(time)})
 
 
 def _runs(config_dir: str):
@@ -69,14 +85,17 @@ def _runs(config_dir: str):
     for name in scenario.available_presets():
         for fmt in ("csv", "json"):
             yield f"{name}.{fmt}", ["--preset", name, "--format", fmt]
-    revival = _config_file(config_dir, REVIVAL_GRID, REVIVAL_PRESET, REVIVAL_TIME)
+    revival = _config_file(config_dir, REVIVAL_GRID, _on_grid(REVIVAL_PRESET, REVIVAL_TIME))
     for fmt in ("csv", "json"):
         yield f"{REVIVAL_GRID}.{fmt}", ["--config", revival, "--format", fmt]
     oracle_args = ["--preset", ORACLE_PRESET, "--format", "json", *ORACLE_FLAGS]
     yield f"{ORACLE_PRESET}_oracle.json", oracle_args
-    short = _config_file(config_dir, SHORT_GRID, SHORT_PRESET, {"samples": SHORT_SAMPLES})
+    short_doc = _on_grid(SHORT_PRESET, {"samples": SHORT_SAMPLES})
+    short = _config_file(config_dir, SHORT_GRID, short_doc)
     yield f"{SHORT_GRID}.csv", ["--config", short, "--format", "csv"]
     yield f"{SHORT_GRID}_oracle.json", ["--config", short, "--format", "json", "--oracle"]
+    variants = _config_file(config_dir, VARIANTS, VARIANTS_DOC)
+    yield f"{VARIANTS}.json", ["--config", variants, "--format", "json"]
 
 
 def emit_all(outdir: str) -> list[str]:
