@@ -28,9 +28,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import IntegrationFailureError, InvalidParameterError, PhysicsValidationError
+from .factorials import log_factorials
 from .field_states import PhotonDistribution
 from .nonlinearity import Nonlinearity
 
@@ -107,10 +107,11 @@ class CoefficientTable:
         self.phi = 0.5 * params.chi * (kerr_e + kerr_g) + 0.5 * (stark_e + stark_g)
 
         ni = self.n
+        ln_fact = log_factorials(np.arange(n_max + k + 1))
         log_alpha = (
             math.log(params.gamma)
             + (lf[ni + k] - lf[ni])
-            + 0.5 * (gammaln(n + k + 1.0) - gammaln(n + 1.0))
+            + 0.5 * (ln_fact[ni + k] - ln_fact[ni])
         )
         self.alpha = np.exp(log_alpha)
         self.Omega = 0.5 * np.hypot(self.Rn - params.mu, self.alpha)

@@ -21,9 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import InvalidParameterError
+from .factorials import log_factorials
 
 COHERENT = "coherent"
 SQUEEZED = "squeezed"
@@ -32,6 +32,8 @@ KINDS = (COHERENT, SQUEEZED, THERMAL)
 
 DEFAULT_TAIL_EPS = 1e-12
 _PAD_LEVELS = 10
+# Most levels choose_truncation evaluates in one call
+_MAX_SPAN = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,17 +63,20 @@ def _log_weights(kind: str, n: np.ndarray, nbar: float) -> np.ndarray:
         return out
     if kind == COHERENT:
         # Poisson e^{-nbar} nbar^n / n!
-        return -nbar + n * math.log(nbar) - gammaln(n + 1.0)
+        return -nbar + n * math.log(nbar) - log_factorials(n)
     if kind == THERMAL:
         return n * math.log(nbar / (1.0 + nbar)) - math.log(1.0 + nbar)
     if kind == SQUEEZED:
         even = n % 2 == 0
         m = n[even] // 2
+        # one ln j! table serves both (2m)! and m!
+        j, at = np.unique(np.concatenate((2 * m, m)), return_inverse=True)
+        ln_fact = log_factorials(j)[at]
         out[even] = (
             m * math.log(nbar)
-            + gammaln(2 * m + 1.0)
+            + ln_fact[: m.size]
             - 2 * m * math.log(2.0)
-            - 2 * gammaln(m + 1.0)
+            - 2 * ln_fact[m.size :]
             - (m + 0.5) * math.log(1.0 + nbar)
         )
         return out
@@ -92,21 +97,27 @@ def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
     total = 0.0
     start = 0
     block = 64
+    span = block
     while True:
-        n = np.arange(start, start + block)
-        w = np.exp(_log_weights(kind, n, nbar))
-        cum = total + np.cumsum(w)
-        hit = np.nonzero(cum >= target)[0]
-        if hit.size:
-            return start + int(hit[0]) + k + _PAD_LEVELS
-        total = cum[-1]
-        if float(np.sum(w)) == 0.0:
-            # Accumulation stalled below the target: tolerance unreachable
-            # in double precision.
-            raise InvalidParameterError(
-                f"tail_eps={tail_eps!r} unreachable for {kind} nbar={nbar!r}"
-            )
-        start += block
+        # Weights are evaluated for a span of blocks at once (doubling up
+        # to _MAX_SPAN levels); the mass is still summed per 64-level
+        # block, whose rounding decides n_cut.
+        weights = np.exp(_log_weights(kind, np.arange(start, start + span), nbar))
+        for w in weights.reshape(-1, block):
+            cum = total + np.cumsum(w)
+            hit = np.nonzero(cum >= target)[0]
+            if hit.size:
+                return start + int(hit[0]) + k + _PAD_LEVELS
+            total = cum[-1]
+            if start > nbar and float(np.sum(w)) == 0.0:
+                # Past the mode the weights only fall, so accumulation
+                # stalled below the target: tolerance unreachable in double
+                # precision. (Before the mode a coherent block can underflow.)
+                raise InvalidParameterError(
+                    f"tail_eps={tail_eps!r} unreachable for {kind} nbar={nbar!r}"
+                )
+            start += block
+        span = min(2 * span, _MAX_SPAN)
 
 
 def build_distribution(

@@ -31,6 +31,7 @@ import os
 import shutil
 import uuid
 from dataclasses import asdict, dataclass, fields
+from itertools import repeat
 
 import numpy as np
 
@@ -495,12 +496,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-# one record of json.dump(..., indent=1) inside the top-level "records" list
-_JSON_ROW = (
-    "  {{\n"
-    + ",\n".join(f"   {json.dumps(name)}: {{}}" for name in CSV_COLUMNS)
-    + "\n  }}"
+# One record of json.dump(..., indent=1) inside the top-level "records"
+# list is each column's key text followed by its cell, then _JSON_ROW_END.
+_JSON_KEYS = tuple(
+    ("  {\n" if i == 0 else ",\n") + f"   {json.dumps(name)}: "
+    for i, name in enumerate(CSV_COLUMNS)
 )
+_JSON_ROW_END = "\n  }"
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
@@ -527,7 +529,9 @@ def _write_rows(handle, series: ObservableSeries, json_format: bool, first: bool
     for start in range(0, len(series), _EMIT_CHUNK):
         cells = [_cells(c[start : start + _EMIT_CHUNK], json_format) for c in columns]
         if json_format:
-            handle.write(("" if first else ",\n") + ",\n".join(map(_JSON_ROW.format, *cells)))
+            parts = [p for key, c in zip(_JSON_KEYS, cells) for p in (repeat(key), c)]
+            rows = map("".join, zip(*parts, repeat(_JSON_ROW_END)))
+            handle.write(("" if first else ",\n") + ",\n".join(rows))
         else:
             handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
         first = False

@@ -255,3 +255,19 @@ def test_bad_usage_exits_2():
     with pytest.raises(SystemExit) as err:
         main(["simulate", "--format", "yaml", "--preset", "coherent_bare_identity"])
     assert err.value.code == 2
+
+
+def test_importing_djcm_loads_no_scipy():
+    # scipy is a test-only dependency: importing it would cost every CLI
+    # call about 0.3 s and 25 MiB
+    src = os.path.dirname(os.path.dirname(djcm.__file__))
+    code = "import sys, djcm, djcm.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -109,6 +109,19 @@ def test_choose_truncation_frozen_values():
     assert choose_truncation("coherent", 25.0, 1e-12, 2) == 80
 
 
+@pytest.mark.parametrize("nbar", [1000.0, 5000.0])
+def test_coherent_truncation_passes_underflow_below_the_mode(nbar):
+    # e^{-nbar} nbar^n / n! underflows to 0 on the first 64-level block
+    d = coherent_distribution(nbar)
+    assert d.n_cut > nbar
+    assert d.captured_mass >= 1.0 - d.tail_eps
+
+
+def test_unreachable_tail_still_raises_past_the_mode():
+    with pytest.raises(InvalidParameterError, match="unreachable"):
+        choose_truncation("coherent", 1000.0, 1e-300, 1)
+
+
 def test_choose_truncation_invalid():
     with pytest.raises(InvalidParameterError):
         choose_truncation("coherent", -1.0, 1e-12, 1)
