@@ -230,13 +230,16 @@ class UniformGrid:
     bit (sample j is j * step, the last one t_end, as numpy computes them),
     so a run can walk a grid of any length holding one block of it.
     :class:`ClosedFormPlan` and :func:`ode_oracle_blocks` take one
-    wherever they take an array of times.
+    wherever they take an array of times. It has at most 2^53 samples:
+    beyond that the index j is not exact as a double, so j * step would
+    not be np.linspace's sample.
     """
 
     def __init__(self, t_end: float, samples: int):
-        if not (math.isfinite(t_end) and t_end >= 0.0) or samples < 2:
+        if not (math.isfinite(t_end) and t_end >= 0.0) or not 2 <= samples <= 2**53:
             raise InvalidParameterError(
-                f"a uniform grid needs t_end >= 0 and >= 2 samples, got {t_end!r}, {samples!r}"
+                "a uniform grid needs t_end >= 0 and 2 to 2^53 samples, "
+                f"got {t_end!r}, {samples!r}"
             )
         self.t_end, self.samples = float(t_end), int(samples)
         self.div = self.samples - 1
@@ -498,19 +501,17 @@ class _DensityTables:
 class AmplitudeSink:
     """Closed-form amplitudes of each block, (rows, n_cut+1) for excited and ground.
 
-    ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g}, views of one
-    buffer pair that every block of the plan reuses: inactive columns stay
-    zero, and the views are valid until the next block.
+    ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g}, with the
+    inactive columns zero; they are new arrays for every block.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.tables = [_AmplitudeTables(c, plan.coefficients, plan.c0) for c in plan.chunks]
-        rows = min(_BLOCK_ROWS, len(plan.times))
-        self._excited = np.zeros((rows, len(plan.c0)), dtype=complex)
-        self._ground = np.zeros_like(self._excited)
+        self.width = len(plan.c0)
 
     def start(self, n: int) -> None:
-        self.excited, self.ground = self._excited[:n], self._ground[:n]
+        self.excited = np.zeros((n, self.width), dtype=complex)
+        self.ground = np.zeros_like(self.excited)
 
     def take(self, i: int, t, envelope, s) -> None:
         self.tables[i].write(t, envelope, s, self.excited, self.ground)
@@ -550,9 +551,8 @@ class ClosedFormPlan:
     once into every sink given and yields the block's first sample: a
     :class:`DensitySink` reduces rho_ee, rho_gg and rho_eg per block
     without writing any amplitude, an :class:`AmplitudeSink` holds the
-    block's (block length, n_cut+1) amplitudes as views of one reused
-    buffer pair, valid until the next block (copy them to keep them). The
-    plan also reports ``active_doublets`` and ``max_phase_argument``.
+    block's (block length, n_cut+1) amplitudes. The plan also reports
+    ``active_doublets`` and ``max_phase_argument``.
 
     Built once per run: the coefficient table, the active doublets in
     _DOUBLET_CHUNK-wide chunks (each with the halo its coherence pairs
@@ -694,7 +694,7 @@ def closed_form_series(
 _REANCHOR = 128
 # (segment, doublet) pairs the oracle integrates side by side, unless one
 # segment has more doublets: a batch's arrays, about 0.5 kB a pair, then
-# stay below the size of the block buffers and mostly in cache.
+# stay below the size of a block's amplitudes and mostly in cache.
 _MAX_PAIRS = 4096
 # A complex product whose right operand is a temporary is written
 # np.multiply(x, temp): numpy computes ``x * temp`` in place into a
@@ -912,13 +912,11 @@ def ode_oracle_blocks(
 ):
     """The RK4 reference evolution, _BLOCK_ROWS grid rows at a time.
 
-    Yields ``(excited, ground)`` for each block of rows, of shape (block
-    rows, n_cut+1) and laid out as :class:`AmplitudeSink`'s, so a caller
-    can compare them with the closed form block by block. They are views
-    of one buffer pair that every block reuses: valid until the next
-    block, and free for the caller to overwrite. ``t_grid``
-    is an array or a :class:`UniformGrid`; it starts at 0 and ascends
-    strictly. See :func:`evolve_ode_oracle` for the integration.
+    Yields ``(excited, ground)`` for each block of rows, new arrays of
+    shape (block rows, n_cut+1) laid out as :class:`AmplitudeSink`'s, so
+    a caller can compare them with the closed form block by block.
+    ``t_grid`` is an array or a :class:`UniformGrid`; it starts at 0 and
+    ascends strictly. See :func:`evolve_ode_oracle` for the integration.
 
     The slow variables X, Y of each integrated doublet are chained through
     each output segment's propagator as soon as it is integrated. The
@@ -962,11 +960,10 @@ def ode_oracle_blocks(
     r1 = -1j * co.R1[active]
     r2 = -1j * co.R2[active]
 
-    buffers = np.empty((2, min(_BLOCK_ROWS, len(grid)), n_cut + 1), dtype=complex)
     for b0 in range(0, len(grid), _BLOCK_ROWS):
         b1 = min(b0 + _BLOCK_ROWS, len(grid))
-        excited, ground = buffers[:, : b1 - b0]
-        buffers.fill(0.0)  # a caller may have written into the last block
+        excited = np.zeros((b1 - b0, n_cut + 1), dtype=complex)
+        ground = np.zeros_like(excited)
         if b0 == 0:
             excited[0] = c0
         first = max(b0, 1)  # rows from here on end a segment

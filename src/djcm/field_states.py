@@ -34,6 +34,9 @@ DEFAULT_TAIL_EPS = 1e-12
 _PAD_LEVELS = 10
 # Most levels choose_truncation evaluates in one call
 _MAX_SPAN = 4096
+# Most levels N_cut + 1 a distribution may have: 2^22 holds thermal
+# nbar 1e5 (2 576 556 levels), and a walk toward more is refused, not run.
+_MAX_LEVELS = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,7 +87,12 @@ def _log_weights(kind: str, n: np.ndarray, nbar: float) -> np.ndarray:
 
 
 def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
-    """Smallest N with cumulative mass >= 1 - tail_eps, padded by k + 10."""
+    """Smallest N with cumulative mass >= 1 - tail_eps, padded by k + 10.
+
+    More than _MAX_LEVELS levels (N_cut + 1) raise InvalidParameterError,
+    as soon as the walk passes the largest N that fits, so an extreme
+    nbar or k fails at once instead of walking or allocating without end.
+    """
     if not (nbar >= 0.0) or not math.isfinite(nbar):
         raise InvalidParameterError(f"mean photon number must be >= 0, got {nbar!r}")
     if not (0.0 < tail_eps < 1.0):
@@ -93,12 +101,27 @@ def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
         raise InvalidParameterError(f"unknown field kind {kind!r}")
     if k < 1:
         raise InvalidParameterError(f"photon transition number must be >= 1, got {k}")
+    most = _MAX_LEVELS - 1 - k - _PAD_LEVELS  # the largest N that fits
+    too_many = InvalidParameterError(
+        f"{kind} nbar={nbar!r} with tail_eps={tail_eps!r} and k={k} needs more "
+        f"than {_MAX_LEVELS} Fock levels"
+    )
+    if most < 0:  # k alone takes more levels
+        raise too_many
     target = 1.0 - tail_eps
+    # Each kind's weights rise to one mode, then fall, so the levels that
+    # fit hold at most (most + 1) times the largest of them: below the
+    # target (with a factor 2 for rounding) the walk is refused unwalked.
+    ends = np.array([0, min(math.floor(nbar), most), most])
+    if 2.0 * (most + 1) * float(np.max(np.exp(_log_weights(kind, ends, nbar)))) < target:
+        raise too_many
     total = 0.0
     start = 0
     block = 64
     span = block
     while True:
+        if start > most:
+            raise too_many
         # Weights are evaluated for a span of blocks at once (doubling up
         # to _MAX_SPAN levels); the mass is still summed per 64-level
         # block, whose rounding decides n_cut.
@@ -107,6 +130,8 @@ def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
             cum = total + np.cumsum(w)
             hit = np.nonzero(cum >= target)[0]
             if hit.size:
+                if start + int(hit[0]) > most:
+                    raise too_many
                 return start + int(hit[0]) + k + _PAD_LEVELS
             total = cum[-1]
             if start > nbar and float(np.sum(w)) == 0.0:
@@ -125,16 +150,13 @@ def build_distribution(
 ) -> PhotonDistribution:
     """rho_nn(0) of the field kind named in scenario configs, truncated by choose_truncation."""
     n_cut = choose_truncation(kind, nbar, tail_eps, k)
-    n = np.arange(n_cut + 1)
     if kind == THERMAL and nbar > 0.0:
-        # Recursive product keeps the geometric ratio exact level to level.
-        probs = np.empty(n_cut + 1)
-        probs[0] = 1.0 / (1.0 + nbar)
-        ratio = nbar / (1.0 + nbar)
-        for i in range(n_cut):
-            probs[i + 1] = probs[i] * ratio
+        # The sequential product keeps the geometric ratio exact level to level.
+        factors = np.full(n_cut + 1, nbar / (1.0 + nbar))
+        factors[0] = 1.0 / (1.0 + nbar)
+        probs = np.multiply.accumulate(factors)
     else:
-        probs = np.exp(_log_weights(kind, n, nbar))
+        probs = np.exp(_log_weights(kind, np.arange(n_cut + 1), nbar))
     probs.setflags(write=False)
     return PhotonDistribution(
         kind=kind,
@@ -170,17 +192,13 @@ def thermal_distribution(
     return build_distribution(THERMAL, nbar, tail_eps, k)
 
 
-def thermal_nbar_from_temperature(
-    frequency: float, temperature: float, hbar_over_kB: float = 1.0
-) -> float:
-    """Mean occupation 1 / (exp(hbar nu / kB T) - 1)."""
+def thermal_nbar_from_temperature(frequency: float, temperature: float) -> float:
+    """Mean occupation 1 / (exp(nu / T) - 1), in units with hbar = kB = 1."""
     if not (frequency > 0.0):
         raise InvalidParameterError(f"frequency must be > 0, got {frequency!r}")
     if not (temperature > 0.0):
         raise InvalidParameterError(f"temperature must be > 0, got {temperature!r}")
-    if not (hbar_over_kB > 0.0):
-        raise InvalidParameterError(f"hbar_over_kB must be > 0, got {hbar_over_kB!r}")
-    x = hbar_over_kB * frequency / temperature
+    x = frequency / temperature
     if x > 700.0:  # exp overflows; occupation is zero to double precision
         return 0.0
     return 1.0 / math.expm1(x)

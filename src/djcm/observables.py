@@ -36,10 +36,6 @@ class ReducedAtomDensity:
     rho_gg: float
     rho_eg: complex
 
-    @property
-    def rho_ge(self) -> complex:
-        return np.conj(self.rho_eg)
-
 
 @dataclass(frozen=True)
 class ObservableRecord:

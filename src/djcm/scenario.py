@@ -57,6 +57,8 @@ ORACLE_DEVIATION_LIMIT = 1e-6
 _EMIT_CHUNK = 4096  # rows formatted per write
 # the option flags of a scenario document, each false unless it sets them
 _OPTIONS = ("oracle_check", "counter_rotating_diagnostic", "free_phase_on_coherence")
+# a revival reaches this fraction of the initial envelope after falling below it
+_REVIVAL_THRESHOLD = 0.2
 
 
 @dataclass(frozen=True)
@@ -338,25 +340,16 @@ def merge_config(base: dict, override: dict) -> dict:
 
 @dataclass
 class ScenarioResult:
-    config: ScenarioConfig
     records: ObservableSeries
     metadata: dict
-    oracle_deviation: np.ndarray | None = None
-    counter_rotating_deviation: np.ndarray | None = None
-
-    @property
-    def max_oracle_deviation(self) -> float | None:
-        if self.oracle_deviation is None:
-            return None
-        return float(np.max(self.oracle_deviation))
 
 
-def _block_deviation(amplitudes: AmplitudeSink, oracle) -> np.ndarray:
-    """Largest |amplitude difference| per sample of one block; overwrites the oracle's block."""
+def _block_deviation(amplitudes: AmplitudeSink, oracle) -> float:
+    """Largest |amplitude difference| of one block; overwrites the oracle's block."""
     excited, ground = oracle
     excited = np.subtract(amplitudes.excited, excited, out=excited)
     ground = np.subtract(amplitudes.ground, ground, out=ground)
-    return np.maximum(np.max(np.abs(excited), axis=1), np.max(np.abs(ground), axis=1))
+    return float(np.maximum(np.max(np.abs(excited)), np.max(np.abs(ground))))
 
 
 class ScenarioStream:
@@ -372,15 +365,13 @@ class ScenarioStream:
     With ``oracle_check`` and/or ``counter_rotating_diagnostic`` the same
     chunk evaluation also feeds an amplitude sink, and each block is
     compared with the matching block of the RK4 integration
-    (:func:`~djcm.dynamics.ode_oracle_blocks`) as soon as both exist:
-    after each block ``oracle_deviation`` and
-    ``counter_rotating_deviation`` hold that block's per-sample maximum
-    amplitude deviation (None without the option), and once the last
-    block is out ``metadata["resolved"]`` also holds
-    ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
+    (:func:`~djcm.dynamics.ode_oracle_blocks`) as soon as both exist. The
+    stream keeps only the running maximum amplitude deviation of each
+    option; once the last block is out ``metadata["resolved"]`` holds it
+    as ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
 
     Whatever the grid's length, the stream holds one block: the plan's
-    chunk buffers, the sinks' block buffers (the amplitude sink's are
+    chunk buffers, the sinks' blocks (the amplitude sink's are
     (block, n_cut+1)), the oracle's block and pair batch, and the series
     it yields.
     """
@@ -397,7 +388,6 @@ class ScenarioStream:
             "active_doublets": plan.active_doublets,
             "max_phase_argument": plan.max_phase_argument,
         }
-        self.oracle_deviation = self.counter_rotating_deviation = None
 
     def __iter__(self):
         config, dist, plan = self.config, self._dist, self._plan
@@ -422,9 +412,7 @@ class ScenarioStream:
         worst = dict.fromkeys(oracles, -np.inf)
         for start in plan.blocks(*sinks):
             for name, blocks in oracles.items():
-                deviation = _block_deviation(amplitudes, next(blocks))
-                setattr(self, f"{name}_deviation", deviation)
-                worst[name] = np.maximum(worst[name], np.max(deviation))
+                worst[name] = np.maximum(worst[name], _block_deviation(amplitudes, next(blocks)))
             times = grid[start : start + len(density.rho_ee)]
             yield series_from_density(
                 times, density.rho_ee, density.rho_gg, density.rho_eg, coherence_phase
@@ -459,36 +447,25 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ``counter_rotating_diagnostic`` the same chunk evaluation also feeds
     an amplitude sink, whose blocks are compared with the RK4 reference
     integration on the same grid block by block; the emitted rows come
-    from the density sink either way. With ``oracle_check`` the
-    per-sample max deviation from those amplitudes is reported alongside
-    the series; callers treat a deviation above 1e-6 as a failure (the
-    CLI exits 3). ``counter_rotating_diagnostic`` reports the same
-    deviation measure against the integration that retains the
-    counter-rotating terms: that difference measures the rotating-wave
-    approximation itself, so it is reported, never gated on.
+    from the density sink either way. With ``oracle_check`` the largest
+    amplitude deviation is reported as
+    ``metadata["resolved"]["max_oracle_deviation"]``; callers treat one
+    above 1e-6 as a failure (the CLI exits 3).
+    ``counter_rotating_diagnostic`` reports the same deviation measure
+    against the integration that retains the counter-rotating terms, as
+    ``max_counter_rotating_deviation``: that difference measures the
+    rotating-wave approximation itself, so it is reported, never gated on.
 
     ``metadata["resolved"]`` holds the truncation (``n_cut``,
     ``captured_mass``), the number of active doublets and the largest
     phase argument the kernel evaluates (``max_phase_argument``, |w| t_end
     over the Rabi and phase frequencies of the active doublets), plus the
-    largest deviation of each oracle option. The series, and the
-    per-sample deviations, are whole-grid arrays; the CLI streams instead.
+    largest deviation of each oracle option. ``records`` is a whole-grid
+    series; the CLI streams instead.
     """
     stream = iter_scenario(config)
-    blocks, oracle, counter_rotating = [], [], []
-    for block in stream:
-        blocks.append(block)
-        oracle.append(stream.oracle_deviation)
-        counter_rotating.append(stream.counter_rotating_deviation)
-    return ScenarioResult(
-        config=config,
-        records=ObservableSeries.concatenate(blocks),
-        metadata=stream.metadata,
-        oracle_deviation=np.concatenate(oracle) if config.oracle_check else None,
-        counter_rotating_deviation=(
-            np.concatenate(counter_rotating) if config.counter_rotating_diagnostic else None
-        ),
-    )
+    records = ObservableSeries.concatenate(list(stream))
+    return ScenarioResult(records=records, metadata=stream.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +628,7 @@ def sliding_rms(x: np.ndarray, window: int) -> np.ndarray:
     return np.sqrt((cum[hi] - cum[lo]) / (hi - lo))
 
 
-def measure_revivals(records, threshold_frac: float = 0.2):
+def measure_revivals(records):
     """Revival events {t_center, envelope_amplitude} of an inversion series.
 
     ``records`` is an :class:`ObservableSeries`, or any mapping with "t"
@@ -659,7 +636,7 @@ def measure_revivals(records, threshold_frac: float = 0.2):
 
     The envelope is the sliding-window RMS of W - mean(W) with a window of
     2% of the grid. An event is an interior local maximum of the envelope
-    that reaches ``threshold_frac`` of the initial envelope after the
+    that reaches _REVIVAL_THRESHOLD of the initial envelope after the
     envelope has previously collapsed below that same threshold; no
     collapse means no revival, so a flat (or merely rippling) envelope
     yields no events.
@@ -671,7 +648,7 @@ def measure_revivals(records, threshold_frac: float = 0.2):
     x = w - np.mean(w)
     window = max(3, round(0.02 * len(w)))
     env = sliding_rms(x, window)
-    threshold = threshold_frac * env[0]
+    threshold = _REVIVAL_THRESHOLD * env[0]
 
     events = []
     collapsed = False

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -21,6 +22,27 @@ def write_config(tmp_path, doc, name="scenario.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def simulate_in_subprocess(tmp_path, doc, fmt, address_space=None):
+    """``djcm simulate`` of doc into tmp_path/never.<fmt>, run by a fresh interpreter."""
+    out_path = tmp_path / f"never.{fmt}"
+    src = os.path.dirname(os.path.dirname(djcm.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    argv += ["--format", fmt]
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
+    return subprocess.run(
+        [sys.executable, "-m", "djcm.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        preexec_fn=limit if address_space else None,
+    )
 
 
 def test_list_presets(capsys):
@@ -179,21 +201,30 @@ def test_phase_overflow_exits_2_with_one_stderr_line(tmp_path, chi, samples, fmt
         "params": {**CHEAP["params"], "chi": chi},
         "time": {**CHEAP["time"], "samples": samples},
     }
-    out_path = tmp_path / f"never.{fmt}"
-    src = os.path.dirname(os.path.dirname(djcm.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    argv = ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
-    argv += ["--format", fmt]
-    proc = subprocess.run(
-        [sys.executable, "-m", "djcm.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = simulate_in_subprocess(tmp_path, doc, fmt)
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: phase overflow"), proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ({"field": {"kind": "coherent", "nbar": 1e300}}, "4194304 Fock levels"),
+        ({"field": {"kind": "squeezed", "nbar": 1e300}}, "4194304 Fock levels"),
+        ({"field": {"kind": "thermal", "nbar": 1e300}}, "4194304 Fock levels"),
+        ({"params": {"k": 1e9}}, "4194304 Fock levels"),
+        ({"time": {"t_end": 5.0, "samples": 1e300}}, "2^53 samples"),
+    ],
+)
+def test_sizes_past_the_limits_exit_2(tmp_path, override, message):
+    # in a fresh interpreter with 2 GiB of address space and a timeout, so
+    # a size that is not refused fails the test, not the machine
+    proc = simulate_in_subprocess(tmp_path, {**CHEAP, **override}, "csv", address_space=2 << 30)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
     assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 

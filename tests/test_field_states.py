@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -96,8 +97,6 @@ def test_thermal_nbar_invalid_args():
         thermal_nbar_from_temperature(-1.0, 1.0)
     with pytest.raises(InvalidParameterError):
         thermal_nbar_from_temperature(1.0, 0.0)
-    with pytest.raises(InvalidParameterError):
-        thermal_nbar_from_temperature(1.0, 1.0, hbar_over_kB=0.0)
 
 
 def test_choose_truncation_frozen_values():
@@ -120,6 +119,25 @@ def test_coherent_truncation_passes_underflow_below_the_mode(nbar):
 def test_unreachable_tail_still_raises_past_the_mode():
     with pytest.raises(InvalidParameterError, match="unreachable"):
         choose_truncation("coherent", 1000.0, 1e-300, 1)
+
+
+@pytest.mark.parametrize("kind", ["coherent", "squeezed", "thermal"])
+def test_extreme_nbar_is_refused_at_once(kind):
+    # no 64-level block sums to 0 past the mode, which is never passed
+    start = time.perf_counter()
+    with pytest.raises(InvalidParameterError, match="more than 4194304 Fock levels"):
+        choose_truncation(kind, 1e300, 1e-12, 1)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_truncation_holds_at_most_2_22_levels():
+    # the vacuum needs N = 0, so N_cut + 1 = k + 11 levels
+    assert choose_truncation("coherent", 0.0, 1e-12, 2**22 - 11) == 2**22 - 1
+    for k in (2**22 - 10, 10**9):
+        with pytest.raises(InvalidParameterError, match="more than 4194304 Fock levels"):
+            choose_truncation("coherent", 0.0, 1e-12, k)
+    # the largest field accepted so far still fits
+    assert choose_truncation("thermal", 1e5, 1e-12, 1) == 2576556
 
 
 def test_choose_truncation_invalid():
