@@ -77,11 +77,6 @@ class ModelParams:
         if self.k != 2 and (self.beta1 != 0.0 or self.beta2 != 0.0):
             raise PhysicsValidationError(STARK_CONSTRAINT)
 
-    @property
-    def omega_atom(self) -> float:
-        """Atomic transition frequency, implicit as Delta + k nu."""
-        return self.detuning + self.k * self.nu
-
 
 class CoefficientTable:
     """Vectorized R1, R2, Rn, alpha, phi, Omega over n = 0..n_max."""
@@ -183,6 +178,11 @@ def _resolve_initial(dist, initial_amplitudes):
         raise InvalidParameterError(
             f"initial amplitudes have shape {c0.shape}, "
             f"distribution has {dist.probabilities.shape}"
+        )
+    bad = np.flatnonzero(~np.isfinite(c0))
+    if len(bad):
+        raise InvalidParameterError(
+            f"initial amplitude of level {bad[0]} is not finite: {complex(c0[bad[0]])!r}"
         )
     return c0
 
@@ -318,184 +318,27 @@ def _product_into(out: np.ndarray, cols, a, b) -> None:
         out[:, cols] = a * b
 
 
-class _DoubletChunk:
-    """The rotation stage of up to _DOUBLET_CHUNK active doublets and their halo.
+@dataclass(frozen=True)
+class _Chunk:
+    """Up to _DOUBLET_CHUNK active doublets and their halo, as column ranges.
 
-    ``idx`` holds the chunk's own active levels, then its halo: the next
-    active levels up to level n + k of the last own one that has an
-    active partner, so that each coherence pair (n, n + k) with n in the
-    chunk finds both members among the chunk's columns (``pairs`` holds
-    their positions). :meth:`rotation` evaluates every column once per
-    block; each sink then reads it through its own per-chunk tables
-    (:class:`_AmplitudeTables`, :class:`_DensityTables`).
-
-    ``r_step`` is the column of fine offsets r step, one per row of a
-    group (the plan's :attr:`~ClosedFormPlan.group`); the chunk holds the
-    fine table exp(-i w r step) of the Rabi rotation (w = -Omega).
+    ``span`` and ``mine`` slice the plan's arrays over the active
+    doublets: ``mine`` the chunk's ``own`` doublets, ``span`` those and
+    the halo after them, the next active doublets up to the partner
+    n + k of the last own one that has one, so that each coherence pair
+    (n, n + k) with n among the own finds both members within the span.
+    ``cols`` are the own doublets' level columns in a block's amplitudes,
+    ``pairs`` slices the plan's pair arrays, and ``lo`` and ``hi`` are
+    those pairs' members as positions within the span.
     """
 
-    def __init__(self, co: CoefficientTable, idx, own: int, pairs, mu: float, r_step, scratch):
-        self.idx, self.own, self.pairs = idx, own, pairs
-        self.cols = _as_slice(idx[:own])
-        self.omega = co.Omega[idx]
-        self.mu = mu
-        self.r_step, self.group = r_step, len(r_step)
-        self.scratch = scratch  # the plan's shared _Scratch
-        self.rabi = -self.omega
-        self.rabi_fine_arg = self.rabi * r_step
-        self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
-        self.envelope_rate = -0.5 * (co.Rn[idx] - mu)
-
-    def rotation(self, t: np.ndarray):
-        """(envelope, s) of every column at the times column t.
-
-        envelope = cos(Omega t) - i (R_n - mu)/2 s and s = sin(Omega t)/Omega,
-        from the rotation exp(i Omega t) of :meth:`_rotation`: its real part
-        is cos(Omega t) and its imaginary part gives s.
-        """
-        rot = self._rotation(t)
-        s = _sin_over_omega(self.omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
-        envelope = rot  # its real part already holds cos(Omega t)
-        np.multiply(self.envelope_rate, s, out=envelope.imag)
-        return envelope, s
-
-    def _rotation(self, t: np.ndarray) -> np.ndarray:
-        """exp(i Omega t) of one block from the tables.
-
-        ``t`` is the block's column of grid times, padded to whole groups
-        of g = ``group`` rows; its rows 0, g, 2 g, ... are the coarse
-        anchors. With g = 1 every time is its own anchor, the fine factor
-        is 1 and the correction d below is exactly 0.
-
-        The rotation from the tables is moved onto the direct argument
-        fl(Omega t) by exp(-i d) ~ 1 - d^2/2 - i d, where
-        d = fl(w t_j) - fl(w t_anchor) - fl(w r step) is exact (Sterbenz)
-        and a few eps |Omega t| in size: cos and sin then carry the
-        rounding of fl(Omega t) evaluated directly, so unitarity and the
-        population route to W hold as tightly as there.
-        """
-        m, w, g = len(t), len(self.omega), self.group
-        work = self.scratch
-        anchors = t[::g]
-        d = np.multiply(self.rabi, t, out=_view(work.arg, m, w))  # fl(w t_j), made d below
-        anchor_arg = self.rabi * anchors
-        rot = _expand(np.exp(-1j * anchor_arg), self.rabi_fine, _view(work.rot, m, w))
-        groups = d.reshape(len(anchors), g, w)
-        groups -= anchor_arg[:, None, :]
-        groups -= self.rabi_fine_arg
-        correction = _view(work.excited, m, w)
-        re = correction.real
-        np.multiply(d, 0.5, out=re)
-        re *= d
-        np.subtract(1.0, re, out=re)
-        np.subtract(0.0, d, out=correction.imag)  # 0 - d keeps the signs of zero
-        rot *= correction
-        return rot
-
-
-class _AmplitudeTables:
-    """The amplitude sink's per-run data of one chunk's own doublets.
-
-    The fine tables of the ground phase (w = phi - mu/2) and the excited
-    phase (the ground phase times exp(-i mu r step)), with c0 and the
-    constant factors of the closed form folded in.
-    """
-
-    def __init__(self, chunk: _DoubletChunk, co: CoefficientTable, c0):
-        mine = chunk.idx[: chunk.own]
-        self.chunk = chunk
-        self.alpha = co.alpha[mine]
-        c0a = c0[mine]
-        mu, r_step = chunk.mu, chunk.r_step
-        self.ground_rate = co.phi[mine] - 0.5 * mu
-        ground_fine = np.exp(-1j * (self.ground_rate * r_step))
-        self.excited_fine = ground_fine * (np.exp(-1j * (mu * r_step)) * c0a)
-        self.ground_fine = ground_fine * (-0.5j * self.alpha * c0a)
-
-    def phases(self, t: np.ndarray, n: int):
-        """(excited phase, ground phase) of the own columns from the tables.
-
-        c0 exp(-i (phi + mu/2) t) and -i (alpha/2) c0 exp(-i (phi - mu/2) t)
-        on the first n rows of the padded times column t.
-        """
-        chunk = self.chunk
-        m, w = len(t), chunk.own
-        work = chunk.scratch
-        anchors = t[:: chunk.group]
-        ground_coarse = np.exp(-1j * (self.ground_rate * anchors))
-        shift = np.exp(-1j * (chunk.mu * anchors))
-        excited_phase = _expand(ground_coarse * shift, self.excited_fine, _view(work.excited, m, w))
-        ground_phase = _expand(ground_coarse, self.ground_fine, _view(work.ground, m, w))
-        return excited_phase[:n], ground_phase[:n]
-
-    def write(self, t, envelope, s, excited: np.ndarray, ground: np.ndarray) -> None:
-        """Write the own columns of one block's amplitudes."""
-        chunk = self.chunk
-        n, w, cols = len(excited), chunk.own, chunk.cols
-        excited_phase, ground_phase = self.phases(t, n)
-        _product_into(excited, cols, excited_phase, envelope[:n, :w])
-        _product_into(ground, cols, ground_phase, s[:n, :w])
-
-
-class _DensityTables:
-    """The density sink's per-run data of one chunk.
-
-    |c0|^2 and alpha/2 of the own doublets, and of the coherence pairs
-    (n, n + k) the weight i (alpha_n/2) conj(c0_n) c0_{n+k} and the rate
-    phi_{n+k} - phi_n + mu of their phase as the fine table
-    exp(-i w r step), with the weight folded in.
-    """
-
-    def __init__(self, chunk: _DoubletChunk, co: CoefficientTable, c0):
-        idx, mu = chunk.idx, chunk.mu
-        mine = idx[: chunk.own]
-        self.chunk = chunk
-        c0a = c0[mine]
-        # |c0|^2, twice: once for the real, once for the imaginary part of
-        # the envelope
-        self.population = c0a.real * c0a.real + c0a.imag * c0a.imag
-        self.population_twice = np.repeat(self.population, 2)
-        self.half_alpha = 0.5 * co.alpha[mine]
-        lo, hi = chunk.pairs
-        self.pairs = (_as_slice(lo), _as_slice(hi)) if len(lo) else None
-        if self.pairs is None:
-            return
-        self.pair_rate = co.phi[idx[hi]] - co.phi[idx[lo]] + mu
-        weight = 0.5j * co.alpha[idx[lo]] * np.conj(c0[idx[lo]]) * c0[idx[hi]]
-        self.pair_fine = np.exp(-1j * (self.pair_rate * chunk.r_step)) * weight
-
-    def reduce(self, t, envelope, s, rho_ee, rho_gg, rho_eg) -> None:
-        """Add the chunk's share of one block's density to the three rows.
-
-        The populations carry no phase: rho_ee = |envelope|^2 . |c0|^2, with
-        |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2, and
-        rho_gg = ((alpha/2) s)^2 . |c0|^2, each a real matrix-vector
-        product. The factors are squared after they are multiplied, as in
-        |amplitude|^2, so no weight overflows where the amplitudes stay
-        finite (((alpha/2) s)^2 is bounded, (alpha/2)^2 alone is not).
-
-        The coherence rho_eg = sum_n i (alpha_n/2) conj(c0_n) c0_{n+k}
-        s_n envelope_{n+k} exp(-i (phi_{n+k} - phi_n + mu) t) takes its pair
-        phase as coarse x fine rows: the fine factor, weight included,
-        multiplies the terms, and each group's sum against its coarse row
-        is one matrix product. Without an active pair it is not computed.
-        """
-        n, w = len(rho_ee), self.chunk.own
-        work = self.chunk.scratch
-        ground = np.multiply(s[:n, :w], self.half_alpha, out=_view(work.arg, n, w))
-        rho_gg += np.square(ground, out=ground) @ self.population
-        # |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2: its parts side by side
-        parts = np.square(envelope[:n, :w].view(float), out=_view(work.arg, n, 2 * w))
-        rho_ee += parts @ self.population_twice
-        if self.pairs is None:
-            return
-        lo, hi = self.pairs
-        m, p, g = len(t), len(self.pair_rate), self.chunk.group
-        terms = np.multiply(s[:, lo], envelope[:, hi], out=_view(work.excited, m, p))
-        terms = terms.reshape(m // g, g, p)
-        terms *= self.pair_fine
-        coarse = np.exp(-1j * (self.pair_rate * t[::g]))
-        rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
+    span: slice
+    own: int
+    mine: slice
+    cols: object
+    pairs: slice
+    lo: object
+    hi: object
 
 
 class AmplitudeSink:
@@ -503,18 +346,51 @@ class AmplitudeSink:
 
     ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g}, with the
     inactive columns zero; they are new arrays for every block.
+
+    Built once per run over the plan's active doublets: the fine tables
+    of the ground phase (w = phi - mu/2) and of the excited phase (the
+    ground phase times exp(-i mu r step)), with c0 and the constant
+    factors of the closed form folded in. :meth:`take` slices them to a
+    chunk.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
-        self.tables = [_AmplitudeTables(c, plan.coefficients, plan.c0) for c in plan.chunks]
-        self.width = len(plan.c0)
+        self.plan = plan
+        c0a = plan.c0[plan.active]
+        alpha = plan.coefficients.alpha[plan.active]
+        ground_fine = np.exp(-1j * (plan.ground_rate * plan.r_step))
+        self.excited_fine = ground_fine * (np.exp(-1j * (plan.mu * plan.r_step)) * c0a)
+        self.ground_fine = ground_fine * (-0.5j * alpha * c0a)
 
     def start(self, n: int) -> None:
-        self.excited = np.zeros((n, self.width), dtype=complex)
+        self.excited = np.zeros((n, len(self.plan.c0)), dtype=complex)
         self.ground = np.zeros_like(self.excited)
 
-    def take(self, i: int, t, envelope, s) -> None:
-        self.tables[i].write(t, envelope, s, self.excited, self.ground)
+    def phases(self, chunk: _Chunk, t: np.ndarray, n: int):
+        """(excited phase, ground phase) of a chunk's own columns from the tables.
+
+        c0 exp(-i (phi + mu/2) t) and -i (alpha/2) c0 exp(-i (phi - mu/2) t)
+        on the first n rows of the padded times column t.
+        """
+        plan = self.plan
+        m, w, mine = len(t), chunk.own, chunk.mine
+        anchors = t[:: plan.group]
+        ground_coarse = np.exp(-1j * (plan.ground_rate[mine] * anchors))
+        shift = np.exp(-1j * (plan.mu * anchors))
+        excited_phase = _expand(
+            ground_coarse * shift, self.excited_fine[:, mine], _view(plan.scratch.excited, m, w)
+        )
+        ground_phase = _expand(
+            ground_coarse, self.ground_fine[:, mine], _view(plan.scratch.ground, m, w)
+        )
+        return excited_phase[:n], ground_phase[:n]
+
+    def take(self, chunk: _Chunk, t, envelope, s) -> None:
+        """Write a chunk's own columns of the block's amplitudes."""
+        n, w = len(self.excited), chunk.own
+        excited_phase, ground_phase = self.phases(chunk, t, n)
+        _product_into(self.excited, chunk.cols, excited_phase, envelope[:n, :w])
+        _product_into(self.ground, chunk.cols, ground_phase, s[:n, :w])
 
     def finite(self) -> bool:
         # a NaN or an infinity anywhere reaches the sum
@@ -527,17 +403,65 @@ class DensitySink:
     After each block ``rho_ee``, ``rho_gg`` (float) and ``rho_eg``
     (complex, rho_eg = sum_n conj(c_{n+k,g}) c_{n+k,e}) hold one value per
     sample; they are new arrays for every block.
+
+    Built once per run over the plan's active doublets: |c0|^2 and
+    alpha/2, and over its coherence pairs (n, n + k) the fine table
+    exp(-i w r step) of the pair phase, w = phi_{n+k} - phi_n + mu, with
+    the weight i (alpha_n/2) conj(c0_n) c0_{n+k} folded in. :meth:`take`
+    slices them to a chunk.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
-        self.tables = [_DensityTables(c, plan.coefficients, plan.c0) for c in plan.chunks]
+        self.plan = plan
+        c0, alpha, active = plan.c0, plan.coefficients.alpha, plan.active
+        c0a = c0[active]
+        self.population = c0a.real * c0a.real + c0a.imag * c0a.imag
+        # |c0|^2, twice: once for the real, once for the imaginary part of
+        # the envelope
+        self.population_twice = np.repeat(self.population, 2).reshape(-1, 2)
+        self.half_alpha = 0.5 * alpha[active]
+        lo, hi = active[plan.pair_lo], active[plan.pair_hi]
+        weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
+        self.pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
 
     def start(self, n: int) -> None:
         self.rho_ee, self.rho_gg = np.zeros(n), np.zeros(n)
         self.rho_eg = np.zeros(n, dtype=complex)
 
-    def take(self, i: int, t, envelope, s) -> None:
-        self.tables[i].reduce(t, envelope, s, self.rho_ee, self.rho_gg, self.rho_eg)
+    def take(self, chunk: _Chunk, t, envelope, s) -> None:
+        """Add a chunk's share of the block's density to the three rows.
+
+        The populations carry no phase: rho_ee = |envelope|^2 . |c0|^2, with
+        |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2, and
+        rho_gg = ((alpha/2) s)^2 . |c0|^2, each a real matrix-vector
+        product. The factors are squared after they are multiplied, as in
+        |amplitude|^2, so no weight overflows where the amplitudes stay
+        finite (((alpha/2) s)^2 is bounded, (alpha/2)^2 alone is not).
+
+        The coherence rho_eg = sum_n i (alpha_n/2) conj(c0_n) c0_{n+k}
+        s_n envelope_{n+k} exp(-i (phi_{n+k} - phi_n + mu) t) takes its pair
+        phase as coarse x fine rows: the fine factor, weight included,
+        multiplies the terms, and each group's sum against its coarse row
+        is one matrix product. A chunk without an active pair skips it.
+        """
+        plan = self.plan
+        n, w, mine = len(self.rho_ee), chunk.own, chunk.mine
+        work = plan.scratch
+        ground = np.multiply(s[:n, :w], self.half_alpha[mine], out=_view(work.arg, n, w))
+        self.rho_gg += np.square(ground, out=ground) @ self.population[mine]
+        # |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2: its parts side by side
+        parts = np.square(envelope[:n, :w].view(float), out=_view(work.arg, n, 2 * w))
+        self.rho_ee += parts @ self.population_twice[mine].reshape(-1)
+        pairs = chunk.pairs
+        p = pairs.stop - pairs.start
+        if not p:
+            return
+        m, g = len(t), plan.group
+        terms = np.multiply(s[:, chunk.lo], envelope[:, chunk.hi], out=_view(work.excited, m, p))
+        terms = terms.reshape(m // g, g, p)
+        terms *= self.pair_fine[:, pairs]
+        coarse = np.exp(-1j * (plan.pair_rate[pairs] * t[::g]))
+        self.rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
 
     def finite(self) -> bool:
         return bool(np.isfinite(np.sum(self.rho_ee) + np.sum(self.rho_gg) + np.sum(self.rho_eg)))
@@ -554,47 +478,54 @@ class ClosedFormPlan:
     block's (block length, n_cut+1) amplitudes. The plan also reports
     ``active_doublets`` and ``max_phase_argument``.
 
-    Built once per run: the coefficient table, the active doublets in
-    _DOUBLET_CHUNK-wide chunks (each with the halo its coherence pairs
-    need) and their fine Rabi tables. A sink builds its own per-chunk
-    tables when it is made for the plan: the amplitude phases
-    (:class:`AmplitudeSink`), or the population weights and pair phases
-    (:class:`DensitySink`). Each block of _BLOCK_ROWS samples then
-    evaluates only its coarse rows, anchored at the grid's own times
-    t_{group J}, and each chunk's rotation stage once for all the sinks it
-    feeds (:meth:`blocks`).
+    Built once per run, each as one array over the ``active`` doublets
+    (levels with c0 != 0): ``omega``; ``rabi`` = -Omega with its fine
+    table ``rabi_fine`` = exp(-i ``rabi_fine_arg``), rabi_fine_arg =
+    rabi r step; ``envelope_rate`` = -(R_n - mu)/2; ``ground_rate`` =
+    phi - mu/2; and ``pair_rate`` = phi_{n+k} - phi_n + mu over the
+    coherence pairs, whose members sit at ``pair_lo`` and ``pair_hi``
+    among the active doublets. A sink made for the plan builds its own
+    tables over the same doublets. ``chunks`` cut them into
+    _DOUBLET_CHUNK-wide column ranges with the halo their pairs need,
+    which bounds the plan's one ``scratch``. Each block of _BLOCK_ROWS
+    samples then evaluates only its coarse rows, anchored at the grid's
+    own times t_{group J}, and each chunk's rotation stage once for all
+    the sinks it feeds (:meth:`blocks`).
 
     ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
     uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
-    its step, the fine tables' spacing), 1 on any other grid (``step`` is
-    None), where every time is its own anchor.
+    its step, the fine tables' spacing, and ``r_step`` the column of fine
+    offsets r step), 1 on any other grid (``step`` is None), where every
+    time is its own anchor.
 
     A grid whose largest phase argument |w| t_end reaches 2^52 is refused
     with PhysicsValidationError ("phase overflow") before any block is
     evaluated: there eps |w| t_end >= 1 rad, so no digit of the phase is
-    right. A block that is not finite in any sink raises the same error
-    (:meth:`blocks`).
+    right. The rates w are the very arrays the kernel evaluates: omega,
+    ground_rate, mu and pair_rate. A block that is not finite in any sink
+    raises PhysicsValidationError too (:meth:`blocks`).
     """
 
     def __init__(self, params, f, dist, times, initial_amplitudes=None):
         self.times, t_max, step = _grid_span(times)
         self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
         self.c0 = c0 = _resolve_initial(dist, initial_amplitudes)
-        active = np.nonzero(c0 != 0.0)[0]
+        self.active = active = np.nonzero(c0 != 0.0)[0]
         self.active_doublets = len(active)
-        mu, k = params.mu, params.k
+        self.mu = mu = params.mu
         # position of level n + k among the active levels, -1 where inactive
-        position = np.full(len(c0) + k, -1)
+        position = np.full(len(c0) + params.k, -1)
         position[active] = np.arange(len(active))
-        partner = position[active + k]
+        partner = position[active + params.k]
+        self.pair_lo = np.nonzero(partner >= 0)[0]
+        self.pair_hi = partner[self.pair_lo]
+        self.omega = co.Omega[active]
+        self.ground_rate = co.phi[active] - 0.5 * mu
+        self.pair_rate = co.phi[active[self.pair_hi]] - co.phi[active[self.pair_lo]] + mu
         # the largest phase argument the kernel evaluates: Omega t, the
         # ground phase (phi - mu/2) t, the shift mu t and the pair phase
         # (phi_{n+k} - phi_n + mu) t, at the last time
-        paired = partner >= 0
-        pair_rate = co.phi[active[paired] + k] - co.phi[active[paired]] + mu
-        rates = np.abs(
-            np.concatenate((co.Omega[active], co.phi[active] - 0.5 * mu, [mu], pair_rate))
-        )
+        rates = np.abs(np.concatenate((self.omega, self.ground_rate, [mu], self.pair_rate)))
         self.max_phase_argument = float(np.max(rates) * t_max)
         # cos, sin and exp of such arguments may still be finite, but meaningless
         if not self.max_phase_argument < _PHASE_LIMIT:
@@ -606,20 +537,72 @@ class ClosedFormPlan:
         self.step = step
         self.group = 1 if step is None else _FINE
         # the fine offsets r step of a group's rows: 0 alone in a group of one
-        r_step = np.arange(self.group)[:, None] * (step or 0.0)
-        spans = []
+        self.r_step = np.arange(self.group)[:, None] * (step or 0.0)
+        self.rabi = -self.omega
+        self.rabi_fine_arg = self.rabi * self.r_step
+        self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
+        self.envelope_rate = -0.5 * (co.Rn[active] - mu)
+        self.chunks = []
         for i0 in range(0, len(active), _DOUBLET_CHUNK):
             i1 = min(i0 + _DOUBLET_CHUNK, len(active))
-            lo = np.nonzero(paired[i0:i1])[0]
-            hi = partner[i0:i1][lo] - i0
-            spans.append((i0, i1, lo, hi, max(i1, i0 + int(np.max(hi, initial=-1)) + 1)))
-        width = max((end - i0 for i0, _, _, _, end in spans), default=0)
+            pairs = slice(*np.searchsorted(self.pair_lo, (i0, i1)).tolist())
+            lo, hi = self.pair_lo[pairs] - i0, self.pair_hi[pairs] - i0
+            span = slice(i0, max(i1, i0 + int(np.max(hi, initial=-1)) + 1))
+            cols = _as_slice(active[i0:i1])
+            self.chunks.append(
+                _Chunk(span, i1 - i0, slice(i0, i1), cols, pairs, _as_slice(lo), _as_slice(hi))
+            )
+        width = max((c.span.stop - c.span.start for c in self.chunks), default=0)
         padded_rows = -(-min(_BLOCK_ROWS, len(self.times)) // self.group) * self.group
-        scratch = _Scratch(padded_rows, width)
-        self.chunks = [
-            _DoubletChunk(co, active[i0:end], i1 - i0, (lo, hi), mu, r_step, scratch)
-            for i0, i1, lo, hi, end in spans
-        ]
+        self.scratch = _Scratch(padded_rows, width)
+
+    def rotation(self, chunk: _Chunk, t: np.ndarray):
+        """(envelope, s) of every column of a chunk's span at the times column t.
+
+        envelope = cos(Omega t) - i (R_n - mu)/2 s and s = sin(Omega t)/Omega,
+        from the rotation exp(i Omega t) of :meth:`_rotation`: its real part
+        is cos(Omega t) and its imaginary part gives s.
+        """
+        rot = self._rotation(chunk, t)
+        omega = self.omega[chunk.span]
+        s = _sin_over_omega(omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
+        envelope = rot  # its real part already holds cos(Omega t)
+        np.multiply(self.envelope_rate[chunk.span], s, out=envelope.imag)
+        return envelope, s
+
+    def _rotation(self, chunk: _Chunk, t: np.ndarray) -> np.ndarray:
+        """exp(i Omega t) of a chunk's span for one block, from the tables.
+
+        ``t`` is the block's column of grid times, padded to whole groups
+        of g = ``group`` rows; its rows 0, g, 2 g, ... are the coarse
+        anchors. With g = 1 every time is its own anchor, the fine factor
+        is 1 and the correction d below is exactly 0.
+
+        The rotation from the tables is moved onto the direct argument
+        fl(Omega t) by exp(-i d) ~ 1 - d^2/2 - i d, where
+        d = fl(w t_j) - fl(w t_anchor) - fl(w r step) is exact (Sterbenz)
+        and a few eps |Omega t| in size: cos and sin then carry the
+        rounding of fl(Omega t) evaluated directly, so unitarity and the
+        population route to W hold as tightly as there.
+        """
+        span, g, work = chunk.span, self.group, self.scratch
+        rabi = self.rabi[span]
+        m, w = len(t), len(rabi)
+        anchors = t[::g]
+        d = np.multiply(rabi, t, out=_view(work.arg, m, w))  # fl(w t_j), made d below
+        anchor_arg = rabi * anchors
+        rot = _expand(np.exp(-1j * anchor_arg), self.rabi_fine[:, span], _view(work.rot, m, w))
+        groups = d.reshape(len(anchors), g, w)
+        groups -= anchor_arg[:, None, :]
+        groups -= self.rabi_fine_arg[:, span]
+        correction = _view(work.excited, m, w)
+        re = correction.real
+        np.multiply(d, 0.5, out=re)
+        re *= d
+        np.subtract(1.0, re, out=re)
+        np.subtract(0.0, d, out=correction.imag)  # 0 - d keeps the signs of zero
+        rot *= correction
+        return rot
 
     def blocks(self, *sinks):
         """Evaluate the grid block by block into ``sinks``; yield each block's start.
@@ -627,7 +610,8 @@ class ClosedFormPlan:
         When a block is yielded every sink holds its values; each chunk's
         rotation stage is evaluated once per block, whatever the sinks. A
         block with a value that is not finite in any sink raises
-        PhysicsValidationError: its phase arguments overflowed.
+        PhysicsValidationError, which names the block's first time and the
+        largest phase argument.
         """
         for start in range(0, len(self.times), _BLOCK_ROWS):
             self._evaluate(start, sinks)
@@ -638,18 +622,18 @@ class ClosedFormPlan:
         t = self._table_times(start, n)
         for sink in sinks:
             sink.start(n)
-        # a phase argument that overflows shows as a value that is not
-        # finite, reported once below instead of as numpy warnings
+        # a value that overflows shows as one that is not finite, reported
+        # once below instead of as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, chunk in enumerate(self.chunks):
-                envelope, s = chunk.rotation(t)
+            for chunk in self.chunks:
+                envelope, s = self.rotation(chunk, t)
                 for sink in sinks:
-                    sink.take(i, t, envelope, s)
+                    sink.take(chunk, t, envelope, s)
             finite = all(sink.finite() for sink in sinks)
         if not finite:
             raise PhysicsValidationError(
-                "phase overflow: the closed form is not finite; the largest phase "
-                f"argument |w| t_end is {self.max_phase_argument:.6g}"
+                f"the closed form is not finite in the block starting at t = {t[0, 0]:.6g}; "
+                f"the largest phase argument |w| t_end is {self.max_phase_argument:.6g}"
             )
 
     def _table_times(self, start: int, n: int) -> np.ndarray:

@@ -27,8 +27,6 @@ from .nonlinearity import Nonlinearity
 
 PROB_SLACK = 1e-9
 
-LN2 = float(np.log(2.0))
-
 
 @dataclass(frozen=True)
 class ReducedAtomDensity:

@@ -13,8 +13,16 @@ import warnings
 import numpy as np
 import pytest
 
-from djcm.dynamics import CoefficientTable, closed_form_series
+from djcm.dynamics import (
+    ClosedFormPlan,
+    CoefficientTable,
+    DensitySink,
+    ModelParams,
+    closed_form_series,
+)
 from djcm.errors import PhysicsValidationError
+from djcm.field_states import coherent_distribution
+from djcm.nonlinearity import Nonlinearity
 from djcm.observables import records_from_series
 from djcm.scenario import (
     CSV_COLUMNS,
@@ -151,3 +159,21 @@ def test_both_sinks_report_phase_overflow_once():
             run_scenario(cfg)
         with pytest.raises(PhysicsValidationError, match="phase overflow"):
             closed_form_series(cfg.params, cfg.nonlinearity, dist, cfg.grid()[:])
+
+
+def test_block_that_is_not_finite_names_its_start_and_phase_argument():
+    # finite amplitudes whose squares overflow in rho_ee's sum; the phase
+    # arguments themselves stay small
+    dist = coherent_distribution(4.0)
+    c0 = np.sqrt(dist.probabilities).astype(complex)
+    c0[[2, 5]] = 1e154
+    params = ModelParams(k=1, mu=0.1)
+    plan = ClosedFormPlan(params, Nonlinearity.identity(), dist, np.linspace(0.0, 1.0, 40), c0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+        with pytest.raises(
+            PhysicsValidationError,
+            match=r"^the closed form is not finite in the block starting at t = 0; "
+            r"the largest phase argument \|w\| t_end is 3\.04179$",
+        ):
+            list(plan.blocks(DensitySink(plan)))

@@ -11,6 +11,7 @@ from djcm.dynamics import (
     CoefficientTable,
     ModelParams,
     _BLOCK_ROWS,
+    _DOUBLET_CHUNK,
     _PairBatch,
     _uniform_step,
     closed_form_series,
@@ -81,11 +82,6 @@ def test_params_reject_non_finite(name, value):
     # k=2 so the Stark coefficients pass the k check and reach the finite check
     with pytest.raises(PhysicsValidationError, match=f"^{name} must be"):
         ModelParams(**{"k": 2, name: value})
-
-
-def test_omega_atom_implicit():
-    p = ModelParams(k=2, detuning=0.5, nu=1.25)
-    assert p.omega_atom == pytest.approx(0.5 + 2 * 1.25)
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +312,17 @@ def test_custom_deformation_is_not_evaluated_at_zero(fn):
     assert max_amplitude_deviation(states, ref) <= 1e-8
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+@pytest.mark.parametrize("run", [closed_form_series, evolve_ode_oracle])
+def test_non_finite_initial_amplitude_rejected(bad, run):
+    p = ModelParams(k=1, mu=0.1)
+    d = coherent_distribution(4.0)
+    c0 = np.sqrt(d.probabilities).astype(complex)
+    c0[3] = bad
+    with pytest.raises(InvalidParameterError, match="^initial amplitude of level 3 is not finite"):
+        run(p, F_ID, d, np.linspace(0.0, 1.0, 5), initial_amplitudes=c0)
+
+
 def test_initial_amplitudes_shape_checked():
     p = ModelParams(k=1)
     d = coherent_distribution(1.0)
@@ -460,24 +467,26 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
         c0[cols] = 1.0  # unit amplitudes, so the tables carry no c0
         plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=c0)
         assert plan.step is not None, label
+        sink = AmplitudeSink(plan)
+        alpha = plan.coefficients.alpha[plan.active]
         for start in range(0, len(times), _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, len(times) - start)
             t = plan._table_times(start, n)
             tn = t[:n]
             t_end = tn[-1, 0]
-            for chunk, tables in zip(plan.chunks, AmplitudeSink(plan).tables):
-                rot = chunk._rotation(t)
-                excited_phase, ground_phase = tables.phases(t, n)
+            for chunk in plan.chunks:
+                rot = plan._rotation(chunk, t)
+                excited_phase, ground_phase = sink.phases(chunk, t, n)
                 # the Rabi rotation, moved onto the direct argument itself
-                w = chunk.rabi
+                w = plan.rabi[chunk.span]
                 direct = np.exp(-1j * w * tn)
                 err = np.abs(rot[:n] - direct)
                 assert np.all(err <= 8.0 * EPS * (1.0 + np.abs(w) * t_end)), (label, start, "rabi")
                 modest = np.abs(w) * t_end <= 1e7
                 assert np.all(err[:, modest] <= 8.0 * EPS), (label, start, "rabi")
-                w = tables.ground_rate
+                w = plan.ground_rate[chunk.mine]
                 direct = np.exp(-1j * w * tn)
-                table = ground_phase / (-0.5j * tables.alpha)
+                table = ground_phase / (-0.5j * alpha[chunk.mine])
                 bound = 8.0 * EPS * (1.0 + np.abs(w) * t_end)
                 assert np.all(np.abs(table - direct) <= bound), (label, start, "ground")
                 # the excited-state phase against the direct path's
@@ -485,6 +494,40 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
                 direct = np.exp(-1j * w * tn) * np.exp(-1j * mu * tn)
                 bound = 8.0 * EPS * (1.0 + (np.abs(w) + mu) * t_end)
                 assert np.all(np.abs(excited_phase - direct) <= bound), (label, start, "excited")
+
+
+def _positions(cols) -> np.ndarray:
+    """The indices a chunk's slice or index array selects."""
+    if isinstance(cols, slice):
+        return np.arange(cols.start, cols.stop, cols.step or 1)
+    return np.asarray(cols)
+
+
+@pytest.mark.parametrize("name", ["squeezed_bare_sqrt_n_k4", "coherent_kerr_sqrt_n"])
+def test_chunk_ranges_tile_the_active_doublets_and_pairs(name):
+    cfg = preset(name)
+    dist = cfg.build_distribution()
+    plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, cfg.grid())
+    own = np.concatenate([_positions(c.mine) for c in plan.chunks])
+    assert np.array_equal(own, np.arange(plan.active_doublets))
+    pairs = np.concatenate([_positions(c.pairs) for c in plan.chunks])
+    assert np.array_equal(pairs, np.arange(len(plan.pair_lo)))
+    crossing = 0
+    for c in plan.chunks:
+        assert c.own == c.mine.stop - c.mine.start <= _DOUBLET_CHUNK
+        assert c.span.start == c.mine.start and c.span.stop >= c.mine.stop
+        assert np.array_equal(_positions(c.cols), plan.active[c.mine])
+        width = c.span.stop - c.span.start
+        lo, hi = _positions(c.lo), _positions(c.hi)
+        assert np.all((0 <= lo) & (lo < c.own)) and np.all((0 <= hi) & (hi < width))
+        assert np.array_equal(lo + c.span.start, plan.pair_lo[c.pairs])
+        assert np.array_equal(hi + c.span.start, plan.pair_hi[c.pairs])
+        crossing += np.count_nonzero(hi >= c.own)
+    # each pair is (n, n + k), both members active
+    gaps = plan.active[plan.pair_hi] - plan.active[plan.pair_lo]
+    assert np.all(gaps == cfg.params.k)
+    if name == "squeezed_bare_sqrt_n_k4":
+        assert plan.active_doublets == 656 and len(plan.chunks) > 1 and crossing > 0
 
 
 def _closed_form_direct(params, f, dist, times):

@@ -8,7 +8,6 @@ from djcm.errors import NumericalConsistencyError
 from djcm.field_states import coherent_distribution, squeezed_distribution
 from djcm.nonlinearity import Nonlinearity
 from djcm.observables import (
-    LN2,
     SERIES_COLUMNS,
     ObservableSeries,
     ReducedAtomDensity,
@@ -18,6 +17,7 @@ from djcm.observables import (
 )
 from djcm.scenario import preset
 
+LN2 = math.log(2.0)
 F_ID = Nonlinearity.identity()
 F_SQ = Nonlinearity.sqrt_n()
 
