@@ -31,12 +31,12 @@ import os
 import shutil
 import uuid
 from dataclasses import asdict, dataclass, fields
-from itertools import repeat
 
 import numpy as np
 
 from . import field_states
 from .dynamics import (
+    _BLOCK_ROWS,
     AmplitudeSink,
     ClosedFormPlan,
     DensitySink,
@@ -52,9 +52,10 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity
 from .observables import CSV_COLUMNS, ObservableSeries, series_from_density
+from .shortest import RowLayout
 
 ORACLE_DEVIATION_LIMIT = 1e-6
-_EMIT_CHUNK = 4096  # rows formatted per write
+_EMIT_CHUNK = _BLOCK_ROWS  # rows formatted per write
 # the option flags of a scenario document, each false unless it sets them
 _OPTIONS = ("oracle_check", "counter_rotating_diagnostic", "free_phase_on_coherence")
 # a revival reaches this fraction of the initial envelope after falling below it
@@ -473,44 +474,42 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 # ---------------------------------------------------------------------------
 
 
-# One record of json.dump(..., indent=1) inside the top-level "records"
-# list is each column's key text followed by its cell, then _JSON_ROW_END.
-_JSON_KEYS = tuple(
-    ("  {\n" if i == 0 else ",\n") + f"   {json.dumps(name)}: "
-    for i, name in enumerate(CSV_COLUMNS)
+# CSV cells end in "," or, the row's last, in "\n". A record of
+# json.dump(..., indent=1) inside the top-level "records" list is each
+# column's key text and cell, then "\n  }"; records are joined by
+# _JSON_SEPARATOR, which every row here starts with.
+_LAST = len(CSV_COLUMNS) - 1
+_CSV_ROWS = RowLayout([""] * len(CSV_COLUMNS), [","] * _LAST + ["\n"])
+_JSON_SEPARATOR = ",\n"
+_JSON_ROWS = RowLayout(
+    [
+        _JSON_SEPARATOR + ("  {\n" if i == 0 else "") + f"   {json.dumps(name)}: "
+        for i, name in enumerate(CSV_COLUMNS)
+    ],
+    [""] * _LAST + ["\n  }"],
+    nan="NaN",
+    inf="Infinity",
 )
-_JSON_ROW_END = "\n  }"
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _cells(column: np.ndarray, json_spelling: bool) -> list[str]:
-    """Each value as repr() writes it, or as the json module spells it."""
-    cells = list(map(float.__repr__, column.tolist()))
-    if json_spelling:
-        for i in np.flatnonzero(~np.isfinite(column)).tolist():
-            cells[i] = _JSON_NON_FINITE[cells[i]]
-    return cells
-
-
-def _head(format: str, metadata) -> str:
-    """The text before the first row; JSON's holds the metadata."""
+def _head(format: str, metadata) -> bytes:
+    """The bytes before the first row; JSON's hold the metadata."""
     if format == "csv":
-        return ",".join(CSV_COLUMNS) + "\n"
+        return (",".join(CSV_COLUMNS) + "\n").encode("utf-8")
     empty = json.dumps({"metadata": metadata or {}, "records": []}, indent=1)
-    return empty[: -len("]\n}")] + "\n"
+    return (empty[: -len("]\n}")] + "\n").encode("utf-8")
 
 
 def _write_rows(handle, series: ObservableSeries, json_format: bool, first: bool) -> None:
     """Append the series' rows, _EMIT_CHUNK at a time; ``first`` when none precede them."""
+    layout = _JSON_ROWS if json_format else _CSV_ROWS
     columns = [series[name] for name in CSV_COLUMNS]
     for start in range(0, len(series), _EMIT_CHUNK):
-        cells = [_cells(c[start : start + _EMIT_CHUNK], json_format) for c in columns]
-        if json_format:
-            parts = [p for key, c in zip(_JSON_KEYS, cells) for p in (repeat(key), c)]
-            rows = map("".join, zip(*parts, repeat(_JSON_ROW_END)))
-            handle.write(("" if first else ",\n") + ",\n".join(rows))
-        else:
-            handle.write("\n".join(map(",".join, zip(*cells))) + "\n")
+        block = np.stack([c[start : start + _EMIT_CHUNK] for c in columns], axis=1)
+        rows = layout.rows(block)
+        if first and json_format:
+            rows = rows[len(_JSON_SEPARATOR) :]
+        handle.write(rows)
         first = False
 
 
@@ -520,10 +519,10 @@ def _spool_path(path: str) -> str:
     return os.path.join(folder, f".{name}.{uuid.uuid4().hex}.part")
 
 
-def _copy_with_head(source: str, skip: int, head: str, target: str) -> None:
+def _copy_with_head(source: str, skip: int, head: bytes, target: str) -> None:
     """Write target as head, then the bytes of source after its first ``skip``."""
     with open(source, "rb") as rows, open(target, "xb") as out:
-        out.write(head.encode("utf-8"))
+        out.write(head)
         rows.seek(skip)
         shutil.copyfileobj(rows, out, 1 << 20)
 
@@ -557,7 +556,7 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
     head = _head(format, metadata)
     spools = [_spool_path(path)]
     try:
-        with open(spools[0], "x", encoding="utf-8", newline="") as handle:
+        with open(spools[0], "xb") as handle:
             handle.write(head)
             rows = 0
             for block in blocks:
@@ -566,11 +565,11 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
                     rows += len(block)
             if not rows:
                 raise OutputError("no records to emit; not creating a file")
-            handle.write("\n ]\n}\n" if json_format else "")
+            handle.write(b"\n ]\n}\n" if json_format else b"")
         final = _head(format, metadata)
         if final != head:
             spools.append(_spool_path(path))
-            _copy_with_head(spools[0], len(head.encode("utf-8")), final, spools[1])
+            _copy_with_head(spools[0], len(head), final, spools[1])
         os.replace(spools[-1], path)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
@@ -639,12 +638,20 @@ def measure_revivals(records):
     that reaches _REVIVAL_THRESHOLD of the initial envelope after the
     envelope has previously collapsed below that same threshold; no
     collapse means no revival, so a flat (or merely rippling) envelope
-    yields no events.
+    yields no events. A series of fewer than 100 samples, or with a t or
+    W that is NaN or infinite, raises InvalidParameterError: a non-finite
+    W would make the mean, and so every comparison, NaN.
     """
     times = np.asarray(records["t"], dtype=float)
     w = np.asarray(records["W"], dtype=float)
     if len(w) < 100:
         raise InvalidParameterError(f"revival detection needs >= 100 samples, got {len(w)}")
+    bad = np.flatnonzero(~(np.isfinite(times) & np.isfinite(w)))
+    if len(bad):
+        i = int(bad[0])
+        raise InvalidParameterError(
+            f"revival detection needs finite t and W; sample {i} has t={times[i]!r}, W={w[i]!r}"
+        )
     x = w - np.mean(w)
     window = max(3, round(0.02 * len(w)))
     env = sliding_rms(x, window)

@@ -258,6 +258,27 @@ def test_revivals_subcommand(tmp_path, capsys):
         assert set(ev) == {"t_center", "envelope_amplitude"}
 
 
+@pytest.mark.parametrize("column, cell", [("W", "nan"), ("t", "inf")])
+def test_revivals_refuses_non_finite_cells(tmp_path, capsys, column, cell):
+    out_path = tmp_path / "series.csv"
+    doc = json.loads(json.dumps(CHEAP))
+    doc["time"] = {"t_end": 45.0, "samples": 1500}
+    assert main(
+        ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    ) == 0
+    lines = out_path.read_text().splitlines()
+    cells = lines[701].split(",")  # sample 700
+    cells[CSV_COLUMNS.index(column)] = cell
+    lines[701] = ",".join(cells)
+    out_path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["revivals", "--input", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error:") and "sample 700 " in captured.err
+
+
 def test_revivals_missing_file(capsys):
     assert main(["revivals", "--input", "/no/such/file.csv"]) == 4
 

@@ -6,7 +6,9 @@ field are bounded (samples <= 5000, nbar <= 30, tail_eps from a fixed
 set) so that each example stays quick; memory does not grow with
 ``samples`` (tests/test_streaming.py pins that). No oracle option is
 drawn: the reference integration's cost is not bounded by these limits.
-The draws are derandomized, so every run checks the same documents; the
+The CSV's first 256 rows must hold each cell as repr writes it; the
+fuzzed extreme parameters reach extreme exponents. The draws are
+derandomized, so every run checks the same documents; the
 module is skipped where hypothesis (the ``test`` extra) is not installed.
 """
 
@@ -102,6 +104,10 @@ def test_any_document_exits_cleanly_with_finite_output(doc, fmt):
         if code != 0:
             return
         if fmt == "csv":
+            with open(out, encoding="utf-8") as handle:
+                rows = handle.read().splitlines()[1:257]
+            cells = ",".join(rows).split(",")
+            assert cells == [repr(float(cell)) for cell in cells], doc
             values = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
         else:
             with open(out, encoding="utf-8") as handle:

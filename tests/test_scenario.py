@@ -415,15 +415,24 @@ def test_emitted_bytes_match_row_emitter(name, override, tmp_path, monkeypatch):
 
 
 def test_emit_spells_non_finite_values(tmp_path):
-    values = np.array([0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5e17])
+    values = np.array(
+        [
+            *(0.0, -0.0, math.nan, math.inf, -math.inf, 1e-300, -2.5e17),
+            # repr's layout edges: positional for 1e-4 <= |x| < 1e16
+            *(1e16, 9999999999999998.0, 1e-4, 9.999999999999999e-05, 0.1, 123.0),
+            # the smallest subnormal and normal, the largest double, a negative exponent
+            *(5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.5e-07),
+        ]
+    )
     series = ObservableSeries({name: np.roll(values, i) for i, name in enumerate(SERIES_COLUMNS)})
     _assert_same_bytes(series, {"note": math.nan}, tmp_path)
     text = (tmp_path / "new.json").read_text()
     assert "NaN" in text and "-Infinity" in text and "nan" not in text
-    csv_cells = (tmp_path / "new.csv").read_text().splitlines()[1].split(",")
-    assert {"nan", "inf", "-inf", "-0.0", "1e-300"} <= set(csv_cells)
+    csv_cells = ",".join((tmp_path / "new.csv").read_text().splitlines()[1:]).split(",")
+    assert {"nan", "inf", "-inf", "-0.0", "1e-300", "1e+16", "0.0001", "5e-324"} <= set(csv_cells)
     # the CSV reads back bit for bit, non-finite cells included
-    back = read_csv_series(str(tmp_path / "new.csv"))
+    with np.errstate(over="ignore"):  # dH_* = exp(H_*) of 1.8e308
+        back = read_csv_series(str(tmp_path / "new.csv"))
     for name in CSV_COLUMNS:
         assert back[name].tobytes() == series[name].tobytes()
 
