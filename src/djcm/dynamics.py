@@ -24,7 +24,10 @@ a fixed order so results do not depend on how callers parallelize.
 
 from __future__ import annotations
 
+import copy
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,15 +289,29 @@ class _Scratch:
 
     :func:`_view` hands out a contiguous (rows, width) array at the head of
     one, so a narrower last chunk still works on contiguous memory.
+    ``ground`` is None until :meth:`add_ground`: only an amplitude sink's
+    ground phase uses it.
     """
 
     def __init__(self, rows: int, width: int):
+        self.rows, self.width = rows, width
         size = rows * width
         self.arg = np.empty(2 * size)  # phase arguments, then squares for the populations
         self.sin = np.empty(size)  # s = sin(Omega t)/Omega
         self.rot = np.empty(size, dtype=complex)  # the rotation, then the envelope
         self.excited = np.empty(size, dtype=complex)  # the correction, then a sink's terms
-        self.ground = np.empty(size, dtype=complex)
+        self.ground = None
+
+    def add_ground(self) -> None:
+        if self.ground is None:
+            self.ground = np.empty(self.rows * self.width, dtype=complex)
+
+    def twin(self) -> "_Scratch":
+        """New buffers of the same sizes, for another thread."""
+        twin = _Scratch(self.rows, self.width)
+        if self.ground is not None:
+            twin.add_ground()
+        return twin
 
 
 def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -354,8 +371,12 @@ class AmplitudeSink:
     chunk.
     """
 
+    # the attributes that hold one block's values
+    block_arrays = ("excited", "ground")
+
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
+        plan.scratch.add_ground()
         c0a = plan.c0[plan.active]
         alpha = plan.coefficients.alpha[plan.active]
         ground_fine = np.exp(-1j * (plan.ground_rate * plan.r_step))
@@ -410,6 +431,8 @@ class DensitySink:
     the weight i (alpha_n/2) conj(c0_n) c0_{n+k} folded in. :meth:`take`
     slices them to a chunk.
     """
+
+    block_arrays = ("rho_ee", "rho_gg", "rho_eg")
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
@@ -612,10 +635,78 @@ class ClosedFormPlan:
         block with a value that is not finite in any sink raises
         PhysicsValidationError, which names the block's first time and the
         largest phase argument.
+
+        A plan of two or more chunks on a grid of two or more blocks, run
+        where at least two CPUs are usable, evaluates every other block
+        on one helper thread (:meth:`_interleaved`); the values, the
+        order of the blocks and of any error are those of the serial loop.
         """
-        for start in range(0, len(self.times), _BLOCK_ROWS):
-            self._evaluate(start, sinks)
-            yield start
+        starts = range(0, len(self.times), _BLOCK_ROWS)
+        if len(self.chunks) < 2 or len(starts) < 2 or _usable_cpus() < 2:
+            for start in starts:
+                self._evaluate(start, sinks)
+                yield start
+        else:
+            yield from self._interleaved(starts, sinks)
+
+    def _interleaved(self, starts: range, sinks):
+        """:meth:`blocks` with the odd blocks evaluated on one helper thread.
+
+        The helper evaluates into twins of the plan and the sinks: shallow
+        copies that share every per-run table and own a scratch and block
+        arrays of their own. While the caller evaluates block i and the
+        consumer takes it, the helper evaluates block i + 1; its arrays
+        are then bound to the caller's sinks, which ``start`` never writes
+        into again, and the helper goes on to block i + 3. So two blocks
+        are evaluated at a time, each with the serial loop's arithmetic.
+        The helper's error surfaces when its block is due, and however the
+        stream ends, the helper's block is awaited and its thread joined.
+        """
+        twin = copy.copy(self)
+        twin.scratch = self.scratch.twin()
+        twin_sinks = [copy.copy(sink) for sink in sinks]
+        for twin_sink in twin_sinks:
+            twin_sink.plan = twin
+        # the helper's next block start, None to stop; then that block's error
+        job = [starts[1], None]
+        job_ready, block_done = threading.Semaphore(0), threading.Semaphore(0)
+
+        def evaluate_jobs():
+            while True:
+                job_ready.acquire()
+                if job[0] is None:
+                    return
+                try:
+                    twin._evaluate(job[0], twin_sinks)
+                except Exception as exc:  # raised by the caller when the block is due
+                    job[1] = exc
+                else:
+                    job[1] = None
+                block_done.release()
+
+        helper = threading.Thread(target=evaluate_jobs, name="djcm-blocks", daemon=True)
+        helper.start()
+        job_ready.release()
+        try:
+            for i in range(0, len(starts), 2):
+                self._evaluate(starts[i], sinks)
+                yield starts[i]
+                if i + 1 == len(starts):
+                    break
+                block_done.acquire()
+                if job[1] is not None:
+                    raise job[1]
+                for sink, evaluated in zip(sinks, twin_sinks):
+                    for name in sink.block_arrays:
+                        setattr(sink, name, getattr(evaluated, name))
+                if i + 3 < len(starts):
+                    job[0] = starts[i + 3]
+                    job_ready.release()
+                yield starts[i + 1]
+        finally:
+            job[0] = None
+            job_ready.release()
+            helper.join()
 
     def _evaluate(self, start: int, sinks) -> None:
         n = min(_BLOCK_ROWS, len(self.times) - start)
@@ -643,6 +734,14 @@ class ClosedFormPlan:
         if pad:
             t = np.concatenate((t, t[-1] + self.step * np.arange(1, pad + 1)))
         return t[:, None]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def closed_form_series(

@@ -93,6 +93,15 @@ def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
     as soon as the walk passes the largest N that fits, so an extreme
     nbar or k fails at once instead of walking or allocating without end.
     """
+    return _truncate(kind, nbar, tail_eps, k)[0]
+
+
+def _truncate(kind: str, nbar: float, tail_eps: float, k: int):
+    """:func:`choose_truncation`'s N_cut and the weights its walk evaluated.
+
+    The weights are exp(ln rho_nn(0)) of levels 0, 1, ..., as many as the
+    walk reached: fewer or more than N_cut + 1.
+    """
     if not (nbar >= 0.0) or not math.isfinite(nbar):
         raise InvalidParameterError(f"mean photon number must be >= 0, got {nbar!r}")
     if not (0.0 < tail_eps < 1.0):
@@ -119,20 +128,21 @@ def choose_truncation(kind: str, nbar: float, tail_eps: float, k: int) -> int:
     start = 0
     block = 64
     span = block
+    evaluated = []
     while True:
         if start > most:
             raise too_many
         # Weights are evaluated for a span of blocks at once (doubling up
         # to _MAX_SPAN levels); the mass is still summed per 64-level
         # block, whose rounding decides n_cut.
-        weights = np.exp(_log_weights(kind, np.arange(start, start + span), nbar))
-        for w in weights.reshape(-1, block):
+        evaluated.append(np.exp(_log_weights(kind, np.arange(start, start + span), nbar)))
+        for w in evaluated[-1].reshape(-1, block):
             cum = total + np.cumsum(w)
             hit = np.nonzero(cum >= target)[0]
             if hit.size:
                 if start + int(hit[0]) > most:
                     raise too_many
-                return start + int(hit[0]) + k + _PAD_LEVELS
+                return start + int(hit[0]) + k + _PAD_LEVELS, np.concatenate(evaluated)
             total = cum[-1]
             if start > nbar and float(np.sum(w)) == 0.0:
                 # Past the mode the weights only fall, so accumulation
@@ -149,14 +159,16 @@ def build_distribution(
     kind: str, nbar: float, tail_eps: float = DEFAULT_TAIL_EPS, k: int = 1
 ) -> PhotonDistribution:
     """rho_nn(0) of the field kind named in scenario configs, truncated by choose_truncation."""
-    n_cut = choose_truncation(kind, nbar, tail_eps, k)
+    n_cut, weights = _truncate(kind, nbar, tail_eps, k)
     if kind == THERMAL and nbar > 0.0:
         # The sequential product keeps the geometric ratio exact level to level.
         factors = np.full(n_cut + 1, nbar / (1.0 + nbar))
         factors[0] = 1.0 / (1.0 + nbar)
         probs = np.multiply.accumulate(factors)
     else:
-        probs = np.exp(_log_weights(kind, np.arange(n_cut + 1), nbar))
+        # the truncation's weights, then those of any level past them
+        rest = np.exp(_log_weights(kind, np.arange(len(weights), n_cut + 1), nbar))
+        probs = np.concatenate((weights[: n_cut + 1], rest))
     probs.setflags(write=False)
     return PhotonDistribution(
         kind=kind,

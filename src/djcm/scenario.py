@@ -374,7 +374,8 @@ class ScenarioStream:
     Whatever the grid's length, the stream holds one block: the plan's
     chunk buffers, the sinks' blocks (the amplitude sink's are
     (block, n_cut+1)), the oracle's block and pair batch, and the series
-    it yields.
+    it yields; a plan that evaluates every other block on a helper thread
+    holds a second set of chunk buffers and sink blocks for it.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -580,7 +581,7 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
 
 
 def read_csv_series(path: str) -> ObservableSeries:
-    """Read back an emitted CSV as a series, with dH_* = exp(H_*).
+    """Read back an emitted CSV as a series, with dH_* = exp(H_*) (inf where that overflows).
 
     The header is checked, then the open file goes to ``np.loadtxt``, so
     no copy of the file's text is held. Every value comes back bit for
@@ -608,8 +609,9 @@ def read_csv_series(path: str) -> ObservableSeries:
     if data.shape[1] != len(CSV_COLUMNS):
         raise OutputError(f"{path!r} rows have {data.shape[1]} cells, not {len(CSV_COLUMNS)}")
     columns = dict(zip(CSV_COLUMNS, data.T))
-    for axis in ("x", "y", "z"):
-        columns[f"dH_{axis}"] = np.exp(columns[f"H_{axis}"])
+    with np.errstate(over="ignore"):  # an H beyond ln(max double) reads back as dH = inf
+        for axis in ("x", "y", "z"):
+            columns[f"dH_{axis}"] = np.exp(columns[f"H_{axis}"])
     return ObservableSeries(columns)
 
 

@@ -279,6 +279,34 @@ def test_revivals_refuses_non_finite_cells(tmp_path, capsys, column, cell):
     assert captured.err.startswith("error:") and "sample 700 " in captured.err
 
 
+def test_revivals_on_entropies_beyond_exp_range_print_no_warning(tmp_path):
+    out_path = tmp_path / "series.csv"
+    doc = json.loads(json.dumps(CHEAP))
+    doc["time"] = {"t_end": 45.0, "samples": 1500}
+    assert main(
+        ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    ) == 0
+    lines = out_path.read_text().splitlines()
+    for i in range(1, len(lines)):
+        cells = lines[i].split(",")
+        for name in ("H_x", "H_y", "H_z"):
+            cells[CSV_COLUMNS.index(name)] = "1.7976931348623157e+308"
+        lines[i] = ",".join(cells)
+    out_path.write_text("\n".join(lines) + "\n")
+    # a fresh interpreter, whose warnings would go to stderr
+    src = os.path.dirname(os.path.dirname(djcm.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "djcm.cli", "revivals", "--input", str(out_path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert isinstance(json.loads(done.stdout), list)
+
+
 def test_revivals_missing_file(capsys):
     assert main(["revivals", "--input", "/no/such/file.csv"]) == 4
 

@@ -431,10 +431,23 @@ def test_emit_spells_non_finite_values(tmp_path):
     csv_cells = ",".join((tmp_path / "new.csv").read_text().splitlines()[1:]).split(",")
     assert {"nan", "inf", "-inf", "-0.0", "1e-300", "1e+16", "0.0001", "5e-324"} <= set(csv_cells)
     # the CSV reads back bit for bit, non-finite cells included
-    with np.errstate(over="ignore"):  # dH_* = exp(H_*) of 1.8e308
-        back = read_csv_series(str(tmp_path / "new.csv"))
+    back = read_csv_series(str(tmp_path / "new.csv"))
     for name in CSV_COLUMNS:
         assert back[name].tobytes() == series[name].tobytes()
+
+
+def test_read_back_of_an_entropy_beyond_exp_range_is_infinite(tmp_path):
+    # dH = exp(H) overflows past H ~ 709.78: inf, with no RuntimeWarning
+    # (the suite turns one into an error)
+    res = run_scenario(small_config())
+    columns = {name: res.records[name] for name in SERIES_COLUMNS}
+    columns["H_x"] = np.full(len(res.records), 1.7976931348623157e308)
+    path = tmp_path / "big.csv"
+    emit(ObservableSeries(columns), "csv", str(path))
+    back = read_csv_series(str(path))
+    assert back["H_x"].tobytes() == columns["H_x"].tobytes()
+    assert np.all(back["dH_x"] == np.inf)
+    assert back["dH_y"].tobytes() == res.records["dH_y"].tobytes()
 
 
 def test_csv_read_back_re_emits_same_bytes(tmp_path):
