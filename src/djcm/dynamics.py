@@ -24,7 +24,6 @@ a fixed order so results do not depend on how callers parallelize.
 
 from __future__ import annotations
 
-import copy
 import math
 import os
 import threading
@@ -285,33 +284,19 @@ def _expand(coarse: np.ndarray, fine: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 class _Scratch:
-    """Flat work buffers that the chunks of one plan share, block after block.
+    """Flat work buffers of one evaluating thread, shared by its chunks block after block.
 
     :func:`_view` hands out a contiguous (rows, width) array at the head of
     one, so a narrower last chunk still works on contiguous memory.
-    ``ground`` is None until :meth:`add_ground`: only an amplitude sink's
-    ground phase uses it.
     """
 
     def __init__(self, rows: int, width: int):
-        self.rows, self.width = rows, width
         size = rows * width
-        self.arg = np.empty(2 * size)  # phase arguments, then squares for the populations
+        # phase arguments, then a sink's squares or (as complex) its ground phase
+        self.arg = np.empty(2 * size)
         self.sin = np.empty(size)  # s = sin(Omega t)/Omega
         self.rot = np.empty(size, dtype=complex)  # the rotation, then the envelope
         self.excited = np.empty(size, dtype=complex)  # the correction, then a sink's terms
-        self.ground = None
-
-    def add_ground(self) -> None:
-        if self.ground is None:
-            self.ground = np.empty(self.rows * self.width, dtype=complex)
-
-    def twin(self) -> "_Scratch":
-        """New buffers of the same sizes, for another thread."""
-        twin = _Scratch(self.rows, self.width)
-        if self.ground is not None:
-            twin.add_ground()
-        return twin
 
 
 def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -361,37 +346,36 @@ class _Chunk:
 class AmplitudeSink:
     """Closed-form amplitudes of each block, (rows, n_cut+1) for excited and ground.
 
-    ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g}, with the
-    inactive columns zero; they are new arrays for every block.
+    A block's value is the pair ``(excited, ground)`` of new arrays, with
+    ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g} and the
+    inactive columns zero.
 
     Built once per run over the plan's active doublets: the fine tables
     of the ground phase (w = phi - mu/2) and of the excited phase (the
     ground phase times exp(-i mu r step)), with c0 and the constant
     factors of the closed form folded in. :meth:`take` slices them to a
-    chunk.
+    chunk. The sink holds nothing else, so threads may share it.
     """
-
-    # the attributes that hold one block's values
-    block_arrays = ("excited", "ground")
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
-        plan.scratch.add_ground()
         c0a = plan.c0[plan.active]
         alpha = plan.coefficients.alpha[plan.active]
         ground_fine = np.exp(-1j * (plan.ground_rate * plan.r_step))
         self.excited_fine = ground_fine * (np.exp(-1j * (plan.mu * plan.r_step)) * c0a)
         self.ground_fine = ground_fine * (-0.5j * alpha * c0a)
 
-    def start(self, n: int) -> None:
-        self.excited = np.zeros((n, len(self.plan.c0)), dtype=complex)
-        self.ground = np.zeros_like(self.excited)
+    def start(self, n: int):
+        """A new block of n rows: (excited, ground), zero."""
+        excited = np.zeros((n, len(self.plan.c0)), dtype=complex)
+        return excited, np.zeros_like(excited)
 
-    def phases(self, chunk: _Chunk, t: np.ndarray, n: int):
+    def phases(self, chunk: _Chunk, t: np.ndarray, n: int, work: _Scratch):
         """(excited phase, ground phase) of a chunk's own columns from the tables.
 
         c0 exp(-i (phi + mu/2) t) and -i (alpha/2) c0 exp(-i (phi - mu/2) t)
-        on the first n rows of the padded times column t.
+        on the first n rows of the padded times column t, in ``work``'s
+        buffers that the rotation no longer uses.
         """
         plan = self.plan
         m, w, mine = len(t), chunk.own, chunk.mine
@@ -399,40 +383,36 @@ class AmplitudeSink:
         ground_coarse = np.exp(-1j * (plan.ground_rate[mine] * anchors))
         shift = np.exp(-1j * (plan.mu * anchors))
         excited_phase = _expand(
-            ground_coarse * shift, self.excited_fine[:, mine], _view(plan.scratch.excited, m, w)
+            ground_coarse * shift, self.excited_fine[:, mine], _view(work.excited, m, w)
         )
         ground_phase = _expand(
-            ground_coarse, self.ground_fine[:, mine], _view(plan.scratch.ground, m, w)
+            ground_coarse, self.ground_fine[:, mine], _view(work.arg.view(complex), m, w)
         )
         return excited_phase[:n], ground_phase[:n]
 
-    def take(self, chunk: _Chunk, t, envelope, s) -> None:
+    def take(self, block, chunk: _Chunk, t, envelope, s, work: _Scratch) -> None:
         """Write a chunk's own columns of the block's amplitudes."""
-        n, w = len(self.excited), chunk.own
-        excited_phase, ground_phase = self.phases(chunk, t, n)
-        _product_into(self.excited, chunk.cols, excited_phase, envelope[:n, :w])
-        _product_into(self.ground, chunk.cols, ground_phase, s[:n, :w])
-
-    def finite(self) -> bool:
-        # a NaN or an infinity anywhere reaches the sum
-        return bool(np.isfinite(np.sum(self.excited) + np.sum(self.ground)))
+        excited, ground = block
+        n, w = len(excited), chunk.own
+        excited_phase, ground_phase = self.phases(chunk, t, n, work)
+        _product_into(excited, chunk.cols, excited_phase, envelope[:n, :w])
+        _product_into(ground, chunk.cols, ground_phase, s[:n, :w])
 
 
 class DensitySink:
     """The reduced atomic density of each block, reduced without amplitudes.
 
-    After each block ``rho_ee``, ``rho_gg`` (float) and ``rho_eg``
-    (complex, rho_eg = sum_n conj(c_{n+k,g}) c_{n+k,e}) hold one value per
-    sample; they are new arrays for every block.
+    A block's value is the triple ``(rho_ee, rho_gg, rho_eg)`` of new
+    arrays, float, float and complex (rho_eg = sum_n conj(c_{n+k,g})
+    c_{n+k,e}), with one value per sample.
 
     Built once per run over the plan's active doublets: |c0|^2 and
     alpha/2, and over its coherence pairs (n, n + k) the fine table
     exp(-i w r step) of the pair phase, w = phi_{n+k} - phi_n + mu, with
     the weight i (alpha_n/2) conj(c0_n) c0_{n+k} folded in. :meth:`take`
-    slices them to a chunk.
+    slices them to a chunk. The sink holds nothing else, so threads may
+    share it.
     """
-
-    block_arrays = ("rho_ee", "rho_gg", "rho_eg")
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
@@ -447,11 +427,11 @@ class DensitySink:
         weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
         self.pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
 
-    def start(self, n: int) -> None:
-        self.rho_ee, self.rho_gg = np.zeros(n), np.zeros(n)
-        self.rho_eg = np.zeros(n, dtype=complex)
+    def start(self, n: int):
+        """A new block of n samples: (rho_ee, rho_gg, rho_eg), zero."""
+        return np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
 
-    def take(self, chunk: _Chunk, t, envelope, s) -> None:
+    def take(self, block, chunk: _Chunk, t, envelope, s, work: _Scratch) -> None:
         """Add a chunk's share of the block's density to the three rows.
 
         The populations carry no phase: rho_ee = |envelope|^2 . |c0|^2, with
@@ -468,13 +448,13 @@ class DensitySink:
         is one matrix product. A chunk without an active pair skips it.
         """
         plan = self.plan
-        n, w, mine = len(self.rho_ee), chunk.own, chunk.mine
-        work = plan.scratch
+        rho_ee, rho_gg, rho_eg = block
+        n, w, mine = len(rho_ee), chunk.own, chunk.mine
         ground = np.multiply(s[:n, :w], self.half_alpha[mine], out=_view(work.arg, n, w))
-        self.rho_gg += np.square(ground, out=ground) @ self.population[mine]
+        rho_gg += np.square(ground, out=ground) @ self.population[mine]
         # |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2: its parts side by side
         parts = np.square(envelope[:n, :w].view(float), out=_view(work.arg, n, 2 * w))
-        self.rho_ee += parts @ self.population_twice[mine].reshape(-1)
+        rho_ee += parts @ self.population_twice[mine].reshape(-1)
         pairs = chunk.pairs
         p = pairs.stop - pairs.start
         if not p:
@@ -484,10 +464,7 @@ class DensitySink:
         terms = terms.reshape(m // g, g, p)
         terms *= self.pair_fine[:, pairs]
         coarse = np.exp(-1j * (plan.pair_rate[pairs] * t[::g]))
-        self.rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
-
-    def finite(self) -> bool:
-        return bool(np.isfinite(np.sum(self.rho_ee) + np.sum(self.rho_gg) + np.sum(self.rho_eg)))
+        rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
 
 
 class ClosedFormPlan:
@@ -495,11 +472,12 @@ class ClosedFormPlan:
 
     ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
     as they are evaluated. ``plan.blocks(*sinks)`` evaluates each block
-    once into every sink given and yields the block's first sample: a
-    :class:`DensitySink` reduces rho_ee, rho_gg and rho_eg per block
-    without writing any amplitude, an :class:`AmplitudeSink` holds the
-    block's (block length, n_cut+1) amplitudes. The plan also reports
-    ``active_doublets`` and ``max_phase_argument``.
+    once into every sink given and yields the block's first sample and
+    one value per sink: a :class:`DensitySink`'s is the block's rho_ee,
+    rho_gg and rho_eg, reduced without writing any amplitude, an
+    :class:`AmplitudeSink`'s the block's (block length, n_cut+1)
+    amplitudes. The plan also reports ``active_doublets`` and
+    ``max_phase_argument``.
 
     Built once per run, each as one array over the ``active`` doublets
     (levels with c0 != 0): ``omega``; ``rabi`` = -Omega with its fine
@@ -510,10 +488,12 @@ class ClosedFormPlan:
     among the active doublets. A sink made for the plan builds its own
     tables over the same doublets. ``chunks`` cut them into
     _DOUBLET_CHUNK-wide column ranges with the halo their pairs need,
-    which bounds the plan's one ``scratch``. Each block of _BLOCK_ROWS
-    samples then evaluates only its coarse rows, anchored at the grid's
-    own times t_{group J}, and each chunk's rotation stage once for all
-    the sinks it feeds (:meth:`blocks`).
+    which bounds ``scratch_shape``, the (rows, width) of the work buffers
+    that each evaluating thread makes for itself. Each block of
+    _BLOCK_ROWS samples then evaluates only its coarse rows, anchored at
+    the grid's own times t_{group J}, and each chunk's rotation stage
+    once for all the sinks it feeds (:meth:`blocks`). The plan and its
+    sinks hold only these per-run tables, so threads may share them.
 
     ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
     uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
@@ -577,23 +557,24 @@ class ClosedFormPlan:
             )
         width = max((c.span.stop - c.span.start for c in self.chunks), default=0)
         padded_rows = -(-min(_BLOCK_ROWS, len(self.times)) // self.group) * self.group
-        self.scratch = _Scratch(padded_rows, width)
+        self.scratch_shape = (padded_rows, width)
 
-    def rotation(self, chunk: _Chunk, t: np.ndarray):
+    def rotation(self, chunk: _Chunk, t: np.ndarray, work: _Scratch):
         """(envelope, s) of every column of a chunk's span at the times column t.
 
         envelope = cos(Omega t) - i (R_n - mu)/2 s and s = sin(Omega t)/Omega,
         from the rotation exp(i Omega t) of :meth:`_rotation`: its real part
-        is cos(Omega t) and its imaginary part gives s.
+        is cos(Omega t) and its imaginary part gives s. Both are views of
+        ``work``'s buffers.
         """
-        rot = self._rotation(chunk, t)
+        rot = self._rotation(chunk, t, work)
         omega = self.omega[chunk.span]
-        s = _sin_over_omega(omega, t, rot.imag, out=_view(self.scratch.sin, *rot.shape))
+        s = _sin_over_omega(omega, t, rot.imag, out=_view(work.sin, *rot.shape))
         envelope = rot  # its real part already holds cos(Omega t)
         np.multiply(self.envelope_rate[chunk.span], s, out=envelope.imag)
         return envelope, s
 
-    def _rotation(self, chunk: _Chunk, t: np.ndarray) -> np.ndarray:
+    def _rotation(self, chunk: _Chunk, t: np.ndarray, work: _Scratch) -> np.ndarray:
         """exp(i Omega t) of a chunk's span for one block, from the tables.
 
         ``t`` is the block's column of grid times, padded to whole groups
@@ -608,7 +589,7 @@ class ClosedFormPlan:
         rounding of fl(Omega t) evaluated directly, so unitarity and the
         population route to W hold as tightly as there.
         """
-        span, g, work = chunk.span, self.group, self.scratch
+        span, g = chunk.span, self.group
         rabi = self.rabi[span]
         m, w = len(t), len(rabi)
         anchors = t[::g]
@@ -628,11 +609,12 @@ class ClosedFormPlan:
         return rot
 
     def blocks(self, *sinks):
-        """Evaluate the grid block by block into ``sinks``; yield each block's start.
+        """Evaluate the grid block by block into ``sinks``; yield (start, *values).
 
-        When a block is yielded every sink holds its values; each chunk's
-        rotation stage is evaluated once per block, whatever the sinks. A
-        block with a value that is not finite in any sink raises
+        Each tuple holds the block's first sample and the block's value in
+        each sink, in the order of ``sinks``, new arrays every block; each
+        chunk's rotation stage is evaluated once per block, whatever the
+        sinks. A block with a value that is not finite in any sink raises
         PhysicsValidationError, which names the block's first time and the
         largest phase argument.
 
@@ -643,33 +625,31 @@ class ClosedFormPlan:
         """
         starts = range(0, len(self.times), _BLOCK_ROWS)
         if len(self.chunks) < 2 or len(starts) < 2 or _usable_cpus() < 2:
+            work = _Scratch(*self.scratch_shape)
             for start in starts:
-                self._evaluate(start, sinks)
-                yield start
+                yield (start, *self._evaluate(start, sinks, work))
         else:
             yield from self._interleaved(starts, sinks)
 
     def _interleaved(self, starts: range, sinks):
         """:meth:`blocks` with the odd blocks evaluated on one helper thread.
 
-        The helper evaluates into twins of the plan and the sinks: shallow
-        copies that share every per-run table and own a scratch and block
-        arrays of their own. While the caller evaluates block i and the
-        consumer takes it, the helper evaluates block i + 1; its arrays
-        are then bound to the caller's sinks, which ``start`` never writes
-        into again, and the helper goes on to block i + 3. So two blocks
-        are evaluated at a time, each with the serial loop's arithmetic.
-        The helper's error surfaces when its block is due, and however the
+        The helper evaluates with the same plan and sinks into work
+        buffers of its own. While the caller evaluates block i and the
+        consumer takes it, the helper evaluates block i + 1 and hands back
+        its values; it then goes on to block i + 3. So two blocks are
+        evaluated at a time, each with the serial loop's arithmetic. The
+        helper's error surfaces when its block is due, and however the
         stream ends, the helper's block is awaited and its thread joined.
         """
-        twin = copy.copy(self)
-        twin.scratch = self.scratch.twin()
-        twin_sinks = [copy.copy(sink) for sink in sinks]
-        for twin_sink in twin_sinks:
-            twin_sink.plan = twin
-        # the helper's next block start, None to stop; then that block's error
+        # the helper's next block start, None to stop; then that block's values or error
         job = [starts[1], None]
         job_ready, block_done = threading.Semaphore(0), threading.Semaphore(0)
+
+        # the helper's work buffers are made here, on the caller: made on the
+        # helper they came from its own malloc arena, and a pass over the 45
+        # presets peaked 0.5-2.5 MiB higher
+        work, helper_work = _Scratch(*self.scratch_shape), _Scratch(*self.scratch_shape)
 
         def evaluate_jobs():
             while True:
@@ -677,11 +657,9 @@ class ClosedFormPlan:
                 if job[0] is None:
                     return
                 try:
-                    twin._evaluate(job[0], twin_sinks)
+                    job[1] = self._evaluate(job[0], sinks, helper_work)
                 except Exception as exc:  # raised by the caller when the block is due
                     job[1] = exc
-                else:
-                    job[1] = None
                 block_done.release()
 
         helper = threading.Thread(target=evaluate_jobs, name="djcm-blocks", daemon=True)
@@ -689,43 +667,42 @@ class ClosedFormPlan:
         job_ready.release()
         try:
             for i in range(0, len(starts), 2):
-                self._evaluate(starts[i], sinks)
-                yield starts[i]
+                yield (starts[i], *self._evaluate(starts[i], sinks, work))
                 if i + 1 == len(starts):
                     break
                 block_done.acquire()
-                if job[1] is not None:
-                    raise job[1]
-                for sink, evaluated in zip(sinks, twin_sinks):
-                    for name in sink.block_arrays:
-                        setattr(sink, name, getattr(evaluated, name))
+                values = job[1]
+                if isinstance(values, Exception):
+                    raise values
                 if i + 3 < len(starts):
                     job[0] = starts[i + 3]
                     job_ready.release()
-                yield starts[i + 1]
+                yield (starts[i + 1], *values)
         finally:
             job[0] = None
             job_ready.release()
             helper.join()
 
-    def _evaluate(self, start: int, sinks) -> None:
+    def _evaluate(self, start: int, sinks, work: _Scratch) -> tuple:
+        """The values of the block at ``start`` in each sink, evaluated in ``work``."""
         n = min(_BLOCK_ROWS, len(self.times) - start)
         t = self._table_times(start, n)
-        for sink in sinks:
-            sink.start(n)
+        values = tuple(sink.start(n) for sink in sinks)
         # a value that overflows shows as one that is not finite, reported
         # once below instead of as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for chunk in self.chunks:
-                envelope, s = self.rotation(chunk, t)
-                for sink in sinks:
-                    sink.take(chunk, t, envelope, s)
-            finite = all(sink.finite() for sink in sinks)
+                envelope, s = self.rotation(chunk, t, work)
+                for sink, block in zip(sinks, values):
+                    sink.take(block, chunk, t, envelope, s, work)
+            # a NaN or an infinity anywhere in a sink's arrays reaches their sum
+            finite = all(np.isfinite(sum(np.sum(a) for a in block)) for block in values)
         if not finite:
             raise PhysicsValidationError(
                 f"the closed form is not finite in the block starting at t = {t[0, 0]:.6g}; "
                 f"the largest phase argument |w| t_end is {self.max_phase_argument:.6g}"
             )
+        return values
 
     def _table_times(self, start: int, n: int) -> np.ndarray:
         """Column of the block's grid times, padded on the grid to whole groups."""
@@ -742,6 +719,18 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _stack_blocks(blocks, rows: int, width: int):
+    """Whole-grid (excited, ground) arrays of ``rows`` rows from consecutive blocks of them."""
+    excited = np.empty((rows, width), dtype=complex)
+    ground = np.empty_like(excited)
+    start = 0
+    for block_e, block_g in blocks:
+        excited[start : start + len(block_e)] = block_e
+        ground[start : start + len(block_g)] = block_g
+        start += len(block_e)
+    return excited, ground
 
 
 def closed_form_series(
@@ -764,13 +753,8 @@ def closed_form_series(
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     plan = ClosedFormPlan(params, f, dist, times, initial_amplitudes)
-    sink = AmplitudeSink(plan)
-    excited = np.empty((len(times), len(plan.c0)), dtype=complex)
-    ground = np.empty_like(excited)
-    for start in plan.blocks(sink):
-        excited[start : start + len(sink.excited)] = sink.excited
-        ground[start : start + len(sink.ground)] = sink.ground
-    return excited, ground
+    blocks = (amplitudes for _, amplitudes in plan.blocks(AmplitudeSink(plan)))
+    return _stack_blocks(blocks, len(times), len(plan.c0))
 
 
 # Steps between direct evaluations of the coupling phases in the oracle.
@@ -999,7 +983,8 @@ def ode_oracle_blocks(
     shape (block rows, n_cut+1) laid out as :class:`AmplitudeSink`'s, so
     a caller can compare them with the closed form block by block.
     ``t_grid`` is an array or a :class:`UniformGrid`; it starts at 0 and
-    ascends strictly. See :func:`evolve_ode_oracle` for the integration.
+    ascends strictly, and ``tol`` is finite and > 0 (InvalidParameterError
+    otherwise). See :func:`evolve_ode_oracle` for the integration.
 
     The slow variables X, Y of each integrated doublet are chained through
     each output segment's propagator as soon as it is integrated. The
@@ -1009,6 +994,9 @@ def ode_oracle_blocks(
     block of rows plus one batch, whatever the grid's length.
     """
     grid = _oracle_grid(t_grid)
+    # two refinements never agree within a NaN or a tol <= 0
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidParameterError(f"tol must be finite and > 0, got {tol!r}")
     n_cut = dist.n_cut
     co = CoefficientTable(params, f, n_cut)
     c0 = _resolve_initial(dist, initial_amplitudes)
@@ -1122,14 +1110,10 @@ def evolve_ode_oracle(
     :func:`ode_oracle_blocks`, concatenated.
     """
     times = _oracle_grid(t_grid)[:]
-    excited = np.empty((len(times), dist.n_cut + 1), dtype=complex)
-    ground = np.empty_like(excited)
     blocks = ode_oracle_blocks(
         params, f, dist, times, include_counter_rotating, tol, initial_amplitudes
     )
-    for start, (block_e, block_g) in zip(range(0, len(times), _BLOCK_ROWS), blocks):
-        excited[start : start + len(block_e)] = block_e
-        ground[start : start + len(block_g)] = block_g
+    excited, ground = _stack_blocks(blocks, len(times), dist.n_cut + 1)
     k = params.k
     return [
         AmplitudeState(time=float(t), excited=excited[i], ground=ground[i], k=k)

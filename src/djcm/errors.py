@@ -37,7 +37,10 @@ class PresetLookupError(SimulationError):
 
 
 class IntegrationFailureError(SimulationError):
-    """Step-size underflow in the ODE oracle; carries the offending doublet."""
+    """The ODE oracle would need more than 2^24 steps for one output segment.
+
+    Carries the offending doublet ``n`` and the segment's end time ``t``.
+    """
 
     def __init__(self, n, t, detail=""):
         self.n = n

@@ -345,11 +345,9 @@ class ScenarioResult:
     metadata: dict
 
 
-def _block_deviation(amplitudes: AmplitudeSink, oracle) -> float:
-    """Largest |amplitude difference| of one block; overwrites the oracle's block."""
-    excited, ground = oracle
-    excited = np.subtract(amplitudes.excited, excited, out=excited)
-    ground = np.subtract(amplitudes.ground, ground, out=ground)
+def _block_deviation(closed, oracle) -> float:
+    """Largest |amplitude difference| of two (excited, ground) blocks; overwrites the oracle's."""
+    excited, ground = (np.subtract(c, o, out=o) for c, o in zip(closed, oracle, strict=True))
     return float(np.maximum(np.max(np.abs(excited)), np.max(np.abs(ground))))
 
 
@@ -371,11 +369,12 @@ class ScenarioStream:
     option; once the last block is out ``metadata["resolved"]`` holds it
     as ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
 
-    Whatever the grid's length, the stream holds one block: the plan's
-    chunk buffers, the sinks' blocks (the amplitude sink's are
-    (block, n_cut+1)), the oracle's block and pair batch, and the series
-    it yields; a plan that evaluates every other block on a helper thread
-    holds a second set of chunk buffers and sink blocks for it.
+    Whatever the grid's length, the stream holds one block: the chunk
+    buffers of the thread that evaluates it, its values in the sinks (the
+    amplitude sink's are (block, n_cut+1)), the oracle's block and pair
+    batch, and the series it yields; a plan that evaluates every other
+    block on a helper thread holds a second such block, chunk buffers
+    and sink values, on that thread.
     """
 
     def __init__(self, config: ScenarioConfig):
@@ -398,8 +397,7 @@ class ScenarioStream:
         self._plan = None
         params, f, grid = config.params, config.nonlinearity, plan.times
         coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
-        density = DensitySink(plan)
-        sinks = (density,)
+        sinks = (DensitySink(plan),)
         # the oracle checks amplitudes of the very chunk evaluations emitted
         oracles = {}
         if config.oracle_check:
@@ -409,16 +407,14 @@ class ScenarioStream:
                 params, f, dist, grid, include_counter_rotating=True
             )
         if oracles:
-            amplitudes = AmplitudeSink(plan)
-            sinks += (amplitudes,)
+            sinks += (AmplitudeSink(plan),)
         worst = dict.fromkeys(oracles, -np.inf)
-        for start in plan.blocks(*sinks):
+        # closed: the amplitude sink's (excited, ground), when there is one
+        for start, (rho_ee, rho_gg, rho_eg), *closed in plan.blocks(*sinks):
             for name, blocks in oracles.items():
-                worst[name] = np.maximum(worst[name], _block_deviation(amplitudes, next(blocks)))
-            times = grid[start : start + len(density.rho_ee)]
-            yield series_from_density(
-                times, density.rho_ee, density.rho_gg, density.rho_eg, coherence_phase
-            )
+                worst[name] = np.maximum(worst[name], _block_deviation(*closed, next(blocks)))
+            times = grid[start : start + len(rho_ee)]
+            yield series_from_density(times, rho_ee, rho_gg, rho_eg, coherence_phase)
         for name, value in worst.items():
             self.metadata["resolved"][f"max_{name}_deviation"] = float(value)
 

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import djcm
+from djcm import cli
 from djcm.cli import main
 from djcm.scenario import CSV_COLUMNS
 
@@ -102,6 +103,19 @@ def test_simulate_oracle_flag(tmp_path, capsys):
     )
     assert code == 0
     assert "oracle check: max amplitude deviation" in capsys.readouterr().out
+
+
+def test_simulate_oracle_deviation_above_the_limit_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "ORACLE_DEVIATION_LIMIT", 1e-30)
+    out_path = tmp_path / "o.csv"
+    argv = ["simulate", "--config", write_config(tmp_path, CHEAP), "--output", str(out_path)]
+    code = main(argv + ["--oracle"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert "oracle check: max amplitude deviation" in captured.out
+    assert captured.err == "oracle deviation exceeds 1e-30\n"
+    # the deviation is known once the last block is written: the file stays
+    assert len(out_path.read_text().splitlines()) == 1 + CHEAP["time"]["samples"]
 
 
 def test_simulate_integration_failure_exits_3(tmp_path, capsys):

@@ -13,6 +13,7 @@ from djcm.dynamics import (
     _BLOCK_ROWS,
     _DOUBLET_CHUNK,
     _PairBatch,
+    _Scratch,
     _uniform_step,
     closed_form_series,
     evolve_ode_oracle,
@@ -428,6 +429,15 @@ def test_oracle_grid_validation():
         evolve_ode_oracle(p, F_ID, d, [0.0, 2.0, 1.0])
 
 
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize("counter_rotating", [False, True])
+def test_oracle_refuses_a_tol_that_is_not_finite_and_positive(tol, counter_rotating):
+    # no two refinements agree within such a tol: refused before any step
+    d = coherent_distribution(0.5)
+    with pytest.raises(InvalidParameterError, match="tol must be finite and > 0"):
+        evolve_ode_oracle(ModelParams(), F_ID, d, [0.0, 1.0], counter_rotating, tol=tol)
+
+
 def test_integration_failure_reports_doublet_and_time():
     # detuning of 1e9 needs more than 2^24 steps for the first 10-unit segment
     p = ModelParams(k=1, gamma=1.0, mu=0.0, detuning=1e9)
@@ -436,6 +446,17 @@ def test_integration_failure_reports_doublet_and_time():
         evolve_ode_oracle(p, F_ID, d, [0.0, 10.0])
     assert err.value.n == 0
     assert err.value.t == pytest.approx(10.0)
+
+
+def test_refinement_past_2_to_the_24_steps_reports_doublet_and_time():
+    # the first step counts are at most 2^23, so on this preset's first
+    # segment the refinement loop, not the check before it, passes 2^24
+    cfg = preset("squeezed_bare_sqrt_n_k4")
+    times = cfg.grid()[:2]
+    with pytest.raises(IntegrationFailureError, match="exceeded 2\\^24") as err:
+        evolve_ode_oracle(cfg.params, cfg.nonlinearity, cfg.build_distribution(), times)
+    assert err.value.n == 28
+    assert err.value.t == times[1] == 0.02501250625312656
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +489,7 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
         plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=c0)
         assert plan.step is not None, label
         sink = AmplitudeSink(plan)
+        work = _Scratch(*plan.scratch_shape)
         alpha = plan.coefficients.alpha[plan.active]
         for start in range(0, len(times), _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, len(times) - start)
@@ -475,8 +497,8 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
             tn = t[:n]
             t_end = tn[-1, 0]
             for chunk in plan.chunks:
-                rot = plan._rotation(chunk, t)
-                excited_phase, ground_phase = sink.phases(chunk, t, n)
+                rot = plan._rotation(chunk, t, work)
+                excited_phase, ground_phase = sink.phases(chunk, t, n, work)
                 # the Rabi rotation, moved onto the direct argument itself
                 w = plan.rabi[chunk.span]
                 direct = np.exp(-1j * w * tn)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from djcm.dynamics import AmplitudeState, ModelParams, closed_form_series
+from djcm.dynamics import (
+    AmplitudeState,
+    ClosedFormPlan,
+    DensitySink,
+    ModelParams,
+    closed_form_series,
+)
 from djcm.errors import NumericalConsistencyError
 from djcm.field_states import coherent_distribution, squeezed_distribution
 from djcm.nonlinearity import Nonlinearity
@@ -15,7 +21,7 @@ from djcm.observables import (
     records_from_series,
     series_from_density,
 )
-from djcm.scenario import preset
+from djcm.scenario import available_presets, preset
 
 LN2 = math.log(2.0)
 F_ID = Nonlinearity.identity()
@@ -374,17 +380,41 @@ def _preset_series(name, initial_amplitudes=None):
     return dist, records_from_series(times, exc, gnd, cfg.params.k)
 
 
-@pytest.mark.parametrize("name", ["squeezed_bare_identity_k2", "squeezed_bare_sqrt_n_lown_k2"])
-def test_squeezed_vacuum_sign_negates_rho_eg_at_k2(name):
-    # S(r)|0>, S(r) = exp(r (a^2 - a+^2) / 2), carries (-1)^m on level 2m
-    dist, ours = _preset_series(name)
-    n = np.arange(dist.n_cut + 1)
-    _, squeezed = _preset_series(name, np.sqrt(dist.probabilities) * (-1.0) ** (n // 2))
-    assert np.max(np.abs(ours["re_rho_eg"])) > 0.1
-    for column in ("re_rho_eg", "im_rho_eg"):
-        assert np.max(np.abs(squeezed[column] + ours[column])) <= 1e-15
-    for column in ("W", "H_x", "H_y", "H_z", "E_x", "E_y"):
-        assert np.max(np.abs(squeezed[column] - ours[column])) <= 1e-15
+def _density_series(cfg, dist, initial_amplitudes=None):
+    """The config's observables on its grid through the closed form's density sink."""
+    plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, cfg.grid(), initial_amplitudes)
+    return ObservableSeries.concatenate(
+        [
+            series_from_density(plan.times[start : start + len(ee)], ee, gg, eg)
+            for start, (ee, gg, eg) in plan.blocks(DensitySink(plan))
+        ]
+    )
+
+
+@pytest.mark.parametrize("name", [name for name in available_presets() if "squeezed" in name])
+def test_squeezed_presets_are_the_theta_pi_squeezed_vacuum(name):
+    # S(r e^{i theta})|0> has amplitudes proportional to (-e^{i theta} tanh r)^m
+    # on level 2m: every sign is + at theta = pi, the presets' c_n(0) =
+    # +sqrt(p_n); theta = 0, S(r)|0> with S(r) = exp(r (a^2 - a+^2) / 2),
+    # carries (-1)^m. At even k every pair (2m, 2m + k) then takes
+    # (-1)^(k/2); at odd k no pair is active.
+    cfg = preset(name)
+    dist = cfg.build_distribution()
+    level = np.arange(dist.n_cut + 1)
+    theta_pi = _density_series(cfg, dist)
+    theta_zero = _density_series(cfg, dist, np.sqrt(dist.probabilities) * (-1.0) ** (level // 2))
+    coherence = ("re_rho_eg", "im_rho_eg")
+    # symmetric under rho_eg -> -rho_eg, up to rounding
+    entropies = ("H_x", "H_y", "E_x", "E_y", "dH_x", "dH_y")
+    if cfg.params.k == 2:
+        assert np.max(np.abs(theta_pi["re_rho_eg"])) > 0.1
+        for column in coherence:
+            assert np.array_equal(theta_zero[column], -theta_pi[column])
+        for column in entropies:
+            assert np.max(np.abs(theta_zero[column] - theta_pi[column])) <= 1e-15
+    for column in theta_pi.columns:
+        if cfg.params.k != 2 or column not in coherence + entropies:
+            assert theta_zero[column].tobytes() == theta_pi[column].tobytes(), column
 
 
 def test_initial_phases_move_the_coherence_but_not_the_inversion():

@@ -493,10 +493,9 @@ class _RecordingBlocks:
         return getattr(self.plan, name)
 
     def blocks(self, *sinks):
-        amplitudes = AmplitudeSink(self.plan)
-        for start in self.plan.blocks(*sinks, amplitudes):
-            self.recorded.append((start, amplitudes.excited.copy(), amplitudes.ground.copy()))
-            yield start
+        for start, *values, (excited, ground) in self.plan.blocks(*sinks, AmplitudeSink(self.plan)):
+            self.recorded.append((start, excited.copy(), ground.copy()))
+            yield (start, *values)
 
 
 def _record_blocks(monkeypatch):
@@ -594,9 +593,7 @@ def test_blocks_match_whole_grid_series(name):
     exc, gnd = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
     plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times)
     assert plan.active_doublets == np.count_nonzero(dist.probabilities)
-    sink = AmplitudeSink(plan)
-    for start in plan.blocks(sink):
-        block_e, block_g = sink.excited, sink.ground
+    for start, (block_e, block_g) in plan.blocks(AmplitudeSink(plan)):
         rows = slice(start, start + len(block_e))
         # closed_form_series is these blocks, concatenated
         assert np.array_equal(block_e, exc[rows]) and np.array_equal(block_g, gnd[rows])

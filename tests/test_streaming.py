@@ -80,8 +80,8 @@ def test_plan_on_a_grid_matches_plan_on_its_array(samples):
     rows, plans = [], []
     for times in (np.linspace(0.0, cfg.t_end, cfg.samples), cfg.grid()):
         plans.append(ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times))
-        sink = DensitySink(plans[-1])
-        rows.append([(s, sink.rho_ee.copy(), sink.rho_eg.copy()) for s in plans[-1].blocks(sink)])
+        blocks = plans[-1].blocks(DensitySink(plans[-1]))
+        rows.append([(s, ee, eg) for s, (ee, _, eg) in blocks])
     assert plans[0].step == plans[1].step
     assert plans[0].max_phase_argument == plans[1].max_phase_argument
     for (s_a, ee_a, eg_a), (s_b, ee_b, eg_b) in zip(*rows, strict=True):
@@ -117,8 +117,7 @@ def test_kept_blocks_are_values():
     excited, ground = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
     oracle = list(ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, times))
     plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times)
-    sink = AmplitudeSink(plan)
-    closed = [(sink.excited, sink.ground) for _ in plan.blocks(sink)]
+    closed = [amplitudes for _, amplitudes in plan.blocks(AmplitudeSink(plan))]
     assert [len(e) for e, _ in oracle] == [len(e) for e, _ in closed] == [256, 256, 88]
     for start, (o_exc, o_gnd), (c_exc, c_gnd) in zip((0, 256, 512), oracle, closed):
         rows = states[start : start + len(o_exc)]

@@ -33,17 +33,12 @@ def _cpus(monkeypatch, count):
     monkeypatch.setattr(dynamics, "_usable_cpus", lambda: count)
 
 
-def _blocks(plan):
-    """Every block of both sinks as bytes, and the thread count seen at each block."""
-    density, amplitudes = DensitySink(plan), AmplitudeSink(plan)
+def _blocks(plan, sinks=None):
+    """Every block of the sinks (by default both, new) as bytes, and the thread count seen."""
     blocks, threads = [], []
-    for start in plan.blocks(density, amplitudes):
+    for start, *values in plan.blocks(*(sinks or (DensitySink(plan), AmplitudeSink(plan)))):
         threads.append(threading.active_count())
-        blocks.append(
-            (start,)
-            + tuple(getattr(density, name).tobytes() for name in density.block_arrays)
-            + tuple(getattr(amplitudes, name).tobytes() for name in amplitudes.block_arrays)
-        )
+        blocks.append((start,) + tuple(a.tobytes() for block in values for a in block))
     return blocks, threads
 
 
@@ -105,11 +100,12 @@ class _OverflowFrom(DensitySink):
         super().__init__(plan)
         self.t0 = t0
 
-    def take(self, chunk, t, envelope, s):
-        super().take(chunk, t, envelope, s)
+    def take(self, block, chunk, t, envelope, s, work):
+        super().take(block, chunk, t, envelope, s, work)
         if t[0, 0] >= self.t0:
-            self.rho_ee *= 1e200
-            self.rho_ee *= 1e200  # inf, under the evaluating thread's errstate
+            rho_ee = block[0]
+            rho_ee *= 1e200
+            rho_ee *= 1e200  # inf, under the evaluating thread's errstate
 
 
 @pytest.mark.parametrize("block", [1, 2])  # the helper's block, the caller's
@@ -124,26 +120,31 @@ def test_overflow_surfaces_in_block_order(monkeypatch, block):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning on any thread
             with pytest.raises(PhysicsValidationError, match="not finite") as raised:
-                for start in plan.blocks(sink):
+                for start, (rho_ee, _, _) in plan.blocks(sink):
                     starts.append(start)
-                    assert np.all(np.isfinite(sink.rho_ee))
+                    assert np.all(np.isfinite(rho_ee))
         assert starts == list(range(0, block * 256, 256))
         assert threading.active_count() == before
         errors.append(str(raised.value))
     assert errors[0] == errors[1]
 
 
-def test_concurrent_threaded_runs_keep_their_own_blocks(monkeypatch):
-    # three runs at once, each with its helper: six threads on fewer cores,
-    # switching as often as the interpreter allows; a buffer shared between
-    # runs or handed over too early would change some block's bytes
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_threads_sharing_one_plan_and_its_sinks_get_the_serial_blocks(monkeypatch, cpus):
+    # three threads iterate one plan into the same two sinks at once, each
+    # with work buffers of its own (with two CPUs also a helper of its own:
+    # six threads on fewer cores), switching as often as the interpreter
+    # allows; a buffer or block shared between them would change some
+    # block's bytes
     _cpus(monkeypatch, 1)
-    serial, _ = _blocks(_plan(WIDE))
-    _cpus(monkeypatch, 2)
+    plan = _plan(WIDE)
+    sinks = (DensitySink(plan), AmplitudeSink(plan))
+    serial, _ = _blocks(plan, sinks)
+    _cpus(monkeypatch, cpus)
     results = [None] * 3
 
     def run(i):
-        results[i] = _blocks(_plan(WIDE))[0]
+        results[i] = _blocks(plan, sinks)[0]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
