@@ -205,6 +205,10 @@ _EPS = float(np.finfo(float).eps)
 # Largest phase argument |w| t_end the closed form accepts: beyond it the
 # rounding eps |w| t_end of a phase is 1 rad or more.
 _PHASE_LIMIT = 2.0**52
+# Largest summed rounding weight of the exponentials a plan leaves to
+# separable sums: about the most the split moves the density from its
+# all-per-cell value.
+_SEPARABLE_BUDGET = 1e-15
 
 
 def _uniform_step(times: np.ndarray):
@@ -354,11 +358,13 @@ class AmplitudeSink:
     of the ground phase (w = phi - mu/2) and of the excited phase (the
     ground phase times exp(-i mu r step)), with c0 and the constant
     factors of the closed form folded in. :meth:`take` slices them to a
-    chunk. The sink holds nothing else, so threads may share it.
+    chunk. It takes every chunk of the plan, the separable doublets'
+    too, and holds nothing else, so threads may share it.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
+        self.chunk_count = len(plan.chunks)
         c0a = plan.c0[plan.active]
         alpha = plan.coefficients.alpha[plan.active]
         ground_fine = np.exp(-1j * (plan.ground_rate * plan.r_step))
@@ -398,6 +404,9 @@ class AmplitudeSink:
         _product_into(excited, chunk.cols, excited_phase, envelope[:n, :w])
         _product_into(ground, chunk.cols, ground_phase, s[:n, :w])
 
+    def finish(self, block, t) -> None:
+        """Nothing: every doublet's amplitudes come from :meth:`take`."""
+
 
 class DensitySink:
     """The reduced atomic density of each block, reduced without amplitudes.
@@ -406,16 +415,21 @@ class DensitySink:
     arrays, float, float and complex (rho_eg = sum_n conj(c_{n+k,g})
     c_{n+k,e}), with one value per sample.
 
-    Built once per run over the plan's active doublets: |c0|^2 and
-    alpha/2, and over its coherence pairs (n, n + k) the fine table
-    exp(-i w r step) of the pair phase, w = phi_{n+k} - phi_n + mu, with
-    the weight i (alpha_n/2) conj(c0_n) c0_{n+k} folded in. :meth:`take`
-    slices them to a chunk. The sink holds nothing else, so threads may
-    share it.
+    The plan's per-cell doublets and pairs are reduced from the rotation
+    stage of its ``kept_chunks`` (:meth:`take`); the separable ones, as
+    sums of exponentials, once per block (:meth:`finish`). Built once per
+    run: over the per-cell doublets |c0|^2 and alpha/2, and over their
+    pairs (n, n + k) the fine table exp(-i w r step) of the pair phase,
+    w = phi_{n+k} - phi_n + mu, with the weight
+    i (alpha_n/2) conj(c0_n) c0_{n+k} folded in; over the separable terms
+    (``plan.separable``) the coarse table exp(i w 16 J step) and the fine
+    table exp(i w r step), weights folded in, of each rate w. The sink
+    holds nothing else, so threads may share it.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
+        self.chunk_count = plan.kept_chunks
         c0, alpha, active = plan.c0, plan.coefficients.alpha, plan.active
         c0a = c0[active]
         self.population = c0a.real * c0a.real + c0a.imag * c0a.imag
@@ -426,13 +440,36 @@ class DensitySink:
         lo, hi = active[plan.pair_lo], active[plan.pair_hi]
         weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
         self.pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
+        terms = plan.separable
+        self.doublet_rate, self.coherence_rate = terms.doublet_rate, terms.pair_rate
+        self.has_separable = bool(len(self.doublet_rate) or len(self.coherence_rate))
+        coarse = plan.r_step * _FINE  # the offsets 16 J step of a block's coarse rows
+        fine = plan.r_step[:, 0]
+        self.doublet_coarse = _phases(coarse * self.doublet_rate)
+        # Re(G H) = [Re G, Im G] @ [Re H; -Im H] for G viewed as floats and
+        # H = weight exp(i w r step), the weights real
+        self.doublet_fine = np.empty((len(self.doublet_rate), 2, _FINE))
+        arg = self.doublet_rate[:, None] * fine
+        np.multiply(np.cos(arg), terms.doublet_weight[:, None], out=self.doublet_fine[:, 0])
+        np.multiply(np.sin(arg), -terms.doublet_weight[:, None], out=self.doublet_fine[:, 1])
+        self.doublet_fine = self.doublet_fine.reshape(-1, _FINE)
+        self.doublet_constant = float(np.sum(terms.doublet_weight))
+        self.separable_population = float(np.sum(terms.population))
+        self.coherence_coarse = _phases(coarse * self.coherence_rate)
+        self.coherence_fine = _phases(self.coherence_rate[:, None] * fine)
+        self.coherence_fine *= terms.pair_weight[:, None]
+        self.rho_ee_at_zero = None
+        if self.has_separable and plan.times[0:1][0] == 0.0:
+            # squares that overflow fail the first block, as in the per-cell path
+            with np.errstate(over="ignore", invalid="ignore"):
+                self.rho_ee_at_zero = _rho_ee_at_zero(plan)
 
     def start(self, n: int):
         """A new block of n samples: (rho_ee, rho_gg, rho_eg), zero."""
         return np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
 
     def take(self, block, chunk: _Chunk, t, envelope, s, work: _Scratch) -> None:
-        """Add a chunk's share of the block's density to the three rows.
+        """Add a per-cell chunk's share of the block's density to the three rows.
 
         The populations carry no phase: rho_ee = |envelope|^2 . |c0|^2, with
         |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2, and
@@ -445,7 +482,7 @@ class DensitySink:
         s_n envelope_{n+k} exp(-i (phi_{n+k} - phi_n + mu) t) takes its pair
         phase as coarse x fine rows: the fine factor, weight included,
         multiplies the terms, and each group's sum against its coarse row
-        is one matrix product. A chunk without an active pair skips it.
+        is one matrix product. A chunk without a per-cell pair skips it.
         """
         plan = self.plan
         rho_ee, rho_gg, rho_eg = block
@@ -466,6 +503,144 @@ class DensitySink:
         coarse = np.exp(-1j * (plan.pair_rate[pairs] * t[::g]))
         rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
 
+    def finish(self, block, t) -> None:
+        """Add the separable doublets' and pairs' share of the block's density.
+
+        Each is a sum of weighted exponentials sum_w c_w exp(i w t) at the
+        times t_0 + (16 J + r) step of the block, so the block's sum is the
+        matrix product of its coarse rows exp(i w t_0) exp(i w 16 J step)
+        with the fine table: rho_gg's share is
+        sum p q/2 - Re sum (p q/2) exp(2 i Omega t), rho_ee's the separable
+        populations less that, and rho_eg's the sum of the pairs' terms.
+
+        At t = 0 the share is exactly zero (s_n(0) = 0), and rho_ee is
+        |c0|^2 summed as the all-per-cell reduction sums it
+        (:func:`_rho_ee_at_zero`), so the first row does not depend on the
+        split.
+        """
+        if not self.has_separable:
+            return
+        rho_ee, rho_gg, rho_eg = block
+        n, groups, t0 = len(rho_ee), len(t) // _FINE, t[0, 0]
+        if len(self.doublet_rate):
+            head = np.multiply(self.doublet_coarse[:groups], _phases(self.doublet_rate * t0))
+            share = self.doublet_constant - (head.view(float) @ self.doublet_fine).reshape(-1)[:n]
+            if t0 == 0.0:
+                share[0] = 0.0
+            rho_gg += share
+            rho_ee += self.separable_population - share
+        if len(self.coherence_rate):
+            head = np.multiply(self.coherence_coarse[:groups], _phases(self.coherence_rate * t0))
+            share = (head @ self.coherence_fine).reshape(-1)[:n]
+            if t0 == 0.0:
+                share[0] = 0.0
+            rho_eg += share
+        if t0 == 0.0:
+            rho_ee[0] = self.rho_ee_at_zero
+
+
+def _phases(arg: np.ndarray) -> np.ndarray:
+    """exp(i arg) of a real array, as cos arg + i sin arg."""
+    out = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=out.real)
+    np.sin(arg, out=out.imag)
+    return out
+
+
+def _rho_ee_at_zero(plan: "ClosedFormPlan") -> float:
+    """rho_ee at t = 0 as the all-per-cell reduction sums it.
+
+    At t = 0 every envelope is 1, so that reduction adds |c0|^2 over the
+    active doublets in ascending order, _DOUBLET_CHUNK at a time, each
+    chunk's sum row 0 of a matrix-vector product over the first block's
+    rows. The sum here is made with the very same products, whose rounding
+    depends on their shape, so it equals that reduction's bit for bit.
+    """
+    c0a = plan.c0[np.sort(plan.active)]
+    twice = np.repeat(c0a.real * c0a.real + c0a.imag * c0a.imag, 2)
+    rows = min(_BLOCK_ROWS, len(plan.times))
+    parts = np.zeros(rows * 2 * _DOUBLET_CHUNK)
+    parts[: 2 * _DOUBLET_CHUNK : 2] = 1.0  # row 0: |envelope(0)|^2 = 1^2 + 0^2
+    total = 0.0
+    for i0 in range(0, len(c0a), _DOUBLET_CHUNK):
+        w = min(_DOUBLET_CHUNK, len(c0a) - i0)
+        total += float((_view(parts, rows, 2 * w) @ twice[2 * i0 : 2 * (i0 + w)])[0])
+    return total
+
+
+@dataclass(frozen=True)
+class _SeparableTerms:
+    """A plan's separable doublets and pairs, as weights and rates of exponentials.
+
+    Over the separable doublets, ``population`` |c0|^2 and the term
+    p q/2 exp(i w t), ``doublet_weight`` p q/2 at ``doublet_rate``
+    w = 2 Omega, q = (alpha/(2 Omega))^2, of
+    rho_gg = sum p q (1 - cos 2 Omega t)/2. Over the separable pairs, four
+    terms each: s_n envelope_{n+k} exp(-i w_pair t) times the pair weight
+    expands into exponentials at ``pair_rate`` +-Omega_n +- Omega_{n+k} -
+    w_pair, with ``pair_weight``
+    sigma (alpha_n/(2 Omega_n))/2 conj(c0_n) c0_{n+k} (1 - tau b_{n+k})/2,
+    b = (R_n - mu)/(2 Omega) and sigma, tau the two signs.
+    """
+
+    population: np.ndarray
+    doublet_weight: np.ndarray
+    doublet_rate: np.ndarray
+    pair_weight: np.ndarray
+    pair_rate: np.ndarray
+
+
+# The signs (sigma, tau) of a pair's four exponentials.
+_SIGMA = np.array([1.0, 1.0, -1.0, -1.0])
+_TAU = np.array([1.0, -1.0, 1.0, -1.0])
+
+
+def _separable_split(co, c0a, levels, lo, hi, pair_rate, mu, t_max, step):
+    """The separable doublets and pairs, as masks, with their terms and rounding weights.
+
+    Returns (doublets, pairs, terms, bound, r). Every doublet's and
+    pair's exponentials get the rounding weight
+    r = |weight| |rate| t_end 4 eps, summed per doublet or pair; a
+    doublet with Omega = 0 or a term that is not finite has r = inf. On
+    a grid with a table ``step`` the lightest are separable as long as
+    their r sum to at most _SEPARABLE_BUDGET, and a pair kept per cell
+    keeps both its members; on any other grid nothing is. ``bound`` sums
+    the r of the separable doublets and pairs, and ``r`` is each
+    doublet's own.
+    """
+    p = c0a.real * c0a.real + c0a.imag * c0a.imag
+    omega = co.Omega[levels]
+    two_omega = 2.0 * omega  # hypot(R_n - mu, alpha), so |a|, |b| <= 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = co.alpha[levels] / two_omega
+        b = (co.Rn[levels] - mu) / two_omega
+        doublet_weight = 0.5 * p * (a * a)
+        half = (0.5 * a[lo] * np.conj(c0a[lo]) * c0a[hi])[:, None]
+        pair_weight = half * (_SIGMA * (0.5 - 0.5 * _TAU * b[hi][:, None]))
+        rates = _SIGMA * omega[lo][:, None] + _TAU * omega[hi][:, None] - pair_rate[:, None]
+        scale = 4.0 * _EPS * t_max
+        doublet_r = doublet_weight * two_omega * scale
+        pair_r = np.sum(np.abs(pair_weight) * np.abs(rates), axis=1) * scale
+    doublet_r[~np.isfinite(doublet_r) | (omega == 0.0)] = np.inf
+    pair_r[~np.isfinite(pair_r) | (omega[lo] == 0.0) | (omega[hi] == 0.0)] = np.inf
+    r = np.concatenate((doublet_r, pair_r))
+    light = np.zeros(len(r), dtype=bool)
+    if step is not None:
+        lightest = np.argsort(r, kind="stable")
+        count = np.searchsorted(np.cumsum(r[lightest]), _SEPARABLE_BUDGET, "right")
+        light[lightest[:count]] = True
+    doublets, pairs = light[: len(doublet_r)], light[len(doublet_r) :]
+    doublets[lo[~pairs]] = doublets[hi[~pairs]] = False
+    terms = _SeparableTerms(
+        p[doublets],
+        doublet_weight[doublets],
+        two_omega[doublets],
+        pair_weight[pairs].reshape(-1),
+        rates[pairs].reshape(-1),
+    )
+    bound = float(np.sum(doublet_r[doublets]) + np.sum(pair_r[pairs]))
+    return doublets, pairs, terms, bound, doublet_r
+
 
 class ClosedFormPlan:
     """The closed form on a grid, evaluated _BLOCK_ROWS samples at a time into sinks.
@@ -476,24 +651,44 @@ class ClosedFormPlan:
     one value per sink: a :class:`DensitySink`'s is the block's rho_ee,
     rho_gg and rho_eg, reduced without writing any amplitude, an
     :class:`AmplitudeSink`'s the block's (block length, n_cut+1)
-    amplitudes. The plan also reports ``active_doublets`` and
-    ``max_phase_argument``.
+    amplitudes. The plan also reports ``active_doublets``,
+    ``max_phase_argument``, ``per_cell_doublets`` and
+    ``separable_rounding_bound``.
+
+    The split. On a uniform grid of group _FINE (below) everything the
+    density sink reduces is a sum of exponentials in t: per doublet
+    p q (1 - cos 2 Omega t)/2 in rho_gg (and p less that in rho_ee), per
+    pair four exponentials in rho_eg (:class:`_SeparableTerms`). Such a
+    sum evaluated from phase tables carries rounding of about
+    r = |weight| |rate| t_end 4 eps per exponential, where the per-cell
+    kernel moves each rotation onto fl(Omega t) itself. So the doublets
+    and pairs of largest r stay per cell until the others' r sum to at
+    most _SEPARABLE_BUDGET (1e-15): a bound on how far the split moves the
+    density, not a tuned constant. A pair kept per cell keeps both its
+    members; a doublet with Omega = 0 or a weight that is not finite stays
+    per cell, and so does every doublet of any other grid. ``separable``
+    holds the separable terms, ``rounding_weight`` each active doublet's
+    own r, ``per_cell_doublets`` counts the doublets kept and
+    ``separable_rounding_bound`` sums the separable terms' r.
 
     Built once per run, each as one array over the ``active`` doublets
-    (levels with c0 != 0): ``omega``; ``rabi`` = -Omega with its fine
-    table ``rabi_fine`` = exp(-i ``rabi_fine_arg``), rabi_fine_arg =
-    rabi r step; ``envelope_rate`` = -(R_n - mu)/2; ``ground_rate`` =
-    phi - mu/2; and ``pair_rate`` = phi_{n+k} - phi_n + mu over the
+    (levels with c0 != 0), the per-cell ones first and each part in
+    ascending order: ``omega``; ``rabi`` = -Omega with its fine table
+    ``rabi_fine`` = exp(-i ``rabi_fine_arg``), rabi_fine_arg = rabi r
+    step; ``envelope_rate`` = -(R_n - mu)/2; ``ground_rate`` = phi - mu/2;
+    and ``pair_rate`` = phi_{n+k} - phi_n + mu over the per-cell
     coherence pairs, whose members sit at ``pair_lo`` and ``pair_hi``
     among the active doublets. A sink made for the plan builds its own
     tables over the same doublets. ``chunks`` cut them into
-    _DOUBLET_CHUNK-wide column ranges with the halo their pairs need,
-    which bounds ``scratch_shape``, the (rows, width) of the work buffers
-    that each evaluating thread makes for itself. Each block of
-    _BLOCK_ROWS samples then evaluates only its coarse rows, anchored at
-    the grid's own times t_{group J}, and each chunk's rotation stage
-    once for all the sinks it feeds (:meth:`blocks`). The plan and its
-    sinks hold only these per-run tables, so threads may share them.
+    _DOUBLET_CHUNK-wide column ranges with the halo their pairs need, the
+    first ``kept_chunks`` over the per-cell doublets and the rest over the
+    separable ones, which only an amplitude sink takes; that bounds
+    ``scratch_shape``, the (rows, width) of the work buffers that each
+    evaluating thread makes for itself. Each block of _BLOCK_ROWS samples
+    then evaluates only its coarse rows, anchored at the grid's own times
+    t_{group J}, and each chunk's rotation stage once for all the sinks
+    that take it (:meth:`blocks`). The plan and its sinks hold only these
+    per-run tables, so threads may share them.
 
     ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
     uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
@@ -504,32 +699,33 @@ class ClosedFormPlan:
     A grid whose largest phase argument |w| t_end reaches 2^52 is refused
     with PhysicsValidationError ("phase overflow") before any block is
     evaluated: there eps |w| t_end >= 1 rad, so no digit of the phase is
-    right. The rates w are the very arrays the kernel evaluates: omega,
-    ground_rate, mu and pair_rate. A block that is not finite in any sink
-    raises PhysicsValidationError too (:meth:`blocks`).
+    right. The rates w are the very arrays the per-cell kernel evaluates:
+    omega, ground_rate, mu and pair_rate. A block that is not finite in
+    any sink raises PhysicsValidationError too (:meth:`blocks`).
     """
 
     def __init__(self, params, f, dist, times, initial_amplitudes=None):
         self.times, t_max, step = _grid_span(times)
         self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
         self.c0 = c0 = _resolve_initial(dist, initial_amplitudes)
-        self.active = active = np.nonzero(c0 != 0.0)[0]
-        self.active_doublets = len(active)
+        levels = np.nonzero(c0 != 0.0)[0]
+        self.active_doublets = len(levels)
         self.mu = mu = params.mu
         # position of level n + k among the active levels, -1 where inactive
         position = np.full(len(c0) + params.k, -1)
-        position[active] = np.arange(len(active))
-        partner = position[active + params.k]
-        self.pair_lo = np.nonzero(partner >= 0)[0]
-        self.pair_hi = partner[self.pair_lo]
-        self.omega = co.Omega[active]
-        self.ground_rate = co.phi[active] - 0.5 * mu
-        self.pair_rate = co.phi[active[self.pair_hi]] - co.phi[active[self.pair_lo]] + mu
+        position[levels] = np.arange(len(levels))
+        partner = position[levels + params.k]
+        lo = np.nonzero(partner >= 0)[0]
+        hi = partner[lo]
+        omega = co.Omega[levels]
+        ground_rate = co.phi[levels] - 0.5 * mu
+        pair_rate = co.phi[levels[hi]] - co.phi[levels[lo]] + mu
         # the largest phase argument the kernel evaluates: Omega t, the
         # ground phase (phi - mu/2) t, the shift mu t and the pair phase
         # (phi_{n+k} - phi_n + mu) t, at the last time
-        rates = np.abs(np.concatenate((self.omega, self.ground_rate, [mu], self.pair_rate)))
-        self.max_phase_argument = float(np.max(rates) * t_max)
+        rates = np.abs(np.concatenate((omega, ground_rate, [mu], pair_rate)))
+        with np.errstate(over="ignore"):  # inf: refused below
+            self.max_phase_argument = float(np.max(rates) * t_max)
         # cos, sin and exp of such arguments may still be finite, but meaningless
         if not self.max_phase_argument < _PHASE_LIMIT:
             raise PhysicsValidationError(
@@ -541,20 +737,36 @@ class ClosedFormPlan:
         self.group = 1 if step is None else _FINE
         # the fine offsets r step of a group's rows: 0 alone in a group of one
         self.r_step = np.arange(self.group)[:, None] * (step or 0.0)
+        split = _separable_split(co, c0[levels], levels, lo, hi, pair_rate, mu, t_max, step)
+        separable, separable_pairs, self.separable, self.separable_rounding_bound, r = split
+        # the per-cell doublets first, then the separable ones
+        order = np.concatenate((np.nonzero(~separable)[0], np.nonzero(separable)[0]))
+        self.active = active = levels[order]
+        self.per_cell_doublets = kept = len(levels) - int(np.count_nonzero(separable))
+        position = np.empty_like(order)
+        position[order] = np.arange(len(order))
+        self.pair_lo = position[lo[~separable_pairs]]
+        self.pair_hi = position[hi[~separable_pairs]]
+        self.pair_rate = pair_rate[~separable_pairs]
+        self.rounding_weight = r[order]
+        self.omega = omega[order]
+        self.ground_rate = ground_rate[order]
         self.rabi = -self.omega
         self.rabi_fine_arg = self.rabi * self.r_step
         self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
         self.envelope_rate = -0.5 * (co.Rn[active] - mu)
         self.chunks = []
-        for i0 in range(0, len(active), _DOUBLET_CHUNK):
-            i1 = min(i0 + _DOUBLET_CHUNK, len(active))
-            pairs = slice(*np.searchsorted(self.pair_lo, (i0, i1)).tolist())
-            lo, hi = self.pair_lo[pairs] - i0, self.pair_hi[pairs] - i0
-            span = slice(i0, max(i1, i0 + int(np.max(hi, initial=-1)) + 1))
-            cols = _as_slice(active[i0:i1])
-            self.chunks.append(
-                _Chunk(span, i1 - i0, slice(i0, i1), cols, pairs, _as_slice(lo), _as_slice(hi))
-            )
+        for first, last in ((0, kept), (kept, len(active))):
+            for i0 in range(first, last, _DOUBLET_CHUNK):
+                i1 = min(i0 + _DOUBLET_CHUNK, last)
+                pairs = slice(*np.searchsorted(self.pair_lo, (i0, i1)).tolist())
+                lo, hi = self.pair_lo[pairs] - i0, self.pair_hi[pairs] - i0
+                span = slice(i0, max(i1, i0 + int(np.max(hi, initial=-1)) + 1))
+                cols = _as_slice(active[i0:i1])
+                self.chunks.append(
+                    _Chunk(span, i1 - i0, slice(i0, i1), cols, pairs, _as_slice(lo), _as_slice(hi))
+                )
+        self.kept_chunks = -(-kept // _DOUBLET_CHUNK)
         width = max((c.span.stop - c.span.start for c in self.chunks), default=0)
         padded_rows = -(-min(_BLOCK_ROWS, len(self.times)) // self.group) * self.group
         self.scratch_shape = (padded_rows, width)
@@ -618,13 +830,13 @@ class ClosedFormPlan:
         PhysicsValidationError, which names the block's first time and the
         largest phase argument.
 
-        A plan of two or more chunks on a grid of two or more blocks, run
-        where at least two CPUs are usable, evaluates every other block
+        A plan of two or more kept chunks on a grid of two or more blocks,
+        run where at least two CPUs are usable, evaluates every other block
         on one helper thread (:meth:`_interleaved`); the values, the
         order of the blocks and of any error are those of the serial loop.
         """
         starts = range(0, len(self.times), _BLOCK_ROWS)
-        if len(self.chunks) < 2 or len(starts) < 2 or _usable_cpus() < 2:
+        if self.kept_chunks < 2 or len(starts) < 2 or _usable_cpus() < 2:
             work = _Scratch(*self.scratch_shape)
             for start in starts:
                 yield (start, *self._evaluate(start, sinks, work))
@@ -684,17 +896,26 @@ class ClosedFormPlan:
             helper.join()
 
     def _evaluate(self, start: int, sinks, work: _Scratch) -> tuple:
-        """The values of the block at ``start`` in each sink, evaluated in ``work``."""
+        """The values of the block at ``start`` in each sink, evaluated in ``work``.
+
+        Each sink takes the plan's first ``sink.chunk_count`` chunks, whose
+        rotation stage is evaluated once for all of them, and then
+        finishes the block (a density sink adds its separable share).
+        """
         n = min(_BLOCK_ROWS, len(self.times) - start)
         t = self._table_times(start, n)
         values = tuple(sink.start(n) for sink in sinks)
+        count = max((sink.chunk_count for sink in sinks), default=0)
         # a value that overflows shows as one that is not finite, reported
         # once below instead of as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for chunk in self.chunks:
+            for i, chunk in enumerate(self.chunks[:count]):
                 envelope, s = self.rotation(chunk, t, work)
                 for sink, block in zip(sinks, values):
-                    sink.take(block, chunk, t, envelope, s, work)
+                    if i < sink.chunk_count:
+                        sink.take(block, chunk, t, envelope, s, work)
+            for sink, block in zip(sinks, values):
+                sink.finish(block, t)
             # a NaN or an infinity anywhere in a sink's arrays reaches their sum
             finite = all(np.isfinite(sum(np.sum(a) for a in block)) for block in values)
         if not finite:
@@ -983,8 +1204,9 @@ def ode_oracle_blocks(
     shape (block rows, n_cut+1) laid out as :class:`AmplitudeSink`'s, so
     a caller can compare them with the closed form block by block.
     ``t_grid`` is an array or a :class:`UniformGrid`; it starts at 0 and
-    ascends strictly, and ``tol`` is finite and > 0 (InvalidParameterError
-    otherwise). See :func:`evolve_ode_oracle` for the integration.
+    ascends strictly, and ``tol`` is finite and > 0: the call itself
+    raises InvalidParameterError otherwise, before any block is drawn.
+    See :func:`evolve_ode_oracle` for the integration.
 
     The slow variables X, Y of each integrated doublet are chained through
     each output segment's propagator as soon as it is integrated. The
@@ -1023,65 +1245,69 @@ def ode_oracle_blocks(
         w = np.maximum(w, np.abs(mu + Rn))
     w = np.maximum(w, 1.0)
     live_cols = _as_slice(active[live])
-    X = c0[active[live]].astype(complex)
-    Y = np.zeros_like(X)
     d_live = len(live)
     seg_block = max(1, _MAX_PAIRS // max(d_live, 1))
     cols = _as_slice(active)
     r1 = -1j * co.R1[active]
     r2 = -1j * co.R2[active]
 
-    for b0 in range(0, len(grid), _BLOCK_ROWS):
-        b1 = min(b0 + _BLOCK_ROWS, len(grid))
-        excited = np.zeros((b1 - b0, n_cut + 1), dtype=complex)
-        ground = np.zeros_like(excited)
-        if b0 == 0:
-            excited[0] = c0
-        first = max(b0, 1)  # rows from here on end a segment
-        if first == b1 or not len(active):
-            yield excited, ground
-            continue
-        excited[first - b0 :, frozen] = c0[frozen]
-        # times of rows first - 1 .. b1 - 1: segment i runs from tb[i] to tb[i + 1]
-        tb = grid[first - 1 : b1]
-        dt = np.diff(tb)
-        for s0 in range(0, len(dt), seg_block):
-            s1 = min(s0 + seg_block, len(dt))
-            rows = slice(first - b0 + s0, first - b0 + s1)
-            if d_live:
-                batch = _PairBatch(
-                    np.repeat(tb[s0:s1], d_live),
-                    np.repeat(dt[s0:s1], d_live),
-                    np.tile(alpha, s1 - s0),
-                    np.tile(Rn, s1 - s0),
-                    np.tile(weight, s1 - s0),
-                    mu,
-                    include_counter_rotating,
-                )
-                m0p = np.maximum(np.ceil(batch.dt * np.tile(w, s1 - s0) / 0.75).astype(int), 2)
-                m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
-                out = np.empty((4, (s1 - s0) * d_live), dtype=complex)
-
-                def pair_info(slot, s0=s0):
-                    seg, di = divmod(int(slot), d_live)
-                    return int(active[live[di]]), float(tb[s0 + seg + 1])
-
-                for m_init in np.unique(m0p):
-                    slots = np.nonzero(m0p == m_init)[0]
-                    _refine_bucket(batch.take(slots), int(m_init), tol, out, slots, pair_info)
-                props = out.reshape(4, s1 - s0, d_live)
-                for i in range(s1 - s0):
-                    X, Y = (
-                        props[0, i] * X + props[1, i] * Y,
-                        props[2, i] * X + props[3, i] * Y,
+    def walk():
+        X = c0[active[live]].astype(complex)
+        Y = np.zeros_like(X)
+        for b0 in range(0, len(grid), _BLOCK_ROWS):
+            b1 = min(b0 + _BLOCK_ROWS, len(grid))
+            excited = np.zeros((b1 - b0, n_cut + 1), dtype=complex)
+            ground = np.zeros_like(excited)
+            if b0 == 0:
+                excited[0] = c0
+            first = max(b0, 1)  # rows from here on end a segment
+            if first == b1 or not len(active):
+                yield excited, ground
+                continue
+            excited[first - b0 :, frozen] = c0[frozen]
+            # times of rows first - 1 .. b1 - 1: segment i runs from tb[i] to tb[i + 1]
+            tb = grid[first - 1 : b1]
+            dt = np.diff(tb)
+            for s0 in range(0, len(dt), seg_block):
+                s1 = min(s0 + seg_block, len(dt))
+                rows = slice(first - b0 + s0, first - b0 + s1)
+                if d_live:
+                    batch = _PairBatch(
+                        np.repeat(tb[s0:s1], d_live),
+                        np.repeat(dt[s0:s1], d_live),
+                        np.tile(alpha, s1 - s0),
+                        np.tile(Rn, s1 - s0),
+                        np.tile(weight, s1 - s0),
+                        mu,
+                        include_counter_rotating,
                     )
-                    excited[rows.start + i, live_cols] = X
-                    ground[rows.start + i, live_cols] = Y
-            # reattach the diagonal phases
-            t1 = tb[s0 + 1 : s1 + 1, None]
-            excited[rows, cols] *= np.exp(r1 * t1)
-            ground[rows, cols] *= np.exp(r2 * t1)
-        yield excited, ground
+                    m0p = np.ceil(batch.dt * np.tile(w, s1 - s0) / 0.75).astype(int)
+                    m0p = np.maximum(m0p, 2)
+                    m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
+                    out = np.empty((4, (s1 - s0) * d_live), dtype=complex)
+
+                    def pair_info(slot, s0=s0):
+                        seg, di = divmod(int(slot), d_live)
+                        return int(active[live[di]]), float(tb[s0 + seg + 1])
+
+                    for m_init in np.unique(m0p):
+                        slots = np.nonzero(m0p == m_init)[0]
+                        _refine_bucket(batch.take(slots), int(m_init), tol, out, slots, pair_info)
+                    props = out.reshape(4, s1 - s0, d_live)
+                    for i in range(s1 - s0):
+                        X, Y = (
+                            props[0, i] * X + props[1, i] * Y,
+                            props[2, i] * X + props[3, i] * Y,
+                        )
+                        excited[rows.start + i, live_cols] = X
+                        ground[rows.start + i, live_cols] = Y
+                # reattach the diagonal phases
+                t1 = tb[s0 + 1 : s1 + 1, None]
+                excited[rows, cols] *= np.exp(r1 * t1)
+                ground[rows, cols] *= np.exp(r2 * t1)
+            yield excited, ground
+
+    return walk()
 
 
 def evolve_ode_oracle(

@@ -92,7 +92,8 @@ class ObservableSeries:
 
     @classmethod
     def concatenate(cls, parts) -> "ObservableSeries":
-        """One series from consecutive blocks, in order."""
+        """One series from consecutive blocks, in order: a sequence or any iterable of them."""
+        parts = list(parts)  # each column walks the blocks again
         return cls(
             {name: np.concatenate([p.columns[name] for p in parts]) for name in SERIES_COLUMNS}
         )

@@ -356,8 +356,9 @@ class ScenarioStream:
 
     Made by :func:`iter_scenario`. ``metadata`` holds the config's echo
     and, under ``resolved``, ``n_cut``, ``captured_mass``,
-    ``active_doublets`` and ``max_phase_argument`` as soon as the stream
-    exists, before any block is evaluated. Iterating it (once) evaluates
+    ``active_doublets``, ``max_phase_argument``, ``per_cell_doublets`` and
+    ``separable_rounding_bound`` as soon as the stream exists, before any
+    block is evaluated. Iterating it (once) evaluates
     the closed form block by block through the density sink and yields
     each block's series.
 
@@ -388,6 +389,8 @@ class ScenarioStream:
             "captured_mass": dist.captured_mass,
             "active_doublets": plan.active_doublets,
             "max_phase_argument": plan.max_phase_argument,
+            "per_cell_doublets": plan.per_cell_doublets,
+            "separable_rounding_bound": plan.separable_rounding_bound,
         }
 
     def __iter__(self):
@@ -440,8 +443,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     the active doublets and, on the uniform grid, the 16-row fine phase
     tables are built once for the run; each block evaluates its 16
     coarse phase rows and its density sink reduces rho_ee, rho_gg and
-    rho_eg straight from the rotation and the phase tables, so no
-    amplitude is written. With ``oracle_check`` or
+    rho_eg straight from the rotation and the phase tables, and the
+    doublets whose rounding would not show as separable sums of
+    exponentials, so no amplitude is written. With ``oracle_check`` or
     ``counter_rotating_diagnostic`` the same chunk evaluation also feeds
     an amplitude sink, whose blocks are compared with the RK4 reference
     integration on the same grid block by block; the emitted rows come
@@ -455,10 +459,13 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     rotating-wave approximation itself, so it is reported, never gated on.
 
     ``metadata["resolved"]`` holds the truncation (``n_cut``,
-    ``captured_mass``), the number of active doublets and the largest
+    ``captured_mass``), the number of active doublets, the largest
     phase argument the kernel evaluates (``max_phase_argument``, |w| t_end
-    over the Rabi and phase frequencies of the active doublets), plus the
-    largest deviation of each oracle option. ``records`` is a whole-grid
+    over the Rabi and phase frequencies of the active doublets), the
+    split of the density sink (``per_cell_doublets`` evaluated cell by
+    cell, and ``separable_rounding_bound``, the summed rounding weight of
+    the separable terms; see :class:`~djcm.dynamics.ClosedFormPlan`),
+    plus the largest deviation of each oracle option. ``records`` is a whole-grid
     series; the CLI streams instead.
     """
     stream = iter_scenario(config)

@@ -1,23 +1,31 @@
 """The closed form's density sink against its amplitude sink, and what it pins.
 
 ``run_scenario`` reduces rho_ee, rho_gg and rho_eg straight from the
-rotation stage and the phase tables; ``closed_form_series`` writes the
-amplitudes, from which ``records_from_series`` reduces the same columns.
-The two routes differ only in summation order and in how the coherence
-phase is tabulated, so their columns agree to the limits below.
+rotation stage and the phase tables, and the doublets and pairs whose
+rounding would not show as separable sums of exponentials;
+``closed_form_series`` writes the amplitudes, from which
+``records_from_series`` reduces the same columns. The two routes differ
+only in summation order and in how the phases are tabulated, so their
+columns agree to the limits below.
 """
 
+import json
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from djcm import dynamics
+from djcm.cli import main
 from djcm.dynamics import (
+    _BLOCK_ROWS,
     ClosedFormPlan,
     CoefficientTable,
     DensitySink,
     ModelParams,
+    UniformGrid,
+    _Scratch,
     closed_form_series,
 )
 from djcm.errors import PhysicsValidationError
@@ -177,3 +185,170 @@ def test_block_that_is_not_finite_names_its_start_and_phase_argument():
             r"the largest phase argument \|w\| t_end is 3\.04179$",
         ):
             list(plan.blocks(DensitySink(plan)))
+
+
+# ---------------------------------------------------------------------------
+# the split: separable sums for the doublets and pairs whose rounding would
+# not show, the per-cell kernel for the rest
+# ---------------------------------------------------------------------------
+
+
+def _plan(cfg, times=None):
+    times = cfg.grid() if times is None else times
+    return ClosedFormPlan(cfg.params, cfg.nonlinearity, cfg.build_distribution(), times)
+
+
+def _all_per_cell(plan):
+    """Each block's (rho_ee, rho_gg, rho_eg) reduced cell by cell over all of the plan's chunks.
+
+    The products of the per-cell reduction, written out: |envelope|^2 and
+    ((alpha/2) s)^2 against |c0|^2, and each pair's s_n envelope_{n+k}
+    against the coarse and fine rows of its phase.
+    """
+    c0, alpha, active = plan.c0, plan.coefficients.alpha, plan.active
+    population = np.abs(c0[active]) ** 2
+    half_alpha = 0.5 * alpha[active]
+    lo, hi = active[plan.pair_lo], active[plan.pair_hi]
+    weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
+    pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
+    work = _Scratch(*plan.scratch_shape)
+    for start in range(0, len(plan.times), _BLOCK_ROWS):
+        n = min(_BLOCK_ROWS, len(plan.times) - start)
+        t = plan._table_times(start, n)
+        m, g = len(t), plan.group
+        rho_ee, rho_gg, rho_eg = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
+        for chunk in plan.chunks:
+            envelope, s = plan.rotation(chunk, t, work)
+            mine, w = chunk.mine, chunk.own
+            rho_gg += np.square(s[:n, :w] * half_alpha[mine]) @ population[mine]
+            rho_ee += np.square(envelope[:n, :w].view(float)) @ np.repeat(population[mine], 2)
+            pairs = chunk.pairs
+            if pairs.stop > pairs.start:
+                terms = (s[:, chunk.lo] * envelope[:, chunk.hi]).reshape(m // g, g, -1)
+                terms *= pair_fine[:, pairs]
+                coarse = np.exp(-1j * (plan.pair_rate[pairs] * t[::g]))
+                rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
+        yield rho_ee, rho_gg, rho_eg
+
+
+@pytest.mark.parametrize("name", available_presets())
+def test_split_keeps_row_0_and_the_all_per_cell_values_at_budget_0(monkeypatch, name):
+    cfg = preset(name)
+    split = run_scenario(cfg).records
+    monkeypatch.setattr(dynamics, "_SEPARABLE_BUDGET", 0.0)
+    plan = _plan(cfg)
+    # no budget: every doublet per cell, in ascending order, as before the split
+    assert plan.per_cell_doublets == plan.active_doublets
+    assert plan.separable_rounding_bound == 0.0
+    assert np.all(np.diff(plan.active) > 0) and len(plan.chunks) == plan.kept_chunks
+    blocks = [values for _, values in plan.blocks(DensitySink(plan))]
+    for got, want in zip(blocks, _all_per_cell(plan), strict=True):
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+    per_cell = run_scenario(cfg).records
+    for column, limit in LIMITS.items():
+        # t = 0: the separable share is exactly zero and rho_ee the same sum
+        assert split[column][:1].tobytes() == per_cell[column][:1].tobytes(), column
+        assert np.max(np.abs(split[column] - per_cell[column])) <= limit, column
+    assert np.all(split["rho_gg"] >= 0.0)
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        UniformGrid(50.0, 15),
+        np.linspace(0.0, 50.0, 15),
+        np.geomspace(1e-3, 50.0, 300),
+        np.concatenate((np.linspace(0.0, 1.0, 200), [50.0])),
+    ],
+    ids=["grid of 15", "array of 15", "geometric", "uneven"],
+)
+def test_grids_without_fine_tables_keep_every_doublet_per_cell(times):
+    cfg = config_from_dict(GRID_DOCS["thermal_kerr_stark"])
+    plan = _plan(cfg, times)
+    assert plan.group == 1
+    assert plan.per_cell_doublets == plan.active_doublets > 0
+    assert plan.separable_rounding_bound == 0.0
+    assert len(plan.chunks) == plan.kept_chunks
+    sink = DensitySink(plan)
+    assert not sink.has_separable
+    # the rounding weights are still reported, doublet by doublet
+    assert np.all(plan.rounding_weight > 0.0)
+
+
+@pytest.mark.parametrize("mu", [0.0, 1e-300])
+@pytest.mark.parametrize("doc", sorted(GRID_DOCS))
+def test_mu_zero_and_tiny_give_finite_rows(doc, mu):
+    cfg = config_from_dict(merge_config(GRID_DOCS[doc], {"params": {"mu": mu}}))
+    plan = _plan(cfg)
+    assert 0 < plan.per_cell_doublets < plan.active_doublets  # the split is in use
+    records = run_scenario(cfg).records
+    for column in CSV_COLUMNS:
+        assert np.all(np.isfinite(records[column])), column
+    _assert_routes_agree(cfg, (doc, mu))
+
+
+def test_tail_doublets_near_the_phase_limit_stay_per_cell():
+    # Rabi frequencies of gamma sqrt(n + 1)/2: the tail doublets reach
+    # Omega t_end ~ 2^50, where a phase's rounding eps Omega t_end is a
+    # quarter of a radian, and their p q ~ p of 1e-12 and more then weighs
+    doc = {
+        "params": {"k": 1, "mu": 0.1, "gamma": 5e12},
+        "nonlinearity": "identity",
+        "field": {"kind": "coherent", "nbar": 25.0},
+        "time": {"t_end": 50.0},
+    }
+    cfg = config_from_dict(doc)
+    plan = _plan(cfg)
+    assert 2.0**49 < plan.max_phase_argument < 2.0**52
+    # every tail doublet whose own rounding would show is kept per cell,
+    # and what is left to the separable sums stays within the budget
+    huge = EPS * plan.omega * cfg.t_end > 0.1
+    heavy = plan.rounding_weight > dynamics._SEPARABLE_BUDGET
+    per_cell = np.arange(plan.active_doublets) < plan.per_cell_doublets
+    assert np.count_nonzero(huge & heavy) > 10
+    assert np.all(per_cell[huge & heavy])
+    assert 0.0 <= plan.separable_rounding_bound <= dynamics._SEPARABLE_BUDGET
+    records = run_scenario(cfg).records
+    assert np.all(np.isfinite(records["W"])) and np.all(records["rho_gg"] >= 0.0)
+
+
+@pytest.mark.parametrize("kind", ["coherent", "squeezed", "thermal"])
+@pytest.mark.parametrize("t_end", [1e-300, 1e-12, 1e12])
+@pytest.mark.parametrize("gamma", [1e-300, 1e200, 1e300])
+def test_extreme_couplings_and_times_never_write_nan_rows(tmp_path, gamma, t_end, kind):
+    doc = {
+        "params": {"k": 2, "gamma": gamma, "mu": 0.1},
+        "field": {"kind": kind, "nbar": 3.0},
+        "time": {"t_end": t_end, "samples": 120},
+    }
+    config, out = tmp_path / "scenario.json", tmp_path / "run.json"
+    config.write_text(json.dumps(doc))
+    code = main(["simulate", "--config", str(config), "--output", str(out), "--format", "json"])
+    assert code in (0, 2, 4)
+    if code == 0:
+        records = json.loads(out.read_text())["records"]
+        values = np.array([list(row.values()) for row in records], dtype=float)
+        assert len(values) == 120 and np.all(np.isfinite(values))
+    if (gamma, t_end) == (1e200, 1e-300):
+        # the fuzz test's extreme: the separable sums carry it
+        assert code == 0
+        plan = _plan(config_from_dict(doc))
+        assert plan.per_cell_doublets < plan.active_doublets
+
+
+def test_split_is_reported_in_the_metadata(tmp_path):
+    cfg = preset("coherent_bare_identity")
+    res = run_scenario(cfg)
+    resolved = res.metadata["resolved"]
+    plan = _plan(cfg)
+    assert resolved["per_cell_doublets"] == plan.per_cell_doublets == 30
+    assert resolved["active_doublets"] == 80
+    bound = resolved["separable_rounding_bound"]
+    assert bound == plan.separable_rounding_bound and 0.0 < bound <= 1e-15
+    # the bound is the summed rounding weight of the separable terms
+    separable = plan.rounding_weight[plan.per_cell_doublets :]
+    assert np.sum(separable) <= bound
+    path = tmp_path / "run.json"
+    emit(res.records, "json", str(path), res.metadata)
+    assert json.loads(path.read_text())["metadata"]["resolved"] == resolved

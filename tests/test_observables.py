@@ -21,7 +21,7 @@ from djcm.observables import (
     records_from_series,
     series_from_density,
 )
-from djcm.scenario import available_presets, preset
+from djcm.scenario import available_presets, preset, run_scenario
 
 LN2 = math.log(2.0)
 F_ID = Nonlinearity.identity()
@@ -352,6 +352,20 @@ def test_series_concatenate_and_shape_check():
     ragged["E_y"] = np.zeros(2)
     with pytest.raises(ValueError):
         ObservableSeries(ragged)
+
+
+def test_series_concatenate_takes_a_generator_of_blocks():
+    # each column walks the blocks: a generator is spent only once
+    cfg = preset("coherent_bare_identity_k2")
+    plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, cfg.build_distribution(), cfg.grid())
+    joined = ObservableSeries.concatenate(
+        series_from_density(plan.times[start : start + len(ee)], ee, gg, eg)
+        for start, (ee, gg, eg) in plan.blocks(DensitySink(plan))
+    )
+    whole = run_scenario(cfg).records
+    assert len(joined) == cfg.samples
+    for name in SERIES_COLUMNS:
+        assert joined[name].tobytes() == whole[name].tobytes(), name
 
 
 def test_observable_record_single_state():

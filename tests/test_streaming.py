@@ -162,6 +162,23 @@ def test_oracle_rejects_a_grid_with_repeated_times():
         next(ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, UniformGrid(5e-324, 3)))
 
 
+@pytest.mark.parametrize(
+    "grid, tol, match",
+    [
+        (UniformGrid(5e-324, 3), 1e-10, "ascending"),
+        ([1.0, 2.0], 1e-10, "start at 0"),
+        ([0.0, 1.0], float("nan"), "tol must be finite"),
+    ],
+    ids=["repeated times", "late start", "nan tol"],
+)
+def test_oracle_blocks_refuse_bad_arguments_at_the_call(grid, tol, match):
+    # no block is drawn: the call itself validates
+    cfg = small()
+    dist = cfg.build_distribution()
+    with pytest.raises(InvalidParameterError, match=match):
+        ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, grid, tol=tol)
+
+
 # ---------------------------------------------------------------------------
 # iter_scenario
 # ---------------------------------------------------------------------------
@@ -171,7 +188,14 @@ def test_stream_metadata_comes_before_the_blocks():
     cfg = small(options={"oracle_check": True, "counter_rotating_diagnostic": True})
     stream = iter_scenario(cfg)
     resolved = dict(stream.metadata["resolved"])
-    assert list(resolved) == ["n_cut", "captured_mass", "active_doublets", "max_phase_argument"]
+    assert list(resolved) == [
+        "n_cut",
+        "captured_mass",
+        "active_doublets",
+        "max_phase_argument",
+        "per_cell_doublets",
+        "separable_rounding_bound",
+    ]
     blocks = list(stream)
     assert [len(b) for b in blocks] == [256, 256, 88]
     whole = run_scenario(cfg)

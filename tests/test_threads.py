@@ -1,8 +1,8 @@
 """The closed form's helper thread: same bytes, no thread left behind.
 
 ``ClosedFormPlan.blocks`` evaluates every other block on one helper
-thread when the plan has two or more doublet chunks, the grid two or more
-blocks and the process two or more usable CPUs. These tests force the CPU
+thread when the plan has two or more chunks of per-cell doublets, the
+grid two or more blocks and the process two or more usable CPUs. These tests force the CPU
 count both ways through ``dynamics._usable_cpus``.
 """
 
@@ -18,8 +18,8 @@ from djcm.dynamics import AmplitudeSink, ClosedFormPlan, DensitySink, UniformGri
 from djcm.errors import PhysicsValidationError
 from djcm.scenario import preset, run_scenario
 
-WIDE = "thermal_kerr_stark_identity"  # 6 chunks of doublets, k = 2: rho_eg is not zero
-NARROW = "coherent_bare_identity"  # 1 chunk
+WIDE = "thermal_kerr_stark_identity"  # 6 chunks of doublets, 2 per cell; k = 2
+NARROW = "coherent_bare_identity"  # 2 chunks of doublets, 1 per cell
 SAMPLES = 1100  # 5 blocks, the last one short
 
 
@@ -48,7 +48,7 @@ def test_threaded_blocks_are_the_serial_blocks(monkeypatch):
     serial, serial_threads = _blocks(_plan(WIDE))
     _cpus(monkeypatch, 2)
     plan = _plan(WIDE)
-    assert len(plan.chunks) == 6
+    assert (len(plan.chunks), plan.kept_chunks) == (6, 2)
     threaded, threaded_threads = _blocks(plan)
     assert [b[0] for b in serial] == list(range(0, SAMPLES, 256))
     assert threaded == serial
@@ -71,12 +71,15 @@ def test_run_scenario_same_columns_serial_and_threaded(monkeypatch):
 @pytest.mark.parametrize(
     "name, samples, cpus",
     [(NARROW, SAMPLES, 2), (WIDE, 256, 2), (WIDE, SAMPLES, 1)],
-    ids=["one chunk", "one block", "one cpu"],
+    ids=["one per-cell chunk", "one block", "one cpu"],
 )
 def test_no_thread_where_it_cannot_pay(monkeypatch, name, samples, cpus):
     _cpus(monkeypatch, cpus)
     before = threading.active_count()
-    _, threads = _blocks(_plan(name, samples))
+    plan = _plan(name, samples)
+    # the amplitude sink takes every chunk, the separable ones too
+    assert len(plan.chunks) >= 2
+    _, threads = _blocks(plan)
     assert threads == [before] * len(threads)
 
 
