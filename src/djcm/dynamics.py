@@ -980,9 +980,9 @@ def closed_form_series(
 
 # Steps between direct evaluations of the coupling phases in the oracle.
 _REANCHOR = 128
-# (segment, doublet) pairs the oracle integrates side by side, unless one
-# segment has more doublets: a batch's arrays, about 0.5 kB a pair, then
-# stay below the size of a block's amplitudes and mostly in cache.
+# (segment, doublet) pairs the oracle integrates, phases or chains at once,
+# unless one segment has more doublets: a batch's arrays, about 0.5 kB a
+# pair, then stay below the size of a block's amplitudes and mostly in cache.
 _MAX_PAIRS = 4096
 # A complex product whose right operand is a temporary is written
 # np.multiply(x, temp): numpy computes ``x * temp`` in place into a
@@ -997,7 +997,9 @@ class _PairBatch:
     The amplitude equations are linear, so each output segment is fully
     described by a 2x2 propagator per doublet, and propagators of
     different segments are independent. Integrating them all side by side
-    keeps every array operation of a sweep on wide arrays.
+    keeps every array operation of a sweep on wide arrays. A rotating-wave
+    propagator depends on its segment's start only through v's phase, so
+    segments of one length share their pairs (:func:`ode_oracle_blocks`).
     """
 
     def __init__(self, t0, dt, alpha, Rn, weight, mu, counter_rotating):
@@ -1059,10 +1061,9 @@ class _PairBatch:
     def _power_sweep(self, m: int):
         """(u, v) of the rotating-wave propagator as D(t0 + dt) T^m D(t0)^-1."""
         h = self.dt / m
-        z = 0.5 * self.alpha * h
         w = self.mu - self.Rn
         half = np.exp(-0.5j * (w * h))  # s at the step's midpoint, t = h/2
-        p, q = _rk4_step(z, 1.0, half, half * half)
+        p, q = _rk4_step(_rk4_constants(0.5 * self.alpha * h), 1.0, half, half * half)
         # T = D(-h) S0 = [[a, b], [-conj(b), conj(a)]]; products of this
         # form keep it, so only (a, b) is carried while squaring
         back = np.conj(half)
@@ -1088,7 +1089,7 @@ class _PairBatch:
         with a direct ``exp`` every ``_REANCHOR`` steps to bound the drift.
         """
         h = self.dt / m
-        z = 0.5 * self.alpha * h
+        constants = _rk4_constants(0.5 * self.alpha * h)
         w = self.mu - self.Rn
         w_c = self.mu + self.Rn
         rot = np.exp(-0.5j * (w * h))
@@ -1104,30 +1105,34 @@ class _PairBatch:
             e2 = e1 * rot
             c1 = c0 * rot_c
             c2 = c1 * rot_c
-            p, q = _rk4_step(z, e0 + c0, e1 + c1, e2 + c2)
+            p, q = _rk4_step(constants, e0 + c0, e1 + c1, e2 + c2)
             e0 = e2
             c0 = c2
             u, v = p * u - np.multiply(q, np.conj(v)), p * v + np.multiply(q, np.conj(u))
         return u, v
 
 
-def _rk4_step(z, s0, s1, s2):
+def _rk4_constants(z):
+    """z^2/6, z^4/24, -i z/6 and z^2/2 of :func:`_rk4_step`, once per sweep."""
+    z2 = z * z
+    return z2 / 6.0, z2 * z2 / 24.0, -1j / 6.0 * z, 0.5 * z2
+
+
+def _rk4_step(constants, s0, s1, s2):
     """Entries (p, q) of one classic RK4 step matrix [[p, q], [-conj(q), conj(p)]].
 
     With a = -i (alpha/2) s at the start (s0), middle (s1) and end (s2)
-    of a step of length h, and z = alpha h / 2:
+    of a step of length h, and ``constants`` of z = alpha h / 2 (:func:`_rk4_constants`):
 
         p = 1 - (h^2/6) (a1 a0* + |a1|^2 + a2 a1*) + (h^4/24) |a1|^2 a2 a0*
         q = (h/6) (a0 + 4 a1 + a2) - (h^3/12) |a1|^2 (a0 + a2)
     """
-    z2 = z * z
+    z2_6, z4_24, iz_6, z2_2 = constants
     mid2 = s1.real * s1.real + s1.imag * s1.imag
     s0c = np.conj(s0)
-    p = 1.0 - (z2 / 6.0) * (s1 * s0c + mid2 + np.multiply(s2, np.conj(s1))) + (
-        z2 * z2 / 24.0
-    ) * (mid2 * (s2 * s0c))
+    p = 1.0 - z2_6 * (s1 * s0c + mid2 + np.multiply(s2, np.conj(s1))) + z4_24 * (mid2 * (s2 * s0c))
     ends = s0 + s2
-    q = (-1j / 6.0 * z) * (ends + 4.0 * s1 - (0.5 * z2 * mid2) * ends)
+    q = np.multiply(iz_6, ends + 4.0 * s1 - (z2_2 * mid2) * ends)
     return p, q
 
 
@@ -1173,6 +1178,16 @@ def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info
         coarse = fine[:, ~done]
 
 
+def _segment_groups(dt, counter_rotating):
+    """(group of each segment, first segment of each group), ids by first occurrence:
+    rotating-wave segments of one length share one, the others have one each."""
+    if counter_rotating:
+        return np.arange(len(dt)), np.arange(len(dt))
+    _, lead, inverse = np.unique(dt, return_index=True, return_inverse=True)
+    order = np.argsort(lead)
+    return np.argsort(order)[inverse], lead[order]
+
+
 def _oracle_grid(t_grid):
     """The oracle's grid, an array or a UniformGrid, once it is known to be valid."""
     if isinstance(t_grid, UniformGrid):
@@ -1209,11 +1224,14 @@ def ode_oracle_blocks(
     See :func:`evolve_ode_oracle` for the integration.
 
     The slow variables X, Y of each integrated doublet are chained through
-    each output segment's propagator as soon as it is integrated. The
-    propagators are integrated side by side in batches of at most
-    ``_MAX_PAIRS`` (segment, doublet) pairs within a block, or one
-    segment's doublets where those are more, so the memory held is one
-    block of rows plus one batch, whatever the grid's length.
+    each output segment's propagator. Within a block, rotating-wave
+    segments of one length share one integration, in order of first
+    occurrence, and each applies its own phase exp(-i w (2 t0 + dt)/2) to
+    v; with the counter-rotating terms every segment is integrated.
+    Integration, phasing and chaining take at most ``_MAX_PAIRS``
+    (segment, doublet) pairs at once, or one segment's doublets where
+    those are more, so the memory held is one block of rows, one batch
+    and the propagators of the lengths still to come in the block.
     """
     grid = _oracle_grid(t_grid)
     # two refinements never agree within a NaN or a tol <= 0
@@ -1251,6 +1269,26 @@ def ode_oracle_blocks(
     r1 = -1j * co.R1[active]
     r2 = -1j * co.R2[active]
 
+    def integrate(t0, dt, t_end):
+        """Propagators (u, v, -conj v, conj u) over [t0, t0 + dt]; failures name t_end."""
+        n = len(dt)
+        batch = _PairBatch(
+            np.repeat(t0, d_live), np.repeat(dt, d_live), np.tile(alpha, n), np.tile(Rn, n),
+            np.tile(weight, n), mu, include_counter_rotating,
+        )
+        m0p = np.maximum(np.ceil(batch.dt * np.tile(w, n) / 0.75).astype(int), 2)
+        m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
+        out = np.empty((4, n * d_live), dtype=complex)
+
+        def pair_info(slot):
+            g, di = divmod(int(slot), d_live)
+            return int(active[live[di]]), float(t_end[g])
+
+        for m_init in np.unique(m0p):
+            slots = np.nonzero(m0p == m_init)[0]
+            _refine_bucket(batch.take(slots), int(m_init), tol, out, slots, pair_info)
+        return out.reshape(4, n, d_live)
+
     def walk():
         X = c0[active[live]].astype(complex)
         Y = np.zeros_like(X)
@@ -1268,39 +1306,33 @@ def ode_oracle_blocks(
             # times of rows first - 1 .. b1 - 1: segment i runs from tb[i] to tb[i + 1]
             tb = grid[first - 1 : b1]
             dt = np.diff(tb)
+            group, lead = _segment_groups(dt, include_counter_rotating)
+            need = np.minimum.accumulate(group[::-1])[::-1]  # no later segment needs a lower id
+            held, lo = np.empty((4, 0, d_live), dtype=complex), 0  # groups lo, lo + 1, ..
             for s0 in range(0, len(dt), seg_block):
                 s1 = min(s0 + seg_block, len(dt))
                 rows = slice(first - b0 + s0, first - b0 + s1)
                 if d_live:
-                    batch = _PairBatch(
-                        np.repeat(tb[s0:s1], d_live),
-                        np.repeat(dt[s0:s1], d_live),
-                        np.tile(alpha, s1 - s0),
-                        np.tile(Rn, s1 - s0),
-                        np.tile(weight, s1 - s0),
-                        mu,
-                        include_counter_rotating,
-                    )
-                    m0p = np.ceil(batch.dt * np.tile(w, s1 - s0) / 0.75).astype(int)
-                    m0p = np.maximum(m0p, 2)
-                    m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
-                    out = np.empty((4, (s1 - s0) * d_live), dtype=complex)
-
-                    def pair_info(slot, s0=s0):
-                        seg, di = divmod(int(slot), d_live)
-                        return int(active[live[di]]), float(tb[s0 + seg + 1])
-
-                    for m_init in np.unique(m0p):
-                        slots = np.nonzero(m0p == m_init)[0]
-                        _refine_bucket(batch.take(slots), int(m_init), tol, out, slots, pair_info)
-                    props = out.reshape(4, s1 - s0, d_live)
+                    held, lo = held[:, need[s0] - lo :], need[s0]
+                    if not held.size:  # so that no view keeps old propagators alive
+                        held = held.copy()
+                    # the first segments of the groups met first here
+                    new = lead[lo + held.shape[1] : group[s0:s1].max() + 1]
+                    if len(new):
+                        # rotating-wave groups integrate [-dt/2, dt/2], whose start phase is 1
+                        t0 = tb[new] if include_counter_rotating else -0.5 * dt[new]
+                        fresh = integrate(t0, dt[new], tb[new + 1])
+                        held = np.concatenate([held, fresh], axis=1) if held.shape[1] else fresh
+                    u, v, v_c, u_c = held[:, _as_slice(group[s0:s1] - lo)]
+                    if not include_counter_rotating:
+                        start = 2.0 * tb[s0:s1, None] + dt[s0:s1, None]
+                        v = np.multiply(v, np.exp(-0.5j * ((mu - Rn) * start)))
+                        v_c = -np.conj(v)
                     for i in range(s1 - s0):
-                        X, Y = (
-                            props[0, i] * X + props[1, i] * Y,
-                            props[2, i] * X + props[3, i] * Y,
-                        )
+                        X, Y = u[i] * X + v[i] * Y, v_c[i] * X + u_c[i] * Y
                         excited[rows.start + i, live_cols] = X
                         ground[rows.start + i, live_cols] = Y
+                    del u, v, v_c, u_c  # before the next chunk integrates
                 # reattach the diagonal phases
                 t1 = tb[s0 + 1 : s1 + 1, None]
                 excited[rows, cols] *= np.exp(r1 * t1)
@@ -1328,8 +1360,9 @@ def evolve_ode_oracle(
     halving per output segment until two refinements agree below ``tol``
     for every doublet; doublets with no initial population are carried as
     exact zeros. The rotating-wave product of m RK4 steps is evaluated by
-    binary powering of one step matrix; the counter-rotating form applies
-    its m steps one at a time, so ``include_counter_rotating`` costs time
+    binary powering of one step matrix, once per segment length and block
+    of rows; the counter-rotating form applies its m steps one at a time,
+    for every segment, so ``include_counter_rotating`` costs time
     proportional to the step count (see :meth:`_PairBatch.sweep`).
 
     Returns one :class:`AmplitudeState` per grid time: the blocks of

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from djcm.dynamics import (
     ClosedFormPlan,
     CoefficientTable,
     ModelParams,
+    UniformGrid,
     _BLOCK_ROWS,
     _DOUBLET_CHUNK,
     _PairBatch,
@@ -17,7 +19,9 @@ from djcm.dynamics import (
     _uniform_step,
     closed_form_series,
     evolve_ode_oracle,
+    initial_excited_amplitudes,
     max_amplitude_deviation,
+    ode_oracle_blocks,
 )
 from djcm.errors import (
     IntegrationFailureError,
@@ -459,6 +463,18 @@ def test_refinement_past_2_to_the_24_steps_reports_doublet_and_time():
     assert err.value.t == times[1] == 0.02501250625312656
 
 
+def test_refinement_failure_names_the_first_segment_of_its_length():
+    # 39 segments of a few lengths, each integrated once: the failure still
+    # names the first segment, as an integration per segment would
+    cfg = preset("squeezed_bare_sqrt_n_k4")
+    times = cfg.grid()[:40]
+    assert len(set(np.diff(times))) < 39
+    with pytest.raises(IntegrationFailureError, match="exceeded 2\\^24") as err:
+        evolve_ode_oracle(cfg.params, cfg.nonlinearity, cfg.build_distribution(), times)
+    assert err.value.n == 28
+    assert err.value.t == times[1] == 0.02501250625312656
+
+
 # ---------------------------------------------------------------------------
 # table-driven phases on uniform grids
 # ---------------------------------------------------------------------------
@@ -682,3 +698,77 @@ def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):
     ref_calls, ref_states = run(_direct_exp_sweep)
     assert calls == ref_calls
     assert max_amplitude_deviation(states, ref_states) <= 1e-12
+
+
+def _pairs_per_block(monkeypatch, cfg, times, counter_rotating):
+    """(t0, dt, alpha) of each pair the oracle integrates, a Counter per block.
+
+    A pair is counted at its first sweep, the one at its smallest step
+    count: a refinement sweeps the same pairs again, at twice the steps.
+    """
+    calls = []
+    sweep = _PairBatch.sweep
+
+    def recorded(batch, m):
+        calls.extend((pair, m) for pair in zip(batch.t0, batch.dt, batch.alpha))
+        return sweep(batch, m)
+
+    monkeypatch.setattr(_PairBatch, "sweep", recorded)
+    dist = cfg.build_distribution()
+    per_block = []
+    # a block is integrated when it is drawn
+    for _ in ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, times, counter_rotating):
+        first = {}
+        for pair, m in calls:
+            first[pair] = min(first.get(pair, m), m)
+        per_block.append(Counter(pair for pair, m in calls if m == first[pair]))
+        calls.clear()
+    return per_block
+
+
+def _segments(times, block):
+    """Start times and lengths of the segments that end on a block's rows."""
+    b0 = block * _BLOCK_ROWS
+    tb = times[max(b0, 1) - 1 : b0 + _BLOCK_ROWS]
+    return tb[:-1], np.diff(tb)
+
+
+def _live_doublets(cfg):
+    c0 = initial_excited_amplitudes(cfg.build_distribution())
+    return int(np.count_nonzero(math.sqrt(2.0) * np.abs(c0) > 0.5e-10))
+
+
+def test_rotating_wave_oracle_integrates_each_segment_length_once_per_block(monkeypatch):
+    cfg = preset("coherent_bare_identity")
+    times = UniformGrid(50.0, 2000)[:]
+    live = _live_doublets(cfg)
+    per_block = _pairs_per_block(monkeypatch, cfg, times, False)
+    assert len(per_block) == 8
+    for block, pairs in enumerate(per_block):
+        _, dt = _segments(times, block)
+        lengths = set(dt)
+        assert 1 < len(lengths) < len(dt)  # rounding leaves a few distinct lengths
+        assert sum(pairs.values()) == len(lengths) * live
+        assert {d for _, d, _ in pairs} == lengths
+
+
+def test_counter_rotating_oracle_integrates_every_segment(monkeypatch):
+    # the coupling's two frequencies make each segment's propagator depend on its start
+    cfg = preset("coherent_bare_identity")
+    times = UniformGrid(50.0, 2000)[:]
+    live = _live_doublets(cfg)
+    for block, pairs in enumerate(_pairs_per_block(monkeypatch, cfg, times, True)):
+        t0, dt = _segments(times, block)
+        assert sum(pairs.values()) == len(dt) * live
+        assert {(t, d) for t, d, _ in pairs} == set(zip(t0, dt))
+
+
+def test_segments_of_distinct_lengths_are_integrated_one_by_one(monkeypatch):
+    cfg = preset("coherent_bare_identity")
+    times = 0.01 * (1.01 ** np.arange(300) - 1.0)
+    assert len(set(np.diff(times))) == 299
+    live = _live_doublets(cfg)
+    for block, pairs in enumerate(_pairs_per_block(monkeypatch, cfg, times, False)):
+        _, dt = _segments(times, block)
+        assert sum(pairs.values()) == len(dt) * live
+        assert {d for _, d, _ in pairs} == set(dt)

@@ -5,6 +5,7 @@ import os
 import numpy as np
 
 import djcm
+from djcm.dynamics import evolve_ode_oracle
 from djcm.scenario import (
     CSV_COLUMNS,
     config_from_dict,
@@ -14,10 +15,18 @@ from djcm.scenario import (
     run_scenario,
 )
 
-_PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "emit_all.py")
-_SPEC = importlib.util.spec_from_file_location("emit_all", _PATH)
-emit_all = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(emit_all)
+
+def _tool(name):
+    """The module tools/<name>.py."""
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+emit_all = _tool("emit_all")
+oracle_blocks = _tool("oracle_blocks")
 
 
 SMALL = {
@@ -154,6 +163,48 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
     assert len(metadata["nonlinearity"]["table"]) == 80
     assert metadata["options"]["free_phase_on_coherence"] is True
     assert metadata["resolved"]["n_cut"] == 67
+
+
+def test_oracle_blocks_saves_every_case_both_ways(tmp_path, monkeypatch, capsys):
+    cfg = config_from_dict(SMALL)
+    dist = cfg.build_distribution()
+    times = cfg.grid()[:]
+    case = ("small", cfg.params, cfg.nonlinearity, dist, times, 1e-10)
+    monkeypatch.setattr(oracle_blocks, "cases", lambda: iter([case]))
+    digests = oracle_blocks.oracle_blocks(str(tmp_path))
+    assert list(digests) == ["small", "small_counter_rotating"]
+    with np.load(tmp_path / oracle_blocks.FILE) as saved:
+        for name, counter_rotating in (("small", False), ("small_counter_rotating", True)):
+            states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, counter_rotating)
+            expected = np.stack([[s.excited for s in states], [s.ground for s in states]])
+            assert saved[name].tobytes() == expected.tobytes()
+    assert capsys.readouterr().out.splitlines()[0] == f"small: {digests['small']}"
+
+
+def test_oracle_blocks_compare_exit_code_follows_the_limit(tmp_path, capsys):
+    one, two = tmp_path / "one", tmp_path / "two"
+    for folder in (one, two):
+        folder.mkdir()
+    blocks = np.arange(12.0).reshape(2, 3, 2) * (1.0 + 0.5j)
+
+    def save(folder, **arrays):
+        np.savez(folder / oracle_blocks.FILE, **arrays)
+
+    save(one, a=blocks, b=blocks)
+    save(two, a=blocks, b=blocks)
+    assert oracle_blocks.compare(str(one), str(two)) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "2 of 2 cases byte-identical"
+    moved = blocks.copy()
+    moved[1, 2, 0] += 5e-13
+    save(two, a=blocks, b=moved)
+    assert oracle_blocks.compare(str(one), str(two)) == 1
+    assert "b: differs; max |change|" in capsys.readouterr().out
+    moved[0, 0, 1] += 1e-9j
+    save(two, a=blocks, b=moved)
+    assert oracle_blocks.compare(str(one), str(two)) == 2
+    save(two, a=blocks)
+    assert oracle_blocks.compare(str(one), str(two)) == 2
+    assert "b: missing" in capsys.readouterr().out
 
 
 def test_package_exports_are_sorted_unique_and_resolve():
