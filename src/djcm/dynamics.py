@@ -197,10 +197,15 @@ _TABLE_MIN_SAMPLES = 16
 # rows evaluated per block. Blocks therefore start at multiples of _FINE.
 # Any other grid has groups of one row, each time its own anchor.
 _FINE = 16
-# Samples per block of a ClosedFormPlan; a multiple of _FINE.
+# Samples per block of a ClosedFormPlan on wide plans, and the step of
+# every block length; a multiple of _FINE.
 _BLOCK_ROWS = 256
 # Doublets evaluated together by the closed form.
 _DOUBLET_CHUNK = 128
+# Cells (rows x columns) of a block's widest per-row array: narrower sinks
+# get longer blocks (ClosedFormPlan.block_rows), up to _MAX_BLOCK_ROWS.
+_BLOCK_CELLS = _BLOCK_ROWS * _DOUBLET_CHUNK
+_MAX_BLOCK_ROWS = 3 * _BLOCK_ROWS
 _EPS = float(np.finfo(float).eps)
 # Largest phase argument |w| t_end the closed form accepts: beyond it the
 # rounding eps |w| t_end of a phase is 1 rad or more.
@@ -359,12 +364,14 @@ class AmplitudeSink:
     ground phase times exp(-i mu r step)), with c0 and the constant
     factors of the closed form folded in. :meth:`take` slices them to a
     chunk. It takes every chunk of the plan, the separable doublets'
-    too, and holds nothing else, so threads may share it.
+    too, and holds nothing else, so threads may share it. Its ``width``,
+    the columns of its widest per-row array, is n_cut + 1.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
         self.chunk_count = len(plan.chunks)
+        self.width = len(plan.c0)
         c0a = plan.c0[plan.active]
         alpha = plan.coefficients.alpha[plan.active]
         ground_fine = np.exp(-1j * (plan.ground_rate * plan.r_step))
@@ -424,7 +431,10 @@ class DensitySink:
     i (alpha_n/2) conj(c0_n) c0_{n+k} folded in; over the separable terms
     (``plan.separable``) the coarse table exp(i w 16 J step) and the fine
     table exp(i w r step), weights folded in, of each rate w. The sink
-    holds nothing else, so threads may share it.
+    holds nothing else, so threads may share it. Its ``width``, the
+    columns per row of its widest array, is the widest span of its
+    chunks, or its separable terms over _FINE where those are more (a
+    coarse row of the separable sums covers _FINE rows).
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
@@ -458,6 +468,9 @@ class DensitySink:
         self.coherence_coarse = _phases(coarse * self.coherence_rate)
         self.coherence_fine = _phases(self.coherence_rate[:, None] * fine)
         self.coherence_fine *= terms.pair_weight[:, None]
+        spans = (c.span.stop - c.span.start for c in plan.chunks[: self.chunk_count])
+        separable_width = -(-(len(self.doublet_rate) + len(self.coherence_rate)) // _FINE)
+        self.width = max(max(spans, default=0), separable_width)
         self.rho_ee_at_zero = None
         if self.has_separable and plan.times[0:1][0] == 0.0:
             # squares that overflow fail the first block, as in the per-cell path
@@ -507,9 +520,10 @@ class DensitySink:
         """Add the separable doublets' and pairs' share of the block's density.
 
         Each is a sum of weighted exponentials sum_w c_w exp(i w t) at the
-        times t_0 + (16 J + r) step of the block, so the block's sum is the
-        matrix product of its coarse rows exp(i w t_0) exp(i w 16 J step)
-        with the fine table: rho_gg's share is
+        times t_a + (16 J + r) step, t_a the time of every _BLOCK_ROWS-th
+        row of the block, so each such anchor's sum is the matrix product
+        of its coarse rows exp(i w t_a) exp(i w 16 J step) with the fine
+        table (:func:`_anchored_sums`): rho_gg's share is
         sum p q/2 - Re sum (p q/2) exp(2 i Omega t), rho_ee's the separable
         populations less that, and rho_eg's the sum of the pairs' terms.
 
@@ -521,22 +535,52 @@ class DensitySink:
         if not self.has_separable:
             return
         rho_ee, rho_gg, rho_eg = block
-        n, groups, t0 = len(rho_ee), len(t) // _FINE, t[0, 0]
+        n, groups, anchors = len(rho_ee), len(t) // _FINE, t[::_BLOCK_ROWS, 0]
+        at_zero = anchors[0] == 0.0
         if len(self.doublet_rate):
-            head = np.multiply(self.doublet_coarse[:groups], _phases(self.doublet_rate * t0))
-            share = self.doublet_constant - (head.view(float) @ self.doublet_fine).reshape(-1)[:n]
-            if t0 == 0.0:
+            sums = _anchored_sums(
+                self.doublet_coarse, self.doublet_rate, self.doublet_fine, anchors, groups, float
+            )
+            share = self.doublet_constant - sums[:n]
+            if at_zero:
                 share[0] = 0.0
             rho_gg += share
             rho_ee += self.separable_population - share
         if len(self.coherence_rate):
-            head = np.multiply(self.coherence_coarse[:groups], _phases(self.coherence_rate * t0))
-            share = (head @ self.coherence_fine).reshape(-1)[:n]
-            if t0 == 0.0:
+            sums = _anchored_sums(
+                self.coherence_coarse, self.coherence_rate, self.coherence_fine, anchors, groups
+            )
+            share = sums[:n]
+            if at_zero:
                 share[0] = 0.0
             rho_eg += share
-        if t0 == 0.0:
+        if at_zero:
             rho_ee[0] = self.rho_ee_at_zero
+
+
+def _anchored_sums(coarse, rate, fine, anchors, groups: int, dtype=complex) -> np.ndarray:
+    """The separable sums of a block's rows: (coarse x exp(i rate t_a)) @ fine per anchor t_a.
+
+    ``coarse`` holds the _FINE coarse rows below an anchor and ``groups``
+    counts the block's coarse rows. The anchors with all _FINE rows take
+    one batched ``np.matmul``, which multiplies slice by slice with the
+    very matrix product a block of _BLOCK_ROWS rows makes, and a shorter
+    last anchor its own product, so the sums do not depend on the block
+    length: one product over more rows would (BLAS rounds by its shape).
+    With ``dtype`` float the terms' complex heads are viewed as floats
+    against a real fine table.
+    """
+    phase = _phases(anchors[:, None] * rate)
+    per = len(coarse)
+    full, rest = divmod(groups, per)
+    out = np.empty((groups, fine.shape[1]), dtype=dtype)
+    if full:
+        head = np.multiply(coarse, phase[:full, None, :])
+        np.matmul(head.view(dtype), fine, out=out[: full * per].reshape(full, per, -1))
+    if rest:
+        head = np.multiply(coarse[:rest], phase[full])
+        np.matmul(head.view(dtype), fine, out=out[full * per :])
+    return out.reshape(-1)
 
 
 def _phases(arg: np.ndarray) -> np.ndarray:
@@ -554,7 +598,9 @@ def _rho_ee_at_zero(plan: "ClosedFormPlan") -> float:
     active doublets in ascending order, _DOUBLET_CHUNK at a time, each
     chunk's sum row 0 of a matrix-vector product over the first block's
     rows. The sum here is made with the very same products, whose rounding
-    depends on their shape, so it equals that reduction's bit for bit.
+    depends on their width, so it equals that reduction's bit for bit. Row
+    0 of such a product does not depend on the rows below it, so the
+    _BLOCK_ROWS rows here stand for a first block of any length.
     """
     c0a = plan.c0[np.sort(plan.active)]
     twice = np.repeat(c0a.real * c0a.real + c0a.imag * c0a.imag, 2)
@@ -643,7 +689,7 @@ def _separable_split(co, c0a, levels, lo, hi, pair_rate, mu, t_max, step):
 
 
 class ClosedFormPlan:
-    """The closed form on a grid, evaluated _BLOCK_ROWS samples at a time into sinks.
+    """The closed form on a grid, evaluated a block of samples at a time into sinks.
 
     ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
     as they are evaluated. ``plan.blocks(*sinks)`` evaluates each block
@@ -654,6 +700,19 @@ class ClosedFormPlan:
     amplitudes. The plan also reports ``active_doublets``,
     ``max_phase_argument``, ``per_cell_doublets`` and
     ``separable_rounding_bound``.
+
+    Block length. A block has ``block_rows(*sinks)`` samples: 256
+    (_BLOCK_ROWS) times as many as keep the sinks' widest per-row array
+    (their ``width``) within the 256 x 128 cells of one doublet chunk,
+    at most 768 (_MAX_BLOCK_ROWS). Wide plans, and every run with an
+    amplitude sink of more than 64 columns (n_cut >= 64), keep 256 rows;
+    a density sink of a narrow plan, such as the coherent presets' (30-60
+    per-cell doublets), runs 512 or 768, so the numpy calls of each block
+    and of the steps after it (observables, formatting) are paid up to
+    three times less often. The cap bounds the memory of a block's
+    temporaries, which grows with its rows. The values do not depend on
+    the block length: each row is reduced as in a block of 256
+    (:meth:`DensitySink.finish`).
 
     The split. On a uniform grid of group _FINE (below) everything the
     density sink reduces is a sum of exponentials in t: per doublet
@@ -682,9 +741,9 @@ class ClosedFormPlan:
     tables over the same doublets. ``chunks`` cut them into
     _DOUBLET_CHUNK-wide column ranges with the halo their pairs need, the
     first ``kept_chunks`` over the per-cell doublets and the rest over the
-    separable ones, which only an amplitude sink takes; that bounds
-    ``scratch_shape``, the (rows, width) of the work buffers that each
-    evaluating thread makes for itself. Each block of _BLOCK_ROWS samples
+    separable ones, which only an amplitude sink takes; the chunks the
+    sinks take bound ``scratch_shape(*sinks)``, the (rows, width) of the
+    work buffers that each evaluating thread makes for itself. Each block
     then evaluates only its coarse rows, anchored at the grid's own times
     t_{group J}, and each chunk's rotation stage once for all the sinks
     that take it (:meth:`blocks`). The plan and its sinks hold only these
@@ -767,9 +826,28 @@ class ClosedFormPlan:
                     _Chunk(span, i1 - i0, slice(i0, i1), cols, pairs, _as_slice(lo), _as_slice(hi))
                 )
         self.kept_chunks = -(-kept // _DOUBLET_CHUNK)
-        width = max((c.span.stop - c.span.start for c in self.chunks), default=0)
-        padded_rows = -(-min(_BLOCK_ROWS, len(self.times)) // self.group) * self.group
-        self.scratch_shape = (padded_rows, width)
+
+    def block_rows(self, *sinks) -> int:
+        """Samples per block for ``sinks``: as many whole _BLOCK_ROWS as fit their widest row.
+
+        The largest multiple of _BLOCK_ROWS whose rows times the widest
+        sink's ``width`` stay within _BLOCK_CELLS, at least _BLOCK_ROWS and
+        at most _MAX_BLOCK_ROWS.
+        """
+        widest = max((sink.width for sink in sinks), default=0)
+        fits = _BLOCK_CELLS // max(widest, 1) // _BLOCK_ROWS
+        return _BLOCK_ROWS * min(max(fits, 1), _MAX_BLOCK_ROWS // _BLOCK_ROWS)
+
+    def scratch_shape(self, *sinks) -> tuple:
+        """(rows, width) of the work buffers of a thread evaluating blocks into ``sinks``.
+
+        The rows of a block padded to whole groups, and the widest span of
+        the chunks the sinks take.
+        """
+        rows = min(self.block_rows(*sinks), len(self.times))
+        count = max((sink.chunk_count for sink in sinks), default=0)
+        width = max((c.span.stop - c.span.start for c in self.chunks[:count]), default=0)
+        return -(-rows // self.group) * self.group, width
 
     def rotation(self, chunk: _Chunk, t: np.ndarray, work: _Scratch):
         """(envelope, s) of every column of a chunk's span at the times column t.
@@ -835,15 +913,16 @@ class ClosedFormPlan:
         on one helper thread (:meth:`_interleaved`); the values, the
         order of the blocks and of any error are those of the serial loop.
         """
-        starts = range(0, len(self.times), _BLOCK_ROWS)
+        rows = self.block_rows(*sinks)
+        starts = range(0, len(self.times), rows)
         if self.kept_chunks < 2 or len(starts) < 2 or _usable_cpus() < 2:
-            work = _Scratch(*self.scratch_shape)
+            work = _Scratch(*self.scratch_shape(*sinks))
             for start in starts:
-                yield (start, *self._evaluate(start, sinks, work))
+                yield (start, *self._evaluate(start, rows, sinks, work))
         else:
-            yield from self._interleaved(starts, sinks)
+            yield from self._interleaved(starts, rows, sinks)
 
-    def _interleaved(self, starts: range, sinks):
+    def _interleaved(self, starts: range, rows: int, sinks):
         """:meth:`blocks` with the odd blocks evaluated on one helper thread.
 
         The helper evaluates with the same plan and sinks into work
@@ -861,7 +940,8 @@ class ClosedFormPlan:
         # the helper's work buffers are made here, on the caller: made on the
         # helper they came from its own malloc arena, and a pass over the 45
         # presets peaked 0.5-2.5 MiB higher
-        work, helper_work = _Scratch(*self.scratch_shape), _Scratch(*self.scratch_shape)
+        shape = self.scratch_shape(*sinks)
+        work, helper_work = _Scratch(*shape), _Scratch(*shape)
 
         def evaluate_jobs():
             while True:
@@ -869,7 +949,7 @@ class ClosedFormPlan:
                 if job[0] is None:
                     return
                 try:
-                    job[1] = self._evaluate(job[0], sinks, helper_work)
+                    job[1] = self._evaluate(job[0], rows, sinks, helper_work)
                 except Exception as exc:  # raised by the caller when the block is due
                     job[1] = exc
                 block_done.release()
@@ -879,7 +959,7 @@ class ClosedFormPlan:
         job_ready.release()
         try:
             for i in range(0, len(starts), 2):
-                yield (starts[i], *self._evaluate(starts[i], sinks, work))
+                yield (starts[i], *self._evaluate(starts[i], rows, sinks, work))
                 if i + 1 == len(starts):
                     break
                 block_done.acquire()
@@ -895,14 +975,14 @@ class ClosedFormPlan:
             job_ready.release()
             helper.join()
 
-    def _evaluate(self, start: int, sinks, work: _Scratch) -> tuple:
-        """The values of the block at ``start`` in each sink, evaluated in ``work``.
+    def _evaluate(self, start: int, rows: int, sinks, work: _Scratch) -> tuple:
+        """The values of the block of ``rows`` at ``start`` in each sink, evaluated in ``work``.
 
         Each sink takes the plan's first ``sink.chunk_count`` chunks, whose
         rotation stage is evaluated once for all of them, and then
         finishes the block (a density sink adds its separable share).
         """
-        n = min(_BLOCK_ROWS, len(self.times) - start)
+        n = min(rows, len(self.times) - start)
         t = self._table_times(start, n)
         values = tuple(sink.start(n) for sink in sinks)
         count = max((sink.chunk_count for sink in sinks), default=0)
@@ -1000,9 +1080,13 @@ class _PairBatch:
     keeps every array operation of a sweep on wide arrays. A rotating-wave
     propagator depends on its segment's start only through v's phase, so
     segments of one length share their pairs (:func:`ode_oracle_blocks`).
+
+    With the counter-rotating terms the batch also holds the coupling's
+    phases at each pair's start, e(t0) and c(t0) of :meth:`sweep`
+    (``start_phases``), made once for all the sweeps of its pairs.
     """
 
-    def __init__(self, t0, dt, alpha, Rn, weight, mu, counter_rotating):
+    def __init__(self, t0, dt, alpha, Rn, weight, mu, counter_rotating, start_phases=None):
         self.t0 = t0
         self.dt = dt
         self.alpha = alpha
@@ -1010,11 +1094,19 @@ class _PairBatch:
         self.weight = weight  # amplitude scale entering the doublet
         self.mu = mu
         self.counter_rotating = counter_rotating
+        if counter_rotating and start_phases is None:
+            start_phases = (
+                np.exp(-1j * ((mu - Rn) * t0)),
+                np.exp(1j * ((mu + Rn) * t0)),
+            )
+        self.start_phases = start_phases
 
     def take(self, idx):
+        phases = self.start_phases
         return _PairBatch(
             self.t0[idx], self.dt[idx], self.alpha[idx], self.Rn[idx],
             self.weight[idx], self.mu, self.counter_rotating,
+            None if phases is None else (phases[0][idx], phases[1][idx]),
         )
 
     def coupling(self, t):
@@ -1086,29 +1178,50 @@ class _PairBatch:
 
         The phases follow by recurrence: a step's end value starts the
         next, and e(t + h/2) = e(t) exp(-i (mu - Rn) h/2) (likewise c),
-        with a direct ``exp`` every ``_REANCHOR`` steps to bound the drift.
+        from the batch's start phases and with a direct ``exp`` every
+        ``_REANCHOR`` steps to bound the drift. Every per-step array, the
+        phases, the step matrix and (u, v) included, goes to buffers made
+        once per sweep, so the m steps take no fresh memory.
         """
+        n = len(self.t0)
         h = self.dt / m
         constants = _rk4_constants(0.5 * self.alpha * h)
         w = self.mu - self.Rn
         w_c = self.mu + self.Rn
         rot = np.exp(-0.5j * (w * h))
         rot_c = np.exp(0.5j * (w_c * h))
-        u = np.ones(len(self.t0), dtype=complex)
-        v = np.zeros_like(u)
+        # e and c at a step's start, middle and end, the coupling s = e + c
+        # at each, (u, v) and the next (u, v), and _rk4_step's work arrays
+        e0, e1, e2, c0, c1, c2, s0, s1, s2, u, v, u_next, v_next, *work = np.empty(
+            (18, n), dtype=complex
+        )
+        work += list(np.empty((2, n)))
+        u.fill(1.0)
+        v.fill(0.0)
+        np.copyto(e0, self.start_phases[0])
+        np.copyto(c0, self.start_phases[1])
         for j in range(m):
-            if j % _REANCHOR == 0:
+            if j and j % _REANCHOR == 0:
                 ta = self.t0 + j * h
-                e0 = np.exp(-1j * (w * ta))
-                c0 = np.exp(1j * (w_c * ta))
-            e1 = e0 * rot
-            e2 = e1 * rot
-            c1 = c0 * rot_c
-            c2 = c1 * rot_c
-            p, q = _rk4_step(constants, e0 + c0, e1 + c1, e2 + c2)
-            e0 = e2
-            c0 = c2
-            u, v = p * u - np.multiply(q, np.conj(v)), p * v + np.multiply(q, np.conj(u))
+                np.exp(-1j * (w * ta), out=e0)
+                np.exp(1j * (w_c * ta), out=c0)
+            np.multiply(e0, rot, out=e1)
+            np.multiply(e1, rot, out=e2)
+            np.multiply(c0, rot_c, out=c1)
+            np.multiply(c1, rot_c, out=c2)
+            np.add(e0, c0, out=s0)
+            np.add(e1, c1, out=s1)
+            np.add(e2, c2, out=s2)
+            p, q = _rk4_step(constants, s0, s1, s2, work)
+            # u' = p u - q conj(v), v' = p v + q conj(u), in work arrays p and q do not use
+            conj, term = work[:2]
+            np.multiply(p, u, out=u_next)
+            np.subtract(u_next, np.multiply(q, np.conjugate(v, out=conj), out=term), out=u_next)
+            np.multiply(p, v, out=v_next)
+            np.add(v_next, np.multiply(q, np.conjugate(u, out=conj), out=term), out=v_next)
+            u, u_next, v, v_next = u_next, u, v_next, v
+            e0, e2 = e2, e0  # the step's end starts the next
+            c0, c2 = c2, c0
         return u, v
 
 
@@ -1118,7 +1231,7 @@ def _rk4_constants(z):
     return z2 / 6.0, z2 * z2 / 24.0, -1j / 6.0 * z, 0.5 * z2
 
 
-def _rk4_step(constants, s0, s1, s2):
+def _rk4_step(constants, s0, s1, s2, work=None):
     """Entries (p, q) of one classic RK4 step matrix [[p, q], [-conj(q), conj(p)]].
 
     With a = -i (alpha/2) s at the start (s0), middle (s1) and end (s2)
@@ -1126,13 +1239,27 @@ def _rk4_step(constants, s0, s1, s2):
 
         p = 1 - (h^2/6) (a1 a0* + |a1|^2 + a2 a1*) + (h^4/24) |a1|^2 a2 a0*
         q = (h/6) (a0 + 4 a1 + a2) - (h^3/12) |a1|^2 (a0 + a2)
+
+    ``work``, five complex and two float arrays of the pairs' shape, takes
+    every intermediate and (p, q), which are then views of it; without it
+    each is a new array. Either way the products run in the same order
+    with the same operands, and none writes over one of its operands: numpy
+    rounds a complex product of one element computed in place differently.
     """
     z2_6, z4_24, iz_6, z2_2 = constants
-    mid2 = s1.real * s1.real + s1.imag * s1.imag
-    s0c = np.conj(s0)
-    p = 1.0 - z2_6 * (s1 * s0c + mid2 + np.multiply(s2, np.conj(s1))) + z4_24 * (mid2 * (s2 * s0c))
-    ends = s0 + s2
-    q = np.multiply(iz_6, ends + 4.0 * s1 - (z2_2 * mid2) * ends)
+    a, b, c, p, q, mid2, r = (None,) * 7 if work is None else work
+    mid2 = np.multiply(s1.real, s1.real, out=mid2)
+    mid2 = np.add(mid2, np.multiply(s1.imag, s1.imag, out=r), out=mid2)
+    s0c = np.conjugate(s0, out=a)
+    b = np.add(np.multiply(s1, s0c, out=b), mid2, out=b)
+    b = np.add(b, np.multiply(s2, np.conjugate(s1, out=c), out=p), out=b)
+    p = np.subtract(1.0, np.multiply(z2_6, b, out=c), out=p)
+    b = np.multiply(mid2, np.multiply(s2, s0c, out=c), out=b)
+    p = np.add(p, np.multiply(z4_24, b, out=c), out=p)
+    ends = np.add(s0, s2, out=a)
+    b = np.add(ends, np.multiply(4.0, s1, out=b), out=b)
+    c = np.multiply(np.multiply(z2_2, mid2, out=r), ends, out=c)
+    q = np.multiply(iz_6, np.subtract(b, c, out=b), out=q)
     return p, q
 
 
@@ -1212,15 +1339,19 @@ def ode_oracle_blocks(
     include_counter_rotating: bool = False,
     tol: float = 1e-10,
     initial_amplitudes=None,
+    block_rows: int = _BLOCK_ROWS,
 ):
-    """The RK4 reference evolution, _BLOCK_ROWS grid rows at a time.
+    """The RK4 reference evolution, ``block_rows`` grid rows at a time.
 
     Yields ``(excited, ground)`` for each block of rows, new arrays of
     shape (block rows, n_cut+1) laid out as :class:`AmplitudeSink`'s, so
-    a caller can compare them with the closed form block by block.
-    ``t_grid`` is an array or a :class:`UniformGrid`; it starts at 0 and
-    ascends strictly, and ``tol`` is finite and > 0: the call itself
-    raises InvalidParameterError otherwise, before any block is drawn.
+    a caller can compare them with the closed form block by block; a
+    caller whose plan runs longer blocks passes its
+    :meth:`ClosedFormPlan.block_rows`. The rows do not depend on the block
+    length. ``t_grid`` is an array or a :class:`UniformGrid`; it starts at
+    0 and ascends strictly, ``tol`` is finite and > 0 and ``block_rows`` a
+    positive integer: the call itself raises InvalidParameterError
+    otherwise, before any block is drawn.
     See :func:`evolve_ode_oracle` for the integration.
 
     The slow variables X, Y of each integrated doublet are chained through
@@ -1237,6 +1368,8 @@ def ode_oracle_blocks(
     # two refinements never agree within a NaN or a tol <= 0
     if not (math.isfinite(tol) and tol > 0.0):
         raise InvalidParameterError(f"tol must be finite and > 0, got {tol!r}")
+    if isinstance(block_rows, bool) or not isinstance(block_rows, int) or block_rows < 1:
+        raise InvalidParameterError(f"block_rows must be a positive integer, got {block_rows!r}")
     n_cut = dist.n_cut
     co = CoefficientTable(params, f, n_cut)
     c0 = _resolve_initial(dist, initial_amplitudes)
@@ -1292,8 +1425,8 @@ def ode_oracle_blocks(
     def walk():
         X = c0[active[live]].astype(complex)
         Y = np.zeros_like(X)
-        for b0 in range(0, len(grid), _BLOCK_ROWS):
-            b1 = min(b0 + _BLOCK_ROWS, len(grid))
+        for b0 in range(0, len(grid), block_rows):
+            b1 = min(b0 + block_rows, len(grid))
             excited = np.zeros((b1 - b0, n_cut + 1), dtype=complex)
             ground = np.zeros_like(excited)
             if b0 == 0:

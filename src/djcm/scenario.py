@@ -36,7 +36,7 @@ import numpy as np
 
 from . import field_states
 from .dynamics import (
-    _BLOCK_ROWS,
+    _MAX_BLOCK_ROWS,
     AmplitudeSink,
     ClosedFormPlan,
     DensitySink,
@@ -52,10 +52,11 @@ from .errors import (
 )
 from .nonlinearity import Nonlinearity
 from .observables import CSV_COLUMNS, ObservableSeries, series_from_density
-from .shortest import RowLayout
+from .shortest import RowLayout, Workspace
 
 ORACLE_DEVIATION_LIMIT = 1e-6
-_EMIT_CHUNK = _BLOCK_ROWS  # rows formatted per write
+# rows formatted per write of a whole series: a stream's longest block
+_EMIT_CHUNK = _MAX_BLOCK_ROWS
 # the option flags of a scenario document, each false unless it sets them
 _OPTIONS = ("oracle_check", "counter_rotating_diagnostic", "free_phase_on_coherence")
 # a revival reaches this fraction of the initial envelope after falling below it
@@ -352,7 +353,7 @@ def _block_deviation(closed, oracle) -> float:
 
 
 class ScenarioStream:
-    """One run of a config, as _BLOCK_ROWS-sample :class:`ObservableSeries` blocks.
+    """One run of a config, as :class:`ObservableSeries` blocks of the plan's rows.
 
     Made by :func:`iter_scenario`. ``metadata`` holds the config's echo
     and, under ``resolved``, ``n_cut``, ``captured_mass``,
@@ -360,13 +361,17 @@ class ScenarioStream:
     ``separable_rounding_bound`` as soon as the stream exists, before any
     block is evaluated. Iterating it (once) evaluates
     the closed form block by block through the density sink and yields
-    each block's series.
+    each block's series. A block has the rows
+    :meth:`~djcm.dynamics.ClosedFormPlan.block_rows` gives its sinks: 256,
+    or 512 or 768 when their per-sample arrays are narrow, as a narrow
+    plan's density sink is; the rows' values do not depend on it.
 
     With ``oracle_check`` and/or ``counter_rotating_diagnostic`` the same
-    chunk evaluation also feeds an amplitude sink, and each block is
-    compared with the matching block of the RK4 integration
-    (:func:`~djcm.dynamics.ode_oracle_blocks`) as soon as both exist. The
-    stream keeps only the running maximum amplitude deviation of each
+    chunk evaluation also feeds an amplitude sink, whose n_cut + 1 columns
+    count towards the block length, and each block is compared with the
+    matching block of the RK4 integration, drawn in blocks of the same
+    rows (:func:`~djcm.dynamics.ode_oracle_blocks`), as soon as both
+    exist. The stream keeps only the running maximum amplitude deviation of each
     option; once the last block is out ``metadata["resolved"]`` holds it
     as ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
 
@@ -401,16 +406,18 @@ class ScenarioStream:
         params, f, grid = config.params, config.nonlinearity, plan.times
         coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
         sinks = (DensitySink(plan),)
-        # the oracle checks amplitudes of the very chunk evaluations emitted
+        # the oracle checks amplitudes of the very chunk evaluations emitted,
+        # in blocks of the plan's rows
+        if config.oracle_check or config.counter_rotating_diagnostic:
+            sinks += (AmplitudeSink(plan),)
+        rows = plan.block_rows(*sinks)
         oracles = {}
         if config.oracle_check:
-            oracles["oracle"] = ode_oracle_blocks(params, f, dist, grid)
+            oracles["oracle"] = ode_oracle_blocks(params, f, dist, grid, block_rows=rows)
         if config.counter_rotating_diagnostic:
             oracles["counter_rotating"] = ode_oracle_blocks(
-                params, f, dist, grid, include_counter_rotating=True
+                params, f, dist, grid, include_counter_rotating=True, block_rows=rows
             )
-        if oracles:
-            sinks += (AmplitudeSink(plan),)
         worst = dict.fromkeys(oracles, -np.inf)
         # closed: the amplitude sink's (excited, ground), when there is one
         for start, (rho_ee, rho_gg, rho_eg), *closed in plan.blocks(*sinks):
@@ -423,7 +430,7 @@ class ScenarioStream:
 
 
 def iter_scenario(config: ScenarioConfig) -> ScenarioStream:
-    """The run of ``config`` as a stream of _BLOCK_ROWS-sample series blocks.
+    """The run of ``config`` as a stream of series blocks of 256 to 768 samples.
 
     The closed form's plan is built here, so a config whose phase
     arguments overflow (PhysicsValidationError) or whose grid is invalid
@@ -438,14 +445,14 @@ def iter_scenario(config: ScenarioConfig) -> ScenarioStream:
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """The observable series on the configured grid: :func:`iter_scenario`, concatenated.
 
-    The closed form runs _BLOCK_ROWS samples at a time
-    (:class:`~djcm.dynamics.ClosedFormPlan`): the coefficient table,
-    the active doublets and, on the uniform grid, the 16-row fine phase
-    tables are built once for the run; each block evaluates its 16
-    coarse phase rows and its density sink reduces rho_ee, rho_gg and
-    rho_eg straight from the rotation and the phase tables, and the
-    doublets whose rounding would not show as separable sums of
-    exponentials, so no amplitude is written. With ``oracle_check`` or
+    The closed form runs a block of samples at a time, 256 or, for a
+    narrow plan, up to 768 (:class:`~djcm.dynamics.ClosedFormPlan`): the
+    coefficient table, the active doublets and, on the uniform grid, the
+    16-row fine phase tables are built once for the run; each block
+    evaluates its coarse phase rows, one per 16 samples, and its density
+    sink reduces rho_ee, rho_gg and rho_eg straight from the rotation and
+    the phase tables, and the doublets whose rounding would not show as
+    separable sums of exponentials, so no amplitude is written. With ``oracle_check`` or
     ``counter_rotating_diagnostic`` the same chunk evaluation also feeds
     an amplitude sink, whose blocks are compared with the RK4 reference
     integration on the same grid block by block; the emitted rows come
@@ -504,17 +511,20 @@ def _head(format: str, metadata) -> bytes:
     return (empty[: -len("]\n}")] + "\n").encode("utf-8")
 
 
-def _write_rows(handle, series: ObservableSeries, json_format: bool, first: bool) -> None:
-    """Append the series' rows, _EMIT_CHUNK at a time; ``first`` when none precede them."""
+def _write_rows(handle, series, json_format: bool, first: bool, work: Workspace) -> None:
+    """Append the rows of a series block in one write; ``first`` when none precede them."""
     layout = _JSON_ROWS if json_format else _CSV_ROWS
-    columns = [series[name] for name in CSV_COLUMNS]
+    block = np.stack([series[name] for name in CSV_COLUMNS], axis=1)
+    rows = layout.rows(block, work)
+    handle.write(rows[len(_JSON_SEPARATOR) :] if first and json_format else rows)
+
+
+def _pieces(series: ObservableSeries):
+    """A whole series as consecutive blocks of _EMIT_CHUNK rows (the last one shorter)."""
     for start in range(0, len(series), _EMIT_CHUNK):
-        block = np.stack([c[start : start + _EMIT_CHUNK] for c in columns], axis=1)
-        rows = layout.rows(block)
-        if first and json_format:
-            rows = rows[len(_JSON_SEPARATOR) :]
-        handle.write(rows)
-        first = False
+        yield ObservableSeries(
+            {name: column[start : start + _EMIT_CHUNK] for name, column in series.columns.items()}
+        )
 
 
 def _spool_path(path: str) -> str:
@@ -536,9 +546,12 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
 
     ``records`` is an :class:`ObservableSeries` or an iterable of
     consecutive blocks, such as the stream of :func:`iter_scenario`; each
-    block's rows are formatted and written before the next block is
-    pulled, _EMIT_CHUNK rows at a time, so only that much text is held,
-    whatever the number of samples. The bytes
+    block's rows are formatted whole and written before the next block is
+    pulled, and a whole series is cut into blocks of _EMIT_CHUNK (768)
+    rows, a stream's longest, so only one block's text is held, whatever
+    the number of samples. The blocks of one call are formatted in one
+    :class:`~djcm.shortest.Workspace`, made here and dropped at the end,
+    so each block reuses the memory of the one before. The bytes
     are those of a CSV row of repr() values per sample, or of
     ``json.dump({"metadata": ..., "records": [row, ...]}, indent=1)``
     followed by a newline, with rows keyed in CSV_COLUMNS order.
@@ -555,17 +568,18 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
     """
     if format not in ("csv", "json"):
         raise OutputError(f"unknown output format {format!r}")
-    blocks = (records,) if isinstance(records, ObservableSeries) else records
+    blocks = _pieces(records) if isinstance(records, ObservableSeries) else records
     json_format = format == "json"
     head = _head(format, metadata)
     spools = [_spool_path(path)]
+    work = Workspace()
     try:
         with open(spools[0], "xb") as handle:
             handle.write(head)
             rows = 0
             for block in blocks:
                 if len(block):
-                    _write_rows(handle, block, json_format, first=not rows)
+                    _write_rows(handle, block, json_format, not rows, work)
                     rows += len(block)
             if not rows:
                 raise OutputError("no records to emit; not creating a file")
@@ -662,21 +676,49 @@ def measure_revivals(records):
     env = sliding_rms(x, window)
     threshold = _REVIVAL_THRESHOLD * env[0]
 
+    # the interior samples i = window .. len - window - 1 at or above
+    # threshold once the envelope has collapsed (some env[i - 1] below it),
+    # a local maximum above both ends of their +-window neighbourhood; then
+    # those that are its largest value. Views and masks only, so the scan
+    # holds no more than the envelope's size.
+    lo, hi = window, len(env) - window
+    collapse = np.flatnonzero(env[lo - 1 : hi - 1] < threshold)
+    if not len(collapse):
+        return []
+    first = lo + int(collapse[0])
+    peak = env[first:hi]
+    keep = peak >= threshold
+    for shift in (-1, 1):  # a neighbourhood's largest value is a local maximum
+        keep &= peak >= env[first + shift : hi + shift]
+    for shift in (-window, window):
+        keep &= peak > env[first + shift : hi + shift]
+    i = first + np.flatnonzero(keep)
+    i = i[env[i] >= _window_maxima(env, window, i)]
+
     events = []
-    collapsed = False
     last_peak = -len(env)
-    for i in range(window, len(env) - window):
-        if env[i - 1] < threshold:
-            collapsed = True
-        if not collapsed or env[i] < threshold:
-            continue
-        neighborhood = env[i - window : i + window + 1]
-        if (
-            env[i] >= np.max(neighborhood)
-            and env[i] > neighborhood[0]
-            and env[i] > neighborhood[-1]
-            and i - last_peak > window
-        ):
-            events.append({"t_center": float(times[i]), "envelope_amplitude": float(env[i])})
-            last_peak = i
+    for peak in i.tolist():
+        if peak - last_peak > window:
+            events.append({"t_center": float(times[peak]), "envelope_amplitude": float(env[peak])})
+            last_peak = peak
     return events
+
+
+def _window_maxima(x: np.ndarray, window: int, centers: np.ndarray) -> np.ndarray:
+    """max(x[i - window : i + window + 1]) for each interior i of ``centers``.
+
+    In linear time (van Herk / Gil-Werman): x is cut into runs of
+    2 window + 1 samples, and each neighbourhood, which spans at most two
+    runs, is the larger of one run's suffix maximum and the next run's
+    prefix maximum. Both are accumulated in one padded copy of x.
+    """
+    size = 2 * window + 1
+    runs = np.full(-(-len(x) // size) * size, -np.inf)
+    runs[: len(x)] = x
+    flat, runs = runs, runs.reshape(-1, size)
+    backward = runs[:, ::-1]
+    np.maximum.accumulate(backward, axis=1, out=backward)
+    suffix = flat[centers - window]
+    flat[: len(x)] = x
+    np.maximum.accumulate(runs, axis=1, out=runs)
+    return np.maximum(suffix, flat[centers + window])

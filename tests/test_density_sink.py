@@ -19,7 +19,7 @@ import pytest
 from djcm import dynamics
 from djcm.cli import main
 from djcm.dynamics import (
-    _BLOCK_ROWS,
+    AmplitudeSink,
     ClosedFormPlan,
     CoefficientTable,
     DensitySink,
@@ -124,6 +124,27 @@ def test_oracle_options_leave_the_emitted_bytes_alone(tmp_path, option):
     assert same == (option != "free_phase_on_coherence")
 
 
+@pytest.mark.parametrize("samples", [2000, 2003])
+@pytest.mark.parametrize("name", ["coherent_kerr_stark_identity", "squeezed_kerr_sqrt_n"])
+def test_density_values_do_not_depend_on_the_block_length(name, samples):
+    # alone, a narrow plan's density sink runs in long blocks; beside an
+    # amplitude sink, as with the oracle options, in blocks of 256 rows. The
+    # Kerr-Stark plan's coherence sums are products that BLAS, on two or
+    # more threads, rounds differently when one product spans more rows.
+    cfg = preset(name)
+    plan = ClosedFormPlan(
+        cfg.params, cfg.nonlinearity, cfg.build_distribution(), UniformGrid(cfg.t_end, samples)
+    )
+    density, amplitudes = DensitySink(plan), AmplitudeSink(plan)
+    assert plan.block_rows(density) == 768 and plan.block_rows(density, amplitudes) == 256
+    assert samples > 2 * 768
+    alone = [values for _, values in plan.blocks(density)]
+    beside = [values for _, values, _ in plan.blocks(density, amplitudes)]
+    assert len(alone) == 3 and len(beside) == 8
+    for column, (a, b) in enumerate(zip(zip(*alone), zip(*beside))):
+        assert np.concatenate(a).tobytes() == np.concatenate(b).tobytes(), column
+
+
 def test_plain_run_holds_no_full_width_amplitude_block():
     cfg = preset("squeezed_bare_sqrt_n_k4")
     n_cut = cfg.build_distribution().n_cut
@@ -211,9 +232,12 @@ def _all_per_cell(plan):
     lo, hi = active[plan.pair_lo], active[plan.pair_hi]
     weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
     pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
-    work = _Scratch(*plan.scratch_shape)
-    for start in range(0, len(plan.times), _BLOCK_ROWS):
-        n = min(_BLOCK_ROWS, len(plan.times) - start)
+    # the blocks of a density sink, which takes every chunk of a plan without separable terms
+    sink = DensitySink(plan)
+    rows = plan.block_rows(sink)
+    work = _Scratch(*plan.scratch_shape(sink))
+    for start in range(0, len(plan.times), rows):
+        n = min(rows, len(plan.times) - start)
         t = plan._table_times(start, n)
         m, g = len(t), plan.group
         rho_ee, rho_gg, rho_eg = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)

@@ -505,7 +505,7 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
         plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times, initial_amplitudes=c0)
         assert plan.step is not None, label
         sink = AmplitudeSink(plan)
-        work = _Scratch(*plan.scratch_shape)
+        work = _Scratch(*plan.scratch_shape(sink))
         alpha = plan.coefficients.alpha[plan.active]
         for start in range(0, len(times), _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, len(times) - start)
@@ -675,6 +675,30 @@ def test_sweep_recurrence_matches_direct_exp(counter_rotating, m):
     got = batch.sweep(m)
     ref = _direct_exp_sweep(batch, m)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("counter_rotating", [False, True])
+def test_sweep_of_each_pair_alone_is_its_column_of_the_batch(counter_rotating):
+    # a Kerr tier, so the step loop multiplies complex couplings; 300 steps
+    # pass a direct re-anchoring of the phases. Numpy rounds a complex
+    # product of one element computed in place differently, so one-pair
+    # batches pin that no product overwrites its operands.
+    params = ModelParams(k=1, gamma=1.0, mu=0.1, chi=0.03)
+    co = CoefficientTable(params, F_SQ, 12)
+    n = len(co.alpha)
+    t0 = np.linspace(0.0, 2.0, n)
+    batch = _PairBatch(
+        t0, np.full(n, 0.05), co.alpha, co.Rn, np.ones(n), params.mu, counter_rotating
+    )
+    whole = batch.sweep(300)
+    for i in range(n):
+        one = batch.take(np.array([i]))
+        fresh = _PairBatch(
+            t0[i : i + 1], np.full(1, 0.05), co.alpha[i : i + 1], co.Rn[i : i + 1],
+            np.ones(1), params.mu, counter_rotating,
+        )
+        column = whole[:, i : i + 1].tobytes()
+        assert one.sweep(300).tobytes() == fresh.sweep(300).tobytes() == column
 
 
 def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):

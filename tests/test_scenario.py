@@ -6,10 +6,10 @@ import pytest
 
 from djcm import scenario
 from djcm.dynamics import (
-    _BLOCK_ROWS,
     AmplitudeSink,
     ClosedFormPlan,
     CoefficientTable,
+    DensitySink,
     closed_form_series,
     evolve_ode_oracle,
 )
@@ -33,6 +33,7 @@ from djcm.scenario import (
     preset_dict,
     read_csv_series,
     run_scenario,
+    sliding_rms,
 )
 
 MINIMAL = {
@@ -512,11 +513,15 @@ def _record_blocks(monkeypatch):
 
 
 def _emitted(plan, samples):
-    """The recorded blocks as whole-grid arrays, after checking they tile the grid once."""
+    """The recorded blocks as whole-grid arrays, after checking they tile the grid once.
+
+    The blocks are those of the run's density sink beside the recording amplitude sink.
+    """
+    rows = plan.block_rows(DensitySink(plan.plan), AmplitudeSink(plan.plan))
     starts = [start for start, _, _ in plan.recorded]
     lengths = [len(exc) for _, exc, _ in plan.recorded]
-    assert starts == list(np.cumsum([0] + lengths[:-1]))
-    assert sum(lengths) == samples and max(lengths) <= _BLOCK_ROWS
+    assert starts == list(range(0, samples, rows))
+    assert lengths == [min(rows, samples - start) for start in starts]
     exc = np.concatenate([e for _, e, _ in plan.recorded])
     gnd = np.concatenate([g for _, _, g in plan.recorded])
     return exc, gnd
@@ -524,7 +529,7 @@ def _emitted(plan, samples):
 
 def test_oracle_checks_emitted_amplitudes(monkeypatch):
     cfg = small_config(
-        time={"samples": 600},
+        time={"samples": 1700},
         options={"oracle_check": True, "counter_rotating_diagnostic": True},
     )
     plans = _record_blocks(monkeypatch)
@@ -532,6 +537,8 @@ def test_oracle_checks_emitted_amplitudes(monkeypatch):
     # one plan, iterated once: one pass over the grid, no second pass
     assert len(plans) == 1
     exc, gnd = _emitted(plans[0], cfg.samples)
+    # three blocks, each checked against the oracle's blocks of the same rows
+    assert len(plans[0].recorded) == 3
 
     dist = cfg.build_distribution()
     times = cfg.grid()[:]
@@ -680,3 +687,54 @@ def test_first_revival_at_mu_zero_is_the_one_sideband_value():
     window = round(0.02 * cfg.samples) * cfg.t_end / (cfg.samples - 1)  # 3.0 time units
     expected = 4.0 * math.pi * math.sqrt(cfg.nbar) / cfg.params.gamma
     assert abs(events[0]["t_center"] - expected) <= window, (events[0], expected)
+
+
+def _revivals_by_scan(records):
+    """The revival events by the definition, sample by sample: a reference for the array scan."""
+    times, w = np.asarray(records["t"]), np.asarray(records["W"])
+    window = max(3, round(0.02 * len(w)))
+    env = sliding_rms(w - np.mean(w), window)
+    threshold = 0.2 * env[0]
+    events, collapsed, last_peak = [], False, -len(env)
+    for i in range(window, len(env) - window):
+        collapsed = collapsed or env[i - 1] < threshold
+        if not collapsed or env[i] < threshold:
+            continue
+        neighborhood = env[i - window : i + window + 1]
+        if (
+            env[i] >= np.max(neighborhood)
+            and env[i] > neighborhood[0]
+            and env[i] > neighborhood[-1]
+            and i - last_peak > window
+        ):
+            events.append({"t_center": float(times[i]), "envelope_amplitude": float(env[i])})
+            last_peak = i
+    return events
+
+
+def _revival_series():
+    """Series with many, few and no revivals: noise, beats and bursts with plateaus."""
+    rng = np.random.default_rng(20)
+    for k in range(60):
+        n = int(rng.integers(100, 2500))
+        t = np.arange(n, dtype=float)
+        if k % 3 == 0:
+            w = rng.standard_normal(n)
+        elif k % 3 == 1:
+            bump = np.exp(-(((t - n / 2) / (n / 6)) ** 2))
+            w = np.cos(t * rng.uniform(0.01, 0.5)) * bump + np.cos(0.3 * t) * (t < n / 8)
+        else:  # integers of zero sum: the envelope is exact, so equal windows tie
+            w = rng.integers(-1, 2, n) * (np.sin(t / rng.uniform(5.0, 100.0)) > 0.3)
+            w[-1] -= w.sum()
+        yield f"series {k}", _records_from(t, w)
+    for name in ("coherent_bare_identity", "thermal_kerr_sqrt_n", "squeezed_bare_sqrt_n_lown_k2"):
+        yield name, run_scenario(preset(name)).records
+
+
+def test_revivals_match_the_sample_by_sample_scan():
+    found = 0
+    for label, records in _revival_series():
+        events = measure_revivals(records)
+        assert json.dumps(events) == json.dumps(_revivals_by_scan(records)), label
+        found += len(events)
+    assert found >= 30  # the series do have revivals to find

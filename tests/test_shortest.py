@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from djcm.shortest import RowLayout
+from djcm.shortest import RowLayout, Workspace
 
 _PATH = os.path.join(os.path.dirname(__file__), os.pardir, "tools", "check_formatter.py")
 _SPEC = importlib.util.spec_from_file_location("check_formatter", _PATH)
@@ -29,8 +29,9 @@ def test_check_exits_1_on_a_mismatch(monkeypatch, capsys):
     assert check_formatter.main(["0"]) == 1
 
 
-@pytest.mark.parametrize("rows", [1, 3, 256, 333])
+@pytest.mark.parametrize("rows", [1, 3, 256, 333, 5000])
 def test_rows_join_prefixes_cells_and_suffixes(rows):
+    # 5000 rows take three np.compress pieces
     layout = RowLayout(['{"a": ', ', "bb": '], ["", "}\n"], nan="NaN", inf="Infinity")
     rng = np.random.default_rng(rows)
     block = rng.standard_normal((rows, 2)) * 10.0 ** rng.integers(-30, 30, (rows, 2))
@@ -43,3 +44,16 @@ def test_rows_take_any_float64_layout():
     layout = RowLayout(["", ""], [",", "\n"])
     block = np.arange(12.0).reshape(2, 6)[:, ::3].T  # not contiguous
     assert layout.rows(block).tobytes() == b"0.0,6.0\n3.0,9.0\n"
+
+
+def test_one_workspace_formats_blocks_of_any_size_and_layout():
+    # long cells in a large block, then short ones in smaller blocks of
+    # another layout: nothing the large block wrote may show
+    csv = RowLayout(["", ""], [",", "\n"])
+    js = RowLayout(['{"a": ', ', "bb": '], ["", "}\n"], nan="NaN", inf="Infinity")
+    rng = np.random.default_rng(7)
+    long_cells = -rng.random((768, 2)) * 1e-300
+    work = Workspace()
+    blocks = [long_cells, np.zeros((300, 2)), np.ones((17, 2)), long_cells]
+    for layout, block in zip((csv, js, csv, js), blocks):
+        assert layout.rows(block, work).tobytes() == layout.rows(block).tobytes()

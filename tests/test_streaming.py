@@ -94,13 +94,16 @@ def test_plan_on_a_grid_matches_plan_on_its_array(samples):
 # ---------------------------------------------------------------------------
 
 
-def test_oracle_blocks_tile_the_grid_and_make_up_the_list():
-    cfg = small(params={"chi": 0.03}, time={"samples": 700})
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS, 300, 768])
+def test_oracle_blocks_tile_the_grid_and_make_up_the_list(rows):
+    # evolve_ode_oracle concatenates blocks of _BLOCK_ROWS: the rows do not depend on the length
+    cfg = small(params={"chi": 0.03}, time={"samples": 1700})
     dist = cfg.build_distribution()
     states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, cfg.grid()[:])
     start = 0
-    for excited, ground in ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, cfg.grid()):
-        assert len(excited) == len(ground) == min(_BLOCK_ROWS, cfg.samples - start)
+    blocks = ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, cfg.grid(), block_rows=rows)
+    for excited, ground in blocks:
+        assert len(excited) == len(ground) == min(rows, cfg.samples - start)
         for i in range(len(excited)):
             assert excited[i].tobytes() == states[start + i].excited.tobytes()
             assert ground[i].tobytes() == states[start + i].ground.tobytes()
@@ -110,16 +113,21 @@ def test_oracle_blocks_tile_the_grid_and_make_up_the_list():
 
 def test_kept_blocks_are_values():
     # every block, kept until the grid is done, still holds its own rows
-    cfg = small(params={"chi": 0.03})
+    cfg = small(params={"chi": 0.03}, time={"samples": 1700})
     dist = cfg.build_distribution()
     times = cfg.grid()[:]
     states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
     excited, ground = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
-    oracle = list(ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, times))
     plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, times)
-    closed = [amplitudes for _, amplitudes in plan.blocks(AmplitudeSink(plan))]
-    assert [len(e) for e, _ in oracle] == [len(e) for e, _ in closed] == [256, 256, 88]
-    for start, (o_exc, o_gnd), (c_exc, c_gnd) in zip((0, 256, 512), oracle, closed):
+    sink = AmplitudeSink(plan)
+    rows = plan.block_rows(sink)
+    oracle = list(ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, times, block_rows=rows))
+    closed = [amplitudes for _, amplitudes in plan.blocks(sink)]
+    starts = range(0, cfg.samples, rows)
+    lengths = [min(rows, cfg.samples - start) for start in starts]
+    assert len(lengths) == 3
+    assert [len(e) for e, _ in oracle] == [len(e) for e, _ in closed] == lengths
+    for start, (o_exc, o_gnd), (c_exc, c_gnd) in zip(starts, oracle, closed):
         rows = states[start : start + len(o_exc)]
         assert o_exc.tobytes() == np.array([s.excited for s in rows]).tobytes()
         assert o_gnd.tobytes() == np.array([s.ground for s in rows]).tobytes()
@@ -163,20 +171,22 @@ def test_oracle_rejects_a_grid_with_repeated_times():
 
 
 @pytest.mark.parametrize(
-    "grid, tol, match",
+    "grid, tol, rows, match",
     [
-        (UniformGrid(5e-324, 3), 1e-10, "ascending"),
-        ([1.0, 2.0], 1e-10, "start at 0"),
-        ([0.0, 1.0], float("nan"), "tol must be finite"),
+        (UniformGrid(5e-324, 3), 1e-10, {}, "ascending"),
+        ([1.0, 2.0], 1e-10, {}, "start at 0"),
+        ([0.0, 1.0], float("nan"), {}, "tol must be finite"),
+        ([0.0, 1.0], 1e-10, {"block_rows": 0}, "block_rows must be a positive integer"),
+        ([0.0, 1.0], 1e-10, {"block_rows": 256.0}, "block_rows must be a positive integer"),
     ],
-    ids=["repeated times", "late start", "nan tol"],
+    ids=["repeated times", "late start", "nan tol", "no rows", "float rows"],
 )
-def test_oracle_blocks_refuse_bad_arguments_at_the_call(grid, tol, match):
+def test_oracle_blocks_refuse_bad_arguments_at_the_call(grid, tol, rows, match):
     # no block is drawn: the call itself validates
     cfg = small()
     dist = cfg.build_distribution()
     with pytest.raises(InvalidParameterError, match=match):
-        ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, grid, tol=tol)
+        ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, grid, tol=tol, **rows)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +195,15 @@ def test_oracle_blocks_refuse_bad_arguments_at_the_call(grid, tol, match):
 
 
 def test_stream_metadata_comes_before_the_blocks():
-    cfg = small(options={"oracle_check": True, "counter_rotating_diagnostic": True})
+    cfg = small(
+        options={"oracle_check": True, "counter_rotating_diagnostic": True},
+        time={"samples": 1700},
+    )
+    plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, cfg.build_distribution(), cfg.grid())
+    # the blocks of a stream that checks amplitudes: a density and an amplitude sink
+    rows = plan.block_rows(DensitySink(plan), AmplitudeSink(plan))
+    lengths = [min(rows, cfg.samples - start) for start in range(0, cfg.samples, rows)]
+    assert len(lengths) == 3
     stream = iter_scenario(cfg)
     resolved = dict(stream.metadata["resolved"])
     assert list(resolved) == [
@@ -197,7 +215,7 @@ def test_stream_metadata_comes_before_the_blocks():
         "separable_rounding_bound",
     ]
     blocks = list(stream)
-    assert [len(b) for b in blocks] == [256, 256, 88]
+    assert [len(b) for b in blocks] == lengths
     whole = run_scenario(cfg)
     assert stream.metadata == whole.metadata
     assert list(stream.metadata["resolved"]) == list(resolved) + [
@@ -243,14 +261,17 @@ def _failing(blocks, after):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_a_failed_stream_leaves_no_file(tmp_path, fmt):
+    cfg = small(time={"samples": 1700})
+    plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, cfg.build_distribution(), cfg.grid())
+    assert cfg.samples > 2 * plan.block_rows(DensitySink(plan))  # three blocks or more
     path = tmp_path / f"run.{fmt}"
     with pytest.raises(PhysicsValidationError):
-        emit(_failing(iter_scenario(small()), 2), fmt, str(path))
+        emit(_failing(iter_scenario(cfg), 2), fmt, str(path))
     assert os.listdir(tmp_path) == []
     # a file already there stays as it was
     path.write_text("earlier run\n")
     with pytest.raises(PhysicsValidationError):
-        emit(_failing(iter_scenario(small()), 1), fmt, str(path))
+        emit(_failing(iter_scenario(cfg), 1), fmt, str(path))
     assert os.listdir(tmp_path) == [path.name]
     assert path.read_text() == "earlier run\n"
     with pytest.raises(OutputError, match="no records"):

@@ -18,6 +18,12 @@ drawn from a fixed seed, cover:
 - decimals of 1 to 17 significant digits, which repr writes back short;
 - subnormals, +-0, NaN and the infinities.
 
+The values go through both layouts in blocks of BLOCKS rows in turn,
+all formatted in one :class:`djcm.shortest.Workspace`, as ``emit`` formats
+a run's blocks: each size is smaller than the one before, so a byte that
+a larger block left in the workspace and a smaller one kept would show
+as a mismatch.
+
 Prints the number of values and mismatches, the first SHOWN mismatches
 with them, and exits 1 if there is any.
 """
@@ -31,10 +37,10 @@ import sys
 
 import numpy as np
 
-from djcm.shortest import RowLayout
+from djcm.shortest import RowLayout, Workspace
 
 SEED = 20180618  # any fixed value; the draw depends only on it and COUNT
-CHUNK = 1 << 12
+BLOCKS = (768, 300, 17)  # rows per block, in turn: a stream's longest, then shorter ones
 SHOWN = 10  # mismatches printed
 _CSV = RowLayout([""], ["\n"])
 _JSON = RowLayout([""], [", "], nan="NaN", inf="Infinity")
@@ -78,14 +84,23 @@ def draw(count: int, rng: np.random.Generator) -> np.ndarray:
     return (values.view(np.uint64) ^ signs).view(np.float64)
 
 
+def _blocks(values: np.ndarray):
+    """values cut into consecutive blocks of BLOCKS rows in turn."""
+    start, turn = 0, 0
+    while start < len(values):
+        rows = BLOCKS[turn % len(BLOCKS)]
+        yield values[start : start + rows]
+        start, turn = start + rows, turn + 1
+
+
 def mismatches(values: np.ndarray) -> tuple[int, list[str]]:
     """The number of values whose CSV or JSON spelling differs, and the first SHOWN."""
     found, shown = 0, []
-    for start in range(0, len(values), CHUNK):
-        chunk = values[start : start + CHUNK]
+    work = Workspace()
+    for chunk in _blocks(values):
         cells = chunk.tolist()
-        csv = _CSV.rows(chunk[:, None]).tobytes().decode("ascii")
-        js = "[" + _JSON.rows(chunk[:, None]).tobytes().decode("ascii")[:-2] + "]"
+        csv = _CSV.rows(chunk[:, None], work).tobytes().decode("ascii")
+        js = "[" + _JSON.rows(chunk[:, None], work).tobytes().decode("ascii")[:-2] + "]"
         reprs = list(map(repr, cells))
         spelled = list(map(_JSON_SPELLING.get, reprs, reprs))
         if csv == "\n".join(reprs) + "\n" and js == "[" + ", ".join(spelled) + "]":
