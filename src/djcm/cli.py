@@ -138,7 +138,8 @@ def _simulate(args) -> int:
 
 
 def _revivals(args) -> int:
-    events = measure_revivals(read_csv_series(args.input))
+    # every cell is parsed and checked; only t and W are kept
+    events = measure_revivals(read_csv_series(args.input, ("t", "W")))
     print(json.dumps(events, indent=1))
     return 0
 

@@ -9,7 +9,7 @@ import pytest
 import djcm
 from djcm import cli
 from djcm.cli import main
-from djcm.scenario import CSV_COLUMNS
+from djcm.scenario import CSV_COLUMNS, measure_revivals, read_csv_series
 
 CHEAP = {
     "params": {"k": 1, "gamma": 1.0, "mu": 0.1},
@@ -272,6 +272,23 @@ def test_revivals_subcommand(tmp_path, capsys):
         assert set(ev) == {"t_center", "envelope_amplitude"}
 
 
+def test_revivals_of_a_multi_block_csv_match_the_library(tmp_path, capsys):
+    # 3000 rows: the CLI reads t and W in three blocks, the library all columns
+    out_path = tmp_path / "series.csv"
+    doc = json.loads(json.dumps(CHEAP))
+    doc["field"]["nbar"] = 9.0
+    doc["nonlinearity"] = "identity"
+    doc["time"] = {"t_end": 45.0, "samples": 3000}
+    assert main(
+        ["simulate", "--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    ) == 0
+    capsys.readouterr()
+    assert main(["revivals", "--input", str(out_path)]) == 0
+    events = measure_revivals(read_csv_series(str(out_path)))
+    assert events
+    assert capsys.readouterr().out == json.dumps(events, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("column, cell", [("W", "nan"), ("t", "inf")])
 def test_revivals_refuses_non_finite_cells(tmp_path, capsys, column, cell):
     out_path = tmp_path / "series.csv"
@@ -338,11 +355,12 @@ def test_revivals_malformed_csv_exits_4(tmp_path, capsys, bad_row):
         ["simulate", "--config", write_config(tmp_path, CHEAP), "--output", str(out_path)]
     ) == 0
     lines = out_path.read_text().splitlines()
-    lines[50] = bad_row
+    lines[50] = bad_row  # file line 51
     out_path.write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["revivals", "--input", str(out_path)]) == 4
-    assert "I/O error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error") and "malformed row at line 51:" in err
 
 
 def test_bad_usage_exits_2():

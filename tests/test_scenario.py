@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -479,6 +480,81 @@ def test_read_csv_series_rejects_malformed_rows(tmp_path, body, match):
         read_csv_series(str(path))
 
 
+def _csv_lines(rows):
+    """``rows`` data lines of 12 distinct numbers each, as an emitted CSV has them."""
+    values = np.arange(rows * len(CSV_COLUMNS), dtype=float).reshape(rows, -1) / 7.0
+    return [",".join(map(repr, row)) + "\n" for row in values.tolist()]
+
+
+def _write_csv(path, lines):
+    path.write_text(",".join(CSV_COLUMNS) + "\n" + "".join(lines))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "bad_row, match",
+    [
+        ("0.1,0.9,0.95,0.05,0.0,0.0,oops,0.1,0.1,0.0,0.0,1.0\n", "line 3000: H_x is 'oops'"),
+        ("0.1,0.9,0.95\n", "line 3000: 3 cells, not 12"),
+        ("0.1,0.9,0.95,0.05,0.0,0.0,0.0,0.1,0.1,0.0,0.0,1.0,7.0\n", "line 3000: 13 cells"),
+    ],
+)
+def test_malformed_row_after_the_first_block_names_its_file_line(tmp_path, bad_row, match):
+    lines = _csv_lines(5000)
+    lines[2998] = bad_row  # file line 3000: the header is line 1
+    path = _write_csv(tmp_path / "bad.csv", lines)
+    for columns in (None, ("t", "W")):
+        with pytest.raises(OutputError, match="malformed row at " + match):
+            read_csv_series(path, columns)
+
+
+def test_blank_lines_across_block_boundaries_are_skipped(tmp_path):
+    lines = _csv_lines(3000)
+    plain = read_csv_series(_write_csv(tmp_path / "plain.csv", lines))
+    # file lines 1024-1028 straddle the first block's end, 2049 the second's
+    spaced = lines[:1022] + ["\n"] * 5 + lines[1022:2042] + ["\n"] + lines[2042:]
+    path = _write_csv(tmp_path / "spaced.csv", spaced)
+    back = read_csv_series(path)
+    assert len(back) == 3000
+    for name in SERIES_COLUMNS:
+        assert back[name].tobytes() == plain[name].tobytes(), name
+    kept = read_csv_series(path, ("t", "W"))
+    assert list(kept) == ["t", "W"]
+    assert kept["t"].tobytes() == plain["t"].tobytes()
+    assert kept["W"].tobytes() == plain["W"].tobytes()
+    # the line count goes on through blank lines
+    cells = spaced[2500].split(",")
+    spaced[2500] = ",".join([cells[0], "oops", *cells[2:]])
+    _write_csv(tmp_path / "spaced.csv", spaced)
+    with pytest.raises(OutputError, match="line 2502: W is 'oops'"):
+        read_csv_series(path, ("t", "W"))
+
+
+def test_a_body_of_blank_lines_has_no_data_rows(tmp_path):
+    path = _write_csv(tmp_path / "blank.csv", ["\n"] * 3000)
+    with pytest.raises(OutputError, match="no data rows"):
+        read_csv_series(path)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_t_and_w_read_back_in_24_bytes_per_row(tmp_path):
+    # the two kept columns, plus one of them again while it is concatenated;
+    # a whole-file np.loadtxt of all 12 columns takes about 100 B per row
+    peaks = []
+    for rows in (20000, 40000):
+        path = _write_csv(tmp_path / f"rows{rows}.csv", _csv_lines(rows))
+        peaks.append(_traced_peak(lambda: read_csv_series(path, ("t", "W"))))
+    assert (peaks[1] - peaks[0]) / 20000 <= 25.0, peaks
+
+
 class _RecordingBlocks:
     """A ClosedFormPlan wrapper that keeps a copy of the amplitudes of every block.
 
@@ -687,6 +763,34 @@ def test_first_revival_at_mu_zero_is_the_one_sideband_value():
     window = round(0.02 * cfg.samples) * cfg.t_end / (cfg.samples - 1)  # 3.0 time units
     expected = 4.0 * math.pi * math.sqrt(cfg.nbar) / cfg.params.gamma
     assert abs(events[0]["t_center"] - expected) <= window, (events[0], expected)
+
+
+def _sliding_rms_by_index(x, window):
+    """The sliding RMS with a clipped index pair per sample: a reference for sliding_rms."""
+    n = len(x)
+    cum = np.concatenate(([0.0], np.cumsum(x * x)))
+    lo = np.maximum(np.arange(n) - window, 0)
+    hi = np.minimum(np.arange(n) + window + 1, n)
+    return np.sqrt((cum[hi] - cum[lo]) / (hi - lo))
+
+
+def test_sliding_rms_is_bit_identical_to_the_index_formula():
+    rng = np.random.default_rng(21)
+    # windows wider than the series: every sample is an edge, on one side or both
+    for n in [*range(12), 100, 1001, 5000]:
+        for window in (0, 1, 3, 5, 6, 11, 50, 100):
+            x = rng.standard_normal(n) * rng.uniform(0.1, 10.0)
+            got, want = sliding_rms(x, window), _sliding_rms_by_index(x, window)
+            assert got.tobytes() == want.tobytes(), (n, window)
+
+
+def test_revival_scan_holds_at_most_32_bytes_per_sample():
+    rng = np.random.default_rng(22)
+    peaks = []
+    for n in (50000, 100000):
+        t, w = np.arange(float(n)), rng.standard_normal(n)
+        peaks.append(_traced_peak(lambda: measure_revivals({"t": t, "W": w})))
+    assert (peaks[1] - peaks[0]) / 50000 <= 32.0, peaks
 
 
 def _revivals_by_scan(records):

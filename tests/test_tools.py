@@ -3,6 +3,7 @@ import json
 import os
 
 import numpy as np
+import pytest
 
 import djcm
 from djcm.dynamics import evolve_ode_oracle
@@ -25,6 +26,7 @@ def _tool(name):
     return module
 
 
+bench_pairs = _tool("bench_pairs")
 emit_all = _tool("emit_all")
 oracle_blocks = _tool("oracle_blocks")
 
@@ -205,6 +207,31 @@ def test_oracle_blocks_compare_exit_code_follows_the_limit(tmp_path, capsys):
     save(two, a=blocks)
     assert oracle_blocks.compare(str(one), str(two)) == 2
     assert "b: missing" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags, metric", [([], "wall_s"), (["--metric", "peak_rss_mib"], "peak_rss_mib")]
+)
+def test_bench_pairs_records_the_claimed_metric(tmp_path, monkeypatch, capsys, flags, metric):
+    def run_bench(checkout, workload, seed, seconds, trace):
+        rss = 46.0 if checkout.endswith("parent") else 42.0
+        values = {"wall_s": 0.43, "setup_s": 0.09, "peak_rss_mib": rss}
+        metrics = {name: {"value": value} for name, value in values.items()}
+        return {"metrics": metrics, "failed": 0, "attempted": 9, "correct": True}
+
+    monkeypatch.setattr(bench_pairs, "_run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), str(out), "--seeds", "41"]
+    argv += ["--pairs", "2", "--checks", "", "--probe-runs", "0", *flags]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    assert record["claim"] == f"long_grid_io {metric}"
+    assert record["pairs"]["all"]["peak_rss_mib"]["change_lower"] == 2
+    assert record["pairs"]["all"]["wall_s"]["change_lower"] == 0
+    lines = capsys.readouterr().err.splitlines()
+    value = {"wall_s": "0.4300, change 0.4300", "peak_rss_mib": "46.0000, change 42.0000"}
+    pair = "long_grid_io seed 41 pair {} " + f"{metric}: parent {value[metric]}"
+    assert lines == [pair.format(i) for i in (0, 1)]
 
 
 def test_package_exports_are_sorted_unique_and_resolve():

@@ -1,6 +1,7 @@
 """Paired benchmark runs of two djcm checkouts, with per-operation probes, as one JSON file.
 
     python tools/bench_pairs.py PARENT CHANGE OUT.json [--pairs 10] [--seconds 40]
+                                [--metric wall_s]
 
 PARENT and CHANGE are djcm checkouts (each with ``src``, ``tests`` and
 ``perfbench``); the parent is typically made with ``git archive``. The
@@ -12,8 +13,10 @@ script records:
     ``perfbench/run.py --trace 0`` runs, one per checkout, the first side
     alternating from pair to pair; each run's last line as it prints it.
     Seeds 41 and 43 order the long grid's operations csv first and json
-    first. For each seed: the pairs the change wins on ``wall_s``, the
-    medians and the parent's interquartile range.
+    first. For each seed and each end-to-end metric: the pairs the change
+    wins, the medians and the parent's interquartile range. The claimed
+    metric (``--metric``, default ``wall_s``) names the record's
+    ``claim`` and is the one printed per pair.
 ``checks``
     ``--check-pairs`` such pairs on each workload of ``--checks``, from
     seed ``--check-seed`` on, the metrics that must not move.
@@ -44,6 +47,8 @@ import statistics
 import subprocess
 import sys
 
+# the end-to-end metrics of perfbench/run.py, each better when lower
+END_TO_END = ("wall_s", "setup_s", "peak_rss_mib")
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
 # Runs in a fresh process with a checkout's src on the path: argv[1] is
@@ -114,8 +119,13 @@ def _quartiles(values):
     return {"q1": q1, "median": statistics.median(values), "q3": q3, "iqr": q3 - q1}
 
 
-def run_pairs(sides: dict, workload: str, seeds, count: int, seconds: float) -> list:
-    """``count`` alternating pairs per seed; each row holds both sides' end-to-end metrics."""
+def run_pairs(
+    sides: dict, workload: str, seeds, count: int, seconds: float, metric: str = "wall_s"
+) -> list:
+    """``count`` alternating pairs per seed; each row holds both sides' end-to-end metrics.
+
+    Each pair's ``metric`` goes to stderr as it is measured.
+    """
     rows = []
     for seed in seeds:
         for i in range(count):
@@ -126,15 +136,16 @@ def run_pairs(sides: dict, workload: str, seeds, count: int, seconds: float) -> 
                 row[side] = {**_metrics(result), "failed": result["failed"],
                              "attempted": result["attempted"], "correct": result["correct"]}
             rows.append(row)
-            print(f"{workload} seed {seed} pair {i}: parent {row['parent']['wall_s']:.4f} s, "
-                  f"change {row['change']['wall_s']:.4f} s", file=sys.stderr)
+            print(f"{workload} seed {seed} pair {i} {metric}: parent "
+                  f"{row['parent'][metric]:.4f}, change {row['change'][metric]:.4f}",
+                  file=sys.stderr)
     return rows
 
 
 def summarize(rows: list) -> dict:
-    """Per metric: both sides' quartiles and, for wall_s, the pairs the change wins."""
+    """Per end-to-end metric: both sides' quartiles and the pairs the change wins (is lower)."""
     out = {"pairs": len(rows)}
-    for metric in ("wall_s", "setup_s", "peak_rss_mib"):
+    for metric in END_TO_END:
         parent = [r["parent"][metric] for r in rows]
         change = [r["change"][metric] for r in rows]
         entry = {"parent": _quartiles(parent), "change": _quartiles(change)}
@@ -185,6 +196,7 @@ def main(argv=None) -> int:
     parser.add_argument("change")
     parser.add_argument("out")
     parser.add_argument("--workload", default="long_grid_io")
+    parser.add_argument("--metric", default="wall_s", choices=END_TO_END)
     parser.add_argument("--seeds", default="41,43")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
@@ -200,18 +212,18 @@ def main(argv=None) -> int:
     record = {
         "command": " ".join(["python", "tools/bench_pairs.py", *(argv or sys.argv[1:])]),
         "env": environment(),
-        "claim": f"{args.workload} wall_s",
+        "claim": f"{args.workload} {args.metric}",
         "pairs": {},
         "checks": {},
     }
-    rows = run_pairs(sides, args.workload, seeds, args.pairs, args.seconds)
+    rows = run_pairs(sides, args.workload, seeds, args.pairs, args.seconds, args.metric)
     for seed in seeds:
         mine = [r for r in rows if r["seed"] == seed]
         record["pairs"][str(seed)] = {"summary": summarize(mine), "rows": mine}
     record["pairs"]["all"] = summarize(rows)
     for i, workload in enumerate(w for w in args.checks.split(",") if w):
         seed = args.check_seed + 10 * i
-        found = run_pairs(sides, workload, [seed], args.check_pairs, args.seconds)
+        found = run_pairs(sides, workload, [seed], args.check_pairs, args.seconds, args.metric)
         record["checks"][workload] = {"summary": summarize(found), "rows": found}
     record["probes"] = run_probes(sides, args.probe_runs)
     record["traced"] = {
