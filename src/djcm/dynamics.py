@@ -296,16 +296,36 @@ class _Scratch:
     """Flat work buffers of one evaluating thread, shared by its chunks block after block.
 
     :func:`_view` hands out a contiguous (rows, width) array at the head of
-    one, so a narrower last chunk still works on contiguous memory.
+    one, so a narrower last chunk still works on contiguous memory. A
+    block's contents are dead once the block's values are made, so the
+    calling thread keeps its buffers from run to run
+    (:func:`_thread_scratch`); they hold arrays only, never a plan or a
+    sink.
     """
 
     def __init__(self, rows: int, width: int):
-        size = rows * width
+        self.cells = size = rows * width
         # phase arguments, then a sink's squares or (as complex) its ground phase
         self.arg = np.empty(2 * size)
         self.sin = np.empty(size)  # s = sin(Omega t)/Omega
         self.rot = np.empty(size, dtype=complex)  # the rotation, then the envelope
         self.excited = np.empty(size, dtype=complex)  # the correction, then a sink's terms
+
+
+_kept = threading.local()
+
+
+def _thread_scratch(rows: int, width: int) -> _Scratch:
+    """The calling thread's kept :class:`_Scratch`, of at least rows x width cells.
+
+    Each thread keeps its own until it ends; a need for more cells
+    replaces it with a larger one.
+    """
+    work = getattr(_kept, "work", None)
+    if work is None or work.cells < rows * width:
+        _kept.work = None  # freed before its successor is made
+        work = _kept.work = _Scratch(rows, width)
+    return work
 
 
 def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -743,7 +763,8 @@ class ClosedFormPlan:
     first ``kept_chunks`` over the per-cell doublets and the rest over the
     separable ones, which only an amplitude sink takes; the chunks the
     sinks take bound ``scratch_shape(*sinks)``, the (rows, width) of the
-    work buffers that each evaluating thread makes for itself. Each block
+    work buffers of each evaluating thread: the calling thread keeps its
+    own from run to run, a helper thread's are made per run. Each block
     then evaluates only its coarse rows, anchored at the grid's own times
     t_{group J}, and each chunk's rotation stage once for all the sinks
     that take it (:meth:`blocks`). The plan and its sinks hold only these
@@ -916,9 +937,10 @@ class ClosedFormPlan:
         rows = self.block_rows(*sinks)
         starts = range(0, len(self.times), rows)
         if self.kept_chunks < 2 or len(starts) < 2 or _usable_cpus() < 2:
-            work = _Scratch(*self.scratch_shape(*sinks))
+            shape = self.scratch_shape(*sinks)
             for start in starts:
-                yield (start, *self._evaluate(start, rows, sinks, work))
+                # taken per block: a generator may be resumed on another thread
+                yield (start, *self._evaluate(start, rows, sinks, _thread_scratch(*shape)))
         else:
             yield from self._interleaved(starts, rows, sinks)
 
@@ -926,22 +948,23 @@ class ClosedFormPlan:
         """:meth:`blocks` with the odd blocks evaluated on one helper thread.
 
         The helper evaluates with the same plan and sinks into work
-        buffers of its own. While the caller evaluates block i and the
-        consumer takes it, the helper evaluates block i + 1 and hands back
-        its values; it then goes on to block i + 3. So two blocks are
-        evaluated at a time, each with the serial loop's arithmetic. The
-        helper's error surfaces when its block is due, and however the
-        stream ends, the helper's block is awaited and its thread joined.
+        buffers of its own, made for this run. While the caller evaluates
+        block i and the consumer takes it, the helper evaluates block i + 1
+        and hands back its values; it then goes on to block i + 3. So two
+        blocks are evaluated at a time, each with the serial loop's
+        arithmetic. The helper's error surfaces when its block is due, and
+        however the stream ends, the helper's block is awaited and its
+        thread joined.
         """
         # the helper's next block start, None to stop; then that block's values or error
         job = [starts[1], None]
         job_ready, block_done = threading.Semaphore(0), threading.Semaphore(0)
 
-        # the helper's work buffers are made here, on the caller: made on the
-        # helper they came from its own malloc arena, and a pass over the 45
-        # presets peaked 0.5-2.5 MiB higher
+        # the helper's work buffers are made here, on the caller, and only for
+        # this run: made on the helper they came from its own malloc arena,
+        # and a pass over the 45 presets peaked 0.5-2.5 MiB higher
         shape = self.scratch_shape(*sinks)
-        work, helper_work = _Scratch(*shape), _Scratch(*shape)
+        helper_work = _Scratch(*shape)
 
         def evaluate_jobs():
             while True:
@@ -959,7 +982,7 @@ class ClosedFormPlan:
         job_ready.release()
         try:
             for i in range(0, len(starts), 2):
-                yield (starts[i], *self._evaluate(starts[i], rows, sinks, work))
+                yield (starts[i], *self._evaluate(starts[i], rows, sinks, _thread_scratch(*shape)))
                 if i + 1 == len(starts):
                     break
                 block_done.acquire()
@@ -1023,14 +1046,25 @@ def _usable_cpus() -> int:
 
 
 def _stack_blocks(blocks, rows: int, width: int):
-    """Whole-grid (excited, ground) arrays of ``rows`` rows from consecutive blocks of them."""
-    excited = np.empty((rows, width), dtype=complex)
-    ground = np.empty_like(excited)
+    """Whole-grid (excited, ground) arrays of ``rows`` rows from consecutive blocks of them.
+
+    A grid of one block is that block itself, not a copy: the blocks of
+    an amplitude sink and of the oracle are new arrays each, which nothing
+    else holds.
+    """
+    excited = ground = None
     start = 0
     for block_e, block_g in blocks:
+        if len(block_e) == rows:
+            return block_e, block_g
+        if excited is None:
+            excited = np.empty((rows, width), dtype=complex)
+            ground = np.empty_like(excited)
         excited[start : start + len(block_e)] = block_e
         ground[start : start + len(block_g)] = block_g
         start += len(block_e)
+    if excited is None:  # an empty grid
+        excited, ground = np.empty((2, 0, width), dtype=complex)
     return excited, ground
 
 
@@ -1083,10 +1117,14 @@ class _PairBatch:
 
     With the counter-rotating terms the batch also holds the coupling's
     phases at each pair's start, e(t0) and c(t0) of :meth:`sweep`
-    (``start_phases``), made once for all the sweeps of its pairs.
+    (``start_phases``), made once for all the sweeps of its pairs, and
+    ``steps``, the buffers of :func:`_step_buffers` its step loop works
+    in, or None to make them per sweep.
     """
 
-    def __init__(self, t0, dt, alpha, Rn, weight, mu, counter_rotating, start_phases=None):
+    def __init__(
+        self, t0, dt, alpha, Rn, weight, mu, counter_rotating, start_phases=None, steps=None
+    ):
         self.t0 = t0
         self.dt = dt
         self.alpha = alpha
@@ -1100,13 +1138,14 @@ class _PairBatch:
                 np.exp(1j * ((mu + Rn) * t0)),
             )
         self.start_phases = start_phases
+        self.steps = steps
 
     def take(self, idx):
         phases = self.start_phases
         return _PairBatch(
             self.t0[idx], self.dt[idx], self.alpha[idx], self.Rn[idx],
             self.weight[idx], self.mu, self.counter_rotating,
-            None if phases is None else (phases[0][idx], phases[1][idx]),
+            None if phases is None else (phases[0][idx], phases[1][idx]), self.steps,
         )
 
     def coupling(self, t):
@@ -1123,7 +1162,7 @@ class _PairBatch:
         return half * (ep + e), half * (np.conj(e) + np.conj(ep))
 
     def sweep(self, m: int):
-        """RK4-integrate the propagator over each pair's segment in m steps.
+        """(u, v): RK4-integrate the propagator over each pair's segment in m steps.
 
         The coefficient matrix is [[0, a], [-conj(a), 0]] with
         a = -i (alpha/2) s(t), where s = e = exp(-i (mu - Rn) t), plus
@@ -1132,7 +1171,8 @@ class _PairBatch:
         classic RK4 step of this linear system, its four stages multiplied
         out, is the matrix [[p, q], [-conj(q), conj(p)]] (:func:`_rk4_step`),
         so the propagator keeps the form [[u, v], [-conj(v), conj(u)]] and
-        only (u, v) is carried.
+        only (u, v) is carried and returned. With ``steps`` they are views of
+        those buffers, which the batch's next sweep overwrites.
 
         Rotating-wave form: with w = mu - Rn and D(t) = diag(exp(-i w t/2),
         exp(i w t/2)), a(t0 + s) is a(s) conjugated by D(t0), so the step
@@ -1145,10 +1185,8 @@ class _PairBatch:
         frame, so the m steps are applied one by one (:meth:`_step_sweep`).
         """
         if self.counter_rotating:
-            u, v = self._step_sweep(m)
-        else:
-            u, v = self._power_sweep(m)
-        return np.stack([u, v, -np.conj(v), np.conj(u)])
+            return self._step_sweep(m)
+        return self._power_sweep(m)
 
     def _power_sweep(self, m: int):
         """(u, v) of the rotating-wave propagator as D(t0 + dt) T^m D(t0)^-1."""
@@ -1179,37 +1217,41 @@ class _PairBatch:
         The phases follow by recurrence: a step's end value starts the
         next, and e(t + h/2) = e(t) exp(-i (mu - Rn) h/2) (likewise c),
         from the batch's start phases and with a direct ``exp`` every
-        ``_REANCHOR`` steps to bound the drift. Every per-step array, the
-        phases, the step matrix and (u, v) included, goes to buffers made
-        once per sweep, so the m steps take no fresh memory.
+        ``_REANCHOR`` steps to bound the drift. A step's end coupling
+        s = e + c starts the next step, so s is added afresh only at step 0
+        and after each re-anchoring. Every per-step array, the phases, the
+        step matrix and (u, v) included, goes to the batch's ``steps``
+        buffers, or to buffers made for this sweep, so the m steps take no
+        fresh memory.
         """
         n = len(self.t0)
+        complex_rows, float_rows = self.steps or _step_buffers(n)
         h = self.dt / m
         constants = _rk4_constants(0.5 * self.alpha * h)
         w = self.mu - self.Rn
         w_c = self.mu + self.Rn
         rot = np.exp(-0.5j * (w * h))
         rot_c = np.exp(0.5j * (w_c * h))
-        # e and c at a step's start, middle and end, the coupling s = e + c
-        # at each, (u, v) and the next (u, v), and _rk4_step's work arrays
-        e0, e1, e2, c0, c1, c2, s0, s1, s2, u, v, u_next, v_next, *work = np.empty(
-            (18, n), dtype=complex
+        # in the order of _step_buffers
+        e0, e1, e2, c0, c1, c2, s0, s1, s2, u, v, u_next, v_next, *work = (
+            row[:n] for row in complex_rows
         )
-        work += list(np.empty((2, n)))
+        work += [row[:n] for row in float_rows]
         u.fill(1.0)
         v.fill(0.0)
         np.copyto(e0, self.start_phases[0])
         np.copyto(c0, self.start_phases[1])
         for j in range(m):
-            if j and j % _REANCHOR == 0:
-                ta = self.t0 + j * h
-                np.exp(-1j * (w * ta), out=e0)
-                np.exp(1j * (w_c * ta), out=c0)
+            if j % _REANCHOR == 0:
+                if j:
+                    ta = self.t0 + j * h
+                    np.exp(-1j * (w * ta), out=e0)
+                    np.exp(1j * (w_c * ta), out=c0)
+                np.add(e0, c0, out=s0)
             np.multiply(e0, rot, out=e1)
             np.multiply(e1, rot, out=e2)
             np.multiply(c0, rot_c, out=c1)
             np.multiply(c1, rot_c, out=c2)
-            np.add(e0, c0, out=s0)
             np.add(e1, c1, out=s1)
             np.add(e2, c2, out=s2)
             p, q = _rk4_step(constants, s0, s1, s2, work)
@@ -1222,7 +1264,19 @@ class _PairBatch:
             u, u_next, v, v_next = u_next, u, v_next, v
             e0, e2 = e2, e0  # the step's end starts the next
             c0, c2 = c2, c0
+            s0, s2 = s2, s0
         return u, v
+
+
+def _step_buffers(pairs: int):
+    """Work rows of the counter-rotating step loop for up to ``pairs`` pairs.
+
+    18 complex rows: e, c and s = e + c at a step's start, middle and end,
+    (u, v) and the next (u, v), and :func:`_rk4_step`'s five; and its two
+    float rows. :meth:`_PairBatch._step_sweep` works in the first n
+    columns of each row, for a batch of n pairs.
+    """
+    return np.empty((18, pairs), dtype=complex), np.empty((2, pairs))
 
 
 def _rk4_constants(z):
@@ -1277,6 +1331,13 @@ def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info
     by matrix powers in the rotating-wave case (cost ~ log2 m per sweep),
     step by step with the counter-rotating terms (cost ~ m). The steps
     compared and accepted are the same either way.
+
+    Only (u, v) of each sweep is carried, and the coarse pair is copied
+    out of the sweep's buffers before the finer sweep reuses them. The
+    disagreement max(|u_f - u_c|, |v_f - v_c|) is that of all four
+    entries, bit for bit: -conj(v) and conj(u) differ by negations and
+    conjugations, which are exact and keep |z|. An accepted pair's four
+    rows (u, v, -conj v, conj u) are written to ``out`` once.
     """
     idx = np.arange(len(batch.t0))
     m = m0
@@ -1285,7 +1346,7 @@ def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info
         raise IntegrationFailureError(
             n_bad, t_bad, "step count exceeded 2^24 per output segment"
         )
-    coarse = batch.sweep(m)
+    u_c, v_c = (x.copy() for x in batch.sweep(m))
     while True:
         m *= 2
         if m > 2**24:
@@ -1294,15 +1355,17 @@ def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info
                 n_bad, t_bad, "step count exceeded 2^24 per output segment"
             )
         sub = batch.take(idx) if len(idx) < len(batch.t0) else batch
-        fine = sub.sweep(m)
-        err = np.max(np.abs(fine - coarse), axis=0) * sub.weight
+        u_f, v_f = sub.sweep(m)
+        err = np.maximum(np.abs(u_f - u_c), np.abs(v_f - v_c))
+        err *= sub.weight
         done = err <= tol
         if done.any():
-            out[:, slots[idx[done]]] = fine[:, done]
+            u, v, at = u_f[done], v_f[done], slots[idx[done]]
+            out[0, at], out[1, at], out[2, at], out[3, at] = u, v, -np.conj(v), np.conj(u)
         if done.all():
             return
         idx = idx[~done]
-        coarse = fine[:, ~done]
+        u_c, v_c = u_f[~done], v_f[~done]
 
 
 def _segment_groups(dt, counter_rotating):
@@ -1362,7 +1425,10 @@ def ode_oracle_blocks(
     Integration, phasing and chaining take at most ``_MAX_PAIRS``
     (segment, doublet) pairs at once, or one segment's doublets where
     those are more, so the memory held is one block of rows, one batch
-    and the propagators of the lengths still to come in the block.
+    and the propagators of the lengths still to come in the block. A
+    batch's propagators and the counter-rotating step loop's buffers are
+    made once per run, for its largest batch, and reused by every batch;
+    only propagators a later batch still needs are copied out of them.
     """
     grid = _oracle_grid(t_grid)
     # two refinements never agree within a NaN or a tol <= 0
@@ -1402,16 +1468,20 @@ def ode_oracle_blocks(
     r1 = -1j * co.R1[active]
     r2 = -1j * co.R2[active]
 
-    def integrate(t0, dt, t_end):
-        """Propagators (u, v, -conj v, conj u) over [t0, t0 + dt]; failures name t_end."""
+    def integrate(t0, dt, t_end, propagators, steps):
+        """Propagators (u, v, -conj v, conj u) over [t0, t0 + dt]; failures name t_end.
+
+        They are written to the head of ``propagators``, which the next
+        call overwrites; ``steps`` are the step loop's buffers.
+        """
         n = len(dt)
         batch = _PairBatch(
             np.repeat(t0, d_live), np.repeat(dt, d_live), np.tile(alpha, n), np.tile(Rn, n),
-            np.tile(weight, n), mu, include_counter_rotating,
+            np.tile(weight, n), mu, include_counter_rotating, steps=steps,
         )
         m0p = np.maximum(np.ceil(batch.dt * np.tile(w, n) / 0.75).astype(int), 2)
         m0p = 2 ** np.ceil(np.log2(m0p)).astype(int)
-        out = np.empty((4, n * d_live), dtype=complex)
+        out = propagators[:, : n * d_live]
 
         def pair_info(slot):
             g, di = divmod(int(slot), d_live)
@@ -1423,6 +1493,11 @@ def ode_oracle_blocks(
         return out.reshape(4, n, d_live)
 
     def walk():
+        # buffers of the run's largest batch: a chunk's new segment lengths
+        # are at most seg_block, and at most a block's segments
+        pairs = d_live * min(seg_block, block_rows, len(grid) - 1)
+        propagators = np.empty((4, pairs), dtype=complex)
+        steps = _step_buffers(pairs) if include_counter_rotating else None
         X = c0[active[live]].astype(complex)
         Y = np.zeros_like(X)
         for b0 in range(0, len(grid), block_rows):
@@ -1452,9 +1527,11 @@ def ode_oracle_blocks(
                     # the first segments of the groups met first here
                     new = lead[lo + held.shape[1] : group[s0:s1].max() + 1]
                     if len(new):
+                        if np.may_share_memory(held, propagators):  # the next call overwrites
+                            held = held.copy()
                         # rotating-wave groups integrate [-dt/2, dt/2], whose start phase is 1
                         t0 = tb[new] if include_counter_rotating else -0.5 * dt[new]
-                        fresh = integrate(t0, dt[new], tb[new + 1])
+                        fresh = integrate(t0, dt[new], tb[new + 1], propagators, steps)
                         held = np.concatenate([held, fresh], axis=1) if held.shape[1] else fresh
                     u, v, v_c, u_c = held[:, _as_slice(group[s0:s1] - lo)]
                     if not include_counter_rotating:

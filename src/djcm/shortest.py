@@ -168,8 +168,10 @@ def _digits(bits: np.ndarray):
     nd[tiny] = np.searchsorted(_POW10, r[tiny], side="right")
     x = e + nd - 1
     # only the shorter candidates can end in zeros, which repr drops
-    strip = np.flatnonzero(shorter & (r % 10 == 0) & ~zero)
+    strip = np.flatnonzero(shorter & ~zero)
     ends = r[strip]
+    more = ends % 10 == 0
+    strip, ends = strip[more], ends[more]
     r *= _POW10.take(17 - nd, mode="clip")
     while len(strip):
         ends //= 10

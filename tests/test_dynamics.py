@@ -653,6 +653,11 @@ def _direct_exp_sweep(batch, m):
     return np.stack([m00, m01, m10, m11])
 
 
+def _four_entries(u, v):
+    """The rows u, v, -conj v, conj u of a sweep's (u, v), as _direct_exp_sweep's."""
+    return np.stack([u, v, -np.conj(v), np.conj(u)])
+
+
 @pytest.mark.parametrize("counter_rotating", [False, True])
 @pytest.mark.parametrize("m", [300, 1000, 4096])
 def test_sweep_recurrence_matches_direct_exp(counter_rotating, m):
@@ -672,7 +677,7 @@ def test_sweep_recurrence_matches_direct_exp(counter_rotating, m):
         params.mu,
         counter_rotating,
     )
-    got = batch.sweep(m)
+    got = _four_entries(*batch.sweep(m))
     ref = _direct_exp_sweep(batch, m)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -690,7 +695,7 @@ def test_sweep_of_each_pair_alone_is_its_column_of_the_batch(counter_rotating):
     batch = _PairBatch(
         t0, np.full(n, 0.05), co.alpha, co.Rn, np.ones(n), params.mu, counter_rotating
     )
-    whole = batch.sweep(300)
+    whole = np.stack(batch.sweep(300))
     for i in range(n):
         one = batch.take(np.array([i]))
         fresh = _PairBatch(
@@ -698,7 +703,8 @@ def test_sweep_of_each_pair_alone_is_its_column_of_the_batch(counter_rotating):
             np.ones(1), params.mu, counter_rotating,
         )
         column = whole[:, i : i + 1].tobytes()
-        assert one.sweep(300).tobytes() == fresh.sweep(300).tobytes() == column
+        alone = np.stack(one.sweep(300)).tobytes()
+        assert alone == np.stack(fresh.sweep(300)).tobytes() == column
 
 
 def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):
@@ -707,20 +713,25 @@ def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):
     dist = cfg.build_distribution()
     t_grid = np.linspace(0.0, 0.1, 33)
 
-    def run(sweep):
-        calls = []
+    sweep = _PairBatch.sweep
+
+    def run(four_entries):
+        calls, entries = [], []
 
         def recorded(batch, m):
             calls.append((m, len(batch.t0)))
-            return sweep(batch, m)
+            entries.append(four_entries(batch, m))
+            return entries[-1][:2]  # the oracle builds -conj v and conj u itself
 
         monkeypatch.setattr(_PairBatch, "sweep", recorded)
         states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, t_grid, tol=1e-10)
-        return calls, states
+        return calls, entries, states
 
-    calls, states = run(_PairBatch.sweep)
-    ref_calls, ref_states = run(_direct_exp_sweep)
+    calls, entries, states = run(lambda batch, m: _four_entries(*sweep(batch, m)))
+    ref_calls, ref_entries, ref_states = run(_direct_exp_sweep)
     assert calls == ref_calls
+    for got, ref in zip(entries, ref_entries, strict=True):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert max_amplitude_deviation(states, ref_states) <= 1e-12
 
 

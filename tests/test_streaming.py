@@ -7,6 +7,7 @@ file behind.
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -161,6 +162,54 @@ def test_oracle_batches_do_not_change_the_integration(monkeypatch):
             for a, b in zip(states, runs[0], strict=True):
                 assert a.excited.tobytes() == b.excited.tobytes()
                 assert a.ground.tobytes() == b.ground.tobytes()
+
+
+def test_oracle_runs_leave_nothing_in_their_buffers(monkeypatch):
+    # each run makes its step and propagator buffers once: runs at other
+    # caps in between, with other batch widths, change no byte of either form
+    cfg = small(params={"chi": 0.03}, time={"samples": 300})
+    dist = cfg.build_distribution()
+    times = cfg.grid()[:]
+
+    def both():
+        runs = (evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, cr) for cr in (1, 0))
+        return [b"".join(s.excited.tobytes() + s.ground.tobytes() for s in run) for run in runs]
+
+    before = both()
+    cap = dynamics._MAX_PAIRS
+    for other in (1, 10**7):
+        monkeypatch.setattr(dynamics, "_MAX_PAIRS", other)
+        both()
+    monkeypatch.setattr(dynamics, "_MAX_PAIRS", cap)
+    assert both() == before
+
+
+def test_a_one_block_grid_is_its_block_and_the_stacked_blocks(monkeypatch):
+    # the acceptance suite's oracle windows are one block of 33 rows: the
+    # series is that block itself, and equals the blocks of fewer rows stacked
+    cfg = scenario.preset("coherent_bare_sqrt_n_k2")
+    dist = cfg.build_distribution()
+    times = np.linspace(0.0, 0.1, 33)
+
+    def series():
+        states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
+        oracle = (np.array([s.excited for s in states]), np.array([s.ground for s in states]))
+        closed = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
+        return states, oracle, closed
+
+    first_states, *first = series()
+    second_states, *second = series()
+    arrays = [first_states[0].excited, first_states[0].ground, *first[1]]
+    others = [second_states[0].excited, second_states[0].ground, *second[1]]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + others)
+    monkeypatch.setattr(ClosedFormPlan, "block_rows", lambda self, *sinks: 16)
+    monkeypatch.setattr(
+        dynamics, "ode_oracle_blocks", functools.partial(ode_oracle_blocks, block_rows=8)
+    )
+    _, *stacked = series()
+    for one, many in zip(first, stacked):
+        assert [a.tobytes() for a in one] == [a.tobytes() for a in many]
 
 
 def test_oracle_rejects_a_grid_with_repeated_times():

@@ -6,9 +6,11 @@ grid two or more blocks and the process two or more usable CPUs. These tests for
 count both ways through ``dynamics._usable_cpus``.
 """
 
+import gc
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -161,3 +163,66 @@ def test_threads_sharing_one_plan_and_its_sinks_get_the_serial_blocks(monkeypatc
     finally:
         sys.setswitchinterval(interval)
     assert results == [serial] * 3
+
+
+def _in_thread(target):
+    """target() run on a thread of its own, which ends before this returns; its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(target()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return out[0]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_kept_work_buffers_change_no_byte(monkeypatch, cpus):
+    # the calling thread keeps its work buffers from run to run, grown for
+    # the wide plan (256 x 130 cells) after the narrow one (768 x 30); each
+    # run must give the bytes of a run on a fresh thread, which has none,
+    # while a second thread runs the same sequence at the same time
+    _cpus(monkeypatch, cpus)
+
+    def narrow():
+        plan = _plan(NARROW)
+        return _blocks(plan, (DensitySink(plan),))[0]
+
+    def wide():
+        return _blocks(_plan(WIDE))[0]
+
+    runs = (narrow, wide, narrow)
+    fresh = [_in_thread(run) for run in runs]
+
+    def in_sequence():
+        cells = []
+        for run in runs:
+            cells.append((run(), dynamics._kept.work.cells))
+        return cells
+
+    results = []
+    callers = [threading.Thread(target=lambda: results.append(in_sequence())) for _ in "ab"]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=120)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 2
+    for cells in results:
+        assert [blocks for blocks, _ in cells] == fresh
+        assert [size for _, size in cells] == [768 * 30, 256 * 130, 256 * 130]
+
+
+def test_kept_work_buffers_keep_no_plan():
+    plan = _plan(NARROW)
+    sink = DensitySink(plan)
+    _blocks(plan, (sink,))
+    assert dynamics._kept.work is not None
+    finished = weakref.ref(plan)
+    del plan, sink
+    gc.collect()
+    assert finished() is None

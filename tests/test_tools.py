@@ -234,6 +234,18 @@ def test_bench_pairs_records_the_claimed_metric(tmp_path, monkeypatch, capsys, f
     assert lines == [pair.format(i) for i in (0, 1)]
 
 
+def test_bench_pairs_probes_the_suite_oracle_family():
+    # the acceptance suite's 12 criterion-2 presets, pass by pass, in a
+    # process of their own with this checkout's src
+    checkout = os.path.join(os.path.dirname(__file__), os.pardir)
+    calls = bench_pairs._probe(checkout, "suite", "2")
+    presets = [call["preset"] for call in calls]
+    assert len(presets) == 24 and presets[:12] == presets[12:]
+    assert len(set(presets)) == 12 and all("_bare_" in name for name in presets)
+    assert [call["pass"] for call in calls] == [0] * 12 + [1] * 12
+    assert all(call["seconds"] > 0.0 and call["minflt"] >= 0 for call in calls)
+
+
 def test_package_exports_are_sorted_unique_and_resolve():
     names = djcm.__all__
     assert names == sorted(set(names))

@@ -25,9 +25,12 @@ script records:
     long grid's three CLI operations (simulate to CSV, to JSON,
     ``revivals`` on the CSV) in both orders, each with its seconds, its
     minor page faults (``ru_minflt``) and the process's ``ru_maxrss``
-    after it; and the counter-rotating RK4 oracle on
+    after it; the counter-rotating RK4 oracle on
     coherent_bare_identity's 2000-sample grid, seconds and minor faults
-    per call. ``--probe-runs`` processes per side and order.
+    per call; and the acceptance suite's criterion-2 family, each of its
+    presets' ``evolve_ode_oracle`` plus ``closed_form_series`` on the
+    window the suite picks, seconds and minor faults per preset and
+    pass. ``--probe-runs`` processes per side and order.
 ``traced``
     One ``--trace 1`` run per checkout of the claimed workload at seed
     ``--trace-seed``: its per-layer metrics (``emit.csv.busy_s``,
@@ -51,9 +54,10 @@ import sys
 END_TO_END = ("wall_s", "setup_s", "peak_rss_mib")
 THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 
-# Runs in a fresh process with a checkout's src on the path: argv[1] is
-# "grid" with a comma-separated order of operations, or "oracle" with a
-# call count; prints one JSON object.
+# Runs in a fresh process with a checkout's src on the path and the
+# checkout as its directory: argv[1] is "grid" with a comma-separated order
+# of operations, "oracle" with a call count or "suite" with a pass count;
+# prints one JSON object.
 PROBE = r"""
 import contextlib, io, json, os, resource, sys, tempfile, time
 
@@ -85,6 +89,28 @@ if kind == "grid":
                 "maxrss_mib": after.ru_maxrss / 1024.0,
             })
         os.chdir("/")
+elif kind == "suite":
+    sys.path.insert(0, "tests")
+    import numpy as np
+    import test_acceptance as suite
+    from djcm import dynamics, scenario
+    windows = []
+    for name in suite.ORACLE_PRESETS:
+        cfg = scenario.preset(name)
+        window, dist = suite.choose_oracle_window(cfg)
+        windows.append((name, cfg, dist, np.linspace(0.0, window, suite.ORACLE_SEGMENTS + 1)))
+    for i in range(int(arg)):
+        for name, cfg, dist, grid in windows:
+            before, start = usage(), time.perf_counter()
+            dynamics.evolve_ode_oracle(
+                cfg.params, cfg.nonlinearity, dist, grid, tol=suite.ORACLE_TOL
+            )
+            dynamics.closed_form_series(cfg.params, cfg.nonlinearity, dist, grid)
+            seconds, after = time.perf_counter() - start, usage()
+            out.append({
+                "pass": i, "preset": name, "seconds": seconds,
+                "minflt": after.ru_minflt - before.ru_minflt,
+            })
 else:
     from djcm import dynamics, scenario
     cfg = scenario.preset("coherent_bare_identity")
@@ -159,14 +185,15 @@ def summarize(rows: list) -> dict:
 def _probe(checkout: str, kind: str, arg: str) -> list:
     env = dict(os.environ, PYTHONPATH=os.path.join(checkout, "src"), **THREAD_ENV)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, kind, arg], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", PROBE, kind, arg], env=env, cwd=checkout, capture_output=True,
+        text=True, check=True,
     )
     return json.loads(done.stdout)
 
 
 def run_probes(sides: dict, runs: int) -> dict:
-    """Per side: the grid's operations in both orders, and the counter-rotating oracle."""
+    """Per side: the grid's operations in both orders, the counter-rotating oracle and the
+    suite's criterion-2 family."""
     out = {}
     for side, checkout in sides.items():
         grid = {}
@@ -174,7 +201,13 @@ def run_probes(sides: dict, runs: int) -> dict:
             grid[order] = [_probe(checkout, "grid", order) for _ in range(runs)]
         # two warm-up calls, then the calls measured
         oracle = [_probe(checkout, "oracle", "12")[2:] for _ in range(runs)]
-        out[side] = {"long_grid_ops": grid, "counter_rotating_oracle": oracle}
+        # a warm-up pass, then the passes measured
+        suite = [
+            [call for call in _probe(checkout, "suite", "4") if call["pass"]] for _ in range(runs)
+        ]
+        out[side] = {
+            "long_grid_ops": grid, "counter_rotating_oracle": oracle, "suite_oracle_family": suite
+        }
     return out
 
 
