@@ -296,36 +296,16 @@ class _Scratch:
     """Flat work buffers of one evaluating thread, shared by its chunks block after block.
 
     :func:`_view` hands out a contiguous (rows, width) array at the head of
-    one, so a narrower last chunk still works on contiguous memory. A
-    block's contents are dead once the block's values are made, so the
-    calling thread keeps its buffers from run to run
-    (:func:`_thread_scratch`); they hold arrays only, never a plan or a
-    sink.
+    one, so a narrower last chunk still works on contiguous memory.
     """
 
     def __init__(self, rows: int, width: int):
-        self.cells = size = rows * width
+        size = rows * width
         # phase arguments, then a sink's squares or (as complex) its ground phase
         self.arg = np.empty(2 * size)
         self.sin = np.empty(size)  # s = sin(Omega t)/Omega
         self.rot = np.empty(size, dtype=complex)  # the rotation, then the envelope
         self.excited = np.empty(size, dtype=complex)  # the correction, then a sink's terms
-
-
-_kept = threading.local()
-
-
-def _thread_scratch(rows: int, width: int) -> _Scratch:
-    """The calling thread's kept :class:`_Scratch`, of at least rows x width cells.
-
-    Each thread keeps its own until it ends; a need for more cells
-    replaces it with a larger one.
-    """
-    work = getattr(_kept, "work", None)
-    if work is None or work.cells < rows * width:
-        _kept.work = None  # freed before its successor is made
-        work = _kept.work = _Scratch(rows, width)
-    return work
 
 
 def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -763,8 +743,7 @@ class ClosedFormPlan:
     first ``kept_chunks`` over the per-cell doublets and the rest over the
     separable ones, which only an amplitude sink takes; the chunks the
     sinks take bound ``scratch_shape(*sinks)``, the (rows, width) of the
-    work buffers of each evaluating thread: the calling thread keeps its
-    own from run to run, a helper thread's are made per run. Each block
+    work buffers that each evaluating thread makes for itself. Each block
     then evaluates only its coarse rows, anchored at the grid's own times
     t_{group J}, and each chunk's rotation stage once for all the sinks
     that take it (:meth:`blocks`). The plan and its sinks hold only these
@@ -937,10 +916,9 @@ class ClosedFormPlan:
         rows = self.block_rows(*sinks)
         starts = range(0, len(self.times), rows)
         if self.kept_chunks < 2 or len(starts) < 2 or _usable_cpus() < 2:
-            shape = self.scratch_shape(*sinks)
+            work = _Scratch(*self.scratch_shape(*sinks))
             for start in starts:
-                # taken per block: a generator may be resumed on another thread
-                yield (start, *self._evaluate(start, rows, sinks, _thread_scratch(*shape)))
+                yield (start, *self._evaluate(start, rows, sinks, work))
         else:
             yield from self._interleaved(starts, rows, sinks)
 
@@ -948,23 +926,22 @@ class ClosedFormPlan:
         """:meth:`blocks` with the odd blocks evaluated on one helper thread.
 
         The helper evaluates with the same plan and sinks into work
-        buffers of its own, made for this run. While the caller evaluates
-        block i and the consumer takes it, the helper evaluates block i + 1
-        and hands back its values; it then goes on to block i + 3. So two
-        blocks are evaluated at a time, each with the serial loop's
-        arithmetic. The helper's error surfaces when its block is due, and
-        however the stream ends, the helper's block is awaited and its
-        thread joined.
+        buffers of its own. While the caller evaluates block i and the
+        consumer takes it, the helper evaluates block i + 1 and hands back
+        its values; it then goes on to block i + 3. So two blocks are
+        evaluated at a time, each with the serial loop's arithmetic. The
+        helper's error surfaces when its block is due, and however the
+        stream ends, the helper's block is awaited and its thread joined.
         """
         # the helper's next block start, None to stop; then that block's values or error
         job = [starts[1], None]
         job_ready, block_done = threading.Semaphore(0), threading.Semaphore(0)
 
-        # the helper's work buffers are made here, on the caller, and only for
-        # this run: made on the helper they came from its own malloc arena,
-        # and a pass over the 45 presets peaked 0.5-2.5 MiB higher
+        # the helper's work buffers are made here, on the caller: made on the
+        # helper they came from its own malloc arena, and a pass over the 45
+        # presets peaked 0.5-2.5 MiB higher
         shape = self.scratch_shape(*sinks)
-        helper_work = _Scratch(*shape)
+        work, helper_work = _Scratch(*shape), _Scratch(*shape)
 
         def evaluate_jobs():
             while True:
@@ -982,7 +959,7 @@ class ClosedFormPlan:
         job_ready.release()
         try:
             for i in range(0, len(starts), 2):
-                yield (starts[i], *self._evaluate(starts[i], rows, sinks, _thread_scratch(*shape)))
+                yield (starts[i], *self._evaluate(starts[i], rows, sinks, work))
                 if i + 1 == len(starts):
                     break
                 block_done.acquire()

@@ -176,10 +176,9 @@ def _in_thread(target):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_kept_work_buffers_change_no_byte(monkeypatch, cpus):
-    # the calling thread keeps its work buffers from run to run, grown for
-    # the wide plan (256 x 130 cells) after the narrow one (768 x 30); each
-    # run must give the bytes of a run on a fresh thread, which has none,
+def test_runs_of_other_widths_on_one_thread_give_the_bytes_of_fresh_threads(monkeypatch, cpus):
+    # narrow (768 x 30 cells of work buffers), wide (256 x 130), narrow
+    # again: each run must give the bytes of a run on a thread of its own,
     # while a second thread runs the same sequence at the same time
     _cpus(monkeypatch, cpus)
 
@@ -194,10 +193,7 @@ def test_kept_work_buffers_change_no_byte(monkeypatch, cpus):
     fresh = [_in_thread(run) for run in runs]
 
     def in_sequence():
-        cells = []
-        for run in runs:
-            cells.append((run(), dynamics._kept.work.cells))
-        return cells
+        return [run() for run in runs]
 
     results = []
     callers = [threading.Thread(target=lambda: results.append(in_sequence())) for _ in "ab"]
@@ -211,17 +207,13 @@ def test_kept_work_buffers_change_no_byte(monkeypatch, cpus):
             assert not caller.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert len(results) == 2
-    for cells in results:
-        assert [blocks for blocks, _ in cells] == fresh
-        assert [size for _, size in cells] == [768 * 30, 256 * 130, 256 * 130]
+    assert results == [fresh] * 2
 
 
-def test_kept_work_buffers_keep_no_plan():
+def test_a_finished_run_keeps_no_plan():
     plan = _plan(NARROW)
     sink = DensitySink(plan)
     _blocks(plan, (sink,))
-    assert dynamics._kept.work is not None
     finished = weakref.ref(plan)
     del plan, sink
     gc.collect()
