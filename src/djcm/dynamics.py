@@ -25,8 +25,6 @@ a fixed order so results do not depend on how callers parallelize.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,7 +291,7 @@ def _expand(coarse: np.ndarray, fine: np.ndarray, out: np.ndarray) -> np.ndarray
 
 
 class _Scratch:
-    """Flat work buffers of one evaluating thread, shared by its chunks block after block.
+    """Flat work buffers of one :meth:`ClosedFormPlan.blocks` call, reused block after block.
 
     :func:`_view` hands out a contiguous (rows, width) array at the head of
     one, so a narrower last chunk still works on contiguous memory.
@@ -743,11 +741,11 @@ class ClosedFormPlan:
     first ``kept_chunks`` over the per-cell doublets and the rest over the
     separable ones, which only an amplitude sink takes; the chunks the
     sinks take bound ``scratch_shape(*sinks)``, the (rows, width) of the
-    work buffers that each evaluating thread makes for itself. Each block
-    then evaluates only its coarse rows, anchored at the grid's own times
-    t_{group J}, and each chunk's rotation stage once for all the sinks
-    that take it (:meth:`blocks`). The plan and its sinks hold only these
-    per-run tables, so threads may share them.
+    work buffers that each call of :meth:`blocks` makes for itself. Each
+    block then evaluates only its coarse rows, anchored at the grid's own
+    times t_{group J}, and each chunk's rotation stage once for all the
+    sinks that take it (:meth:`blocks`). The plan and its sinks hold only
+    these per-run tables, so threads may share them.
 
     ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
     uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
@@ -839,7 +837,7 @@ class ClosedFormPlan:
         return _BLOCK_ROWS * min(max(fits, 1), _MAX_BLOCK_ROWS // _BLOCK_ROWS)
 
     def scratch_shape(self, *sinks) -> tuple:
-        """(rows, width) of the work buffers of a thread evaluating blocks into ``sinks``.
+        """(rows, width) of the work buffers of one call evaluating blocks into ``sinks``.
 
         The rows of a block padded to whole groups, and the widest span of
         the chunks the sinks take.
@@ -908,72 +906,13 @@ class ClosedFormPlan:
         PhysicsValidationError, which names the block's first time and the
         largest phase argument.
 
-        A plan of two or more kept chunks on a grid of two or more blocks,
-        run where at least two CPUs are usable, evaluates every other block
-        on one helper thread (:meth:`_interleaved`); the values, the
-        order of the blocks and of any error are those of the serial loop.
+        The blocks are evaluated one after another on the calling thread,
+        into one set of work buffers (:class:`_Scratch`) made for this call.
         """
         rows = self.block_rows(*sinks)
-        starts = range(0, len(self.times), rows)
-        if self.kept_chunks < 2 or len(starts) < 2 or _usable_cpus() < 2:
-            work = _Scratch(*self.scratch_shape(*sinks))
-            for start in starts:
-                yield (start, *self._evaluate(start, rows, sinks, work))
-        else:
-            yield from self._interleaved(starts, rows, sinks)
-
-    def _interleaved(self, starts: range, rows: int, sinks):
-        """:meth:`blocks` with the odd blocks evaluated on one helper thread.
-
-        The helper evaluates with the same plan and sinks into work
-        buffers of its own. While the caller evaluates block i and the
-        consumer takes it, the helper evaluates block i + 1 and hands back
-        its values; it then goes on to block i + 3. So two blocks are
-        evaluated at a time, each with the serial loop's arithmetic. The
-        helper's error surfaces when its block is due, and however the
-        stream ends, the helper's block is awaited and its thread joined.
-        """
-        # the helper's next block start, None to stop; then that block's values or error
-        job = [starts[1], None]
-        job_ready, block_done = threading.Semaphore(0), threading.Semaphore(0)
-
-        # the helper's work buffers are made here, on the caller: made on the
-        # helper they came from its own malloc arena, and a pass over the 45
-        # presets peaked 0.5-2.5 MiB higher
-        shape = self.scratch_shape(*sinks)
-        work, helper_work = _Scratch(*shape), _Scratch(*shape)
-
-        def evaluate_jobs():
-            while True:
-                job_ready.acquire()
-                if job[0] is None:
-                    return
-                try:
-                    job[1] = self._evaluate(job[0], rows, sinks, helper_work)
-                except Exception as exc:  # raised by the caller when the block is due
-                    job[1] = exc
-                block_done.release()
-
-        helper = threading.Thread(target=evaluate_jobs, name="djcm-blocks", daemon=True)
-        helper.start()
-        job_ready.release()
-        try:
-            for i in range(0, len(starts), 2):
-                yield (starts[i], *self._evaluate(starts[i], rows, sinks, work))
-                if i + 1 == len(starts):
-                    break
-                block_done.acquire()
-                values = job[1]
-                if isinstance(values, Exception):
-                    raise values
-                if i + 3 < len(starts):
-                    job[0] = starts[i + 3]
-                    job_ready.release()
-                yield (starts[i + 1], *values)
-        finally:
-            job[0] = None
-            job_ready.release()
-            helper.join()
+        work = _Scratch(*self.scratch_shape(*sinks))
+        for start in range(0, len(self.times), rows):
+            yield (start, *self._evaluate(start, rows, sinks, work))
 
     def _evaluate(self, start: int, rows: int, sinks, work: _Scratch) -> tuple:
         """The values of the block of ``rows`` at ``start`` in each sink, evaluated in ``work``.
@@ -1012,14 +951,6 @@ class ClosedFormPlan:
         if pad:
             t = np.concatenate((t, t[-1] + self.step * np.arange(1, pad + 1)))
         return t[:, None]
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 def _stack_blocks(blocks, rows: int, width: int):

@@ -381,11 +381,9 @@ class ScenarioStream:
     as ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
 
     Whatever the grid's length, the stream holds one block: the chunk
-    buffers of the thread that evaluates it, its values in the sinks (the
-    amplitude sink's are (block, n_cut+1)), the oracle's block and pair
-    batch, and the series it yields; a plan that evaluates every other
-    block on a helper thread holds a second such block, chunk buffers
-    and sink values, on that thread.
+    buffers it is evaluated in, its values in the sinks (the amplitude
+    sink's are (block, n_cut+1)), the oracle's block and pair batch, and
+    the series it yields.
     """
 
     def __init__(self, config: ScenarioConfig):

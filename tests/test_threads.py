@@ -1,12 +1,17 @@
-"""The closed form's helper thread: same bytes, no thread left behind.
+"""Callers' threads sharing one closed-form plan get the serial bytes.
 
-``ClosedFormPlan.blocks`` evaluates every other block on one helper
-thread when the plan has two or more chunks of per-cell doublets, the
-grid two or more blocks and the process two or more usable CPUs. These tests force the CPU
-count both ways through ``dynamics._usable_cpus``.
+``ClosedFormPlan.blocks`` evaluates every block on the calling thread, in
+work buffers of that call; the plan and its sinks hold only per-run
+tables. These tests check that a run on a thread of its own gives the
+bytes of a run on the main thread, that one plan and its sinks run on
+several threads at once give each thread the blocks of a run alone, that
+an overflow surfaces in block order, that no plan starts a thread (also
+where the process reports one usable CPU), and that a finished run keeps
+no plan alive.
 """
 
 import gc
+import os
 import sys
 import threading
 import warnings
@@ -15,7 +20,6 @@ import weakref
 import numpy as np
 import pytest
 
-from djcm import dynamics
 from djcm.dynamics import AmplitudeSink, ClosedFormPlan, DensitySink, UniformGrid
 from djcm.errors import PhysicsValidationError
 from djcm.scenario import preset, run_scenario
@@ -31,10 +35,6 @@ def _plan(name, samples=SAMPLES):
     return ClosedFormPlan(cfg.params, cfg.nonlinearity, cfg.build_distribution(), grid)
 
 
-def _cpus(monkeypatch, count):
-    monkeypatch.setattr(dynamics, "_usable_cpus", lambda: count)
-
-
 def _blocks(plan, sinks=None):
     """Every block of the sinks (by default both, new) as bytes, and the thread count seen."""
     blocks, threads = [], []
@@ -42,60 +42,6 @@ def _blocks(plan, sinks=None):
         threads.append(threading.active_count())
         blocks.append((start,) + tuple(a.tobytes() for block in values for a in block))
     return blocks, threads
-
-
-def test_threaded_blocks_are_the_serial_blocks(monkeypatch):
-    before = threading.active_count()
-    _cpus(monkeypatch, 1)
-    serial, serial_threads = _blocks(_plan(WIDE))
-    _cpus(monkeypatch, 2)
-    plan = _plan(WIDE)
-    assert (len(plan.chunks), plan.kept_chunks) == (6, 2)
-    threaded, threaded_threads = _blocks(plan)
-    assert [b[0] for b in serial] == list(range(0, SAMPLES, 256))
-    assert threaded == serial
-    # the threaded run had its helper while it ran, and neither left one
-    assert serial_threads == [before] * len(serial)
-    assert threaded_threads == [before + 1] * len(threaded)
-    assert threading.active_count() == before
-
-
-def test_run_scenario_same_columns_serial_and_threaded(monkeypatch):
-    cfg = preset(WIDE)
-    runs = []
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
-        runs.append(run_scenario(cfg).records)
-    for name in runs[0].columns:
-        assert runs[0][name].tobytes() == runs[1][name].tobytes()
-
-
-@pytest.mark.parametrize(
-    "name, samples, cpus",
-    [(NARROW, SAMPLES, 2), (WIDE, 256, 2), (WIDE, SAMPLES, 1)],
-    ids=["one per-cell chunk", "one block", "one cpu"],
-)
-def test_no_thread_where_it_cannot_pay(monkeypatch, name, samples, cpus):
-    _cpus(monkeypatch, cpus)
-    before = threading.active_count()
-    plan = _plan(name, samples)
-    # the amplitude sink takes every chunk, the separable ones too
-    assert len(plan.chunks) >= 2
-    _, threads = _blocks(plan)
-    assert threads == [before] * len(threads)
-
-
-@pytest.mark.parametrize("taken", [0, 1, 2])
-def test_stream_closed_early_joins_its_helper(monkeypatch, taken):
-    _cpus(monkeypatch, 2)
-    before = threading.active_count()
-    plan = _plan(WIDE)
-    blocks = plan.blocks(DensitySink(plan))
-    for _ in range(taken + 1):
-        next(blocks)
-    assert threading.active_count() == before + 1
-    blocks.close()
-    assert threading.active_count() == before
 
 
 class _OverflowFrom(DensitySink):
@@ -113,17 +59,77 @@ class _OverflowFrom(DensitySink):
             rho_ee *= 1e200  # inf, under the evaluating thread's errstate
 
 
-@pytest.mark.parametrize("block", [1, 2])  # the helper's block, the caller's
-def test_overflow_surfaces_in_block_order(monkeypatch, block):
+def _in_thread(target):
+    """target() run on a thread of its own, which ends before this returns; its result."""
+    out = []
+    thread = threading.Thread(target=lambda: out.append(target()))
+    thread.start()
+    thread.join(timeout=120)
+    assert not thread.is_alive()
+    return out[0]
+
+
+def test_threaded_blocks_are_the_serial_blocks():
+    before = threading.active_count()
+    serial, serial_threads = _blocks(_plan(WIDE))
+    threaded, threaded_threads = _in_thread(lambda: _blocks(_plan(WIDE)))
+    assert [b[0] for b in serial] == list(range(0, SAMPLES, 256))
+    assert threaded == serial
+    # the threaded run saw its own thread and no other; neither left one
+    assert serial_threads == [before] * len(serial)
+    assert threaded_threads == [before + 1] * len(threaded)
+    assert threading.active_count() == before
+
+
+def test_run_scenario_same_columns_serial_and_threaded():
+    cfg = preset(WIDE)
+    runs = [run_scenario(cfg).records, _in_thread(lambda: run_scenario(cfg).records)]
+    for name in runs[0].columns:
+        assert runs[0][name].tobytes() == runs[1][name].tobytes()
+
+
+@pytest.mark.parametrize(
+    "name, samples, cpus",
+    [(NARROW, SAMPLES, None), (WIDE, 256, None), (WIDE, SAMPLES, 1)],
+    ids=["one per-cell chunk", "one block", "one cpu"],
+)
+def test_no_thread_where_it_cannot_pay(monkeypatch, name, samples, cpus):
+    if cpus is not None:  # the process reports this many usable CPUs
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    before = threading.active_count()
+    plan = _plan(name, samples)
+    # the amplitude sink takes every chunk, the separable ones too
+    assert len(plan.chunks) >= 2
+    _, threads = _blocks(plan)
+    assert threads == [before] * len(threads)
+
+
+def test_a_wide_plan_starts_no_thread():
+    # two chunks of per-cell doublets on a grid of five blocks
+    before = threading.active_count()
+    plan = _plan(WIDE)
+    assert (len(plan.chunks), plan.kept_chunks) == (6, 2)
+    blocks, threads = _blocks(plan)
+    assert [b[0] for b in blocks] == list(range(0, SAMPLES, 256))
+    assert threads == [before] * len(blocks)
+    stream = plan.blocks(DensitySink(plan), AmplitudeSink(plan))
+    next(stream)
+    assert threading.active_count() == before
+    stream.close()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("block", [1, 2])
+def test_overflow_surfaces_in_block_order(block):
     errors = []
-    for cpus in (1, 2):
-        _cpus(monkeypatch, cpus)
+    for _ in range(2):  # two plans, one error message
         before = threading.active_count()
         plan = _plan(WIDE)
         sink = _OverflowFrom(plan, plan.times[block * 256 : block * 256 + 1][0])
         starts = []
         with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no numpy RuntimeWarning on any thread
+            warnings.simplefilter("error")  # no numpy RuntimeWarning
             with pytest.raises(PhysicsValidationError, match="not finite") as raised:
                 for start, (rho_ee, _, _) in plan.blocks(sink):
                     starts.append(start)
@@ -134,18 +140,15 @@ def test_overflow_surfaces_in_block_order(monkeypatch, block):
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_threads_sharing_one_plan_and_its_sinks_get_the_serial_blocks(monkeypatch, cpus):
-    # three threads iterate one plan into the same two sinks at once, each
-    # with work buffers of its own (with two CPUs also a helper of its own:
-    # six threads on fewer cores), switching as often as the interpreter
+@pytest.mark.parametrize("shared", [1, 2])  # the density sink alone, both sinks
+def test_threads_sharing_one_plan_and_its_sinks_get_the_serial_blocks(shared):
+    # three threads iterate one plan into the same sinks at once, each
+    # with work buffers of its own, switching as often as the interpreter
     # allows; a buffer or block shared between them would change some
     # block's bytes
-    _cpus(monkeypatch, 1)
     plan = _plan(WIDE)
-    sinks = (DensitySink(plan), AmplitudeSink(plan))
+    sinks = (DensitySink(plan), AmplitudeSink(plan))[:shared]
     serial, _ = _blocks(plan, sinks)
-    _cpus(monkeypatch, cpus)
     results = [None] * 3
 
     def run(i):
@@ -165,22 +168,11 @@ def test_threads_sharing_one_plan_and_its_sinks_get_the_serial_blocks(monkeypatc
     assert results == [serial] * 3
 
 
-def _in_thread(target):
-    """target() run on a thread of its own, which ends before this returns; its result."""
-    out = []
-    thread = threading.Thread(target=lambda: out.append(target()))
-    thread.start()
-    thread.join(timeout=120)
-    assert not thread.is_alive()
-    return out[0]
-
-
-@pytest.mark.parametrize("cpus", [1, 2])
-def test_runs_of_other_widths_on_one_thread_give_the_bytes_of_fresh_threads(monkeypatch, cpus):
+@pytest.mark.parametrize("threads", [1, 2])
+def test_runs_of_other_widths_on_one_thread_give_the_bytes_of_fresh_threads(threads):
     # narrow (768 x 30 cells of work buffers), wide (256 x 130), narrow
     # again: each run must give the bytes of a run on a thread of its own,
-    # while a second thread runs the same sequence at the same time
-    _cpus(monkeypatch, cpus)
+    # on one thread alone or on two threads running the sequence at once
 
     def narrow():
         plan = _plan(NARROW)
@@ -196,7 +188,9 @@ def test_runs_of_other_widths_on_one_thread_give_the_bytes_of_fresh_threads(monk
         return [run() for run in runs]
 
     results = []
-    callers = [threading.Thread(target=lambda: results.append(in_sequence())) for _ in "ab"]
+    callers = [
+        threading.Thread(target=lambda: results.append(in_sequence())) for _ in range(threads)
+    ]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -207,7 +201,7 @@ def test_runs_of_other_widths_on_one_thread_give_the_bytes_of_fresh_threads(monk
             assert not caller.is_alive()
     finally:
         sys.setswitchinterval(interval)
-    assert results == [fresh] * 2
+    assert results == [fresh] * threads
 
 
 def test_a_finished_run_keeps_no_plan():

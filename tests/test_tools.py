@@ -246,6 +246,28 @@ def test_bench_pairs_probes_the_suite_oracle_family():
     assert all(call["seconds"] > 0.0 and call["minflt"] >= 0 for call in calls)
 
 
+def test_bench_pairs_probes_the_preset_sweep():
+    # the 45 presets' run_scenario plus CSV emit, one pass, in a process of
+    # its own with this checkout's src
+    checkout = os.path.join(os.path.dirname(__file__), os.pardir)
+    (call,) = bench_pairs._probe(checkout, "sweep", "1")
+    assert (call["pass"], call["presets"]) == (0, 45)
+    assert call["seconds"] > 0.0 and call["cpu_s"] > 0.0 and call["maxrss_mib"] > 0.0
+
+
+def test_bench_pairs_refuses_checkout_paths_of_different_lengths(tmp_path, monkeypatch, capsys):
+    def never(*args):
+        raise AssertionError("nothing may run")
+
+    monkeypatch.setattr(bench_pairs, "_run_bench", never)
+    monkeypatch.setattr(bench_pairs, "_probe", never)
+    parent, change, out = tmp_path / "parent", tmp_path / "change_1", tmp_path / "bench.json"
+    assert bench_pairs.main([str(parent), str(change), str(out)]) == 2
+    assert not out.exists()
+    lengths = f"{len(str(parent))} and {len(str(change))} characters"
+    assert lengths in capsys.readouterr().err
+
+
 def test_package_exports_are_sorted_unique_and_resolve():
     names = djcm.__all__
     assert names == sorted(set(names))

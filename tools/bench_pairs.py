@@ -4,8 +4,11 @@
                                 [--metric wall_s]
 
 PARENT and CHANGE are djcm checkouts (each with ``src``, ``tests`` and
-``perfbench``); the parent is typically made with ``git archive``. The
-script records:
+``perfbench``); the parent is typically made with ``git archive``. Their
+absolute paths must be equally long: ``preset_sweep`` ``wall_s`` moves by
+about 1% with the length of the checkout's path alone, so the script
+exits 2, naming both lengths, before it runs anything when they differ.
+The script records:
 
 ``pairs``
     For the claimed workload (``--workload``, default ``long_grid_io``)
@@ -27,9 +30,12 @@ script records:
     minor page faults (``ru_minflt``) and the process's ``ru_maxrss``
     after it; the counter-rotating RK4 oracle on
     coherent_bare_identity's 2000-sample grid, seconds and minor faults
-    per call; and the acceptance suite's criterion-2 family, each of its
+    per call; the acceptance suite's criterion-2 family, each of its
     presets' ``evolve_ode_oracle`` plus ``closed_form_series`` on the
     window the suite picks, seconds and minor faults per preset and
+    pass; and the 45 presets' ``run_scenario`` plus CSV ``emit``, as
+    ``preset_sweep`` runs them, with seconds, process CPU (``ru_utime +
+    ru_stime``, all threads) and ``ru_maxrss`` per pass after a warm-up
     pass. ``--probe-runs`` processes per side and order.
 ``traced``
     One ``--trace 1`` run per checkout of the claimed workload at seed
@@ -56,8 +62,8 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 # Runs in a fresh process with a checkout's src on the path and the
 # checkout as its directory: argv[1] is "grid" with a comma-separated order
-# of operations, "oracle" with a call count or "suite" with a pass count;
-# prints one JSON object.
+# of operations, "oracle" with a call count, or "suite" or "sweep" with a
+# pass count; prints one JSON object.
 PROBE = r"""
 import contextlib, io, json, os, resource, sys, tempfile, time
 
@@ -110,6 +116,22 @@ elif kind == "suite":
             out.append({
                 "pass": i, "preset": name, "seconds": seconds,
                 "minflt": after.ru_minflt - before.ru_minflt,
+            })
+elif kind == "sweep":
+    from djcm import scenario
+    configs = [scenario.preset(name) for name in scenario.available_presets()]
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "sweep.csv")
+        for i in range(int(arg)):
+            before, start = usage(), time.perf_counter()
+            for cfg in configs:
+                result = scenario.run_scenario(cfg)
+                scenario.emit(result.records, "csv", path, result.metadata)
+            seconds, after = time.perf_counter() - start, usage()
+            cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+            out.append({
+                "pass": i, "presets": len(configs), "seconds": seconds, "cpu_s": cpu,
+                "maxrss_mib": after.ru_maxrss / 1024.0,
             })
 else:
     from djcm import dynamics, scenario
@@ -192,8 +214,8 @@ def _probe(checkout: str, kind: str, arg: str) -> list:
 
 
 def run_probes(sides: dict, runs: int) -> dict:
-    """Per side: the grid's operations in both orders, the counter-rotating oracle and the
-    suite's criterion-2 family."""
+    """Per side: the grid's operations in both orders, the counter-rotating oracle, the
+    suite's criterion-2 family and the 45-preset sweep."""
     out = {}
     for side, checkout in sides.items():
         grid = {}
@@ -205,8 +227,12 @@ def run_probes(sides: dict, runs: int) -> dict:
         suite = [
             [call for call in _probe(checkout, "suite", "4") if call["pass"]] for _ in range(runs)
         ]
+        sweep = [
+            [call for call in _probe(checkout, "sweep", "3") if call["pass"]] for _ in range(runs)
+        ]
         out[side] = {
-            "long_grid_ops": grid, "counter_rotating_oracle": oracle, "suite_oracle_family": suite
+            "long_grid_ops": grid, "counter_rotating_oracle": oracle,
+            "suite_oracle_family": suite, "preset_sweep": sweep,
         }
     return out
 
@@ -240,6 +266,11 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int, default=1941)
     args = parser.parse_args(argv)
     sides = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    lengths = [len(path) for path in sides.values()]
+    if lengths[0] != lengths[1]:
+        print(f"bench_pairs: the checkout paths are {lengths[0]} and {lengths[1]} characters "
+              "long; run both from paths of equal length", file=sys.stderr)
+        return 2
     seeds = [int(s) for s in args.seeds.split(",")]
 
     record = {
