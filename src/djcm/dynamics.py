@@ -1069,52 +1069,78 @@ class _PairBatch:
         ep = np.exp(1j * ((self.mu + self.Rn) * t))
         return half * (ep + e), half * (np.conj(e) + np.conj(ep))
 
-    def sweep(self, m: int):
+    def sweep(self, m):
         """(u, v): RK4-integrate the propagator over each pair's segment in m steps.
 
-        The coefficient matrix is [[0, a], [-conj(a), 0]] with
-        a = -i (alpha/2) s(t), where s = e = exp(-i (mu - Rn) t), plus
+        ``m`` is one step count for every pair, or one per pair in
+        ascending order. The coefficient matrix is [[0, a], [-conj(a), 0]]
+        with a = -i (alpha/2) s(t), where s = e = exp(-i (mu - Rn) t), plus
         c = exp(i (mu + Rn) t) with the counter-rotating terms. With a0, a1
         and a2 the coupling at the start, middle and end of a step, one
         classic RK4 step of this linear system, its four stages multiplied
         out, is the matrix [[p, q], [-conj(q), conj(p)]] (:func:`_rk4_step`),
         so the propagator keeps the form [[u, v], [-conj(v), conj(u)]] and
-        only (u, v) is carried and returned. With ``steps`` they are views of
-        those buffers, which the batch's next sweep overwrites.
+        only (u, v) is carried and returned. With ``steps`` and one step
+        count they are views of those buffers, which the batch's next sweep
+        overwrites.
 
         Rotating-wave form: with w = mu - Rn and D(t) = diag(exp(-i w t/2),
         exp(i w t/2)), a(t0 + s) is a(s) conjugated by D(t0), so the step
         at t_j is D(t_j) S0 D(t_j)^-1 with S0 the step at t = 0, and the m
         steps multiply out to D(t0 + dt) T^m D(t0)^-1 with T = D(-h) S0.
         T^m is taken by binary powering, about 2 log2(m) array products
-        instead of m steps (:meth:`_power_sweep`).
+        instead of m steps, in one powering for the whole batch
+        (:meth:`_power_sweep`).
 
         Counter-rotating form: the two rotation frequencies share no
-        frame, so the m steps are applied one by one (:meth:`_step_sweep`).
-        """
-        if self.counter_rotating:
-            return self._step_sweep(m)
-        return self._power_sweep(m)
+        frame, so the m steps are applied one by one (:meth:`_step_sweep`),
+        in one step loop per run of pairs with equal step counts.
 
-    def _power_sweep(self, m: int):
-        """(u, v) of the rotating-wave propagator as D(t0 + dt) T^m D(t0)^-1."""
+        Either way a pair's digits do not depend on the other pairs of the
+        batch or on their step counts.
+        """
+        if not self.counter_rotating:
+            return self._power_sweep(m)
+        runs = _equal_runs(np.broadcast_to(m, self.t0.shape))
+        if len(runs) == 1:
+            return self._step_sweep(runs[0][0])
+        u, v = np.empty((2, len(self.t0)), dtype=complex)
+        for steps, lo, hi in runs:
+            u[lo:hi], v[lo:hi] = self.take(slice(lo, hi))._step_sweep(steps)
+        return u, v
+
+    def _power_sweep(self, m):
+        """(u, v) of the rotating-wave propagator as D(t0 + dt) T^m D(t0)^-1.
+
+        Round j of the powering multiplies T^(2^j) into the pairs whose
+        digit j of m is 1, then squares it for the pairs with digits above
+        j: with m ascending those are a suffix of the batch, which shrinks
+        as the pairs' digits run out. Each pair gets the products, in the
+        order and with the operands, of a powering of its own m.
+        """
+        m = np.broadcast_to(m, self.dt.shape)
         h = self.dt / m
         w = self.mu - self.Rn
         half = np.exp(-0.5j * (w * h))  # s at the step's midpoint, t = h/2
         p, q = _rk4_step(_rk4_constants(0.5 * self.alpha * h), 1.0, half, half * half)
         # T = D(-h) S0 = [[a, b], [-conj(b), conj(a)]]; products of this
-        # form keep it, so only (a, b) is carried while squaring
+        # form keep it, so only (a, b) is carried while squaring. a and b
+        # hold the pairs from lo on.
         back = np.conj(half)
         a, b = back * p, back * q
         big_a, big_b = np.ones_like(a), np.zeros_like(b)
-        while m:
-            if m & 1:
-                big_a, big_b = (
-                    big_a * a - np.multiply(big_b, np.conj(b)),
-                    big_a * b + np.multiply(big_b, np.conj(a)),
+        lo = 0
+        for odd, rest in _binary_digits(_equal_runs(m)):
+            if odd is not None:
+                here = slice(odd.start - lo, odd.stop - lo) if isinstance(odd, slice) else odd - lo
+                a_o, b_o, x, y = a[here], b[here], big_a[odd], big_b[odd]
+                big_a[odd], big_b[odd] = (
+                    np.multiply(x, a_o) - np.multiply(y, np.conj(b_o)),
+                    np.multiply(x, b_o) + np.multiply(y, np.conj(a_o)),
                 )
-            a, b = a * a - (b.real * b.real + b.imag * b.imag), (2.0 * a.real) * b
-            m >>= 1
+            a, b, lo = a[rest - lo :], b[rest - lo :], rest
+            if len(a):
+                a, b = a * a - (b.real * b.real + b.imag * b.imag), (2.0 * a.real) * b
         u = np.multiply(big_a, np.exp(-0.5j * (w * self.dt)))
         v = np.multiply(big_b, np.exp(-0.5j * (w * (2.0 * self.t0 + self.dt))))
         return u, v
@@ -1176,6 +1202,40 @@ class _PairBatch:
         return u, v
 
 
+def _equal_runs(m):
+    """(value, first, end) of each run of equal entries of the integer array m."""
+    if not len(m):
+        return []
+    cuts = (np.flatnonzero(m[1:] != m[:-1]) + 1).tolist()
+    firsts = [0, *cuts]
+    return list(zip(m[firsts].tolist(), firsts, [*cuts, len(m)]))
+
+
+def _binary_digits(runs):
+    """(odd, rest) for each binary digit j of ascending step counts, lowest first.
+
+    ``runs`` are the counts' :func:`_equal_runs`. ``odd`` are the pairs
+    whose digit j is 1, as a slice, an index array or None, and ``rest``
+    is the first pair with a digit above j.
+    """
+    end = runs[-1][2] if runs else 0
+    for j in range(runs[-1][0].bit_length() if runs else 0):
+        spans = []
+        for value, first, stop in runs:
+            if value >> j & 1:
+                if spans and spans[-1][1] == first:
+                    spans[-1] = (spans[-1][0], stop)
+                else:
+                    spans.append((first, stop))
+        if not spans:
+            odd = None
+        elif len(spans) == 1:
+            odd = slice(*spans[0])
+        else:
+            odd = np.concatenate([np.arange(first, stop) for first, stop in spans])
+        yield odd, next((first for value, first, _ in runs if value >> (j + 1)), end)
+
+
 def _step_buffers(pairs: int):
     """Work rows of the counter-rotating step loop for up to ``pairs`` pairs.
 
@@ -1225,55 +1285,65 @@ def _rk4_step(constants, s0, s1, s2, work=None):
     return p, q
 
 
-def _refine_bucket(batch: _PairBatch, m0: int, tol: float, out, slots, pair_info):
+def _refine(batch: _PairBatch, m0, tol: float, out, pair_info):
     """Halve steps until two refinements agree below tol for every pair.
 
-    Agreement is measured on the doublet's amplitudes, i.e. the propagator
-    disagreement scaled by the amplitude entering the doublet, matching a
-    direct state integration. The finer sweep is accepted; for a
-    4th-order method its true error is about 1/15 of the observed
-    disagreement (Richardson), so accumulated error over the output grid
-    stays well under segments * tol.
+    ``m0`` holds each pair's first step count. Agreement is measured on
+    the doublet's amplitudes, i.e. the propagator disagreement scaled by
+    the amplitude entering the doublet, matching a direct state
+    integration. The finer sweep is accepted; for a 4th-order method its
+    true error is about 1/15 of the observed disagreement (Richardson), so
+    accumulated error over the output grid stays well under segments * tol.
 
-    Each sweep is evaluated in the form :meth:`_PairBatch.sweep` picks:
-    by matrix powers in the rotating-wave case (cost ~ log2 m per sweep),
-    step by step with the counter-rotating terms (cost ~ m). The steps
-    compared and accepted are the same either way.
+    The pairs are put in order of first step count, ties by position, and
+    every refinement level is one :meth:`_PairBatch.sweep` of the pairs
+    still open, each at its own step count: by matrix powers in the
+    rotating-wave case (cost ~ log2 m per sweep), step by step with the
+    counter-rotating terms (cost ~ m). A pair's steps and digits are those
+    of a refinement of it alone. A pair whose step count would pass 2^24
+    fails, and so do the pairs after it in that order, whose counts are no
+    smaller. The error names the first failing pair in that order, the one
+    that refining each first step count in turn, lowest first, would
+    name, once the pairs before it are done.
 
     Only (u, v) of each sweep is carried, and the coarse pair is copied
     out of the sweep's buffers before the finer sweep reuses them. The
     disagreement max(|u_f - u_c|, |v_f - v_c|) is that of all four
     entries, bit for bit: -conj(v) and conj(u) differ by negations and
     conjugations, which are exact and keep |z|. An accepted pair's four
-    rows (u, v, -conj v, conj u) are written to ``out`` once.
+    rows (u, v, -conj v, conj u) are written to column i of ``out``, for
+    the pair i of ``batch``, once.
     """
-    idx = np.arange(len(batch.t0))
-    m = m0
-    if 2 * m > 2**24:
-        n_bad, t_bad = pair_info(slots[0])
-        raise IntegrationFailureError(
-            n_bad, t_bad, "step count exceeded 2^24 per output segment"
-        )
-    u_c, v_c = (x.copy() for x in batch.sweep(m))
+    order = np.argsort(m0, kind="stable")
+    m = m0[order]  # the open pairs' coarse step counts, ascending
+    failed = None  # the first pair, in this order, whose steps would pass 2^24
+    u_c = v_c = None
     while True:
-        m *= 2
-        if m > 2**24:
-            n_bad, t_bad = pair_info(slots[idx[0]])
-            raise IntegrationFailureError(
-                n_bad, t_bad, "step count exceeded 2^24 per output segment"
-            )
-        sub = batch.take(idx) if len(idx) < len(batch.t0) else batch
+        # the finer sweep doubles m: a pair whose steps would pass 2^24
+        # fails, and so do the pairs after it, whose counts are no smaller
+        keep = int(np.searchsorted(m, 2**23, side="right"))
+        if keep < len(m):
+            failed = order[keep]
+        order, m = order[:keep], m[:keep]
+        if not keep:
+            break
+        sub = batch.take(order)
+        if u_c is None:
+            u_c, v_c = (x.copy() for x in sub.sweep(m))
+        u_c, v_c = u_c[:keep], v_c[:keep]
+        m = 2 * m
         u_f, v_f = sub.sweep(m)
         err = np.maximum(np.abs(u_f - u_c), np.abs(v_f - v_c))
         err *= sub.weight
         done = err <= tol
         if done.any():
-            u, v, at = u_f[done], v_f[done], slots[idx[done]]
+            u, v, at = u_f[done], v_f[done], order[done]
             out[0, at], out[1, at], out[2, at], out[3, at] = u, v, -np.conj(v), np.conj(u)
-        if done.all():
-            return
-        idx = idx[~done]
-        u_c, v_c = u_f[~done], v_f[~done]
+        still = ~done
+        order, m, u_c, v_c = order[still], m[still], u_f[still], v_f[still]
+    if failed is not None:
+        n_bad, t_bad = pair_info(failed)
+        raise IntegrationFailureError(n_bad, t_bad, "step count exceeded 2^24 per output segment")
 
 
 def _segment_groups(dt, counter_rotating):
@@ -1332,11 +1402,16 @@ def ode_oracle_blocks(
     v; with the counter-rotating terms every segment is integrated.
     Integration, phasing and chaining take at most ``_MAX_PAIRS``
     (segment, doublet) pairs at once, or one segment's doublets where
-    those are more, so the memory held is one block of rows, one batch
-    and the propagators of the lengths still to come in the block. A
-    batch's propagators and the counter-rotating step loop's buffers are
-    made once per run, for its largest batch, and reused by every batch;
-    only propagators a later batch still needs are copied out of them.
+    those are more. When the segments being chained meet a length not yet
+    integrated, the block's next lengths not yet integrated are integrated
+    together, as many as a batch holds, in one :func:`_refine`. So the
+    memory held is one block of rows and at most two batches of
+    propagators, the one being integrated and the earlier lengths the
+    block still uses, unless a length recurs after more than a batch of
+    newer lengths: then every length from it on is held. A batch's
+    propagators and the counter-rotating step loop's buffers are made
+    once per run, for its largest batch, and reused by every batch; only
+    propagators a later batch still needs are copied out of them.
     """
     grid = _oracle_grid(t_grid)
     # two refinements never agree within a NaN or a tol <= 0
@@ -1395,15 +1470,14 @@ def ode_oracle_blocks(
             g, di = divmod(int(slot), d_live)
             return int(active[live[di]]), float(t_end[g])
 
-        for m_init in np.unique(m0p):
-            slots = np.nonzero(m0p == m_init)[0]
-            _refine_bucket(batch.take(slots), int(m_init), tol, out, slots, pair_info)
+        _refine(batch, m0p, tol, out, pair_info)
         return out.reshape(4, n, d_live)
 
     def walk():
-        # buffers of the run's largest batch: a chunk's new segment lengths
-        # are at most seg_block, and at most a block's segments
-        pairs = d_live * min(seg_block, block_rows, len(grid) - 1)
+        # a batch's segment lengths: a chunk meets at most seg_block new
+        # ones, and at most a block's segments; the buffers hold one batch
+        lengths = min(seg_block, block_rows, len(grid) - 1)
+        pairs = d_live * lengths
         propagators = np.empty((4, pairs), dtype=complex)
         steps = _step_buffers(pairs) if include_counter_rotating else None
         X = c0[active[live]].astype(complex)
@@ -1432,9 +1506,10 @@ def ode_oracle_blocks(
                     held, lo = held[:, need[s0] - lo :], need[s0]
                     if not held.size:  # so that no view keeps old propagators alive
                         held = held.copy()
-                    # the first segments of the groups met first here
-                    new = lead[lo + held.shape[1] : group[s0:s1].max() + 1]
-                    if len(new):
+                    ahead = lo + held.shape[1]  # the first group not integrated
+                    if group[s0:s1].max() >= ahead:
+                        # the first segments of this and the next groups, a batch
+                        new = lead[ahead : ahead + lengths]
                         if np.may_share_memory(held, propagators):  # the next call overwrites
                             held = held.copy()
                         # rotating-wave groups integrate [-dt/2, dt/2], whose start phase is 1
@@ -1479,9 +1554,11 @@ def evolve_ode_oracle(
     for every doublet; doublets with no initial population are carried as
     exact zeros. The rotating-wave product of m RK4 steps is evaluated by
     binary powering of one step matrix, once per segment length and block
-    of rows; the counter-rotating form applies its m steps one at a time,
-    for every segment, so ``include_counter_rotating`` costs time
-    proportional to the step count (see :meth:`_PairBatch.sweep`).
+    of rows, and a refinement level of a batch of lengths and doublets is
+    one powering, each pair at its own step count; the counter-rotating
+    form applies its m steps one at a time, for every segment, in one step
+    loop per distinct step count, so ``include_counter_rotating`` costs
+    time proportional to the step count (see :meth:`_PairBatch.sweep`).
 
     Returns one :class:`AmplitudeState` per grid time: the blocks of
     :func:`ode_oracle_blocks`, concatenated.

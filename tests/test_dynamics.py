@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from djcm import dynamics
 from djcm.dynamics import (
     AmplitudeSink,
     AmplitudeState,
@@ -628,13 +629,19 @@ def test_uniform_step_rejects_other_grids():
 
 
 def _direct_exp_sweep(batch, m):
-    """Stage-by-stage RK4 over the 4-entry propagator, couplings by exp."""
+    """Stage-by-stage RK4 over the 4-entry propagator, couplings by exp.
+
+    ``m`` is one step count for all pairs or one per pair; each pair takes
+    its own m steps and then keeps its entries.
+    """
     p = len(batch.t0)
+    m = np.broadcast_to(m, (p,))
     m00, m11 = np.ones(p, dtype=complex), np.ones(p, dtype=complex)
     m01, m10 = np.zeros(p, dtype=complex), np.zeros(p, dtype=complex)
     h = batch.dt / m
     hh = 0.5 * h
-    for j in range(m):
+    for j in range(int(m.max(initial=0))):
+        stepping = j < m
         ta = batch.t0 + j * h
         a = batch.coupling(ta)
         b = batch.coupling(ta + hh)
@@ -647,7 +654,7 @@ def _direct_exp_sweep(batch, m):
         u = (m00 + h * k3[0], m01 + h * k3[1], m10 + h * k3[2], m11 + h * k3[3])
         k4 = (c[0] * u[2], c[0] * u[3], c[1] * u[0], c[1] * u[1])
         m00, m01, m10, m11 = (
-            entry + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4)
+            np.where(stepping, entry + h / 6.0 * (q1 + 2.0 * (q2 + q3) + q4), entry)
             for entry, q1, q2, q3, q4 in zip((m00, m01, m10, m11), k1, k2, k3, k4)
         )
     return np.stack([m00, m01, m10, m11])
@@ -719,7 +726,7 @@ def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):
         calls, entries = [], []
 
         def recorded(batch, m):
-            calls.append((m, len(batch.t0)))
+            calls.append((np.broadcast_to(m, len(batch.t0)).tolist(), len(batch.t0)))
             entries.append(four_entries(batch, m))
             return entries[-1][:2]  # the oracle builds -conj v and conj u itself
 
@@ -745,7 +752,8 @@ def _pairs_per_block(monkeypatch, cfg, times, counter_rotating):
     sweep = _PairBatch.sweep
 
     def recorded(batch, m):
-        calls.extend((pair, m) for pair in zip(batch.t0, batch.dt, batch.alpha))
+        steps = np.broadcast_to(m, len(batch.t0)).tolist()
+        calls.extend(zip(zip(batch.t0, batch.dt, batch.alpha), steps))
         return sweep(batch, m)
 
     monkeypatch.setattr(_PairBatch, "sweep", recorded)
@@ -807,3 +815,139 @@ def test_segments_of_distinct_lengths_are_integrated_one_by_one(monkeypatch):
         _, dt = _segments(times, block)
         assert sum(pairs.values()) == len(dt) * live
         assert {d for _, d, _ in pairs} == set(dt)
+
+
+@pytest.mark.parametrize("counter_rotating", [False, True])
+def test_sweep_with_a_step_count_per_pair_is_each_count_swept_alone(counter_rotating):
+    # 2 to 2^12 steps, ascending; 3, 5 and 1000 have digits that other
+    # counts lack, so a powering round multiplies into pairs that are not
+    # side by side. Each group swept alone with its one count gives the
+    # same bytes, pair by pair.
+    params = ModelParams(k=2, gamma=1.0, mu=0.7, detuning=0.3, beta1=0.05, beta2=0.08)
+    co = CoefficientTable(params, F_SQ, 12)
+    n = len(co.alpha)
+    counts = [2, 3, 4, 5, 64, 1000, 4096]
+    per_pair = np.repeat(counts, n)
+    pairs = len(per_pair)
+    batch = _PairBatch(
+        np.linspace(0.0, 2.0, pairs), np.full(pairs, 0.5), np.tile(co.alpha, len(counts)),
+        np.tile(co.Rn, len(counts)), np.ones(pairs), params.mu, counter_rotating,
+    )
+    whole = np.stack(batch.sweep(per_pair))
+    for i, m in enumerate(counts):
+        group = np.arange(i * n, (i + 1) * n)
+        alone = np.stack(batch.take(group).sweep(m))
+        assert alone.tobytes() == whole[:, group].tobytes()
+
+
+def _suite_window(name):
+    """(config, distribution, grid) of the acceptance suite's oracle window for a preset."""
+    import test_acceptance as suite
+
+    cfg = preset(name)
+    window, dist = suite.choose_oracle_window(cfg)
+    return cfg, dist, np.linspace(0.0, window, suite.ORACLE_SEGMENTS + 1), suite.ORACLE_TOL
+
+
+def test_thermal_suite_window_takes_one_power_sweep_per_refinement_level(monkeypatch):
+    # 7 segment lengths of about 700 live doublets: two batches, the whole
+    # batch at each refinement level in one binary powering
+    cfg, dist, grid, tol = _suite_window("thermal_bare_sqrt_n_k2")
+    sweeps, batches = [], []
+    power_sweep, refine = _PairBatch._power_sweep, dynamics._refine
+
+    def counted_sweep(batch, m):
+        sweeps.append(len(batch.t0))
+        return power_sweep(batch, m)
+
+    def counted_refine(batch, m0, *args):
+        batches.append(len(batch.t0))
+        return refine(batch, m0, *args)
+
+    monkeypatch.setattr(_PairBatch, "_power_sweep", counted_sweep)
+    monkeypatch.setattr(dynamics, "_refine", counted_refine)
+    evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, grid, tol=tol)
+    assert len(set(np.diff(grid))) == 7
+    assert len(batches) == 2
+    assert len(sweeps) <= 14
+
+
+def test_each_pair_accepts_the_step_count_of_its_own_refinement(monkeypatch):
+    # every pair's sweeps are its first count, doubled until a count agrees
+    # with the one before it within tol, and that count is where the pair
+    # refined alone stops
+    cfg, dist, grid, tol = _suite_window("coherent_bare_sqrt_n_k2")
+    swept = {}
+    sweep = _PairBatch.sweep
+
+    def recorded(batch, m):
+        for i, steps in enumerate(np.broadcast_to(m, len(batch.t0)).tolist()):
+            key = (batch.t0[i], batch.dt[i], batch.alpha[i])
+            swept.setdefault(key, (batch.take(np.array([i])), []))[1].append(steps)
+        return sweep(batch, m)
+
+    monkeypatch.setattr(_PairBatch, "sweep", recorded)
+    evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, grid, tol=tol)
+    monkeypatch.setattr(_PairBatch, "sweep", sweep)
+    assert len(swept) == len(set(np.diff(grid))) * _live_doublets(cfg)
+    for one, counts in swept.values():
+        m = counts[0]
+        u_c, v_c = (x.copy() for x in one.sweep(m))
+        while True:
+            m *= 2
+            u_f, v_f = one.sweep(m)
+            if np.maximum(np.abs(u_f - u_c), np.abs(v_f - v_c)) * one.weight <= tol:
+                break
+            u_c, v_c = u_f.copy(), v_f.copy()
+        assert counts == [counts[0] << j for j in range(len(counts))]
+        assert counts[-1] == m
+
+
+# every segment length distinct
+_GEOMETRIC = 0.01 * (1.01 ** np.arange(300) - 1.0)
+# each length twice in a row, so that a chunk of two segments meets one new
+# length; in multiples of 2^-12, so that the sums are exact
+_PAIRED = np.concatenate([[0.0], np.cumsum(np.repeat(np.arange(1, 151) * 2.0**-12, 2))])
+
+
+@pytest.mark.parametrize("times", [_GEOMETRIC, _PAIRED], ids=["geometric", "paired"])
+def test_a_block_integrates_its_next_lengths_together_within_the_buffers(monkeypatch, times):
+    # more distinct lengths per block than one batch holds: each batch takes
+    # the next lengths not yet integrated, as many as the buffers hold, each
+    # length once per block, and the blocks are those of an uncapped run
+    cfg = preset("coherent_bare_identity")
+    dist = cfg.build_distribution()
+    live = _live_doublets(cfg)
+    batches, per_block = [], []
+
+    def blocks():
+        out = []
+        for excited, ground in ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, times):
+            out.append(excited.tobytes() + ground.tobytes())
+            per_block.append(batches[:])  # a block is integrated when it is drawn
+            batches.clear()
+        return out
+
+    monkeypatch.setattr(dynamics, "_MAX_PAIRS", 10**7)
+    uncapped = blocks()
+    per_block.clear()
+    monkeypatch.setattr(dynamics, "_MAX_PAIRS", 2 * live)
+    refine = dynamics._refine
+
+    def recorded(batch, m0, tol, out, pair_info):
+        batches.append((len(batch.t0), out.shape[1], out.base.shape[1]))
+        return refine(batch, m0, tol, out, pair_info)
+
+    monkeypatch.setattr(dynamics, "_refine", recorded)
+    assert blocks() == uncapped
+    assert len(per_block) == 2
+    for block, widths in enumerate(per_block):
+        # two lengths a batch, the block's last batch the rest, in the buffers
+        assert all(n == fits <= buffer == 2 * live for n, fits, buffer in widths)
+        count = len(set(_segments(times, block)[1]))
+        assert [n for n, _, _ in widths] == [2 * live] * (count // 2) + [live] * (count % 2)
+    for block, pairs in enumerate(_pairs_per_block(monkeypatch, cfg, times, False)):
+        _, dt = _segments(times, block)
+        assert len(set(dt)) > 2
+        assert len(pairs) == len(set(dt)) * live
+        assert set(pairs.values()) == {1}

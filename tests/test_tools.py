@@ -234,6 +234,58 @@ def test_bench_pairs_records_the_claimed_metric(tmp_path, monkeypatch, capsys, f
     assert lines == [pair.format(i) for i in (0, 1)]
 
 
+def test_bench_pairs_alternates_the_probe_sides(monkeypatch):
+    # each probe's runs take turns which side goes first, as the pairs do,
+    # so that neither side always runs on a machine the other warmed
+    calls = []
+
+    def probe(checkout, kind, arg):
+        calls.append((kind, arg, checkout))
+        return [{"pass": 0}, {"pass": 1}, {"pass": 1}] if kind in ("suite", "sweep") else []
+
+    monkeypatch.setattr(bench_pairs, "_probe", probe)
+    out = bench_pairs.run_probes({"parent": "p", "change": "c"}, 3)
+    probes = [("grid", "csv,json,revivals"), ("grid", "json,csv,revivals"), ("oracle", "12"),
+              ("suite", "4"), ("sweep", "3")]
+    assert [(kind, arg) for kind, arg, _ in calls] == [p for p in probes for _ in range(6)]
+    for i in range(0, len(calls), 6):
+        assert [side for *_, side in calls[i : i + 6]] == ["p", "c", "c", "p", "p", "c"]
+    for side in out.values():
+        assert [len(runs) for runs in side["long_grid_ops"].values()] == [3, 3]
+        assert len(side["counter_rotating_oracle"]) == 3
+        assert side["suite_oracle_family"] == [[{"pass": 1}, {"pass": 1}]] * 3
+        assert len(side["preset_sweep"]) == 3
+
+
+def test_bench_pairs_records_per_operation_medians(tmp_path, monkeypatch):
+    # from each run's report: per pass the suite's operations summed and each
+    # CLI operation alone, their medians per run, then per side and seed
+    def report(suite, cli):
+        ops = [{"id": "suite:a", "seconds": suite / 2}, {"id": "suite:b", "seconds": suite / 2},
+               {"id": "cli:oracle", "seconds": cli}]
+        return {"ops": ops}
+
+    runs = {"untraced": [report(0.1, 0.3), report(0.2, 0.1), report(0.6, 0.2)], "traced": []}
+    assert bench_pairs._op_medians(runs) == pytest.approx({"suite": 0.2, "cli:oracle": 0.2})
+
+    def run_bench(checkout, workload, seed, seconds, trace):
+        suite = 0.1 if checkout.endswith("change") else 0.13
+        metrics = {name: {"value": 1.0} for name in bench_pairs.END_TO_END}
+        ops = {"suite": suite + 0.01 * seed, "cli:oracle": 0.16}
+        return {"metrics": metrics, "failed": 0, "attempted": 9, "correct": True, "ops": ops}
+
+    monkeypatch.setattr(bench_pairs, "_run_bench", run_bench)
+    out = tmp_path / "bench.json"
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), str(out), "--seeds", "1,2"]
+    argv += ["--pairs", "2", "--checks", "", "--probe-runs", "0"]
+    assert bench_pairs.main(argv) == 0
+    record = json.loads(out.read_text())
+    for seed in (1, 2):
+        ops = record["pairs"][str(seed)]["summary"]["ops"]
+        assert ops["parent"] == pytest.approx({"suite": 0.13 + 0.01 * seed, "cli:oracle": 0.16})
+        assert ops["change"] == pytest.approx({"suite": 0.1 + 0.01 * seed, "cli:oracle": 0.16})
+
+
 def test_bench_pairs_probes_the_suite_oracle_family():
     # the acceptance suite's 12 criterion-2 presets, pass by pass, in a
     # process of their own with this checkout's src

@@ -19,7 +19,12 @@ The script records:
     first. For each seed and each end-to-end metric: the pairs the change
     wins, the medians and the parent's interquartile range. The claimed
     metric (``--metric``, default ``wall_s``) names the record's
-    ``claim`` and is the one printed per pair.
+    ``claim`` and is the one printed per pair. Each run also reads its
+    ``.perfbench`` report for the median seconds, over its passes, of
+    the suite operations summed (``suite``), of the preset sweep's
+    operations summed (``sweep``) and of each CLI operation (``cli:...``);
+    each seed's summary holds their medians per side (``ops``), which
+    show when one operation gains and another loses.
 ``checks``
     ``--check-pairs`` such pairs on each workload of ``--checks``, from
     seed ``--check-seed`` on, the metrics that must not move.
@@ -36,7 +41,8 @@ The script records:
     pass; and the 45 presets' ``run_scenario`` plus CSV ``emit``, as
     ``preset_sweep`` runs them, with seconds, process CPU (``ru_utime +
     ru_stime``, all threads) and ``ru_maxrss`` per pass after a warm-up
-    pass. ``--probe-runs`` processes per side and order.
+    pass. ``--probe-runs`` processes per side and order, the first side
+    alternating from run to run, as in the pairs.
 ``traced``
     One ``--trace 1`` run per checkout of the claimed workload at seed
     ``--trace-seed``: its per-layer metrics (``emit.csv.busy_s``,
@@ -150,12 +156,32 @@ print(json.dumps(out))
 
 
 def _run_bench(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The run's last line, with ``ops``: its operations' medians (:func:`_op_medians`)."""
     argv = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    report = os.path.join(checkout, ".perfbench", f"{workload}-seed{seed}-trace{trace}.json")
+    with open(report, encoding="utf-8") as handle:
+        result["ops"] = _op_medians(json.load(handle)["runs"])
+    return result
+
+
+def _op_medians(runs: dict) -> dict:
+    """Median seconds over a report's untraced passes: per CLI operation, and summed
+    over the suite's operations (``suite``) and over the preset sweep's (``sweep``)."""
+    passes = []
+    for result in runs["untraced"]:
+        seconds = {}
+        for op in result["ops"]:
+            kind = op["id"].split(":", 1)[0]
+            key = op["id"] if kind == "cli" else kind
+            seconds[key] = seconds.get(key, 0.0) + op["seconds"]
+        passes.append(seconds)
+    keys = sorted({key for seconds in passes for key in seconds})
+    return {key: statistics.median(p[key] for p in passes if key in p) for key in keys}
 
 
 def _metrics(result: dict) -> dict:
@@ -182,7 +208,8 @@ def run_pairs(
             for side in order:
                 result = _run_bench(sides[side], workload, seed, seconds, 0)
                 row[side] = {**_metrics(result), "failed": result["failed"],
-                             "attempted": result["attempted"], "correct": result["correct"]}
+                             "attempted": result["attempted"], "correct": result["correct"],
+                             "ops": result.get("ops", {})}
             rows.append(row)
             print(f"{workload} seed {seed} pair {i} {metric}: parent "
                   f"{row['parent'][metric]:.4f}, change {row['change'][metric]:.4f}",
@@ -201,6 +228,13 @@ def summarize(rows: list) -> dict:
         entry["median_gap"] = entry["parent"]["median"] - entry["change"]["median"]
         out[metric] = entry
     out["failed"] = sum(r[side]["failed"] for r in rows for side in ("parent", "change"))
+    out["ops"] = {}
+    for side in ("parent", "change"):
+        runs = [r[side].get("ops", {}) for r in rows]
+        keys = sorted({key for ops in runs for key in ops})
+        out["ops"][side] = {
+            key: statistics.median(ops[key] for ops in runs if key in ops) for key in keys
+        }
     return out
 
 
@@ -213,27 +247,35 @@ def _probe(checkout: str, kind: str, arg: str) -> list:
     return json.loads(done.stdout)
 
 
+def _in_turn(sides: dict, runs: int):
+    """(side, checkout) for ``runs`` runs of each side, the first side alternating."""
+    for i in range(runs):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            yield side, sides[side]
+
+
 def run_probes(sides: dict, runs: int) -> dict:
     """Per side: the grid's operations in both orders, the counter-rotating oracle, the
-    suite's criterion-2 family and the 45-preset sweep."""
-    out = {}
-    for side, checkout in sides.items():
-        grid = {}
-        for order in ("csv,json,revivals", "json,csv,revivals"):
-            grid[order] = [_probe(checkout, "grid", order) for _ in range(runs)]
-        # two warm-up calls, then the calls measured
-        oracle = [_probe(checkout, "oracle", "12")[2:] for _ in range(runs)]
-        # a warm-up pass, then the passes measured
-        suite = [
-            [call for call in _probe(checkout, "suite", "4") if call["pass"]] for _ in range(runs)
-        ]
-        sweep = [
-            [call for call in _probe(checkout, "sweep", "3") if call["pass"]] for _ in range(runs)
-        ]
-        out[side] = {
-            "long_grid_ops": grid, "counter_rotating_oracle": oracle,
-            "suite_oracle_family": suite, "preset_sweep": sweep,
+    suite's criterion-2 family and the 45-preset sweep, each probe's runs in turn."""
+    grid_orders = ("csv,json,revivals", "json,csv,revivals")
+    out = {
+        side: {
+            "long_grid_ops": {order: [] for order in grid_orders}, "counter_rotating_oracle": [],
+            "suite_oracle_family": [], "preset_sweep": [],
         }
+        for side in sides
+    }
+    for order in grid_orders:
+        for side, checkout in _in_turn(sides, runs):
+            out[side]["long_grid_ops"][order].append(_probe(checkout, "grid", order))
+    for side, checkout in _in_turn(sides, runs):
+        # two warm-up calls, then the calls measured
+        out[side]["counter_rotating_oracle"].append(_probe(checkout, "oracle", "12")[2:])
+    # a warm-up pass, then the passes measured
+    for kind, key, passes in (("suite", "suite_oracle_family", "4"), ("sweep", "preset_sweep", "3")):
+        for side, checkout in _in_turn(sides, runs):
+            calls = _probe(checkout, kind, passes)
+            out[side][key].append([call for call in calls if call["pass"]])
     return out
 
 
