@@ -6,12 +6,6 @@ Kerr and Stark terms, and reports atomic inversion and entropy-squeezing
 time series for coherent, squeezed-vacuum and thermal initial fields.
 """
 
-from .dynamics import (
-    AmplitudeState,
-    ModelParams,
-    evolve_ode_oracle,
-    max_amplitude_deviation,
-)
 from .errors import (
     ConfigError,
     IntegrationFailureError,
@@ -31,6 +25,7 @@ from .field_states import (
     thermal_distribution,
     thermal_nbar_from_temperature,
 )
+from .model import ModelParams
 from .nonlinearity import Nonlinearity
 from .observables import (
     ObservableRecord,
@@ -38,6 +33,7 @@ from .observables import (
     ReducedAtomDensity,
     atomic_inversion_closed,
 )
+from .oracle import AmplitudeState, evolve_ode_oracle, max_amplitude_deviation
 from .scenario import (
     ScenarioConfig,
     ScenarioResult,

@@ -96,6 +96,8 @@ def _simulate(args) -> int:
             user_doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {args.config!r}: {exc}") from exc
+        if not isinstance(user_doc, dict):
+            raise ConfigError("scenario document must be a JSON object")
         doc = merge_config(doc, user_doc) if doc else user_doc
 
     if args.output:

@@ -4,7 +4,7 @@ Coherent, squeezed-vacuum and thermal fields are all parameterized by the
 mean photon number nbar (|alpha|^2 = nbar, sinh^2 r = nbar, and the
 Bose-Einstein occupation respectively). Only their populations rho_nn(0)
 are built here; the dynamics starts the field in the pure state
-sum_n sqrt(rho_nn(0)) |n> (dynamics.initial_excited_amplitudes), which is
+sum_n sqrt(rho_nn(0)) |n> (model.initial_excited_amplitudes), which is
 the coherent state for a real alpha but neither the squeezed vacuum's
 signs nor the thermal mixture (see the README). Weights are
 evaluated in log space: (2n)!/(2^n n!)^2 at n ~ 50 and Poisson terms at

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoefficientTable, ModelParams, _sin_over_omega
 from .errors import NumericalConsistencyError
 from .field_states import PhotonDistribution
+from .model import CoefficientTable, ModelParams, _sin_over_omega
 from .nonlinearity import Nonlinearity
 
 PROB_SLACK = 1e-9

@@ -4,7 +4,7 @@ A scenario document is JSON with the sections below; unknown keys are
 rejected anywhere in the tree. Every value has a default except the
 field mean photon number (or temperature+frequency for thermal fields).
 The params keys, their defaults and their order are the fields of
-:class:`~djcm.dynamics.ModelParams`.
+:class:`~djcm.model.ModelParams`.
 
     {
       "params":       {"k", "gamma", "mu", "detuning", "chi",
@@ -36,23 +36,17 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import field_states
-from .dynamics import (
-    _MAX_BLOCK_ROWS,
-    AmplitudeSink,
-    ClosedFormPlan,
-    DensitySink,
-    ModelParams,
-    UniformGrid,
-    ode_oracle_blocks,
-)
+from .dynamics import _MAX_BLOCK_ROWS, AmplitudeSink, ClosedFormPlan, DensitySink
 from .errors import (
     ConfigError,
     InvalidParameterError,
     OutputError,
     PresetLookupError,
 )
+from .model import ModelParams, UniformGrid
 from .nonlinearity import Nonlinearity
 from .observables import CSV_COLUMNS, ObservableSeries, series_from_density
+from .oracle import ode_oracle_blocks
 from .shortest import RowLayout, Workspace
 
 ORACLE_DEVIATION_LIMIT = 1e-6
@@ -375,7 +369,7 @@ class ScenarioStream:
     chunk evaluation also feeds an amplitude sink, whose n_cut + 1 columns
     count towards the block length, and each block is compared with the
     matching block of the RK4 integration, drawn in blocks of the same
-    rows (:func:`~djcm.dynamics.ode_oracle_blocks`), as soon as both
+    rows (:func:`~djcm.oracle.ode_oracle_blocks`), as soon as both
     exist. The stream keeps only the running maximum amplitude deviation of each
     option; once the last block is out ``metadata["resolved"]`` holds it
     as ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.

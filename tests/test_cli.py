@@ -159,6 +159,20 @@ def test_validation_errors_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", write_config(tmp_path, CHEAP)]) == 2
 
 
+@pytest.mark.parametrize("doc", [[1, 2], "abc", None, 3], ids=["list", "string", "null", "number"])
+@pytest.mark.parametrize(
+    "flags", [[], ["--preset", "coherent_bare_identity"], ["--output", "x.csv"]],
+    ids=["alone", "preset", "output"],
+)
+def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, monkeypatch, capsys, doc, flags):
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", write_config(tmp_path, doc), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario document must be a JSON object")
+    assert "Traceback" not in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 @pytest.mark.parametrize(
     "override",
     [

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from djcm import dynamics
+from djcm import oracle
 from djcm.dynamics import (
     AmplitudeSink,
     AmplitudeState,
@@ -15,12 +15,10 @@ from djcm.dynamics import (
     UniformGrid,
     _BLOCK_ROWS,
     _DOUBLET_CHUNK,
-    _PairBatch,
     _Scratch,
     _uniform_step,
     closed_form_series,
     evolve_ode_oracle,
-    initial_excited_amplitudes,
     max_amplitude_deviation,
     ode_oracle_blocks,
 )
@@ -34,7 +32,9 @@ from djcm.field_states import (
     squeezed_distribution,
     thermal_distribution,
 )
+from djcm.model import initial_excited_amplitudes
 from djcm.nonlinearity import Nonlinearity
+from djcm.oracle import _PairBatch
 from djcm.scenario import preset
 
 F_ID = Nonlinearity.identity()
@@ -854,7 +854,7 @@ def test_thermal_suite_window_takes_one_power_sweep_per_refinement_level(monkeyp
     # batch at each refinement level in one binary powering
     cfg, dist, grid, tol = _suite_window("thermal_bare_sqrt_n_k2")
     sweeps, batches = [], []
-    power_sweep, refine = _PairBatch._power_sweep, dynamics._refine
+    power_sweep, refine = _PairBatch._power_sweep, oracle._refine
 
     def counted_sweep(batch, m):
         sweeps.append(len(batch.t0))
@@ -865,7 +865,7 @@ def test_thermal_suite_window_takes_one_power_sweep_per_refinement_level(monkeyp
         return refine(batch, m0, *args)
 
     monkeypatch.setattr(_PairBatch, "_power_sweep", counted_sweep)
-    monkeypatch.setattr(dynamics, "_refine", counted_refine)
+    monkeypatch.setattr(oracle, "_refine", counted_refine)
     evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, grid, tol=tol)
     assert len(set(np.diff(grid))) == 7
     assert len(batches) == 2
@@ -928,17 +928,17 @@ def test_a_block_integrates_its_next_lengths_together_within_the_buffers(monkeyp
             batches.clear()
         return out
 
-    monkeypatch.setattr(dynamics, "_MAX_PAIRS", 10**7)
+    monkeypatch.setattr(oracle, "_MAX_PAIRS", 10**7)
     uncapped = blocks()
     per_block.clear()
-    monkeypatch.setattr(dynamics, "_MAX_PAIRS", 2 * live)
-    refine = dynamics._refine
+    monkeypatch.setattr(oracle, "_MAX_PAIRS", 2 * live)
+    refine = oracle._refine
 
     def recorded(batch, m0, tol, out, pair_info):
         batches.append((len(batch.t0), out.shape[1], out.base.shape[1]))
         return refine(batch, m0, tol, out, pair_info)
 
-    monkeypatch.setattr(dynamics, "_refine", recorded)
+    monkeypatch.setattr(oracle, "_refine", recorded)
     assert blocks() == uncapped
     assert len(per_block) == 2
     for block, widths in enumerate(per_block):

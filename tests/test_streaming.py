@@ -16,7 +16,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from djcm import cli, dynamics, scenario
+from djcm import cli, scenario
+from djcm import oracle as oracle_module
 from djcm.dynamics import (
     _BLOCK_ROWS,
     AmplitudeSink,
@@ -154,7 +155,7 @@ def test_oracle_batches_do_not_change_the_integration(monkeypatch):
         times = cfg.grid()[:]
         runs = []
         for cap in (1, 4096, 10**7):
-            monkeypatch.setattr(dynamics, "_MAX_PAIRS", cap)
+            monkeypatch.setattr(oracle_module, "_MAX_PAIRS", cap)
             runs.append(
                 evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, counter_rotating)
             )
@@ -176,11 +177,11 @@ def test_oracle_runs_leave_nothing_in_their_buffers(monkeypatch):
         return [b"".join(s.excited.tobytes() + s.ground.tobytes() for s in run) for run in runs]
 
     before = both()
-    cap = dynamics._MAX_PAIRS
+    cap = oracle_module._MAX_PAIRS
     for other in (1, 10**7):
-        monkeypatch.setattr(dynamics, "_MAX_PAIRS", other)
+        monkeypatch.setattr(oracle_module, "_MAX_PAIRS", other)
         both()
-    monkeypatch.setattr(dynamics, "_MAX_PAIRS", cap)
+    monkeypatch.setattr(oracle_module, "_MAX_PAIRS", cap)
     assert both() == before
 
 
@@ -205,7 +206,7 @@ def test_a_one_block_grid_is_its_block_and_the_stacked_blocks(monkeypatch):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + others)
     monkeypatch.setattr(ClosedFormPlan, "block_rows", lambda self, *sinks: 16)
     monkeypatch.setattr(
-        dynamics, "ode_oracle_blocks", functools.partial(ode_oracle_blocks, block_rows=8)
+        oracle_module, "ode_oracle_blocks", functools.partial(ode_oracle_blocks, block_rows=8)
     )
     _, *stacked = series()
     for one, many in zip(first, stacked):

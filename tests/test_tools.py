@@ -286,6 +286,40 @@ def test_bench_pairs_records_per_operation_medians(tmp_path, monkeypatch):
         assert ops["change"] == pytest.approx({"suite": 0.1 + 0.01 * seed, "cli:oracle": 0.16})
 
 
+def test_bench_pairs_says_which_probes_separate_the_sides():
+    # synthetic runs: the csv operation differs by more than the parent's
+    # spread, the json operation by less; the suite and the sweep sum their
+    # calls per pass, the oracle takes each call
+    def side(csv, json_s, oracle, suite, sweep):
+        grid = [[{"op": "csv", "seconds": c}, {"op": "json", "seconds": j}]
+                for c, j in zip(csv, json_s)]
+        return {
+            "long_grid_ops": {"csv,json": grid},
+            "counter_rotating_oracle": [[{"seconds": s} for s in oracle]],
+            "suite_oracle_family": [[{"pass": 1, "seconds": s / 2}] * 2 for s in suite],
+            "preset_sweep": [[{"pass": p, "seconds": s} for p, s in enumerate(sweep)]],
+        }
+
+    parent = side([1.0, 1.1, 1.2], [1.0, 1.4, 1.8], [0.1, 0.1, 0.1], [0.5, 0.6, 0.7], [])
+    change = side([0.6, 0.7, 0.8], [1.2, 1.3, 1.2], [0.1, 0.1, 0.1], [0.2, 0.3, 0.4], [2.0])
+    summary = bench_pairs.summarize_probes({"parent": parent, "change": change})
+    assert set(summary) == {
+        "long_grid_ops csv,json csv", "long_grid_ops csv,json json",
+        "counter_rotating_oracle", "suite_oracle_family",
+    }
+    csv = summary["long_grid_ops csv,json csv"]
+    assert csv["parent"]["median"] == pytest.approx(1.1)
+    assert csv["change"]["median"] == pytest.approx(0.7)
+    assert csv["parent"]["iqr"] == pytest.approx(0.2)
+    assert csv["median_gap"] == pytest.approx(0.4) and csv["resolved"]
+    json_op = summary["long_grid_ops csv,json json"]
+    assert json_op["median_gap"] == pytest.approx(0.2) and not json_op["resolved"]
+    assert summary["counter_rotating_oracle"]["median_gap"] == 0.0
+    assert not summary["counter_rotating_oracle"]["resolved"]  # no gap, no spread
+    suite = summary["suite_oracle_family"]
+    assert suite["parent"]["median"] == pytest.approx(0.6) and suite["resolved"]
+
+
 def test_bench_pairs_probes_the_suite_oracle_family():
     # the acceptance suite's 12 criterion-2 presets, pass by pass, in a
     # process of their own with this checkout's src

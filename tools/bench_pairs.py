@@ -43,6 +43,12 @@ The script records:
     ru_stime``, all threads) and ``ru_maxrss`` per pass after a warm-up
     pass. ``--probe-runs`` processes per side and order, the first side
     alternating from run to run, as in the pairs.
+``probe_summary``
+    Per probe timing (each long-grid operation per order, an oracle call,
+    a pass of the suite family, a pass of the sweep): each side's median
+    and interquartile range of its seconds, the gap of the medians and
+    ``resolved``, true only when that gap exceeds the parent's IQR. The
+    pairs' summaries carry ``resolved`` for each end-to-end metric too.
 ``traced``
     One ``--trace 1`` run per checkout of the claimed workload at seed
     ``--trace-seed``: its per-layer metrics (``emit.csv.busy_s``,
@@ -193,6 +199,14 @@ def _quartiles(values):
     return {"q1": q1, "median": statistics.median(values), "q3": q3, "iqr": q3 - q1}
 
 
+def _gap(entry: dict) -> dict:
+    """``entry`` with ``median_gap`` (parent less change) and ``resolved``: the gap
+    exceeds the parent's IQR, so the runs can tell the two sides apart."""
+    entry["median_gap"] = entry["parent"]["median"] - entry["change"]["median"]
+    entry["resolved"] = abs(entry["median_gap"]) > entry["parent"]["iqr"]
+    return entry
+
+
 def run_pairs(
     sides: dict, workload: str, seeds, count: int, seconds: float, metric: str = "wall_s"
 ) -> list:
@@ -225,8 +239,7 @@ def summarize(rows: list) -> dict:
         change = [r["change"][metric] for r in rows]
         entry = {"parent": _quartiles(parent), "change": _quartiles(change)}
         entry["change_lower"] = sum(c < p for p, c in zip(parent, change))
-        entry["median_gap"] = entry["parent"]["median"] - entry["change"]["median"]
-        out[metric] = entry
+        out[metric] = _gap(entry)
     out["failed"] = sum(r[side]["failed"] for r in rows for side in ("parent", "change"))
     out["ops"] = {}
     for side in ("parent", "change"):
@@ -276,6 +289,39 @@ def run_probes(sides: dict, runs: int) -> dict:
         for side, checkout in _in_turn(sides, runs):
             calls = _probe(checkout, kind, passes)
             out[side][key].append([call for call in calls if call["pass"]])
+    return out
+
+
+def _probe_seconds(probes: dict) -> dict:
+    """One side's probe seconds, one list per timing: each long-grid operation per order
+    (one per run), each counter-rotating oracle call, each pass of the suite family
+    (its presets summed) and of the preset sweep."""
+    out = {}
+    for order, runs in probes["long_grid_ops"].items():
+        for run in runs:
+            for op in run:
+                out.setdefault(f"long_grid_ops {order} {op['op']}", []).append(op["seconds"])
+    out["counter_rotating_oracle"] = [
+        call["seconds"] for run in probes["counter_rotating_oracle"] for call in run
+    ]
+    for key in ("suite_oracle_family", "preset_sweep"):
+        passes = {}
+        for i, run in enumerate(probes[key]):
+            for call in run:
+                passes[i, call["pass"]] = passes.get((i, call["pass"]), 0.0) + call["seconds"]
+        out[key] = list(passes.values())
+    return out
+
+
+def summarize_probes(probes: dict) -> dict:
+    """Per probe timing with runs on both sides: each side's quartiles, the median gap
+    and whether the gap exceeds the parent's IQR (:func:`_gap`)."""
+    seconds = {side: _probe_seconds(found) for side, found in probes.items()}
+    out = {}
+    for name, parent in seconds["parent"].items():
+        change = seconds["change"].get(name)
+        if parent and change:
+            out[name] = _gap({"parent": _quartiles(parent), "change": _quartiles(change)})
     return out
 
 
@@ -332,6 +378,7 @@ def main(argv=None) -> int:
         found = run_pairs(sides, workload, [seed], args.check_pairs, args.seconds, args.metric)
         record["checks"][workload] = {"summary": summarize(found), "rows": found}
     record["probes"] = run_probes(sides, args.probe_runs)
+    record["probe_summary"] = summarize_probes(record["probes"])
     record["traced"] = {
         side: _metrics(_run_bench(checkout, args.workload, args.trace_seed, args.seconds, 1))
         for side, checkout in sides.items()
