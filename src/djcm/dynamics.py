@@ -53,6 +53,20 @@ _PHASE_LIMIT = 2.0**52
 _SEPARABLE_BUDGET = 1e-15
 
 
+def _phase_checked(argument: float) -> float:
+    """``argument``, a run's largest phase argument |w| t_end, unless it reaches 2^52.
+
+    From there PhysicsValidationError ("phase overflow"): cos, sin and
+    exp of such arguments may still be finite, but meaningless.
+    """
+    if not argument < _PHASE_LIMIT:
+        raise PhysicsValidationError(
+            f"phase overflow: the largest phase argument |w| t_end is {argument:.6g} "
+            ">= 2^52, where the rounding of the phases reaches 1 rad"
+        )
+    return argument
+
+
 def _uniform_step(times: np.ndarray):
     """Step of an ascending uniform grid, or None for any other grid.
 
@@ -564,21 +578,14 @@ class ClosedFormPlan:
         lo = np.nonzero(partner >= 0)[0]
         hi = partner[lo]
         omega = co.Omega[levels]
-        ground_rate = co.phi[levels] - 0.5 * mu
-        pair_rate = co.phi[levels[hi]] - co.phi[levels[lo]] + mu
-        # the largest phase argument the kernel evaluates: Omega t, the
-        # ground phase (phi - mu/2) t, the shift mu t and the pair phase
-        # (phi_{n+k} - phi_n + mu) t, at the last time
-        rates = np.abs(np.concatenate((omega, ground_rate, [mu], pair_rate)))
-        with np.errstate(over="ignore"):  # inf: refused below
-            self.max_phase_argument = float(np.max(rates) * t_max)
-        # cos, sin and exp of such arguments may still be finite, but meaningless
-        if not self.max_phase_argument < _PHASE_LIMIT:
-            raise PhysicsValidationError(
-                "phase overflow: the largest phase argument |w| t_end is "
-                f"{self.max_phase_argument:.6g} >= 2^52, where the rounding of the "
-                "phases reaches 1 rad"
-            )
+        with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: refused below
+            ground_rate = co.phi[levels] - 0.5 * mu
+            pair_rate = co.phi[levels[hi]] - co.phi[levels[lo]] + mu
+            # the largest phase argument the kernel evaluates: Omega t, the
+            # ground phase (phi - mu/2) t, the shift mu t and the pair phase
+            # (phi_{n+k} - phi_n + mu) t, at the last time
+            rates = np.abs(np.concatenate((omega, ground_rate, [mu], pair_rate)))
+            self.max_phase_argument = _phase_checked(float(np.max(rates) * t_max))
         self.step = step
         self.group = 1 if step is None else _FINE
         # the fine offsets r step of a group's rows: 0 alone in a group of one

@@ -65,6 +65,8 @@ class ModelParams:
 class CoefficientTable:
     """Vectorized R1, R2, Rn, alpha, phi, Omega over n = 0..n_max."""
 
+    # an overflowing coefficient is inf or NaN: the plan refuses it as phase overflow
+    @np.errstate(over="ignore", invalid="ignore")
     def __init__(self, params: ModelParams, f: Nonlinearity, n_max: int):
         k = params.k
         n = np.arange(n_max + 1, dtype=float)

@@ -6,15 +6,14 @@ ln[f(n)]! = sum_{j=1..n} ln f(j) so that mean photon numbers around 25
 (Fock levels near 100, or several hundred for thermal fields) never
 overflow. :meth:`Nonlinearity.tables` builds that running sum, with
 ln[f(0)]! = 0 (empty product), and f(n)^2 for the Kerr and Stark terms,
-fresh on every call. f(0) is never evaluated, so f(0) = 0 for the sqrt
-deformation, or a deformation undefined at 0, is harmless.
+fresh on every call. f(0) is never read: a table starts at f(1).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,21 +21,29 @@ from .errors import InvalidNonlinearityError
 
 IDENTITY = "identity"
 SQRT_N = "sqrt_n"
-CUSTOM = "custom"
+TABLE = "table"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class Nonlinearity:
-    """Deformation function f(n): an immutable value, safe to share."""
+    """f(n): ``identity``, ``sqrt_n`` or a ``table`` of f(1..N), each finite and > 0."""
 
     kind: str
-    fn: Callable[[int], float] | None = None
+    values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in (IDENTITY, SQRT_N, CUSTOM):
-            raise InvalidNonlinearityError(f"unknown nonlinearity kind {self.kind!r}")
-        if self.kind == CUSTOM and self.fn is None:
-            raise InvalidNonlinearityError("custom nonlinearity needs an evaluator")
+        values = tuple(map(float, self.values))
+        if self.kind not in (IDENTITY, SQRT_N, TABLE) or (self.kind == TABLE) != bool(values):
+            raise InvalidNonlinearityError(
+                "a nonlinearity is 'identity', 'sqrt_n' or a non-empty table, "
+                f"got {self.kind!r} with {len(values)} values"
+            )
+        for n, value in enumerate(values, start=1):
+            if not (math.isfinite(value) and value > 0.0):
+                raise InvalidNonlinearityError(
+                    f"nonlinearity table entry f({n})={value!r}; need a finite value > 0"
+                )
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def identity(cls) -> "Nonlinearity":
@@ -47,70 +54,43 @@ class Nonlinearity:
         return cls(SQRT_N)
 
     @classmethod
-    def custom(cls, fn: Callable[[int], float]) -> "Nonlinearity":
-        return cls(CUSTOM, fn=fn)
-
-    @classmethod
     def from_table(cls, values: Sequence[float]) -> "Nonlinearity":
-        """Inline table of f(1..N) values; f(0) is irrelevant and set to 0."""
-        vals = [float(v) for v in values]
-
-        def fn(n: int) -> float:
-            if n == 0:
-                return 0.0
-            if n > len(vals):
-                raise InvalidNonlinearityError(
-                    f"inline nonlinearity table has {len(vals)} entries, need f({n})"
-                )
-            return vals[n - 1]
-
-        return cls(CUSTOM, fn=fn)
+        """Inline table of f(1..N) values."""
+        return cls(TABLE, values)
 
     @classmethod
     def from_name(cls, name: str) -> "Nonlinearity":
-        if name == IDENTITY:
-            return cls.identity()
-        if name == SQRT_N:
-            return cls.sqrt_n()
+        if name in (IDENTITY, SQRT_N):
+            return cls(name)
         raise InvalidNonlinearityError(
             f"unknown nonlinearity name {name!r} (expected 'identity' or 'sqrt_n')"
         )
 
-    def eval_f(self, n: int) -> float:
-        """f(n) for integer n >= 0. f(0) may be 0; f(n>=1) must be positive."""
-        if n < 0:
-            raise InvalidNonlinearityError(f"f(n) undefined for n={n} < 0")
-        if self.kind == IDENTITY:
-            return 1.0
-        if self.kind == SQRT_N:
-            return math.sqrt(n)
-        value = float(self.fn(n))
-        if n >= 1 and (not math.isfinite(value) or value <= 0.0):
-            raise InvalidNonlinearityError(
-                f"custom nonlinearity returned f({n})={value!r}; "
-                "need a finite positive value for n >= 1"
-            )
-        return value
-
     def tables(self, n_max: int) -> tuple[np.ndarray, np.ndarray]:
         """Read-only arrays (f(n)^2, ln[f(n)]!) for n = 0..n_max.
 
-        f is evaluated at n >= 1 only: entry 0 of f(n)^2 is 0, which the
-        coefficient formulas only ever multiply by n(n-1) or n, both 0
-        there, and ln[f(0)]! = 0. The running sum adds ln f(j) in order.
+        Entry 0 of f(n)^2 is 0, which the coefficient formulas only ever
+        multiply by n(n-1) or n, both 0 there, and ln[f(0)]! = 0. The
+        running sum adds math.log f(j) in order. A table's square is the
+        rounded product f f, inf where that overflows: the plan then
+        refuses the run as phase overflow.
         """
         if self.kind == IDENTITY:
             f2, log_factorial = np.ones(n_max + 1), np.zeros(n_max + 1)
         else:
-            values = [self.eval_f(j) for j in range(1, n_max + 1)]
-            log_factorial = np.cumsum([0.0] + [math.log(v) for v in values])
             if self.kind == SQRT_N:
-                f2 = np.arange(n_max + 1, dtype=float)  # exact, unlike sqrt(n)**2
+                f2 = np.arange(n_max + 1.0)  # exact, unlike sqrt(n)**2
+                f = np.sqrt(f2)
+            elif n_max <= len(self.values):
+                f = np.array((0.0,) + self.values[:n_max])
+                with np.errstate(over="ignore"):
+                    f2 = f * f
             else:
-                f2 = np.array([0.0] + [v**2 for v in values])
+                size = len(self.values)
+                raise InvalidNonlinearityError(
+                    f"inline nonlinearity table has {size} entries, need f({size + 1}) to f({n_max})"
+                )
+            log_factorial = np.cumsum([0.0, *map(math.log, f[1:].tolist())])
         f2[0] = 0.0
         f2.flags.writeable = log_factorial.flags.writeable = False
         return f2, log_factorial
-
-    def __repr__(self) -> str:
-        return f"Nonlinearity({self.kind!r})"

@@ -36,7 +36,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import field_states
-from .dynamics import _MAX_BLOCK_ROWS, AmplitudeSink, ClosedFormPlan, DensitySink
+from .dynamics import _MAX_BLOCK_ROWS, AmplitudeSink, ClosedFormPlan, DensitySink, _phase_checked
 from .errors import (
     ConfigError,
     InvalidParameterError,
@@ -385,12 +385,15 @@ class ScenarioStream:
         self.config = config
         self._dist = dist = config.build_distribution()
         self._plan = plan = ClosedFormPlan(params, config.nonlinearity, dist, config.grid())
+        self._coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
+        # the free phase nu k t of rho_eg rounds as the kernel's phases do
+        phase = _phase_checked(max(plan.max_phase_argument, self._coherence_phase * config.t_end))
         self.metadata = config.echo()
         self.metadata["resolved"] = {
             "n_cut": dist.n_cut,
             "captured_mass": dist.captured_mass,
             "active_doublets": plan.active_doublets,
-            "max_phase_argument": plan.max_phase_argument,
+            "max_phase_argument": phase,
             "per_cell_doublets": plan.per_cell_doublets,
             "separable_rounding_bound": plan.separable_rounding_bound,
         }
@@ -401,7 +404,6 @@ class ScenarioStream:
             raise RuntimeError("a ScenarioStream is iterated once")
         self._plan = None
         params, f, grid = config.params, config.nonlinearity, plan.times
-        coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
         sinks = (DensitySink(plan),)
         # the oracle checks amplitudes of the very chunk evaluations emitted,
         # in blocks of the plan's rows
@@ -421,7 +423,7 @@ class ScenarioStream:
             for name, blocks in oracles.items():
                 worst[name] = np.maximum(worst[name], _block_deviation(*closed, next(blocks)))
             times = grid[start : start + len(rho_ee)]
-            yield series_from_density(times, rho_ee, rho_gg, rho_eg, coherence_phase)
+            yield series_from_density(times, rho_ee, rho_gg, rho_eg, self._coherence_phase)
         for name, value in worst.items():
             self.metadata["resolved"][f"max_{name}_deviation"] = float(value)
 
@@ -464,8 +466,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
 
     ``metadata["resolved"]`` holds the truncation (``n_cut``,
     ``captured_mass``), the number of active doublets, the largest
-    phase argument the kernel evaluates (``max_phase_argument``, |w| t_end
-    over the Rabi and phase frequencies of the active doublets), the
+    phase argument (``max_phase_argument``, |w| t_end over the Rabi and
+    phase frequencies of the active doublets, and nu k with
+    ``free_phase_on_coherence``), the
     split of the density sink (``per_cell_doublets`` evaluated cell by
     cell, and ``separable_rounding_bound``, the summed rounding weight of
     the separable terms; see :class:`~djcm.dynamics.ClosedFormPlan`),

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -233,6 +234,39 @@ def test_phase_overflow_exits_2_with_one_stderr_line(tmp_path, chi, samples, fmt
     assert proc.returncode == 2
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: phase overflow"), proc.stderr
+    assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
+
+
+FREE_PHASE = {"free_phase_on_coherence": True}
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"params": {"k": 400}}, "phase overflow"),
+        ({"params": {"k": 2, "beta1": 1e308, "beta2": 1e308}}, "phase overflow"),
+        ({"params": {"chi": 1e306}}, "phase overflow"),
+        # f^2 overflows to inf
+        ({"nonlinearity": {"table": [1e200] * 100}}, "phase overflow"),
+        # the run needs f(1..81) only; every entry is checked when the document is read
+        ({"nonlinearity": {"table": [1.0] * 83 + [0.0]}, "time": {"samples": 20}}, "f(84)=0.0"),
+        # nu k t_end = 5e16 and inf in the free phase exp(-i nu k t) of rho_eg
+        ({"params": {"nu": 1e15}, "options": FREE_PHASE}, "is 5e+16 >= 2^52"),
+        ({"params": {"nu": 1e308}, "options": FREE_PHASE}, "is inf >= 2^52"),
+    ],
+    ids=["k400", "stark", "kerr", "table_f2", "table_zero", "free_phase", "free_phase_inf"],
+)
+def test_refused_models_exit_2_with_one_line_and_no_warning(tmp_path, capsys, doc, message):
+    out_path = tmp_path / "never.csv"
+    argv = ["simulate", "--preset", "coherent_bare_identity"]
+    argv += ["--config", write_config(tmp_path, doc), "--output", str(out_path)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and message in err, err
+    assert "Warning" not in err and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 

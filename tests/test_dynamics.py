@@ -249,7 +249,7 @@ def test_amplitude_magnitudes_ignore_phase_constants():
 
 
 def test_degenerate_rabi_frequency_continuity():
-    # drive Omega_0 -> 0 with a custom deformation f(1) = eps at mu = Rn
+    # drive Omega_0 -> 0 with a table deformation f(1) = eps at mu = Rn
     d = coherent_distribution(0.0)
     t = 3.0
     mu = 0.4
@@ -294,20 +294,13 @@ def test_custom_initial_amplitudes_supported():
     assert np.abs(ref[-1].excited) == pytest.approx(np.abs(plain[-1].excited), abs=1e-13)
 
 
-@pytest.mark.parametrize(
-    "fn",
-    [
-        lambda n: 1.0 / math.sqrt(n),  # ZeroDivisionError at n = 0
-        lambda n: math.nan if n == 0 else 1.0 / math.sqrt(n),
-    ],
-    ids=["raises_at_0", "nan_at_0"],
-)
-def test_custom_deformation_is_not_evaluated_at_zero(fn):
-    # f(0)^2 only ever multiplies n(n-1) or n at n = 0, so f(0) must not
-    # reach R1, R2 or Omega
-    f = Nonlinearity.custom(fn)
-    p = ModelParams(k=1, gamma=1.0, mu=0.1, detuning=0.2, chi=0.02)
+def test_table_deformation_starts_at_one():
+    # a table holds f(1..N) only, for f = 1/sqrt(n), which is infinite at
+    # n = 0: f(0)^2 would only ever multiply n(n-1) or n at n = 0, so no
+    # f(0) reaches R1, R2 or Omega
     d = coherent_distribution(2.0)
+    f = Nonlinearity.from_table([1.0 / math.sqrt(n) for n in range(1, d.n_cut + 2)])
+    p = ModelParams(k=1, gamma=1.0, mu=0.1, detuning=0.2, chi=0.02)
     co = CoefficientTable(p, f, d.n_cut)
     for name in ("R1", "R2", "Rn", "phi", "alpha", "Omega"):
         assert np.all(np.isfinite(getattr(co, name))), name

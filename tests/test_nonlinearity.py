@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,16 +19,17 @@ def f_ratio(f, n, k):
     return math.exp(lf[n + k] - lf[n])
 
 
-def test_eval_f_identity_constant():
-    f = Nonlinearity.identity()
-    assert f.eval_f(7) == 1.0
-    assert f.eval_f(0) == 1.0
+def test_identity_tables_constant():
+    f2, lf = Nonlinearity.identity().tables(7)
+    assert f2[7] == 1.0
+    assert np.array_equal(np.diff(lf), np.zeros(7))  # ln f(n) = 0
 
 
-def test_eval_f_sqrt():
-    f = Nonlinearity.sqrt_n()
-    assert f.eval_f(4) == 2.0
-    assert f.eval_f(0) == 0.0
+def test_sqrt_tables():
+    f2, lf = Nonlinearity.sqrt_n().tables(4)
+    assert f2[4] == 4.0
+    assert lf[4] - lf[3] == pytest.approx(math.log(2.0), rel=1e-15)
+    assert f2[0] == 0.0
 
 
 def test_f_factorial_log_identity_zero():
@@ -50,7 +52,7 @@ def test_f_ratio_examples():
     assert f_ratio(f, 2, 2) == pytest.approx(math.sqrt(12.0), rel=1e-13)
 
 
-@pytest.mark.parametrize("kind", ["sqrt_n", "custom"])
+@pytest.mark.parametrize("kind", ["sqrt_n", "table"])
 def test_f_ratio_matches_direct_product(kind):
     rng = np.random.default_rng(20240817)
     if kind == "sqrt_n":
@@ -68,14 +70,19 @@ def test_f_ratio_matches_direct_product(kind):
             assert f_ratio(f, n, k) == pytest.approx(direct, rel=1e-12)
 
 
-def test_log_table_increments_match_eval():
+def test_log_table_increments_match_f():
     f = Nonlinearity.sqrt_n()
     table = log_factorial(f, 40)
     for n in range(40):
         assert table[n + 1] - table[n] == pytest.approx(
-            math.log(f.eval_f(n + 1)), rel=1e-13, abs=1e-15
+            math.log(math.sqrt(n + 1)), rel=1e-13, abs=1e-15
         )
     assert table[0] == 0.0
+    # each level's log is math.log's, summed in order
+    values = np.random.default_rng(5).uniform(0.1, 10.0, size=300)
+    assert log_factorial(Nonlinearity.from_table(values), 300).tolist() == np.cumsum(
+        [0.0] + [math.log(v) for v in values]
+    ).tolist()
 
 
 def test_table_monotone_for_f_ge_one():
@@ -84,25 +91,30 @@ def test_table_monotone_for_f_ge_one():
     assert np.all(np.diff(table) >= 0.0)
 
 
-def test_custom_negative_value_rejected():
-    f = Nonlinearity.custom(lambda n: -1.0)
-    with pytest.raises(InvalidNonlinearityError):
-        f.eval_f(3)
-    with pytest.raises(InvalidNonlinearityError):
-        f.tables(3)
+@pytest.mark.parametrize("bad", [-1.0, 0.0, -0.0, math.inf, -math.inf, math.nan])
+def test_table_entry_not_finite_and_positive_rejected_when_made(bad):
+    # every entry, also beyond the levels any run reads
+    with pytest.raises(InvalidNonlinearityError, match=r"f\(3\)"):
+        Nonlinearity.from_table([1.0, 2.0, bad])
+    with pytest.raises(InvalidNonlinearityError, match=r"f\(500\)"):
+        Nonlinearity.from_table([1.0] * 499 + [bad])
 
 
-def test_custom_nonfinite_value_rejected():
-    f = Nonlinearity.custom(lambda n: math.inf)
+def test_table_must_be_non_empty_and_only_tables_hold_values():
     with pytest.raises(InvalidNonlinearityError):
-        f.tables(2)
+        Nonlinearity.from_table([])
+    with pytest.raises(InvalidNonlinearityError):
+        Nonlinearity("sqrt_n", (2.0,))
+    with pytest.raises(InvalidNonlinearityError):
+        Nonlinearity("custom", (2.0,))
 
 
 def test_inline_table_too_short():
     f = Nonlinearity.from_table([1.0, 2.0])
-    assert f.eval_f(2) == 2.0
-    with pytest.raises(InvalidNonlinearityError):
-        f.eval_f(3)
+    assert f.values == (1.0, 2.0)
+    assert f.tables(2)[0][2] == 4.0
+    with pytest.raises(InvalidNonlinearityError, match=r"need f\(3\)"):
+        f.tables(3)
 
 
 def test_from_name():
@@ -112,27 +124,29 @@ def test_from_name():
         Nonlinearity.from_name("cubic")
 
 
-def test_negative_index_rejected():
-    f = Nonlinearity.sqrt_n()
-    with pytest.raises(InvalidNonlinearityError):
-        f.eval_f(-1)
-
-
 def test_f_squared_table():
     # entry 0 is 0 whatever f(0): it only ever multiplies n(n-1) or n at n = 0
     f2, _ = Nonlinearity.identity().tables(5)
     assert np.array_equal(f2, [0.0, 1.0, 1.0, 1.0, 1.0, 1.0])
     f2, _ = Nonlinearity.sqrt_n().tables(5)
     assert np.array_equal(f2, np.arange(6, dtype=float))
-    # a custom f is squared as Python floats, and never evaluated at 0
+    # a table starts at f(1), and is squared as rounded products v * v
 
     def f(n):
         return 1.0 / math.sqrt(n)  # ZeroDivisionError at n = 0
 
-    f2, lf = Nonlinearity.custom(f).tables(6)
-    assert f2.tolist() == [0.0] + [f(n) ** 2 for n in range(1, 7)]
+    f2, lf = Nonlinearity.from_table([f(n) for n in range(1, 7)]).tables(6)
+    assert f2.tolist() == [0.0] + [f(n) * f(n) for n in range(1, 7)]
     assert lf[0] == 0.0
     assert lf[6] == pytest.approx(-0.5 * math.log(720.0), rel=1e-14)
+
+
+def test_oversized_table_entry_squares_to_inf_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f2, lf = Nonlinearity.from_table([2.0, 1e200, 1e154]).tables(3)
+    assert f2.tolist() == [0.0, 4.0, math.inf, 1e154 * 1e154]
+    assert math.isfinite(lf[3])
 
 
 def test_nonlinearity_is_immutable():
@@ -140,7 +154,9 @@ def test_nonlinearity_is_immutable():
     with pytest.raises(AttributeError):
         f.kind = "identity"
     with pytest.raises(AttributeError):
-        f.fn = math.sqrt
+        f.values = (1.0,)
+    table = Nonlinearity.from_table([1.0, 2.0])
+    assert table.values == (1.0, 2.0) and isinstance(table.values, tuple)
     f2, lf = f.tables(8)
     with pytest.raises(ValueError):
         f2[3] = 1.0

@@ -16,6 +16,7 @@ from djcm.dynamics import (
 )
 from djcm.errors import (
     ConfigError,
+    InvalidNonlinearityError,
     InvalidParameterError,
     OutputError,
     PhysicsValidationError,
@@ -125,11 +126,14 @@ def test_thermal_temperature_input():
 def test_inline_nonlinearity_table():
     doc = merge_config(MINIMAL, {"nonlinearity": {"table": [1.0, 1.4, 1.7]}})
     cfg = config_from_dict(doc)
-    assert cfg.nonlinearity.eval_f(2) == 1.4
+    assert cfg.nonlinearity.values == (1.0, 1.4, 1.7)
     with pytest.raises(ConfigError):
         config_from_dict(merge_config(MINIMAL, {"nonlinearity": {"table": []}}))
     with pytest.raises(ConfigError):
         config_from_dict(merge_config(MINIMAL, {"nonlinearity": 7}))
+    # every entry is checked when the document is read
+    with pytest.raises(InvalidNonlinearityError, match=r"f\(4\)=-1.0"):
+        config_from_dict(merge_config(MINIMAL, {"nonlinearity": {"table": [1.0] * 3 + [-1.0]}}))
 
 
 THERMAL_BY_TEMPERATURE = {"kind": "thermal", "temperature": 1.0, "frequency": 1.0}
@@ -304,7 +308,7 @@ def test_echo_is_a_copy_of_the_nonlinearity_table():
     assert first["nonlinearity"] == {"table": [1.0, 2.0, 3.0]}
     first["nonlinearity"]["table"].append(4.0)
     assert cfg.echo()["nonlinearity"] == {"table": [1.0, 2.0, 3.0]}
-    assert cfg.nonlinearity.eval_f(1) == 1.0
+    assert cfg.nonlinearity.values == (1.0, 2.0, 3.0)
 
 
 # ---------------------------------------------------------------------------

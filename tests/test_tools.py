@@ -333,12 +333,16 @@ def test_bench_pairs_probes_the_suite_oracle_family():
 
 
 def test_bench_pairs_probes_the_preset_sweep():
-    # the 45 presets' run_scenario plus CSV emit, one pass, in a process of
-    # its own with this checkout's src
+    # the 45 presets' run_scenario plus CSV emit, two passes, in a process of
+    # its own with this checkout's src; each pass writes 45 distinct new files
     checkout = os.path.join(os.path.dirname(__file__), os.pardir)
-    (call,) = bench_pairs._probe(checkout, "sweep", "1")
-    assert (call["pass"], call["presets"]) == (0, 45)
-    assert call["seconds"] > 0.0 and call["cpu_s"] > 0.0 and call["maxrss_mib"] > 0.0
+    calls = bench_pairs._probe(checkout, "sweep", "2")
+    assert [(call["pass"], call["presets"], call["files"]) for call in calls] == [
+        (0, 45, 45),
+        (1, 45, 45),
+    ]
+    for call in calls:
+        assert call["seconds"] > 0.0 and call["cpu_s"] > 0.0 and call["maxrss_mib"] > 0.0
 
 
 def test_bench_pairs_refuses_checkout_paths_of_different_lengths(tmp_path, monkeypatch, capsys):

@@ -40,8 +40,11 @@ The script records:
     window the suite picks, seconds and minor faults per preset and
     pass; and the 45 presets' ``run_scenario`` plus CSV ``emit``, as
     ``preset_sweep`` runs them, with seconds, process CPU (``ru_utime +
-    ru_stime``, all threads) and ``ru_maxrss`` per pass after a warm-up
-    pass. ``--probe-runs`` processes per side and order, the first side
+    ru_stime``, all threads), ``ru_maxrss`` and the files written per
+    pass after a warm-up pass. Each pass writes each preset to a file of
+    its own in a new directory, so no emit replaces a file: on a
+    filesystem where replacing or deleting a file whose data is on disk
+    takes tens of milliseconds, that wait would be timed with the pass. ``--probe-runs`` processes per side and order, the first side
     alternating from run to run, as in the pairs.
 ``probe_summary``
     Per probe timing (each long-grid operation per order, an oracle call,
@@ -131,19 +134,22 @@ elif kind == "suite":
             })
 elif kind == "sweep":
     from djcm import scenario
-    configs = [scenario.preset(name) for name in scenario.available_presets()]
+    configs = {name: scenario.preset(name) for name in scenario.available_presets()}
     with tempfile.TemporaryDirectory() as work:
-        path = os.path.join(work, "sweep.csv")
         for i in range(int(arg)):
+            # each preset's file new in a directory of the pass: no emit replaces a file
+            folder = os.path.join(work, f"pass{i}")
+            os.mkdir(folder)
             before, start = usage(), time.perf_counter()
-            for cfg in configs:
+            for name, cfg in configs.items():
                 result = scenario.run_scenario(cfg)
+                path = os.path.join(folder, name + ".csv")
                 scenario.emit(result.records, "csv", path, result.metadata)
             seconds, after = time.perf_counter() - start, usage()
             cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
             out.append({
                 "pass": i, "presets": len(configs), "seconds": seconds, "cpu_s": cpu,
-                "maxrss_mib": after.ru_maxrss / 1024.0,
+                "maxrss_mib": after.ru_maxrss / 1024.0, "files": len(os.listdir(folder)),
             })
 else:
     from djcm import dynamics, scenario
