@@ -1,6 +1,6 @@
 """The closed form of the rotating-wave amplitude equations, evaluated on a time grid.
 
-:class:`ClosedFormPlan` evaluates it block by block into sinks
+:class:`ClosedFormPlan` evaluates it block by block into a sink
 (:class:`AmplitudeSink`, :class:`DensitySink`), :func:`closed_form_series`
 returns a whole grid's amplitudes, and :mod:`djcm.oracle` checks them.
 Everything here is a pure function of immutable inputs; reductions run in
@@ -65,6 +65,25 @@ def _phase_checked(argument: float) -> float:
             ">= 2^52, where the rounding of the phases reaches 1 rad"
         )
     return argument
+
+
+def _finite_rates(*rates) -> None:
+    """PhysicsValidationError ("phase overflow") naming a rate of ``rates`` that is not finite.
+
+    Each is (name, levels, values), values[i] the rate at ascending level
+    n = levels[i]; the message names the lowest such n, and the first rate there.
+    """
+    found = []
+    for name, levels, values in rates:
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            found.append((int(levels[bad[0]]), name, values[bad[0]]))
+    if found:
+        n, name, value = min(found, key=lambda item: item[0])
+        raise PhysicsValidationError(
+            f"phase overflow: {name} is {value} at level n = {n}, "
+            "the first level where it is not finite"
+        )
 
 
 def _uniform_step(times: np.ndarray):
@@ -490,25 +509,25 @@ def _separable_split(co, c0a, levels, lo, hi, pair_rate, mu, t_max, step):
 
 
 class ClosedFormPlan:
-    """The closed form on a grid, evaluated a block of samples at a time into sinks.
+    """The closed form on a grid, evaluated a block of samples at a time into a sink.
 
     ``times`` is an array or a :class:`UniformGrid`, whose blocks are made
-    as they are evaluated. ``plan.blocks(*sinks)`` evaluates each block
-    once into every sink given and yields the block's first sample and
-    one value per sink: a :class:`DensitySink`'s is the block's rho_ee,
-    rho_gg and rho_eg, reduced without writing any amplitude, an
-    :class:`AmplitudeSink`'s the block's (block length, n_cut+1)
-    amplitudes. The plan also reports ``active_doublets``,
+    as they are evaluated. ``plan.blocks(sink)`` evaluates each block
+    into the sink and yields the block's first sample and its value: a
+    :class:`DensitySink`'s is the block's rho_ee, rho_gg and rho_eg,
+    reduced without writing any amplitude, an :class:`AmplitudeSink`'s
+    the block's (block length, n_cut+1) amplitudes. Each sink is a pass
+    of its own over the grid. The plan also reports ``active_doublets``,
     ``max_phase_argument``, ``per_cell_doublets`` and
     ``separable_rounding_bound``.
 
-    Block length. A block has ``block_rows(*sinks)`` samples: 256
-    (_BLOCK_ROWS) times as many as keep the sinks' widest per-row array
-    (their ``width``) within the 256 x 128 cells of one doublet chunk,
-    at most 768 (_MAX_BLOCK_ROWS). Wide plans, and every run with an
-    amplitude sink of more than 64 columns (n_cut >= 64), keep 256 rows;
-    a density sink of a narrow plan, such as the coherent presets' (30-60
-    per-cell doublets), runs 512 or 768, so the numpy calls of each block
+    Block length. A block has ``block_rows(sink)`` samples: 256
+    (_BLOCK_ROWS) times as many as keep the sink's widest per-row array
+    (its ``width``) within the 256 x 128 cells of one doublet chunk, at
+    most 768 (_MAX_BLOCK_ROWS). Wide plans, and an amplitude sink of more
+    than 64 columns (n_cut >= 64), keep 256 rows; a density sink of a
+    narrow plan, such as the coherent presets' (30-60 per-cell
+    doublets), runs 512 or 768, so the numpy calls of each block
     and of the steps after it (observables, formatting) are paid up to
     three times less often. The cap bounds the memory of a block's
     temporaries, which grows with its rows. The values do not depend on
@@ -543,12 +562,12 @@ class ClosedFormPlan:
     _DOUBLET_CHUNK-wide column ranges with the halo their pairs need, the
     first ``kept_chunks`` over the per-cell doublets and the rest over the
     separable ones, which only an amplitude sink takes; the chunks the
-    sinks take bound ``scratch_shape(*sinks)``, the (rows, width) of the
+    sink takes bound ``scratch_shape(sink)``, the (rows, width) of the
     work buffers that each call of :meth:`blocks` makes for itself. Each
     block then evaluates only its coarse rows, anchored at the grid's own
-    times t_{group J}, and each chunk's rotation stage once for all the
-    sinks that take it (:meth:`blocks`). The plan and its sinks hold only
-    these per-run tables, so threads may share them.
+    times t_{group J}, and each chunk's rotation stage (:meth:`blocks`).
+    The plan and its sinks hold only these per-run tables, so threads may
+    share them.
 
     ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
     uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
@@ -560,8 +579,10 @@ class ClosedFormPlan:
     with PhysicsValidationError ("phase overflow") before any block is
     evaluated: there eps |w| t_end >= 1 rad, so no digit of the phase is
     right. The rates w are the very arrays the per-cell kernel evaluates:
-    omega, ground_rate, mu and pair_rate. A block that is not finite in
-    any sink raises PhysicsValidationError too (:meth:`blocks`).
+    omega, ground_rate, mu and pair_rate; a rate that is not finite is
+    refused the same way, naming the rate and its first level n. A block
+    that is not finite in the sink raises PhysicsValidationError too
+    (:meth:`blocks`).
     """
 
     def __init__(self, params, f, dist, times, initial_amplitudes=None):
@@ -581,6 +602,11 @@ class ClosedFormPlan:
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: refused below
             ground_rate = co.phi[levels] - 0.5 * mu
             pair_rate = co.phi[levels[hi]] - co.phi[levels[lo]] + mu
+            _finite_rates(
+                ("Omega_n", levels, omega),
+                ("phi_n - mu/2", levels, ground_rate),
+                ("the pair rate phi_{n+k} - phi_n + mu", levels[lo], pair_rate),
+            )
             # the largest phase argument the kernel evaluates: Omega t, the
             # ground phase (phi - mu/2) t, the shift mu t and the pair phase
             # (phi_{n+k} - phi_n + mu) t, at the last time
@@ -621,26 +647,25 @@ class ClosedFormPlan:
                 )
         self.kept_chunks = -(-kept // _DOUBLET_CHUNK)
 
-    def block_rows(self, *sinks) -> int:
-        """Samples per block for ``sinks``: as many whole _BLOCK_ROWS as fit their widest row.
+    def block_rows(self, sink) -> int:
+        """Samples per block for ``sink``: as many whole _BLOCK_ROWS as fit its widest row.
 
-        The largest multiple of _BLOCK_ROWS whose rows times the widest
-        sink's ``width`` stay within _BLOCK_CELLS, at least _BLOCK_ROWS and
-        at most _MAX_BLOCK_ROWS.
+        The largest multiple of _BLOCK_ROWS whose rows times the sink's
+        ``width`` stay within _BLOCK_CELLS, at least _BLOCK_ROWS and at
+        most _MAX_BLOCK_ROWS.
         """
-        widest = max((sink.width for sink in sinks), default=0)
-        fits = _BLOCK_CELLS // max(widest, 1) // _BLOCK_ROWS
+        fits = _BLOCK_CELLS // max(sink.width, 1) // _BLOCK_ROWS
         return _BLOCK_ROWS * min(max(fits, 1), _MAX_BLOCK_ROWS // _BLOCK_ROWS)
 
-    def scratch_shape(self, *sinks) -> tuple:
-        """(rows, width) of the work buffers of one call evaluating blocks into ``sinks``.
+    def scratch_shape(self, sink) -> tuple:
+        """(rows, width) of the work buffers of one call evaluating blocks into ``sink``.
 
         The rows of a block padded to whole groups, and the widest span of
-        the chunks the sinks take.
+        the chunks the sink takes.
         """
-        rows = min(self.block_rows(*sinks), len(self.times))
-        count = max((sink.chunk_count for sink in sinks), default=0)
-        width = max((c.span.stop - c.span.start for c in self.chunks[:count]), default=0)
+        rows = min(self.block_rows(sink), len(self.times))
+        chunks = self.chunks[: sink.chunk_count]
+        width = max((c.span.stop - c.span.start for c in chunks), default=0)
         return -(-rows // self.group) * self.group, width
 
     def rotation(self, chunk: _Chunk, t: np.ndarray, work: _Scratch):
@@ -692,53 +717,47 @@ class ClosedFormPlan:
         rot *= correction
         return rot
 
-    def blocks(self, *sinks):
-        """Evaluate the grid block by block into ``sinks``; yield (start, *values).
+    def blocks(self, sink):
+        """Evaluate the grid block by block into ``sink``; yield (start, value).
 
-        Each tuple holds the block's first sample and the block's value in
-        each sink, in the order of ``sinks``, new arrays every block; each
-        chunk's rotation stage is evaluated once per block, whatever the
-        sinks. A block with a value that is not finite in any sink raises
-        PhysicsValidationError, which names the block's first time and the
-        largest phase argument.
+        Each pair holds the block's first sample and the block's value in
+        the sink, new arrays every block. A block with a value that is not
+        finite raises PhysicsValidationError, which names the block's
+        first time and the largest phase argument.
 
         The blocks are evaluated one after another on the calling thread,
         into one set of work buffers (:class:`_Scratch`) made for this call.
         """
-        rows = self.block_rows(*sinks)
-        work = _Scratch(*self.scratch_shape(*sinks))
+        rows = self.block_rows(sink)
+        work = _Scratch(*self.scratch_shape(sink))
         for start in range(0, len(self.times), rows):
-            yield (start, *self._evaluate(start, rows, sinks, work))
+            yield start, self._evaluate(start, rows, sink, work)
 
-    def _evaluate(self, start: int, rows: int, sinks, work: _Scratch) -> tuple:
-        """The values of the block of ``rows`` at ``start`` in each sink, evaluated in ``work``.
+    def _evaluate(self, start: int, rows: int, sink, work: _Scratch):
+        """The value of the block of ``rows`` at ``start`` in ``sink``, evaluated in ``work``.
 
-        Each sink takes the plan's first ``sink.chunk_count`` chunks, whose
-        rotation stage is evaluated once for all of them, and then
-        finishes the block (a density sink adds its separable share).
+        The sink takes the rotation stage of the plan's first
+        ``sink.chunk_count`` chunks, and then finishes the block (a density
+        sink adds its separable share).
         """
         n = min(rows, len(self.times) - start)
         t = self._table_times(start, n)
-        values = tuple(sink.start(n) for sink in sinks)
-        count = max((sink.chunk_count for sink in sinks), default=0)
+        block = sink.start(n)
         # a value that overflows shows as one that is not finite, reported
         # once below instead of as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, chunk in enumerate(self.chunks[:count]):
+            for chunk in self.chunks[: sink.chunk_count]:
                 envelope, s = self.rotation(chunk, t, work)
-                for sink, block in zip(sinks, values):
-                    if i < sink.chunk_count:
-                        sink.take(block, chunk, t, envelope, s, work)
-            for sink, block in zip(sinks, values):
-                sink.finish(block, t)
-            # a NaN or an infinity anywhere in a sink's arrays reaches their sum
-            finite = all(np.isfinite(sum(np.sum(a) for a in block)) for block in values)
+                sink.take(block, chunk, t, envelope, s, work)
+            sink.finish(block, t)
+            # a NaN or an infinity anywhere in the sink's arrays reaches their sum
+            finite = np.isfinite(sum(np.sum(a) for a in block))
         if not finite:
             raise PhysicsValidationError(
                 f"the closed form is not finite in the block starting at t = {t[0, 0]:.6g}; "
                 f"the largest phase argument |w| t_end is {self.max_phase_argument:.6g}"
             )
-        return values
+        return block
 
     def _table_times(self, start: int, n: int) -> np.ndarray:
         """Column of the block's grid times, padded on the grid to whole groups."""

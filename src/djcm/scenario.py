@@ -29,7 +29,6 @@ import itertools
 import json
 import math
 import os
-import shutil
 import uuid
 from dataclasses import asdict, dataclass, fields
 
@@ -351,39 +350,57 @@ def _block_deviation(closed, oracle) -> float:
     return float(np.maximum(np.max(np.abs(excited)), np.max(np.abs(ground))))
 
 
+def _oracle_deviations(config: ScenarioConfig, dist, plan: ClosedFormPlan) -> dict:
+    """The largest amplitude deviation of each oracle option the config sets.
+
+    One pass of the plan's blocks through an amplitude sink, each block
+    compared with the matching block of every RK4 integration, drawn in
+    blocks of the same rows (:func:`~djcm.oracle.ode_oracle_blocks`), and
+    dropped before the next is drawn, so the pass holds one block of
+    (rows, n_cut+1) amplitudes per route. Keys ``max_oracle_deviation``,
+    then ``max_counter_rotating_deviation``; none without an option.
+    """
+    params, f, sink = config.params, config.nonlinearity, AmplitudeSink(plan)
+    rows = plan.block_rows(sink)
+    oracles = {}
+    if config.oracle_check:
+        oracles["oracle"] = ode_oracle_blocks(params, f, dist, plan.times, block_rows=rows)
+    if config.counter_rotating_diagnostic:
+        oracles["counter_rotating"] = ode_oracle_blocks(
+            params, f, dist, plan.times, include_counter_rotating=True, block_rows=rows
+        )
+    if not oracles:
+        return {}
+    # np.maximum keeps a NaN deviation, where max() could drop it
+    worst = dict.fromkeys(oracles, -np.inf)
+    for _, closed in plan.blocks(sink):
+        for name, blocks in oracles.items():
+            worst[name] = np.maximum(worst[name], _block_deviation(closed, next(blocks)))
+    return {f"max_{name}_deviation": float(value) for name, value in worst.items()}
+
+
 class ScenarioStream:
     """One run of a config, as :class:`ObservableSeries` blocks of the plan's rows.
 
-    Made by :func:`iter_scenario`. ``metadata`` holds the config's echo
-    and, under ``resolved``, ``n_cut``, ``captured_mass``,
-    ``active_doublets``, ``max_phase_argument``, ``per_cell_doublets`` and
-    ``separable_rounding_bound`` as soon as the stream exists, before any
-    block is evaluated. Iterating it (once) evaluates
-    the closed form block by block through the density sink and yields
-    each block's series. A block has the rows
-    :meth:`~djcm.dynamics.ClosedFormPlan.block_rows` gives its sinks: 256,
-    or 512 or 768 when their per-sample arrays are narrow, as a narrow
-    plan's density sink is; the rows' values do not depend on it.
+    Made by :func:`iter_scenario`. ``metadata`` is complete as soon as the
+    stream exists, before any block is evaluated: the config's echo and,
+    under ``resolved``, ``n_cut``, ``captured_mass``, ``active_doublets``,
+    ``max_phase_argument``, ``per_cell_doublets``,
+    ``separable_rounding_bound`` and the oracle options' deviations, which
+    making the stream checks in a pass of its own (:func:`_oracle_deviations`).
 
-    With ``oracle_check`` and/or ``counter_rotating_diagnostic`` the same
-    chunk evaluation also feeds an amplitude sink, whose n_cut + 1 columns
-    count towards the block length, and each block is compared with the
-    matching block of the RK4 integration, drawn in blocks of the same
-    rows (:func:`~djcm.oracle.ode_oracle_blocks`), as soon as both
-    exist. The stream keeps only the running maximum amplitude deviation of each
-    option; once the last block is out ``metadata["resolved"]`` holds it
-    as ``max_oracle_deviation`` and ``max_counter_rotating_deviation``.
-
-    Whatever the grid's length, the stream holds one block: the chunk
-    buffers it is evaluated in, its values in the sinks (the amplitude
-    sink's are (block, n_cut+1)), the oracle's block and pair batch, and
-    the series it yields.
+    Iterating the stream (once) evaluates the closed form block by block
+    through the density sink and yields each block's series. A block has
+    the rows :meth:`~djcm.dynamics.ClosedFormPlan.block_rows` gives the
+    density sink, 256 to 768, whatever the oracle options; the rows'
+    values do not depend on it. The stream holds one block: the chunk
+    buffers it is evaluated in, its values in the sink and its series.
     """
 
     def __init__(self, config: ScenarioConfig):
         params = config.params
         self.config = config
-        self._dist = dist = config.build_distribution()
+        dist = config.build_distribution()
         self._plan = plan = ClosedFormPlan(params, config.nonlinearity, dist, config.grid())
         self._coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
         # the free phase nu k t of rho_eg rounds as the kernel's phases do
@@ -396,47 +413,30 @@ class ScenarioStream:
             "max_phase_argument": phase,
             "per_cell_doublets": plan.per_cell_doublets,
             "separable_rounding_bound": plan.separable_rounding_bound,
+            **_oracle_deviations(config, dist, plan),
         }
 
     def __iter__(self):
-        config, dist, plan = self.config, self._dist, self._plan
+        plan = self._plan
         if plan is None:
             raise RuntimeError("a ScenarioStream is iterated once")
         self._plan = None
-        params, f, grid = config.params, config.nonlinearity, plan.times
-        sinks = (DensitySink(plan),)
-        # the oracle checks amplitudes of the very chunk evaluations emitted,
-        # in blocks of the plan's rows
-        if config.oracle_check or config.counter_rotating_diagnostic:
-            sinks += (AmplitudeSink(plan),)
-        rows = plan.block_rows(*sinks)
-        oracles = {}
-        if config.oracle_check:
-            oracles["oracle"] = ode_oracle_blocks(params, f, dist, grid, block_rows=rows)
-        if config.counter_rotating_diagnostic:
-            oracles["counter_rotating"] = ode_oracle_blocks(
-                params, f, dist, grid, include_counter_rotating=True, block_rows=rows
-            )
-        worst = dict.fromkeys(oracles, -np.inf)
-        # closed: the amplitude sink's (excited, ground), when there is one
-        for start, (rho_ee, rho_gg, rho_eg), *closed in plan.blocks(*sinks):
-            for name, blocks in oracles.items():
-                worst[name] = np.maximum(worst[name], _block_deviation(*closed, next(blocks)))
-            times = grid[start : start + len(rho_ee)]
+        for start, (rho_ee, rho_gg, rho_eg) in plan.blocks(DensitySink(plan)):
+            times = plan.times[start : start + len(rho_ee)]
             yield series_from_density(times, rho_ee, rho_gg, rho_eg, self._coherence_phase)
-        for name, value in worst.items():
-            self.metadata["resolved"][f"max_{name}_deviation"] = float(value)
 
 
 def iter_scenario(config: ScenarioConfig) -> ScenarioStream:
     """The run of ``config`` as a stream of series blocks of 256 to 768 samples.
 
-    The closed form's plan is built here, so a config whose phase
-    arguments overflow (PhysicsValidationError) or whose grid is invalid
-    fails before the first block; the metadata known up front is then
-    available as ``stream.metadata`` (see :class:`ScenarioStream`). The
-    CLI hands the stream to :func:`emit`, which writes each block as it
-    comes, so memory stays bounded in the number of samples.
+    The closed form's plan is built here, and the oracle options' check
+    runs here, so a config whose phase arguments overflow
+    (PhysicsValidationError), whose grid is invalid or whose oracle
+    integration fails fails before the first block; the complete
+    metadata is then available as ``stream.metadata`` (see
+    :class:`ScenarioStream`). The CLI hands the stream to :func:`emit`,
+    which writes each block as it comes, so memory stays bounded in the
+    number of samples.
     """
     return ScenarioStream(config)
 
@@ -451,14 +451,11 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     evaluates its coarse phase rows, one per 16 samples, and its density
     sink reduces rho_ee, rho_gg and rho_eg straight from the rotation and
     the phase tables, and the doublets whose rounding would not show as
-    separable sums of exponentials, so no amplitude is written. With ``oracle_check`` or
-    ``counter_rotating_diagnostic`` the same chunk evaluation also feeds
-    an amplitude sink, whose blocks are compared with the RK4 reference
-    integration on the same grid block by block; the emitted rows come
-    from the density sink either way. With ``oracle_check`` the largest
-    amplitude deviation is reported as
-    ``metadata["resolved"]["max_oracle_deviation"]``; callers treat one
-    above 1e-6 as a failure (the CLI exits 3).
+    separable sums of exponentials, so no amplitude is written. With
+    ``oracle_check`` a pass of its own compares the plan's amplitudes
+    with the RK4 reference integration on the same grid and reports the
+    largest deviation as ``metadata["resolved"]["max_oracle_deviation"]``;
+    callers treat one above 1e-6 as a failure (the CLI exits 3).
     ``counter_rotating_diagnostic`` reports the same deviation measure
     against the integration that retains the counter-rotating terms, as
     ``max_counter_rotating_deviation``: that difference measures the
@@ -533,14 +530,6 @@ def _spool_path(path: str) -> str:
     return os.path.join(folder, f".{name}.{uuid.uuid4().hex}.part")
 
 
-def _copy_with_head(source: str, skip: int, head: bytes, target: str) -> None:
-    """Write target as head, then the bytes of source after its first ``skip``."""
-    with open(source, "rb") as rows, open(target, "xb") as out:
-        out.write(head)
-        rows.seek(skip)
-        shutil.copyfileobj(rows, out, 1 << 20)
-
-
 def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
     """Write a series, or a stream of series blocks, as CSV or JSON.
 
@@ -554,12 +543,9 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
     so each block reuses the memory of the one before. The bytes
     are those of a CSV row of repr() values per sample, or of
     ``json.dump({"metadata": ..., "records": [row, ...]}, indent=1)``
-    followed by a newline, with rows keyed in CSV_COLUMNS order.
-
-    JSON's metadata is that of ``metadata`` once the last block is
-    written: a stream that completes it on the way (the oracle options'
-    ``max_*_deviation``) has its rows, spooled behind the head first
-    written, copied behind the final one.
+    followed by a newline, with rows keyed in CSV_COLUMNS order. JSON's
+    metadata is written once, before the first row, as ``metadata`` is
+    at the call: a stream's is complete from the start.
 
     The file appears only when it is complete: everything goes to a
     hidden file in the same directory, renamed onto ``path`` at the end.
@@ -570,12 +556,11 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
         raise OutputError(f"unknown output format {format!r}")
     blocks = _pieces(records) if isinstance(records, ObservableSeries) else records
     json_format = format == "json"
-    head = _head(format, metadata)
-    spools = [_spool_path(path)]
+    spool = _spool_path(path)
     work = Workspace()
     try:
-        with open(spools[0], "xb") as handle:
-            handle.write(head)
+        with open(spool, "xb") as handle:
+            handle.write(_head(format, metadata))
             rows = 0
             for block in blocks:
                 if len(block):
@@ -584,17 +569,12 @@ def emit(records, format: str, path: str, metadata: dict | None = None) -> None:
             if not rows:
                 raise OutputError("no records to emit; not creating a file")
             handle.write(b"\n ]\n}\n" if json_format else b"")
-        final = _head(format, metadata)
-        if final != head:
-            spools.append(_spool_path(path))
-            _copy_with_head(spools[0], len(head), final, spools[1])
-        os.replace(spools[-1], path)
+        os.replace(spool, path)
     except OSError as exc:
         raise OutputError(f"cannot write {path!r}: {exc}") from exc
-    finally:  # the spools that were not renamed onto path
-        for spool in spools:
-            with contextlib.suppress(OSError):
-                os.remove(spool)
+    finally:  # the spool, unless it was renamed onto path
+        with contextlib.suppress(OSError):
+            os.remove(spool)
 
 
 def read_csv_series(path: str, columns: tuple | None = None) -> ObservableSeries | dict:

@@ -10,7 +10,15 @@ import pytest
 import djcm
 from djcm import cli
 from djcm.cli import main
-from djcm.scenario import CSV_COLUMNS, measure_revivals, read_csv_series
+from djcm.scenario import (
+    CSV_COLUMNS,
+    config_from_dict,
+    iter_scenario,
+    measure_revivals,
+    merge_config,
+    preset_dict,
+    read_csv_series,
+)
 
 CHEAP = {
     "params": {"k": 1, "gamma": 1.0, "mu": 0.1},
@@ -106,6 +114,47 @@ def test_simulate_oracle_flag(tmp_path, capsys):
     assert "oracle check: max amplitude deviation" in capsys.readouterr().out
 
 
+def test_oracle_options_do_not_change_the_output(tmp_path):
+    # a narrow plan (17 per-cell doublets) whose amplitudes are wide (n_cut 79)
+    doc = {"time": {"t_end": 2.0, "samples": 1700}}
+    keys = ["max_oracle_deviation", "max_counter_rotating_deviation"]
+    config = write_config(tmp_path, doc)
+    options = ["--oracle", "--counter-rotating-diagnostic"]
+    outputs = {}
+    for fmt in ("csv", "json"):
+        for checked in (False, True):
+            path = tmp_path / f"run.{fmt}"  # one path: the metadata echoes it
+            argv = ["simulate", "--preset", "coherent_bare_identity", "--config", config]
+            argv += ["--output", str(path), "--format", fmt] + options * checked
+            assert main(argv) == 0
+            outputs[fmt, checked] = path.read_bytes()
+    assert outputs["csv", True] == outputs["csv", False]
+    rows = [outputs["json", c].split(b'"records"')[1] for c in (False, True)]
+    assert rows[0] == rows[1]
+    plain, checked = (json.loads(outputs["json", c]) for c in (False, True))
+    deviations = [checked["metadata"]["resolved"].pop(key) for key in keys]
+    assert deviations[0] <= 1e-6 and deviations[1] > 1e-6
+    # the echo of the options themselves, then nothing else
+    assert checked["metadata"]["options"] == {
+        **plain["metadata"]["options"],
+        "oracle_check": True,
+        "counter_rotating_diagnostic": True,
+    }
+    checked["metadata"]["options"] = plain["metadata"]["options"]
+    assert checked == plain
+    # the stream's blocks are the plain run's; its metadata is complete before the first block
+    lengths = {}
+    for checked in (False, True):
+        flags = dict.fromkeys(("oracle_check", "counter_rotating_diagnostic"), checked)
+        cfg = config_from_dict(
+            merge_config(preset_dict("coherent_bare_identity"), {**doc, "options": flags})
+        )
+        stream = iter_scenario(cfg)
+        assert list(stream.metadata["resolved"])[6:] == (keys if checked else [])
+        lengths[checked] = [len(block) for block in stream]
+    assert lengths[True] == lengths[False] == [768, 768, 164]
+
+
 def test_simulate_oracle_deviation_above_the_limit_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(cli, "ORACLE_DEVIATION_LIMIT", 1e-30)
     out_path = tmp_path / "o.csv"
@@ -115,7 +164,7 @@ def test_simulate_oracle_deviation_above_the_limit_exits_3(tmp_path, capsys, mon
     captured = capsys.readouterr()
     assert "oracle check: max amplitude deviation" in captured.out
     assert captured.err == "oracle deviation exceeds 1e-30\n"
-    # the deviation is known once the last block is written: the file stays
+    # the deviation is known before the first row; the file is still written whole
     assert len(out_path.read_text().splitlines()) == 1 + CHEAP["time"]["samples"]
 
 
@@ -136,7 +185,7 @@ def test_simulate_integration_failure_exits_3(tmp_path, capsys):
     )
     assert code == 3
     assert "integration failure" in capsys.readouterr().err
-    # the rows were on their way to the file when the oracle failed
+    # the oracle fails before the first row: no file, not even a hidden one
     assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 
@@ -243,18 +292,48 @@ FREE_PHASE = {"free_phase_on_coherence": True}
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"params": {"k": 400}}, "phase overflow"),
-        ({"params": {"k": 2, "beta1": 1e308, "beta2": 1e308}}, "phase overflow"),
-        ({"params": {"chi": 1e306}}, "phase overflow"),
-        # f^2 overflows to inf
-        ({"nonlinearity": {"table": [1e200] * 100}}, "phase overflow"),
+        # the coefficient that overflows, and the first level where it does
+        ({"params": {"k": 400}}, "phase overflow: Omega_n is inf at level n = 0,"),
+        (
+            {"params": {"k": 2, "beta1": 1e308, "beta2": 1e308}},
+            "phase overflow: Omega_n is inf at level n = 0,",
+        ),
+        ({"params": {"chi": 1e306}}, "phase overflow: Omega_n is inf at level n = 13,"),
+        # f^2 overflows to inf, and 0 f^2 beta2 is NaN
+        (
+            {"nonlinearity": {"table": [1e200] * 100}},
+            "phase overflow: Omega_n is nan at level n = 0,",
+        ),
+        # phi_1 = (1.2e308 + 1.2e308)/2 overflows, R_1 = 0 does not; Omega_3 is inf
+        (
+            {
+                "params": {"k": 2, "beta1": 0.4e308, "beta2": 1.2e308},
+                "nonlinearity": {"table": [1.0, 1e-200, 1.0] + [1e-200] * 97},
+            },
+            "phase overflow: phi_n - mu/2 is inf at level n = 1,",
+        ),
+        # phi_2 overflows, so the pair (0, 2) does first
+        (
+            {"params": {"k": 2, "beta1": 0.5e308, "beta2": 1.5e308}},
+            "phase overflow: the pair rate phi_{n+k} - phi_n + mu is inf at level n = 0,",
+        ),
         # the run needs f(1..81) only; every entry is checked when the document is read
         ({"nonlinearity": {"table": [1.0] * 83 + [0.0]}, "time": {"samples": 20}}, "f(84)=0.0"),
         # nu k t_end = 5e16 and inf in the free phase exp(-i nu k t) of rho_eg
         ({"params": {"nu": 1e15}, "options": FREE_PHASE}, "is 5e+16 >= 2^52"),
         ({"params": {"nu": 1e308}, "options": FREE_PHASE}, "is inf >= 2^52"),
     ],
-    ids=["k400", "stark", "kerr", "table_f2", "table_zero", "free_phase", "free_phase_inf"],
+    ids=[
+        "k400",
+        "stark",
+        "kerr",
+        "table_f2",
+        "table_phi",
+        "stark_pair",
+        "table_zero",
+        "free_phase",
+        "free_phase_inf",
+    ],
 )
 def test_refused_models_exit_2_with_one_line_and_no_warning(tmp_path, capsys, doc, message):
     out_path = tmp_path / "never.csv"

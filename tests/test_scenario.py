@@ -10,7 +10,6 @@ from djcm.dynamics import (
     AmplitudeSink,
     ClosedFormPlan,
     CoefficientTable,
-    DensitySink,
     closed_form_series,
     evolve_ode_oracle,
 )
@@ -560,10 +559,10 @@ def test_t_and_w_read_back_in_24_bytes_per_row(tmp_path):
 
 
 class _RecordingBlocks:
-    """A ClosedFormPlan wrapper that keeps a copy of the amplitudes of every block.
+    """A ClosedFormPlan wrapper that keeps a copy of the amplitudes of every amplitude pass.
 
-    It adds one amplitude sink to the sinks of each ``blocks`` call, so the
-    amplitudes come from the same chunk evaluations as the run's own sinks.
+    The amplitudes are those of the run's own plan: the oracle options'
+    pass, or one drawn from the plan after the run.
     """
 
     def __init__(self, plan):
@@ -573,10 +572,12 @@ class _RecordingBlocks:
     def __getattr__(self, name):
         return getattr(self.plan, name)
 
-    def blocks(self, *sinks):
-        for start, *values, (excited, ground) in self.plan.blocks(*sinks, AmplitudeSink(self.plan)):
-            self.recorded.append((start, excited.copy(), ground.copy()))
-            yield (start, *values)
+    def blocks(self, sink):
+        for start, value in self.plan.blocks(sink):
+            if isinstance(sink, AmplitudeSink):
+                excited, ground = value
+                self.recorded.append((start, excited.copy(), ground.copy()))
+            yield start, value
 
 
 def _record_blocks(monkeypatch):
@@ -593,11 +594,8 @@ def _record_blocks(monkeypatch):
 
 
 def _emitted(plan, samples):
-    """The recorded blocks as whole-grid arrays, after checking they tile the grid once.
-
-    The blocks are those of the run's density sink beside the recording amplitude sink.
-    """
-    rows = plan.block_rows(DensitySink(plan.plan), AmplitudeSink(plan.plan))
+    """The recorded amplitude blocks as whole-grid arrays, after checking they tile the grid once."""
+    rows = plan.block_rows(AmplitudeSink(plan.plan))
     starts = [start for start, _, _ in plan.recorded]
     lengths = [len(exc) for _, exc, _ in plan.recorded]
     assert starts == list(range(0, samples, rows))
@@ -614,7 +612,7 @@ def test_oracle_checks_emitted_amplitudes(monkeypatch):
     )
     plans = _record_blocks(monkeypatch)
     res = run_scenario(cfg)
-    # one plan, iterated once: one pass over the grid, no second pass
+    # one plan, with one amplitude pass for both options
     assert len(plans) == 1
     exc, gnd = _emitted(plans[0], cfg.samples)
     # three blocks, each checked against the oracle's blocks of the same rows
@@ -654,6 +652,10 @@ def test_run_scenario_block_edges_match_per_time_closed_form(monkeypatch, sample
     cfg = config_from_dict(merge_config(EDGE_DOC, {"time": {"samples": samples}}))
     plans = _record_blocks(monkeypatch)
     res = run_scenario(cfg)
+    # the amplitudes of the run's own plan, in a pass of their own
+    assert plans[0].recorded == []
+    for _ in plans[0].blocks(AmplitudeSink(plans[0].plan)):
+        pass
     exc, gnd = _emitted(plans[0], samples)
     dist = cfg.build_distribution()
     times = cfg.grid()[:]

@@ -204,7 +204,7 @@ def test_a_one_block_grid_is_its_block_and_the_stacked_blocks(monkeypatch):
     others = [second_states[0].excited, second_states[0].ground, *second[1]]
     for i, a in enumerate(arrays):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + others)
-    monkeypatch.setattr(ClosedFormPlan, "block_rows", lambda self, *sinks: 16)
+    monkeypatch.setattr(ClosedFormPlan, "block_rows", lambda self, sink: 16)
     monkeypatch.setattr(
         oracle_module, "ode_oracle_blocks", functools.partial(ode_oracle_blocks, block_rows=8)
     )
@@ -250,12 +250,13 @@ def test_stream_metadata_comes_before_the_blocks():
         time={"samples": 1700},
     )
     plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, cfg.build_distribution(), cfg.grid())
-    # the blocks of a stream that checks amplitudes: a density and an amplitude sink
-    rows = plan.block_rows(DensitySink(plan), AmplitudeSink(plan))
+    # the blocks of the stream: the density sink's, whatever the oracle options
+    rows = plan.block_rows(DensitySink(plan))
     lengths = [min(rows, cfg.samples - start) for start in range(0, cfg.samples, rows)]
     assert len(lengths) == 3
     stream = iter_scenario(cfg)
     resolved = dict(stream.metadata["resolved"])
+    # complete before the first block: the oracle's pass has run
     assert list(resolved) == [
         "n_cut",
         "captured_mass",
@@ -263,15 +264,14 @@ def test_stream_metadata_comes_before_the_blocks():
         "max_phase_argument",
         "per_cell_doublets",
         "separable_rounding_bound",
+        "max_oracle_deviation",
+        "max_counter_rotating_deviation",
     ]
     blocks = list(stream)
     assert [len(b) for b in blocks] == lengths
     whole = run_scenario(cfg)
     assert stream.metadata == whole.metadata
-    assert list(stream.metadata["resolved"]) == list(resolved) + [
-        "max_oracle_deviation",
-        "max_counter_rotating_deviation",
-    ]
+    assert stream.metadata["resolved"] == resolved
     for name in scenario.CSV_COLUMNS:
         assert ObservableSeries.concatenate(blocks)[name].tobytes() == whole.records[name].tobytes()
     with pytest.raises(RuntimeError, match="once"):
@@ -296,7 +296,7 @@ def test_emit_of_a_stream_writes_the_bytes_of_the_series(tmp_path, fmt):
     whole = run_scenario(cfg)
     emit(whole.records, fmt, str(tmp_path / f"series.{fmt}"), whole.metadata)
     stream = iter_scenario(cfg)
-    # the stream adds max_oracle_deviation to the metadata after its last block
+    # the stream's metadata holds max_oracle_deviation before its first block
     emit(stream, fmt, str(tmp_path / f"stream.{fmt}"), stream.metadata)
     assert (tmp_path / f"stream.{fmt}").read_bytes() == (tmp_path / f"series.{fmt}").read_bytes()
     assert sorted(os.listdir(tmp_path)) == [f"series.{fmt}", f"stream.{fmt}"]

@@ -36,11 +36,13 @@ def _plan(name, samples=SAMPLES):
 
 
 def _blocks(plan, sinks=None):
-    """Every block of the sinks (by default both, new) as bytes, and the thread count seen."""
+    """Every block of the sinks (by default both, new), a pass per sink, as bytes, and the
+    thread count seen."""
     blocks, threads = [], []
-    for start, *values in plan.blocks(*(sinks or (DensitySink(plan), AmplitudeSink(plan)))):
-        threads.append(threading.active_count())
-        blocks.append((start,) + tuple(a.tobytes() for block in values for a in block))
+    for sink in sinks or (DensitySink(plan), AmplitudeSink(plan)):
+        for start, value in plan.blocks(sink):
+            threads.append(threading.active_count())
+            blocks.append((start,) + tuple(a.tobytes() for a in value))
     return blocks, threads
 
 
@@ -73,7 +75,7 @@ def test_threaded_blocks_are_the_serial_blocks():
     before = threading.active_count()
     serial, serial_threads = _blocks(_plan(WIDE))
     threaded, threaded_threads = _in_thread(lambda: _blocks(_plan(WIDE)))
-    assert [b[0] for b in serial] == list(range(0, SAMPLES, 256))
+    assert [b[0] for b in serial] == 2 * list(range(0, SAMPLES, 256))
     assert threaded == serial
     # the threaded run saw its own thread and no other; neither left one
     assert serial_threads == [before] * len(serial)
@@ -111,9 +113,9 @@ def test_a_wide_plan_starts_no_thread():
     plan = _plan(WIDE)
     assert (len(plan.chunks), plan.kept_chunks) == (6, 2)
     blocks, threads = _blocks(plan)
-    assert [b[0] for b in blocks] == list(range(0, SAMPLES, 256))
+    assert [b[0] for b in blocks] == 2 * list(range(0, SAMPLES, 256))
     assert threads == [before] * len(blocks)
-    stream = plan.blocks(DensitySink(plan), AmplitudeSink(plan))
+    stream = plan.blocks(AmplitudeSink(plan))
     next(stream)
     assert threading.active_count() == before
     stream.close()
@@ -140,7 +142,7 @@ def test_overflow_surfaces_in_block_order(block):
     assert errors[0] == errors[1]
 
 
-@pytest.mark.parametrize("shared", [1, 2])  # the density sink alone, both sinks
+@pytest.mark.parametrize("shared", [1, 2])  # the density sink alone, a pass of each sink
 def test_threads_sharing_one_plan_and_its_sinks_get_the_serial_blocks(shared):
     # three threads iterate one plan into the same sinks at once, each
     # with work buffers of its own, switching as often as the interpreter

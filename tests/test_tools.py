@@ -320,6 +320,32 @@ def test_bench_pairs_says_which_probes_separate_the_sides():
     assert suite["parent"]["median"] == pytest.approx(0.6) and suite["resolved"]
 
 
+def test_bench_pairs_resolves_nothing_on_fewer_than_3_samples_a_side():
+    # one sample a side has an IQR of 0, so any gap, in either sign, would
+    # read as resolved
+    for parent, change in (([1.0], [0.5]), ([1.0, 1.1], [0.5, 0.6, 0.7]), ([1.0] * 3, [2.0] * 2)):
+        entry = bench_pairs._gap(parent, change)
+        assert entry["resolved"] is None and entry["median_gap"] != 0.0
+    assert bench_pairs._gap([1.0, 1.1, 1.2], [0.5, 0.6, 0.7])["resolved"] is True
+    assert bench_pairs._gap([1.0, 1.4, 1.8], [1.2, 1.3, 1.2])["resolved"] is False
+    # --probe-runs 1: one long-grid run a side
+    one = {
+        "long_grid_ops": {"csv": [[{"op": "csv", "seconds": 1.0}]]},
+        "counter_rotating_oracle": [],
+        "suite_oracle_family": [],
+        "preset_sweep": [],
+    }
+    other = json.loads(json.dumps(one))
+    other["long_grid_ops"]["csv"][0][0]["seconds"] = 0.9
+    summary = bench_pairs.summarize_probes({"parent": one, "change": other})
+    assert summary["long_grid_ops csv csv"]["resolved"] is None
+    # two pairs: each end-to-end metric unresolved
+    row = {name: 1.0 for name in bench_pairs.END_TO_END}
+    rows = [{"parent": {**row, "failed": 0}, "change": {**row, "failed": 0}}] * 2
+    summary = bench_pairs.summarize(rows)
+    assert [summary[name]["resolved"] for name in bench_pairs.END_TO_END] == [None] * 3
+
+
 def test_bench_pairs_probes_the_suite_oracle_family():
     # the acceptance suite's 12 criterion-2 presets, pass by pass, in a
     # process of their own with this checkout's src

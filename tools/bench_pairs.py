@@ -50,8 +50,9 @@ The script records:
     Per probe timing (each long-grid operation per order, an oracle call,
     a pass of the suite family, a pass of the sweep): each side's median
     and interquartile range of its seconds, the gap of the medians and
-    ``resolved``, true only when that gap exceeds the parent's IQR. The
-    pairs' summaries carry ``resolved`` for each end-to-end metric too.
+    ``resolved``, true only when that gap exceeds the parent's IQR, and
+    null when either side has fewer than 3 samples, whose IQR reads 0.
+    The pairs' summaries carry ``resolved`` for each end-to-end metric too.
 ``traced``
     One ``--trace 1`` run per checkout of the claimed workload at seed
     ``--trace-seed``: its per-layer metrics (``emit.csv.busy_s``,
@@ -205,11 +206,17 @@ def _quartiles(values):
     return {"q1": q1, "median": statistics.median(values), "q3": q3, "iqr": q3 - q1}
 
 
-def _gap(entry: dict) -> dict:
-    """``entry`` with ``median_gap`` (parent less change) and ``resolved``: the gap
-    exceeds the parent's IQR, so the runs can tell the two sides apart."""
+def _gap(parent: list, change: list) -> dict:
+    """Both sides' quartiles, ``median_gap`` (parent less change) and ``resolved``: the
+    gap exceeds the parent's IQR, so the runs can tell the two sides apart. With
+    fewer than 3 samples a side the IQR reads 0 and any gap would pass: null."""
+    entry = {"parent": _quartiles(parent), "change": _quartiles(change)}
     entry["median_gap"] = entry["parent"]["median"] - entry["change"]["median"]
-    entry["resolved"] = abs(entry["median_gap"]) > entry["parent"]["iqr"]
+    entry["resolved"] = (
+        abs(entry["median_gap"]) > entry["parent"]["iqr"]
+        if min(len(parent), len(change)) >= 3
+        else None
+    )
     return entry
 
 
@@ -243,9 +250,8 @@ def summarize(rows: list) -> dict:
     for metric in END_TO_END:
         parent = [r["parent"][metric] for r in rows]
         change = [r["change"][metric] for r in rows]
-        entry = {"parent": _quartiles(parent), "change": _quartiles(change)}
-        entry["change_lower"] = sum(c < p for p, c in zip(parent, change))
-        out[metric] = _gap(entry)
+        out[metric] = _gap(parent, change)
+        out[metric]["change_lower"] = sum(c < p for p, c in zip(parent, change))
     out["failed"] = sum(r[side]["failed"] for r in rows for side in ("parent", "change"))
     out["ops"] = {}
     for side in ("parent", "change"):
@@ -327,7 +333,7 @@ def summarize_probes(probes: dict) -> dict:
     for name, parent in seconds["parent"].items():
         change = seconds["change"].get(name)
         if parent and change:
-            out[name] = _gap({"parent": _quartiles(parent), "change": _quartiles(change)})
+            out[name] = _gap(parent, change)
     return out
 
 
