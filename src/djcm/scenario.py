@@ -358,8 +358,11 @@ def _oracle_deviations(config: ScenarioConfig, dist, plan: ClosedFormPlan) -> di
     blocks of the same rows (:func:`~djcm.oracle.ode_oracle_blocks`), and
     dropped before the next is drawn, so the pass holds one block of
     (rows, n_cut+1) amplitudes per route. Keys ``max_oracle_deviation``,
-    then ``max_counter_rotating_deviation``; none without an option.
+    then ``max_counter_rotating_deviation``; without an option, none, and
+    no amplitude sink is made.
     """
+    if not (config.oracle_check or config.counter_rotating_diagnostic):
+        return {}
     params, f, sink = config.params, config.nonlinearity, AmplitudeSink(plan)
     rows = plan.block_rows(sink)
     oracles = {}
@@ -369,8 +372,6 @@ def _oracle_deviations(config: ScenarioConfig, dist, plan: ClosedFormPlan) -> di
         oracles["counter_rotating"] = ode_oracle_blocks(
             params, f, dist, plan.times, include_counter_rotating=True, block_rows=rows
         )
-    if not oracles:
-        return {}
     # np.maximum keeps a NaN deviation, where max() could drop it
     worst = dict.fromkeys(oracles, -np.inf)
     for _, closed in plan.blocks(sink):

@@ -631,6 +631,35 @@ def test_oracle_checks_emitted_amplitudes(monkeypatch):
         assert res.metadata["resolved"][f"max_{name}_deviation"] == max(expected)
 
 
+def test_only_an_oracle_option_makes_an_amplitude_sink(monkeypatch):
+    # a plain run evaluates the density sink alone; its metadata keys and
+    # their order are those of a checked run, less the two deviations
+    made = []
+
+    def counting(plan):
+        made.append(plan)
+        return AmplitudeSink(plan)
+
+    monkeypatch.setattr(scenario, "AmplitudeSink", counting)
+    keys = {}
+    for flag in ("", "oracle_check", "counter_rotating_diagnostic"):
+        stream = scenario.iter_scenario(small_config(options={flag: True} if flag else {}))
+        keys[flag] = list(stream.metadata), list(stream.metadata["resolved"])
+        assert len(made) == bool(flag)
+        made.clear()
+    resolved = [
+        "n_cut",
+        "captured_mass",
+        "active_doublets",
+        "max_phase_argument",
+        "per_cell_doublets",
+        "separable_rounding_bound",
+    ]
+    assert keys[""] == (keys["oracle_check"][0], resolved)
+    assert keys["oracle_check"][1] == resolved + ["max_oracle_deviation"]
+    assert keys["counter_rotating_diagnostic"][1] == resolved + ["max_counter_rotating_deviation"]
+
+
 EDGE_DOC = {
     "params": {"k": 2, "gamma": 1.0, "mu": 0.1, "chi": 0.03, "beta1": 0.1, "beta2": 0.1},
     "nonlinearity": "sqrt_n",

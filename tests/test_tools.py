@@ -245,13 +245,14 @@ def test_bench_pairs_alternates_the_probe_sides(monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "_probe", probe)
     out = bench_pairs.run_probes({"parent": "p", "change": "c"}, 3)
-    probes = [("grid", "csv,json,revivals"), ("grid", "json,csv,revivals"), ("oracle", "12"),
-              ("suite", "4"), ("sweep", "3")]
+    probes = [("grid", "csv,json,revivals"), ("grid", "json,csv,revivals"), ("format", "5"),
+              ("oracle", "12"), ("suite", "4"), ("sweep", "3")]
     assert [(kind, arg) for kind, arg, _ in calls] == [p for p in probes for _ in range(6)]
     for i in range(0, len(calls), 6):
         assert [side for *_, side in calls[i : i + 6]] == ["p", "c", "c", "p", "p", "c"]
     for side in out.values():
         assert [len(runs) for runs in side["long_grid_ops"].values()] == [3, 3]
+        assert len(side["format"]) == 3
         assert len(side["counter_rotating_oracle"]) == 3
         assert side["suite_oracle_family"] == [[{"pass": 1}, {"pass": 1}]] * 3
         assert len(side["preset_sweep"]) == 3
@@ -344,6 +345,34 @@ def test_bench_pairs_resolves_nothing_on_fewer_than_3_samples_a_side():
     rows = [{"parent": {**row, "failed": 0}, "change": {**row, "failed": 0}}] * 2
     summary = bench_pairs.summarize(rows)
     assert [summary[name]["resolved"] for name in bench_pairs.END_TO_END] == [None] * 3
+
+
+def test_bench_pairs_probes_the_formatter():
+    # RowLayout.rows on the long grid's 768 x 12 blocks, in a process of its
+    # own with this checkout's src: per layout, ns per cell per pass and the
+    # traced bytes of one warm block, its workspace and text included
+    checkout = os.path.join(os.path.dirname(__file__), os.pardir)
+    entries = bench_pairs._probe(checkout, "format", "2")
+    assert [entry["layout"] for entry in entries] == ["csv", "json"]
+    keys = {"layout", "cells", "ns_per_cell", "workspace_bytes", "peak_bytes", "text_bytes"}
+    for entry in entries:
+        assert set(entry) == keys and entry["cells"] == 768 * 12
+        assert len(entry["ns_per_cell"]) == 2 and min(entry["ns_per_cell"]) > 0.0
+        assert 0 < entry["workspace_bytes"]
+        assert entry["workspace_bytes"] + entry["text_bytes"] <= entry["peak_bytes"]
+    # the summary: ns per cell per pass, peak bytes per cell per run
+    side = {
+        "long_grid_ops": {}, "format": [entries] * 3, "counter_rotating_oracle": [],
+        "suite_oracle_family": [], "preset_sweep": [],
+    }
+    summary = bench_pairs.summarize_probes({"parent": side, "change": side})
+    assert sorted(summary) == [
+        f"format {layout} {metric}"
+        for layout in ("csv", "json") for metric in ("ns_per_cell", "peak_bytes_per_cell")
+    ]
+    peak = summary["format json peak_bytes_per_cell"]
+    assert peak["parent"]["median"] == entries[1]["peak_bytes"] / entries[1]["cells"]
+    assert peak["median_gap"] == 0.0 and summary["format csv ns_per_cell"]["resolved"] is False
 
 
 def test_bench_pairs_probes_the_suite_oracle_family():

@@ -33,7 +33,12 @@ The script records:
     long grid's three CLI operations (simulate to CSV, to JSON,
     ``revivals`` on the CSV) in both orders, each with its seconds, its
     minor page faults (``ru_minflt``) and the process's ``ru_maxrss``
-    after it; the counter-rotating RK4 oracle on
+    after it; the formatter (``format``), ``RowLayout.rows`` in the CSV
+    and the JSON layout on the long grid's first eight 768 x 12 blocks,
+    with its ns per cell over 5 passes of one workspace and its
+    ``tracemalloc`` figures for one warm block: the workspace's bytes,
+    the call's peak with the workspace included, and the text's bytes;
+    the counter-rotating RK4 oracle on
     coherent_bare_identity's 2000-sample grid, seconds and minor faults
     per call; the acceptance suite's criterion-2 family, each of its
     presets' ``evolve_ode_oracle`` plus ``closed_form_series`` on the
@@ -44,12 +49,14 @@ The script records:
     pass after a warm-up pass. Each pass writes each preset to a file of
     its own in a new directory, so no emit replaces a file: on a
     filesystem where replacing or deleting a file whose data is on disk
-    takes tens of milliseconds, that wait would be timed with the pass. ``--probe-runs`` processes per side and order, the first side
+    takes tens of milliseconds, that wait would be timed with the pass.
+    ``--probe-runs`` processes per side and order, the first side
     alternating from run to run, as in the pairs.
 ``probe_summary``
-    Per probe timing (each long-grid operation per order, an oracle call,
-    a pass of the suite family, a pass of the sweep): each side's median
-    and interquartile range of its seconds, the gap of the medians and
+    Per probe timing (each long-grid operation per order, the formatter's
+    ns per cell and peak bytes per cell per layout, an oracle call, a pass
+    of the suite family, a pass of the sweep): each side's median and
+    interquartile range of its samples, the gap of the medians and
     ``resolved``, true only when that gap exceeds the parent's IQR, and
     null when either side has fewer than 3 samples, whose IQR reads 0.
     The pairs' summaries carry ``resolved`` for each end-to-end metric too.
@@ -78,8 +85,8 @@ THREAD_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THRE
 
 # Runs in a fresh process with a checkout's src on the path and the
 # checkout as its directory: argv[1] is "grid" with a comma-separated order
-# of operations, "oracle" with a call count, or "suite" or "sweep" with a
-# pass count; prints one JSON object.
+# of operations, "oracle" with a call count, or "format", "suite" or
+# "sweep" with a pass count; prints one JSON object.
 PROBE = r"""
 import contextlib, io, json, os, resource, sys, tempfile, time
 
@@ -111,6 +118,38 @@ if kind == "grid":
                 "maxrss_mib": after.ru_maxrss / 1024.0,
             })
         os.chdir("/")
+elif kind == "format":
+    import tracemalloc
+    import numpy as np
+    from djcm import scenario
+    from djcm.shortest import Workspace
+    doc = {"time": {"t_end": 75.0, "samples": 50000}}
+    doc = scenario.merge_config(scenario.preset_dict("coherent_bare_identity"), doc)
+    blocks = []
+    for series in scenario.iter_scenario(scenario.config_from_dict(doc)):
+        blocks.append(np.stack([series[name] for name in scenario.CSV_COLUMNS], axis=1))
+        if len(blocks) == 8:
+            break
+    for name, layout in (("csv", scenario._CSV_ROWS), ("json", scenario._JSON_ROWS)):
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
+        work = Workspace()
+        layout.rows(blocks[0], work)
+        held = tracemalloc.get_traced_memory()[0] - base
+        tracemalloc.reset_peak()
+        text = layout.rows(blocks[1], work)
+        peak = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.stop()
+        ns = []
+        for _ in range(int(arg)):
+            start = time.perf_counter()
+            for block in blocks:
+                layout.rows(block, work)
+            ns.append((time.perf_counter() - start) / (len(blocks) * blocks[0].size) * 1e9)
+        out.append({
+            "layout": name, "cells": blocks[0].size, "ns_per_cell": ns,
+            "workspace_bytes": held, "peak_bytes": peak, "text_bytes": text.nbytes,
+        })
 elif kind == "suite":
     sys.path.insert(0, "tests")
     import numpy as np
@@ -280,19 +319,22 @@ def _in_turn(sides: dict, runs: int):
 
 
 def run_probes(sides: dict, runs: int) -> dict:
-    """Per side: the grid's operations in both orders, the counter-rotating oracle, the
-    suite's criterion-2 family and the 45-preset sweep, each probe's runs in turn."""
+    """Per side: the grid's operations in both orders, the formatter, the counter-rotating
+    oracle, the suite's criterion-2 family and the 45-preset sweep, each probe's runs in
+    turn."""
     grid_orders = ("csv,json,revivals", "json,csv,revivals")
     out = {
         side: {
-            "long_grid_ops": {order: [] for order in grid_orders}, "counter_rotating_oracle": [],
-            "suite_oracle_family": [], "preset_sweep": [],
+            "long_grid_ops": {order: [] for order in grid_orders}, "format": [],
+            "counter_rotating_oracle": [], "suite_oracle_family": [], "preset_sweep": [],
         }
         for side in sides
     }
     for order in grid_orders:
         for side, checkout in _in_turn(sides, runs):
             out[side]["long_grid_ops"][order].append(_probe(checkout, "grid", order))
+    for side, checkout in _in_turn(sides, runs):
+        out[side]["format"].append(_probe(checkout, "format", "5"))
     for side, checkout in _in_turn(sides, runs):
         # two warm-up calls, then the calls measured
         out[side]["counter_rotating_oracle"].append(_probe(checkout, "oracle", "12")[2:])
@@ -305,14 +347,23 @@ def run_probes(sides: dict, runs: int) -> dict:
 
 
 def _probe_seconds(probes: dict) -> dict:
-    """One side's probe seconds, one list per timing: each long-grid operation per order
-    (one per run), each counter-rotating oracle call, each pass of the suite family
-    (its presets summed) and of the preset sweep."""
+    """One side's probe samples, one list per timing: the seconds of each long-grid
+    operation per order (one per run), the formatter's ns per cell (one per pass) and
+    traced peak bytes per cell (one per run) per layout, and the seconds of each
+    counter-rotating oracle call and each pass of the suite family (its presets summed)
+    and of the preset sweep."""
     out = {}
     for order, runs in probes["long_grid_ops"].items():
         for run in runs:
             for op in run:
                 out.setdefault(f"long_grid_ops {order} {op['op']}", []).append(op["seconds"])
+    for run in probes.get("format", []):
+        for entry in run:
+            name = f"format {entry['layout']}"
+            out.setdefault(f"{name} ns_per_cell", []).extend(entry["ns_per_cell"])
+            out.setdefault(f"{name} peak_bytes_per_cell", []).append(
+                entry["peak_bytes"] / entry["cells"]
+            )
     out["counter_rotating_oracle"] = [
         call["seconds"] for run in probes["counter_rotating_oracle"] for call in run
     ]
