@@ -27,13 +27,8 @@ from .field_states import (
 )
 from .model import ModelParams
 from .nonlinearity import Nonlinearity
-from .observables import (
-    ObservableRecord,
-    ObservableSeries,
-    ReducedAtomDensity,
-    atomic_inversion_closed,
-)
-from .oracle import AmplitudeState, evolve_ode_oracle, max_amplitude_deviation
+from .observables import ObservableSeries, atomic_inversion_closed
+from .oracle import evolve_ode_oracle, max_amplitude_deviation
 from .scenario import (
     ScenarioConfig,
     ScenarioResult,
@@ -49,7 +44,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmplitudeState",
     "ConfigError",
     "IntegrationFailureError",
     "InvalidNonlinearityError",
@@ -57,13 +51,11 @@ __all__ = [
     "ModelParams",
     "Nonlinearity",
     "NumericalConsistencyError",
-    "ObservableRecord",
     "ObservableSeries",
     "OutputError",
     "PhotonDistribution",
     "PhysicsValidationError",
     "PresetLookupError",
-    "ReducedAtomDensity",
     "ScenarioConfig",
     "ScenarioResult",
     "SimulationError",

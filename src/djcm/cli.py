@@ -34,6 +34,7 @@ from .scenario import (
     config_from_dict,
     emit,
     iter_scenario,
+    load_json,
     measure_revivals,
     merge_config,
     preset_dict,
@@ -92,10 +93,9 @@ def _simulate(args) -> int:
                 text = handle.read()
         except OSError as exc:
             raise OutputError(f"cannot read config {args.config!r}: {exc}") from exc
-        try:
-            user_doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config!r}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config {args.config!r} is not UTF-8 text: {exc}") from exc
+        user_doc = load_json(text, f" in {args.config!r}")
         if not isinstance(user_doc, dict):
             raise ConfigError("scenario document must be a JSON object")
         doc = merge_config(doc, user_doc) if doc else user_doc

@@ -26,8 +26,9 @@ from .model import (
     _stack_blocks,
 )
 from .nonlinearity import Nonlinearity
-# the oracle's public names, for callers that also run against checkouts without djcm.oracle
-from .oracle import AmplitudeState, evolve_ode_oracle, max_amplitude_deviation, ode_oracle_blocks
+# the oracle's public names: perfbench/worker.py calls dynamics.evolve_ode_oracle, and
+# also runs against checkouts without djcm.oracle
+from .oracle import evolve_ode_oracle, max_amplitude_deviation, ode_oracle_blocks
 
 # Shortest grid whose phases come from fine tables of _FINE rows; a
 # shorter grid pays for no table.

@@ -14,7 +14,7 @@ class InvalidParameterError(SimulationError):
 
 
 class InvalidNonlinearityError(SimulationError):
-    """The deformation function returned a non-finite or non-positive value."""
+    """An f(n) that is not 'identity', 'sqrt_n' or a table of finite values > 0 long enough."""
 
 
 class PhysicsValidationError(SimulationError):

@@ -213,5 +213,12 @@ def thermal_nbar_from_temperature(frequency: float, temperature: float) -> float
     x = frequency / temperature
     if x > 700.0:  # exp overflows; occupation is zero to double precision
         return 0.0
-    return 1.0 / math.expm1(x)
+    # a ratio that underflows to 0, or whose inverse overflows, has no finite nbar
+    nbar = 1.0 / math.expm1(x) if x > 0.0 else math.inf
+    if not math.isfinite(nbar):
+        raise InvalidParameterError(
+            f"frequency {frequency!r} over temperature {temperature!r} is too small: "
+            "the mean photon number is not finite"
+        )
+    return nbar
 

@@ -222,8 +222,7 @@ def _stack_blocks(blocks, rows: int, width: int):
     """Whole-grid (excited, ground) arrays of ``rows`` rows from consecutive blocks of them.
 
     A grid of one block is that block itself, not a copy: the blocks of
-    an amplitude sink and of the oracle are new arrays each, which nothing
-    else holds.
+    an amplitude sink are new arrays each, which nothing else holds.
     """
     excited = ground = None
     start = 0

@@ -15,9 +15,6 @@ sigma_alpha means E_alpha < 0.
 
 from __future__ import annotations
 
-import operator
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericalConsistencyError
@@ -26,30 +23,6 @@ from .model import CoefficientTable, ModelParams, _sin_over_omega
 from .nonlinearity import Nonlinearity
 
 PROB_SLACK = 1e-9
-
-
-@dataclass(frozen=True)
-class ReducedAtomDensity:
-    rho_ee: float
-    rho_gg: float
-    rho_eg: complex
-
-
-@dataclass(frozen=True)
-class ObservableRecord:
-    time: float
-    W: float
-    rho: ReducedAtomDensity
-    H_x: float
-    H_y: float
-    H_z: float
-    dH_x: float
-    dH_y: float
-    dH_z: float
-    E_x: float
-    E_y: float
-    norm: float
-
 
 CSV_COLUMNS = (
     "t",
@@ -72,10 +45,9 @@ SERIES_COLUMNS = CSV_COLUMNS + ("dH_x", "dH_y", "dH_z")
 class ObservableSeries:
     """Observables on a time grid, one read-only float64 array per quantity.
 
-    ``series["W"]`` is a column (names in :data:`SERIES_COLUMNS`);
-    ``series[i]`` and iteration give :class:`ObservableRecord` row views,
-    which are built only when asked for. ``len(series)`` is the number of
-    samples.
+    ``series["W"]`` is a column (names in :data:`SERIES_COLUMNS`) and
+    ``len(series)`` the number of samples. Iteration gives numpy records
+    of those names, for callers that walk rows.
     """
 
     __slots__ = ("columns",)
@@ -101,26 +73,12 @@ class ObservableSeries:
     def __len__(self) -> int:
         return len(self.columns["t"])
 
-    def __getitem__(self, key):
-        if isinstance(key, str):
-            return self.columns[key]
-        i = range(len(self))[operator.index(key)]
-        return next(self._rows(slice(i, i + 1)))
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
 
     def __iter__(self):
-        return self._rows(slice(None))
-
-    def _rows(self, index: slice):
-        c = {name: col[index].tolist() for name, col in self.columns.items()}
-        rho = map(
-            ReducedAtomDensity,
-            c["rho_ee"],
-            c["rho_gg"],
-            map(complex, c["re_rho_eg"], c["im_rho_eg"]),
-        )
-        # positional, in the field order of ObservableRecord
-        rest = ("H_x", "H_y", "H_z", "dH_x", "dH_y", "dH_z", "E_x", "E_y", "norm")
-        return map(ObservableRecord, c["t"], c["W"], rho, *(c[name] for name in rest))
+        columns = [self.columns[name] for name in SERIES_COLUMNS]
+        return iter(np.rec.fromarrays(columns, names=SERIES_COLUMNS))
 
 
 def atomic_inversion_closed(

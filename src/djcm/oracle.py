@@ -11,7 +11,6 @@ nothing from :mod:`djcm.dynamics` (``tests/test_modules.py`` checks).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +23,8 @@ from .model import (
     UniformGrid,
     _as_slice,
     _resolve_initial,
-    _stack_blocks,
 )
 from .nonlinearity import Nonlinearity
-
-
-@dataclass(frozen=True, eq=False)
-class AmplitudeState:
-    """Doublet amplitudes at one time: excited[n] = c_{n,e}, ground[n] = c_{n+k,g}."""
-
-    time: float
-    excited: np.ndarray
-    ground: np.ndarray
-    k: int
 
 
 # Steps between direct evaluations of the coupling phases in the oracle.
@@ -599,28 +587,30 @@ def evolve_ode_oracle(
     loop per distinct step count, so ``include_counter_rotating`` costs
     time proportional to the step count (see :meth:`_PairBatch.sweep`).
 
-    Returns one :class:`AmplitudeState` per grid time: the blocks of
-    :func:`ode_oracle_blocks`, concatenated.
+    Returns one numpy record array, one record per grid time: ``time``,
+    and ``excited`` and ``ground`` (n_cut+1 values each, excited[n] =
+    c_{n,e} and ground[n] = c_{n+k,g}), filled from the blocks of
+    :func:`ode_oracle_blocks` one block at a time.
     """
     times = _oracle_grid(t_grid)[:]
-    blocks = ode_oracle_blocks(
+    width = dist.n_cut + 1
+    record = [("time", float), ("excited", complex, (width,)), ("ground", complex, (width,))]
+    states = np.recarray(len(times), dtype=record)
+    states.time = times
+    start = 0
+    for excited, ground in ode_oracle_blocks(
         params, f, dist, times, include_counter_rotating, tol, initial_amplitudes
-    )
-    excited, ground = _stack_blocks(blocks, len(times), dist.n_cut + 1)
-    k = params.k
-    return [
-        AmplitudeState(time=float(t), excited=excited[i], ground=ground[i], k=k)
-        for i, t in enumerate(times)
-    ]
+    ):
+        states.excited[start : start + len(excited)] = excited
+        states.ground[start : start + len(ground)] = ground
+        start += len(excited)
+    return states
 
 
-def max_amplitude_deviation(states_a, states_b) -> float:
-    """Largest |c_a - c_b| over all doublets and times of two state lists."""
-    worst = 0.0
-    for a, b in zip(states_a, states_b, strict=True):
-        worst = max(
-            worst,
-            float(np.max(np.abs(a.excited - b.excited))),
-            float(np.max(np.abs(a.ground - b.ground))),
-        )
-    return worst
+def max_amplitude_deviation(a, b) -> float:
+    """Largest |c_a - c_b| over all doublets and times of two (excited, ground) pairs.
+
+    The oracle's pair is ``(states.excited, states.ground)``;
+    :func:`~djcm.dynamics.closed_form_series` returns one.
+    """
+    return float(np.max(np.abs(np.subtract(a, b)), initial=0.0))

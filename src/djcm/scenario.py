@@ -246,13 +246,17 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     )
 
 
+def load_json(text: str, where: str = ""):
+    """The value of a JSON text; ConfigError, naming ``where``, if it is invalid or nests too deep."""
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ConfigError(f"invalid JSON{where}: {exc}") from exc
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a JSON scenario document."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc}") from exc
-    return config_from_dict(doc)
+    return config_from_dict(load_json(text))
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +590,8 @@ def read_csv_series(path: str, columns: tuple | None = None) -> ObservableSeries
     file's text nor a whole-file parse buffer is held. Every value comes
     back bit for bit as emitted. A cell that is not a number, a row with
     the wrong number of cells or a file with no data rows raises
-    OutputError, naming the file line (the header is line 1).
+    OutputError, naming the file line (the header is line 1); so does a
+    file that is not UTF-8 text.
 
     With ``columns``, names from CSV_COLUMNS, every cell is still parsed
     and checked, but only those columns are kept and returned as a dict
@@ -609,7 +614,7 @@ def read_csv_series(path: str, columns: tuple | None = None) -> ObservableSeries
                     kept[name].append(block[:, CSV_COLUMNS.index(name)].copy())
                 rows += len(block)
                 line += len(chunk)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise OutputError(f"cannot read {path!r}: {exc}") from exc
     if not rows:
         raise OutputError(f"{path!r} has no data rows")
@@ -699,7 +704,8 @@ def measure_revivals(records):
     if len(bad):
         i = int(bad[0])
         raise InvalidParameterError(
-            f"revival detection needs finite t and W; sample {i} has t={times[i]!r}, W={w[i]!r}"
+            "revival detection needs finite t and W; "
+            f"sample {i} has t={float(times[i])!r}, W={float(w[i])!r}"
         )
     window = max(3, round(0.02 * len(w)))
     env = sliding_rms(w - np.mean(w), window)

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from djcm.dynamics import (
-    AmplitudeState,
     CoefficientTable,
     ModelParams,
     closed_form_series,
@@ -203,12 +202,8 @@ def test_criterion_2_oracle_equivalence():
         states = evolve_ode_oracle(
             cfg.params, cfg.nonlinearity, dist, t_grid, tol=ORACLE_TOL
         )
-        exc, gnd = closed_form_series(cfg.params, cfg.nonlinearity, dist, t_grid)
-        ref = [
-            AmplitudeState(time=float(t), excited=exc[i], ground=gnd[i], k=cfg.params.k)
-            for i, t in enumerate(t_grid)
-        ]
-        dev = max_amplitude_deviation(states, ref)
+        ref = closed_form_series(cfg.params, cfg.nonlinearity, dist, t_grid)
+        dev = max_amplitude_deviation((states.excited, states.ground), ref)
         worst = max(worst, dev)
         report.append(f"    {name}: window {horizon:g}, deviation {dev:.2e}")
         assert dev <= 1e-8, f"{name}: oracle deviation {dev:.3e} on window {horizon:g}"

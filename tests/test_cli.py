@@ -224,6 +224,23 @@ def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize(
+    "text",
+    [b"\xff\xfe{}", b"[" * 100000],
+    ids=["not_utf8", "nested_too_deep"],
+)
+@pytest.mark.parametrize("flags", [[], ["--preset", "coherent_bare_identity"]])
+def test_config_text_not_utf8_or_nested_too_deep_exits_2(tmp_path, capsys, text, flags):
+    config = tmp_path / "bad.json"
+    config.write_bytes(text)
+    out_path = tmp_path / "never.csv"
+    assert main(["simulate", "--config", str(config), "--output", str(out_path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize(
     "override",
     [
         {"params": {"mu": float("nan")}},
@@ -231,6 +248,8 @@ def test_a_config_that_is_not_a_json_object_exits_2(tmp_path, monkeypatch, capsy
         {"field": {"kind": "thermal", "temperature": "hot", "frequency": 1.0}},
         {"field": {"kind": "thermal", "temperature": [1], "frequency": 1.0}},
         {"field": {"kind": "thermal", "temperature": 1.0, "frequency": "x"}},
+        # the frequency/temperature ratio underflows to 0: no finite nbar
+        {"field": {"kind": "thermal", "temperature": 1e300, "frequency": 1e-300}},
         {"nonlinearity": {"table": ["x"]}},
         {"nonlinearity": {"table": [1.0, float("nan")]}},
     ],
@@ -435,6 +454,8 @@ def test_revivals_refuses_non_finite_cells(tmp_path, capsys, column, cell):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert captured.err.startswith("error:") and "sample 700 " in captured.err
+    # plain floats, not numpy scalars' repr
+    assert f"{column}={cell}" in captured.err and "float64" not in captured.err
 
 
 def test_revivals_on_entropies_beyond_exp_range_print_no_warning(tmp_path):
@@ -467,6 +488,15 @@ def test_revivals_on_entropies_beyond_exp_range_print_no_warning(tmp_path):
 
 def test_revivals_missing_file(capsys):
     assert main(["revivals", "--input", "/no/such/file.csv"]) == 4
+
+
+def test_revivals_of_a_file_that_is_not_utf8_exits_4(tmp_path, capsys):
+    path = tmp_path / "bin.csv"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["revivals", "--input", str(path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("I/O error: cannot read") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,6 @@ from scipy.special import gammaln
 from djcm import oracle
 from djcm.dynamics import (
     AmplitudeSink,
-    AmplitudeState,
     ClosedFormPlan,
     CoefficientTable,
     ModelParams,
@@ -41,17 +40,15 @@ F_ID = Nonlinearity.identity()
 F_SQ = Nonlinearity.sqrt_n()
 
 
-def closed_states(params, f, dist, t_grid, initial_amplitudes=None):
-    exc, gnd = closed_form_series(params, f, dist, t_grid, initial_amplitudes)
-    return [
-        AmplitudeState(time=float(t), excited=exc[i], ground=gnd[i], k=params.k)
-        for i, t in enumerate(t_grid)
-    ]
-
-
 def closed_state(params, f, dist, t, initial_amplitudes=None):
-    """The closed form at one time: a one-sample grid, its time its own anchor."""
-    return closed_states(params, f, dist, [t], initial_amplitudes)[0]
+    """(excited, ground) of the closed form at one time: a one-sample grid, its own anchor."""
+    exc, gnd = closed_form_series(params, f, dist, [t], initial_amplitudes)
+    return exc[0], gnd[0]
+
+
+def oracle_pair(states):
+    """The oracle's (excited, ground) arrays, as closed_form_series returns them."""
+    return states.excited, states.ground
 
 
 # ---------------------------------------------------------------------------
@@ -182,17 +179,17 @@ def test_linear_limit_recovers_reference_formulas():
 def test_identity_at_t0():
     p = ModelParams(k=1, gamma=1.0, mu=0.1)
     d = coherent_distribution(2.0)
-    st = closed_state(p, F_SQ, d, 0.0)
-    assert np.array_equal(st.excited, np.sqrt(d.probabilities).astype(complex))
-    assert np.all(st.ground == 0.0)
+    exc, gnd = closed_state(p, F_SQ, d, 0.0)
+    assert np.array_equal(exc, np.sqrt(d.probabilities).astype(complex))
+    assert np.all(gnd == 0.0)
 
 
 def test_vacuum_rabi_population():
     p = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
     for t in (0.3, 1.1, 2.9, 7.7):
-        st = closed_state(p, F_ID, d, t)
-        assert abs(st.excited[0]) ** 2 == pytest.approx(math.cos(t / 2.0) ** 2, abs=1e-14)
+        exc, _ = closed_state(p, F_ID, d, t)
+        assert abs(exc[0]) ** 2 == pytest.approx(math.cos(t / 2.0) ** 2, abs=1e-14)
 
 
 def test_negative_time_rejected():
@@ -225,8 +222,8 @@ def test_norm_equals_captured_mass():
     p = ModelParams(k=2, gamma=1.0, mu=0.1)
     d = coherent_distribution(3.0)
     for t in (0.0, 4.2, 31.0):
-        st = closed_state(p, F_SQ, d, t)
-        total = np.sum(np.abs(st.excited) ** 2) + np.sum(np.abs(st.ground) ** 2)
+        exc, gnd = closed_state(p, F_SQ, d, t)
+        total = np.sum(np.abs(exc) ** 2) + np.sum(np.abs(gnd) ** 2)
         assert total == pytest.approx(d.captured_mass, abs=1e-10)
 
 
@@ -236,7 +233,7 @@ def test_amplitude_magnitudes_ignore_phase_constants():
     p = ModelParams(k=2, gamma=1.2, mu=0.3, chi=0.02, beta1=0.07, beta2=0.11)
     d = coherent_distribution(2.0)
     t = 5.3
-    st = closed_state(p, F_SQ, d, t)
+    exc, gnd = closed_state(p, F_SQ, d, t)
     from djcm.dynamics import _sin_over_omega
 
     co = CoefficientTable(p, F_SQ, d.n_cut)
@@ -244,8 +241,8 @@ def test_amplitude_magnitudes_ignore_phase_constants():
     s = _sin_over_omega(co.Omega, t)
     mag_e = c0 * np.hypot(np.cos(co.Omega * t), 0.5 * (co.Rn - p.mu) * s)
     mag_g = c0 * 0.5 * co.alpha * np.abs(s)
-    assert np.abs(st.excited) == pytest.approx(mag_e, abs=1e-14)
-    assert np.abs(st.ground) == pytest.approx(mag_g, abs=1e-14)
+    assert np.abs(exc) == pytest.approx(mag_e, abs=1e-14)
+    assert np.abs(gnd) == pytest.approx(mag_g, abs=1e-14)
 
 
 def test_degenerate_rabi_frequency_continuity():
@@ -257,7 +254,7 @@ def test_degenerate_rabi_frequency_continuity():
     def excited_amp(eps):
         f = Nonlinearity.from_table([eps] + [1.0] * (d.n_cut + 2))
         p = ModelParams(k=1, gamma=1.0, mu=mu, detuning=mu)
-        return closed_state(p, f, d, t).excited[0]
+        return closed_state(p, f, d, t)[0][0]
 
     # analytic limit: pure phase rotation of the initial amplitude
     limit = np.exp(-1j * (0.0 + 0.5 * mu) * t)
@@ -286,12 +283,12 @@ def test_custom_initial_amplitudes_supported():
     rng = np.random.default_rng(3)
     c0 = np.sqrt(d.probabilities) * np.exp(1j * rng.uniform(0, 2 * np.pi, d.n_cut + 1))
     t = np.linspace(0.0, 10.0, 21)
-    ref = closed_states(p, F_SQ, d, t, initial_amplitudes=c0)
+    ref = closed_form_series(p, F_SQ, d, t, initial_amplitudes=c0)
     states = evolve_ode_oracle(p, F_SQ, d, t, initial_amplitudes=c0)
-    assert max_amplitude_deviation(states, ref) <= 1e-8
+    assert max_amplitude_deviation(oracle_pair(states), ref) <= 1e-8
     # magnitudes are insensitive to the initial per-level phases
-    plain = closed_states(p, F_SQ, d, t)
-    assert np.abs(ref[-1].excited) == pytest.approx(np.abs(plain[-1].excited), abs=1e-13)
+    plain, _ = closed_form_series(p, F_SQ, d, t)
+    assert np.abs(ref[0][-1]) == pytest.approx(np.abs(plain[-1]), abs=1e-13)
 
 
 def test_table_deformation_starts_at_one():
@@ -305,10 +302,10 @@ def test_table_deformation_starts_at_one():
     for name in ("R1", "R2", "Rn", "phi", "alpha", "Omega"):
         assert np.all(np.isfinite(getattr(co, name))), name
     t = np.linspace(0.0, 5.0, 21)
-    ref = closed_states(p, f, d, t)
-    assert all(np.all(np.isfinite(st.excited)) and np.all(np.isfinite(st.ground)) for st in ref)
+    ref = closed_form_series(p, f, d, t)
+    assert all(np.all(np.isfinite(amplitudes)) for amplitudes in ref)
     states = evolve_ode_oracle(p, f, d, t)
-    assert max_amplitude_deviation(states, ref) <= 1e-8
+    assert max_amplitude_deviation(oracle_pair(states), ref) <= 1e-8
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
@@ -341,7 +338,7 @@ def test_oracle_matches_closed_form_all_terms():
     d = coherent_distribution(1.0)
     t = np.linspace(0.0, 50.0, 101)
     states = evolve_ode_oracle(p, F_SQ, d, t)
-    assert max_amplitude_deviation(states, closed_states(p, F_SQ, d, t)) <= 1e-8
+    assert max_amplitude_deviation(oracle_pair(states), closed_form_series(p, F_SQ, d, t)) <= 1e-8
 
 
 @pytest.mark.parametrize(
@@ -353,7 +350,7 @@ def test_oracle_matches_closed_form_high_k(k, dist_builder, nbar):
     d = dist_builder(nbar)
     t = np.linspace(0.0, 2.0, 41)
     states = evolve_ode_oracle(p, F_SQ, d, t)
-    assert max_amplitude_deviation(states, closed_states(p, F_SQ, d, t)) <= 1e-8
+    assert max_amplitude_deviation(oracle_pair(states), closed_form_series(p, F_SQ, d, t)) <= 1e-8
 
 
 def test_oracle_squeezed_field():
@@ -361,7 +358,7 @@ def test_oracle_squeezed_field():
     d = squeezed_distribution(0.1)
     t = np.linspace(0.0, 50.0, 101)
     states = evolve_ode_oracle(p, F_SQ, d, t)
-    assert max_amplitude_deviation(states, closed_states(p, F_SQ, d, t)) <= 1e-8
+    assert max_amplitude_deviation(oracle_pair(states), closed_form_series(p, F_SQ, d, t)) <= 1e-8
 
 
 def test_counter_rotating_deviation_scales_down():
@@ -373,7 +370,8 @@ def test_counter_rotating_deviation_scales_down():
         p = ModelParams(k=1, gamma=1.0, mu=drive, detuning=drive)
         t = np.linspace(0.0, 30.0, 61)
         states = evolve_ode_oracle(p, F_ID, d, t, include_counter_rotating=True)
-        devs[drive] = max_amplitude_deviation(states, closed_states(p, F_ID, d, t))
+        closed = closed_form_series(p, F_ID, d, t)
+        devs[drive] = max_amplitude_deviation(oracle_pair(states), closed)
     assert devs[20.0] < 0.1
     assert devs[80.0] < devs[20.0]
     # scale check: deviation is of order alpha/(mu+R), not orders off
@@ -388,8 +386,7 @@ def test_rwa_flag_off_is_default_equation():
     t = np.linspace(0.0, 6.0, 31)
     states = evolve_ode_oracle(p, F_ID, d, t, include_counter_rotating=True)
     # doubled coupling: population cos^2(gamma t) instead of cos^2(gamma t / 2)
-    for st in states:
-        assert abs(st.excited[0]) ** 2 == pytest.approx(math.cos(st.time) ** 2, abs=1e-8)
+    assert np.abs(states.excited[:, 0]) ** 2 == pytest.approx(np.cos(states.time) ** 2, abs=1e-8)
 
 
 def test_tiny_coupling_keeps_amplitudes_constant():
@@ -411,11 +408,11 @@ def test_oracle_carries_frozen_doublets_exactly():
     t = np.linspace(0.0, 2.0, 9)
     states = evolve_ode_oracle(p, F_ID, d, t, initial_amplitudes=c0)
     r1 = CoefficientTable(p, F_ID, d.n_cut).R1
-    for s in states:
-        for n in (1, 4):
-            assert s.excited[n] == c0[n] * np.exp(-1j * r1[n] * s.time)
-            assert s.ground[n] == 0.0
-    assert max_amplitude_deviation(states, closed_states(p, F_ID, d, t, c0)) <= 1e-8
+    for n in (1, 4):
+        assert np.array_equal(states.excited[:, n], c0[n] * np.exp(-1j * r1[n] * states.time))
+        assert np.all(states.ground[:, n] == 0.0)
+    closed = closed_form_series(p, F_ID, d, t, c0)
+    assert max_amplitude_deviation(oracle_pair(states), closed) <= 1e-8
 
 
 def test_oracle_grid_validation():
@@ -732,7 +729,7 @@ def test_oracle_with_direct_exp_sweep_takes_same_steps_and_states(monkeypatch):
     assert calls == ref_calls
     for got, ref in zip(entries, ref_entries, strict=True):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert max_amplitude_deviation(states, ref_states) <= 1e-12
+    assert max_amplitude_deviation(oracle_pair(states), oracle_pair(ref_states)) <= 1e-12
 
 
 def _pairs_per_block(monkeypatch, cfg, times, counter_rotating):

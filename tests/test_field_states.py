@@ -99,6 +99,13 @@ def test_thermal_nbar_invalid_args():
         thermal_nbar_from_temperature(1.0, 0.0)
 
 
+@pytest.mark.parametrize("frequency, temperature", [(1e-200, 1e200), (5e-324, 1.0)])
+def test_thermal_nbar_refuses_a_ratio_without_a_finite_occupation(frequency, temperature):
+    # the ratio underflows to 0 (expm1(0) = 0), or its inverse overflows to inf
+    with pytest.raises(InvalidParameterError, match=f"frequency {frequency!r} over temperature"):
+        thermal_nbar_from_temperature(frequency, temperature)
+
+
 def test_choose_truncation_frozen_values():
     # vacuum: N=0 plus k+10 padding
     assert choose_truncation("coherent", 0.0, 1e-12, 1) == 11

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from djcm.dynamics import (
-    AmplitudeState,
     ClosedFormPlan,
     DensitySink,
     ModelParams,
@@ -16,7 +15,6 @@ from djcm.nonlinearity import Nonlinearity
 from djcm.observables import (
     SERIES_COLUMNS,
     ObservableSeries,
-    ReducedAtomDensity,
     atomic_inversion_closed,
     records_from_series,
     series_from_density,
@@ -29,47 +27,56 @@ F_SQ = Nonlinearity.sqrt_n()
 
 
 def closed_state(params, f, dist, t):
-    """The closed form at one time: a one-sample grid, its time its own anchor."""
+    """(excited, ground) of the closed form at one time: a one-sample grid, its own anchor."""
     exc, gnd = closed_form_series(params, f, dist, [t])
-    return AmplitudeState(time=float(t), excited=exc[0], ground=gnd[0], k=params.k)
+    return exc[0], gnd[0]
 
 
-def record(state: AmplitudeState):
-    """The observables of one state, as one row of records_from_series."""
-    return records_from_series(
-        np.array([state.time]), state.excited[None, :], state.ground[None, :], state.k
-    )[0]
+def record(state, k, t=0.0):
+    """The observables of one (excited, ground) state, a one-sample records_from_series."""
+    excited, ground = state
+    return records_from_series(np.array([t]), excited[None, :], ground[None, :], k)
 
 
-def density_record(rho: ReducedAtomDensity):
-    """The observables of one reduced density, as one row of series_from_density."""
+def density_record(rho_ee, rho_gg, rho_eg):
+    """The observables of one reduced density, a one-sample series_from_density."""
     return series_from_density(
         np.zeros(1),
-        np.array([rho.rho_ee], dtype=float),
-        np.array([rho.rho_gg], dtype=float),
-        np.array([rho.rho_eg], dtype=complex),
-    )[0]
+        np.array([rho_ee], dtype=float),
+        np.array([rho_gg], dtype=float),
+        np.array([rho_eg], dtype=complex),
+    )
 
 
-def entropies(rho: ReducedAtomDensity):
-    r = density_record(rho)
-    return r.H_x, r.H_y, r.H_z
+def rho_of(series):
+    """rho_ee, rho_gg and rho_eg of a one-sample series."""
+    return (
+        series["rho_ee"][0],
+        series["rho_gg"][0],
+        complex(series["re_rho_eg"][0], series["im_rho_eg"][0]),
+    )
 
 
-def squeezing(rho: ReducedAtomDensity):
-    r = density_record(rho)
-    return r.E_x, r.E_y
+def entropies(*rho):
+    r = density_record(*rho)
+    return r["H_x"][0], r["H_y"][0], r["H_z"][0]
 
 
-def dense_partial_trace(state: AmplitudeState):
+def squeezing(*rho):
+    r = density_record(*rho)
+    return r["E_x"][0], r["E_y"][0]
+
+
+def dense_partial_trace(state, k):
     """Field-trace oracle: build the joint pure state as an explicit
     (field) x (atom) array and trace the field index by matrix algebra."""
-    n_levels = len(state.excited) + state.k
+    excited, ground = state
+    n_levels = len(excited) + k
     psi = np.zeros((n_levels, 2), dtype=complex)
-    for n, amp in enumerate(state.excited):
+    for n, amp in enumerate(excited):
         psi[n, 0] += amp
-    for n, amp in enumerate(state.ground):
-        psi[n + state.k, 1] += amp
+    for n, amp in enumerate(ground):
+        psi[n + k, 1] += amp
     rho_atom = np.einsum("na,nb->ab", psi, np.conj(psi))
     return rho_atom
 
@@ -83,7 +90,7 @@ def test_inversion_initial_excited():
     p = ModelParams(k=1, gamma=1.0, mu=0.1)
     d = coherent_distribution(25.0)
     st = closed_state(p, F_SQ, d, 0.0)
-    assert record(st).W == pytest.approx(d.captured_mass, abs=1e-13)
+    assert record(st, p.k)["W"][0] == pytest.approx(d.captured_mass, abs=1e-13)
 
 
 def test_inversion_vacuum_cosine():
@@ -91,7 +98,7 @@ def test_inversion_vacuum_cosine():
     d = coherent_distribution(0.0)
     for t in (0.0, 0.9, 3.3, 12.0):
         st = closed_state(p, F_ID, d, t)
-        assert record(st).W == pytest.approx(math.cos(t), abs=1e-12)
+        assert record(st, p.k)["W"][0] == pytest.approx(math.cos(t), abs=1e-12)
         assert atomic_inversion_closed(p, F_ID, d, t) == pytest.approx(math.cos(t), abs=1e-12)
 
 
@@ -136,10 +143,10 @@ def test_population_route_equals_amplitude_route(params, f, nbar, builder):
 def test_reduced_density_initial():
     p = ModelParams(k=1, gamma=1.0)
     d = coherent_distribution(2.0)
-    rho = record(closed_state(p, F_ID, d, 0.0)).rho
-    assert rho.rho_ee == pytest.approx(d.captured_mass, abs=1e-13)
-    assert rho.rho_gg == 0.0
-    assert rho.rho_eg == 0.0
+    rho_ee, rho_gg, rho_eg = rho_of(record(closed_state(p, F_ID, d, 0.0), p.k))
+    assert rho_ee == pytest.approx(d.captured_mass, abs=1e-13)
+    assert rho_gg == 0.0
+    assert rho_eg == 0.0
 
 
 def test_reduced_density_vacuum_half_flip():
@@ -148,10 +155,10 @@ def test_reduced_density_vacuum_half_flip():
     p = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
     st = closed_state(p, F_ID, d, math.pi / 2.0)
-    rho = record(st).rho
-    assert rho.rho_ee == pytest.approx(0.5, abs=1e-12)
-    assert rho.rho_gg == pytest.approx(0.5, abs=1e-12)
-    assert rho.rho_eg == 0.0
+    rho_ee, rho_gg, rho_eg = rho_of(record(st, p.k))
+    assert rho_ee == pytest.approx(0.5, abs=1e-12)
+    assert rho_gg == pytest.approx(0.5, abs=1e-12)
+    assert rho_eg == 0.0
 
 
 def test_reduced_density_pairing_on_hand_built_state():
@@ -159,10 +166,9 @@ def test_reduced_density_pairing_on_hand_built_state():
     # must pair equal total photon number, exc[n+k] with gnd[n]
     exc = np.array([0.1 + 0.2j, 0.3 - 0.1j, 0.05 + 0.4j])
     gnd = np.array([0.2 - 0.3j, 0.15 + 0.25j, 0.1 + 0.0j])
-    st = AmplitudeState(time=0.0, excited=exc, ground=gnd, k=1)
-    rho = record(st).rho
+    _, _, rho_eg = rho_of(record((exc, gnd), 1))
     expected = exc[1] * np.conj(gnd[0]) + exc[2] * np.conj(gnd[1])
-    assert rho.rho_eg == pytest.approx(expected, abs=1e-15)
+    assert rho_eg == pytest.approx(expected, abs=1e-15)
     # the wrong (field-off-diagonal) pairing would give a different number
     wrong = np.sum(exc * np.conj(gnd))
     assert abs(expected - wrong) > 1e-3
@@ -181,13 +187,13 @@ def test_reduced_density_matches_dense_partial_trace(k):
     d = coherent_distribution(1.0)
     for t in (0.4, 2.7, 9.1):
         st = closed_state(params, F_SQ, d, t)
-        rho = record(st).rho
-        dense = dense_partial_trace(st)
-        assert rho.rho_ee == pytest.approx(dense[0, 0].real, abs=1e-13)
-        assert rho.rho_gg == pytest.approx(dense[1, 1].real, abs=1e-13)
-        assert rho.rho_eg == pytest.approx(dense[0, 1], abs=1e-13)
+        rho_ee, rho_gg, rho_eg = rho_of(record(st, k))
+        dense = dense_partial_trace(st, k)
+        assert rho_ee == pytest.approx(dense[0, 0].real, abs=1e-13)
+        assert rho_gg == pytest.approx(dense[1, 1].real, abs=1e-13)
+        assert rho_eg == pytest.approx(dense[0, 1], abs=1e-13)
         # positivity of the 2x2 reduced matrix
-        assert abs(rho.rho_eg) ** 2 <= rho.rho_ee * rho.rho_gg + 1e-12
+        assert abs(rho_eg) ** 2 <= rho_ee * rho_gg + 1e-12
 
 
 def test_rho_eg_pinned_against_rk_trace():
@@ -198,10 +204,10 @@ def test_rho_eg_pinned_against_rk_trace():
     params = ModelParams(k=1, gamma=1.0, mu=0.1)
     d = coherent_distribution(1.0)
     t_grid = np.array([0.0, 0.35])
-    st = evolve_ode_oracle(params, F_SQ, d, t_grid)[-1]
-    dense = dense_partial_trace(st)
-    rho = record(closed_state(params, F_SQ, d, 0.35)).rho
-    assert rho.rho_eg == pytest.approx(dense[0, 1], abs=1e-9)
+    states = evolve_ode_oracle(params, F_SQ, d, t_grid)
+    dense = dense_partial_trace((states.excited[-1], states.ground[-1]), params.k)
+    _, _, rho_eg = rho_of(record(closed_state(params, F_SQ, d, 0.35), params.k))
+    assert rho_eg == pytest.approx(dense[0, 1], abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -210,30 +216,29 @@ def test_rho_eg_pinned_against_rk_trace():
 
 
 def test_entropies_pure_excited():
-    rho = ReducedAtomDensity(1.0, 0.0, 0.0)
-    hx, hy, hz = entropies(rho)
+    rho = (1.0, 0.0, 0.0)
+    hx, hy, hz = entropies(*rho)
     assert hx == pytest.approx(LN2, rel=1e-15)
     assert hy == pytest.approx(LN2, rel=1e-15)
     assert hz == 0.0
-    ex, ey = squeezing(rho)
+    ex, ey = squeezing(*rho)
     assert ex == pytest.approx(0.0, abs=1e-14)
     assert ey == pytest.approx(0.0, abs=1e-14)
 
 
 def test_entropies_sigma_x_eigenstate():
-    rho = ReducedAtomDensity(0.5, 0.5, 0.5)
-    hx, hy, hz = entropies(rho)
+    rho = (0.5, 0.5, 0.5)
+    hx, hy, hz = entropies(*rho)
     assert hx == 0.0
     assert hy == pytest.approx(LN2, rel=1e-15)
     assert hz == pytest.approx(LN2, rel=1e-15)
-    ex, ey = squeezing(rho)
+    ex, ey = squeezing(*rho)
     assert ex == pytest.approx(1.0 - math.sqrt(2.0), rel=1e-14)
     assert ey == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
 
 
 def test_entropies_maximally_mixed():
-    rho = ReducedAtomDensity(0.5, 0.5, 0.0)
-    ex, ey = squeezing(rho)
+    ex, ey = squeezing(0.5, 0.5, 0.0)
     assert ex == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
     assert ey == pytest.approx(2.0 - math.sqrt(2.0), rel=1e-14)
 
@@ -241,40 +246,39 @@ def test_entropies_maximally_mixed():
 def test_entropies_pinned_case():
     # rho_eg = (1+i)/(2 sqrt 2) * 0.9; reference values from a scalar
     # high-precision evaluation
-    rho = ReducedAtomDensity(0.5, 0.5, (1.0 + 1.0j) / (2.0 * math.sqrt(2.0)) * 0.9)
-    hx, hy, hz = entropies(rho)
+    rho = (0.5, 0.5, (1.0 + 1.0j) / (2.0 * math.sqrt(2.0)) * 0.9)
+    hx, hy, hz = entropies(*rho)
     assert hx == pytest.approx(0.47411489595408113, rel=1e-12)
     assert hy == pytest.approx(0.47411489595408113, rel=1e-12)
     assert hz == pytest.approx(LN2, rel=1e-15)
-    ex, _ = squeezing(rho)
+    ex, _ = squeezing(*rho)
     assert ex == pytest.approx(0.19237800492134236, rel=1e-12)
 
 
 def test_probability_clamp_and_error():
     # slightly out of range from roundoff: clamped
-    rho = ReducedAtomDensity(1.0 + 5e-10, -5e-10, 0.0)
-    hx, hy, hz = entropies(rho)
+    hx, hy, hz = entropies(1.0 + 5e-10, -5e-10, 0.0)
     assert hz == 0.0
     # beyond roundoff slack: logic error
     with pytest.raises(NumericalConsistencyError):
-        entropies(ReducedAtomDensity(1.0 + 1e-8, 0.0, 0.0))
+        entropies(1.0 + 1e-8, 0.0, 0.0)
     with pytest.raises(NumericalConsistencyError):
-        entropies(ReducedAtomDensity(0.5, 0.5, 0.6 + 0.0j))
+        entropies(0.5, 0.5, 0.6 + 0.0j)
 
 
 @pytest.mark.parametrize(
     "rho",
     [
-        ReducedAtomDensity(math.nan, 0.5, 0.0),
-        ReducedAtomDensity(0.5, math.nan, 0.0),
-        ReducedAtomDensity(0.5, 0.5, complex(math.nan, 0.0)),
-        ReducedAtomDensity(0.5, 0.5, complex(0.0, math.nan)),
+        (math.nan, 0.5, 0.0),
+        (0.5, math.nan, 0.0),
+        (0.5, 0.5, complex(math.nan, 0.0)),
+        (0.5, 0.5, complex(0.0, math.nan)),
     ],
 )
 def test_nan_probabilities_rejected(rho):
     # NaN fails every comparison, so a plain range check would let it through
     with pytest.raises(NumericalConsistencyError):
-        entropies(rho)
+        entropies(*rho)
 
 
 def test_uncertainty_relation_random_states():
@@ -284,10 +288,7 @@ def test_uncertainty_relation_random_states():
         # random mixed state via Bloch vector inside the unit ball
         v = rng.normal(size=3)
         v *= rng.uniform(0.0, 1.0) ** (1 / 3) / np.linalg.norm(v)
-        rho = ReducedAtomDensity(
-            0.5 * (1.0 + v[2]), 0.5 * (1.0 - v[2]), 0.5 * (v[0] + 1j * v[1])
-        )
-        hx, hy, hz = entropies(rho)
+        hx, hy, hz = entropies(0.5 * (1.0 + v[2]), 0.5 * (1.0 - v[2]), 0.5 * (v[0] + 1j * v[1]))
         assert math.exp(hx) * math.exp(hy) >= 4.0 / math.exp(hz) - 1e-9
         for h in (hx, hy, hz):
             assert -1e-12 <= h <= LN2 + 1e-12
@@ -314,28 +315,20 @@ def test_records_from_series_and_free_phase():
     assert np.max(np.abs(plain["norm"] - d.captured_mass)) <= 1e-10
 
 
-def test_series_row_views_match_columns():
+def test_series_columns_are_read_only_views_and_rows_iterate_as_records():
     params = ModelParams(k=2, gamma=1.0, mu=0.1, nu=1.5)
     d = coherent_distribution(1.0)
     times = np.linspace(0.0, 5.0, 11)
     exc, gnd = closed_form_series(params, F_SQ, d, times)
     series = records_from_series(times, exc, gnd, params.k, coherence_phase=3.0)
-    rows = list(series)
-    assert len(rows) == len(series) == len(times)
-    for i, row in enumerate(rows):
-        assert row == series[i] == series[i - len(series)]
-        assert row.time == series["t"][i]
-        assert row.rho.rho_ee == series["rho_ee"][i]
-        assert row.rho.rho_eg == complex(series["re_rho_eg"][i], series["im_rho_eg"][i])
-        for name in ("W", "H_x", "H_y", "H_z", "dH_x", "dH_y", "dH_z", "E_x", "E_y", "norm"):
-            assert getattr(row, name) == series[name][i]
-    with pytest.raises(IndexError):
-        series[len(series)]
-    with pytest.raises(TypeError):
-        series[1:3]
     with pytest.raises(ValueError):
         series["W"][0] = 0.0  # columns are read-only views
     assert times.flags.writeable  # ... of arrays the caller still owns
+    # rows are numpy records of the columns' names and values
+    rows = list(series)
+    assert len(rows) == len(series) == len(times)
+    for name in SERIES_COLUMNS:
+        assert np.array([getattr(row, name) for row in rows]).tobytes() == series[name].tobytes()
 
 
 def test_series_concatenate_and_shape_check():
@@ -368,14 +361,14 @@ def test_series_concatenate_takes_a_generator_of_blocks():
         assert joined[name].tobytes() == whole[name].tobytes(), name
 
 
-def test_observable_record_single_state():
+def test_observables_of_a_single_state():
     params = ModelParams(k=1, gamma=1.0, mu=0.0)
     d = coherent_distribution(0.0)
-    rec = record(closed_state(params, F_ID, d, 0.0))
-    assert rec.W == pytest.approx(1.0, abs=1e-12)
-    assert rec.E_x == pytest.approx(0.0, abs=1e-11)
-    assert rec.E_y == pytest.approx(0.0, abs=1e-11)
-    assert rec.H_z == pytest.approx(0.0, abs=1e-11)
+    rec = record(closed_state(params, F_ID, d, 0.0), params.k)
+    assert rec["W"][0] == pytest.approx(1.0, abs=1e-12)
+    assert rec["E_x"][0] == pytest.approx(0.0, abs=1e-11)
+    assert rec["E_y"][0] == pytest.approx(0.0, abs=1e-11)
+    assert rec["H_z"][0] == pytest.approx(0.0, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------

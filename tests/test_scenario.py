@@ -101,6 +101,9 @@ def test_degenerate_grid_rejected():
 def test_invalid_json_reported():
     with pytest.raises(ConfigError, match="invalid JSON"):
         parse_config("{not json")
+    # nesting past the decoder's recursion limit is invalid JSON too
+    with pytest.raises(ConfigError, match="invalid JSON: maximum recursion depth"):
+        parse_config("[" * 100000)
 
 
 def test_thermal_temperature_input():
@@ -369,23 +372,9 @@ def test_emitted_bytes_deterministic(tmp_path):
 
 def _parent_emit(records, format, path, metadata=None):
     """The row-dict emitter that the columnar one replaced, kept as reference."""
-    rows = [
-        {
-            "t": r.time,
-            "W": r.W,
-            "rho_ee": r.rho.rho_ee,
-            "rho_gg": r.rho.rho_gg,
-            "re_rho_eg": float(np.real(r.rho.rho_eg)),
-            "im_rho_eg": float(np.imag(r.rho.rho_eg)),
-            "H_x": r.H_x,
-            "H_y": r.H_y,
-            "H_z": r.H_z,
-            "E_x": r.E_x,
-            "E_y": r.E_y,
-            "norm": r.norm,
-        }
-        for r in records
-    ]
+    # Python floats, whose repr the CSV spelled: numpy 2 spells np.float64(x)
+    columns = [records[name].tolist() for name in CSV_COLUMNS]
+    rows = [dict(zip(CSV_COLUMNS, values)) for values in zip(*columns)]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         if format == "csv":
             handle.write(",".join(CSV_COLUMNS) + "\n")
@@ -624,11 +613,8 @@ def test_oracle_checks_emitted_amplitudes(monkeypatch):
         states = evolve_ode_oracle(
             cfg.params, cfg.nonlinearity, dist, times, include_counter_rotating=rwa
         )
-        expected = [
-            max(np.max(np.abs(exc[i] - st.excited)), np.max(np.abs(gnd[i] - st.ground)))
-            for i, st in enumerate(states)
-        ]
-        assert res.metadata["resolved"][f"max_{name}_deviation"] == max(expected)
+        expected = max(np.max(np.abs(exc - states.excited)), np.max(np.abs(gnd - states.ground)))
+        assert res.metadata["resolved"][f"max_{name}_deviation"] == expected
 
 
 def test_only_an_oracle_option_makes_an_amplitude_sink(monkeypatch):

@@ -106,11 +106,12 @@ def test_oracle_blocks_tile_the_grid_and_make_up_the_list(rows):
     blocks = ode_oracle_blocks(cfg.params, cfg.nonlinearity, dist, cfg.grid(), block_rows=rows)
     for excited, ground in blocks:
         assert len(excited) == len(ground) == min(rows, cfg.samples - start)
-        for i in range(len(excited)):
-            assert excited[i].tobytes() == states[start + i].excited.tobytes()
-            assert ground[i].tobytes() == states[start + i].ground.tobytes()
-        start += len(excited)
+        stop = start + len(excited)
+        assert excited.tobytes() == states.excited[start:stop].tobytes()
+        assert ground.tobytes() == states.ground[start:stop].tobytes()
+        start = stop
     assert start == cfg.samples
+    assert states.time.tobytes() == cfg.grid()[:].tobytes()
 
 
 def test_kept_blocks_are_values():
@@ -131,8 +132,8 @@ def test_kept_blocks_are_values():
     assert [len(e) for e, _ in oracle] == [len(e) for e, _ in closed] == lengths
     for start, (o_exc, o_gnd), (c_exc, c_gnd) in zip(starts, oracle, closed):
         rows = states[start : start + len(o_exc)]
-        assert o_exc.tobytes() == np.array([s.excited for s in rows]).tobytes()
-        assert o_gnd.tobytes() == np.array([s.ground for s in rows]).tobytes()
+        assert o_exc.tobytes() == rows.excited.tobytes()
+        assert o_gnd.tobytes() == rows.ground.tobytes()
         assert c_exc.tobytes() == excited[start : start + len(c_exc)].tobytes()
         assert c_gnd.tobytes() == ground[start : start + len(c_gnd)].tobytes()
 
@@ -160,9 +161,7 @@ def test_oracle_batches_do_not_change_the_integration(monkeypatch):
                 evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, counter_rotating)
             )
         for states in runs[1:]:
-            for a, b in zip(states, runs[0], strict=True):
-                assert a.excited.tobytes() == b.excited.tobytes()
-                assert a.ground.tobytes() == b.ground.tobytes()
+            assert states.tobytes() == runs[0].tobytes()
 
 
 def test_oracle_runs_leave_nothing_in_their_buffers(monkeypatch):
@@ -174,7 +173,7 @@ def test_oracle_runs_leave_nothing_in_their_buffers(monkeypatch):
 
     def both():
         runs = (evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, cr) for cr in (1, 0))
-        return [b"".join(s.excited.tobytes() + s.ground.tobytes() for s in run) for run in runs]
+        return [run.tobytes() for run in runs]
 
     before = both()
     cap = oracle_module._MAX_PAIRS
@@ -187,30 +186,25 @@ def test_oracle_runs_leave_nothing_in_their_buffers(monkeypatch):
 
 def test_a_one_block_grid_is_its_block_and_the_stacked_blocks(monkeypatch):
     # the acceptance suite's oracle windows are one block of 33 rows: the
-    # series is that block itself, and equals the blocks of fewer rows stacked
+    # closed form's series is that block itself, the oracle's records are
+    # filled from it, and both equal the blocks of fewer rows stacked
     cfg = scenario.preset("coherent_bare_sqrt_n_k2")
     dist = cfg.build_distribution()
     times = np.linspace(0.0, 0.1, 33)
 
     def series():
         states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times)
-        oracle = (np.array([s.excited for s in states]), np.array([s.ground for s in states]))
         closed = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
-        return states, oracle, closed
+        return [states, *closed]
 
-    first_states, *first = series()
-    second_states, *second = series()
-    arrays = [first_states[0].excited, first_states[0].ground, *first[1]]
-    others = [second_states[0].excited, second_states[0].ground, *second[1]]
-    for i, a in enumerate(arrays):
-        assert not any(np.shares_memory(a, b) for b in arrays[i + 1 :] + others)
+    first, second = series(), series()
+    for i, a in enumerate(first):
+        assert not any(np.shares_memory(a, b) for b in first[i + 1 :] + second)
     monkeypatch.setattr(ClosedFormPlan, "block_rows", lambda self, sink: 16)
     monkeypatch.setattr(
         oracle_module, "ode_oracle_blocks", functools.partial(ode_oracle_blocks, block_rows=8)
     )
-    _, *stacked = series()
-    for one, many in zip(first, stacked):
-        assert [a.tobytes() for a in one] == [a.tobytes() for a in many]
+    assert [a.tobytes() for a in first] == [a.tobytes() for a in series()]
 
 
 def test_oracle_rejects_a_grid_with_repeated_times():

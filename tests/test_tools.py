@@ -178,7 +178,7 @@ def test_oracle_blocks_saves_every_case_both_ways(tmp_path, monkeypatch, capsys)
     with np.load(tmp_path / oracle_blocks.FILE) as saved:
         for name, counter_rotating in (("small", False), ("small_counter_rotating", True)):
             states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, counter_rotating)
-            expected = np.stack([[s.excited for s in states], [s.ground for s in states]])
+            expected = np.stack([states.excited, states.ground])
             assert saved[name].tobytes() == expected.tobytes()
     assert capsys.readouterr().out.splitlines()[0] == f"small: {digests['small']}"
 
