@@ -131,11 +131,10 @@ class _Scratch:
 
     def __init__(self, rows: int, width: int):
         size = rows * width
-        # phase arguments, then a sink's squares or (as complex) its ground phase
-        self.arg = np.empty(2 * size)
-        self.sin = np.empty(size)  # s = sin(Omega t)/Omega
+        self.sin = np.empty(size)  # the rotation's correction d, then s = sin(Omega t)/Omega
         self.rot = np.empty(size, dtype=complex)  # the rotation, then the envelope
-        self.excited = np.empty(size, dtype=complex)  # the correction, then a sink's terms
+        # the correction, then a sink's phases or terms, or (as floats) its squares
+        self.excited = np.empty(size, dtype=complex)
 
 
 def _view(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -152,16 +151,18 @@ def _product_into(out: np.ndarray, cols, a, b) -> None:
 
 @dataclass(frozen=True)
 class _Chunk:
-    """Up to _DOUBLET_CHUNK active doublets and their halo, as column ranges.
+    """Up to _DOUBLET_CHUNK of a sink's doublets and their halo, with the span's rotation tables.
 
-    ``span`` and ``mine`` slice the plan's arrays over the active
-    doublets: ``mine`` the chunk's ``own`` doublets, ``span`` those and
-    the halo after them, the next active doublets up to the partner
-    n + k of the last own one that has one, so that each coherence pair
-    (n, n + k) with n among the own finds both members within the span.
-    ``cols`` are the own doublets' level columns in a block's amplitudes,
-    ``pairs`` slices the plan's pair arrays, and ``lo`` and ``hi`` are
-    those pairs' members as positions within the span.
+    ``span`` and ``mine`` slice the sink's arrays over its doublets:
+    ``mine`` the chunk's ``own`` doublets, ``span`` those and the halo
+    after them, the sink's next doublets up to the partner n + k of the
+    last own one that has one, so that each coherence pair (n, n + k)
+    with n among the own finds both members within the span. ``cols``
+    are the own doublets' level columns in a block's amplitudes,
+    ``pairs`` slices the sink's pair arrays, and ``lo`` and ``hi`` are
+    those pairs' members as positions within the span. The tables, over
+    the span: ``omega``, ``rabi`` = -Omega, ``rabi_fine_arg`` = rabi r
+    step, ``rabi_fine`` = exp(-i rabi_fine_arg), ``envelope_rate``.
     """
 
     span: slice
@@ -171,6 +172,11 @@ class _Chunk:
     pairs: slice
     lo: object
     hi: object
+    omega: np.ndarray
+    rabi: np.ndarray
+    rabi_fine_arg: np.ndarray
+    rabi_fine: np.ndarray
+    envelope_rate: np.ndarray
 
 
 class AmplitudeSink:
@@ -180,18 +186,18 @@ class AmplitudeSink:
     ``excited[:, n]`` = c_{n,e} and ``ground[:, n]`` = c_{n+k,g} and the
     inactive columns zero.
 
-    Built once per run over the plan's active doublets: the fine tables
-    of the ground phase (w = phi - mu/2) and of the excited phase (the
-    ground phase times exp(-i mu r step)), with c0 and the constant
-    factors of the closed form folded in. :meth:`take` slices them to a
-    chunk. It takes every chunk of the plan, the separable doublets'
-    too, and holds nothing else, so threads may share it. Its ``width``,
-    the columns of its widest per-row array, is n_cut + 1.
+    Built once per run over all the plan's active doublets: its
+    ``chunks``, which cut them in ascending order with no pairs, and the
+    fine tables of the ground phase (w = phi - mu/2) and of the excited
+    phase (the ground phase times exp(-i mu r step)), with c0 and the
+    constant factors of the closed form folded in, which :meth:`take`
+    slices to a chunk. It holds nothing else, so threads may share it.
+    Its ``width``, the columns of its widest per-row array, is n_cut + 1.
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
-        self.chunk_count = len(plan.chunks)
+        self.chunks = plan.cut(np.arange(plan.active_doublets), [])
         self.width = len(plan.c0)
         c0a = plan.c0[plan.active]
         alpha = plan.coefficients.alpha[plan.active]
@@ -205,32 +211,27 @@ class AmplitudeSink:
         return excited, np.zeros_like(excited)
 
     def phases(self, chunk: _Chunk, t: np.ndarray, n: int, work: _Scratch):
-        """(excited phase, ground phase) of a chunk's own columns from the tables.
+        """The excited phase, then the ground phase, of a chunk's own columns from the tables.
 
-        c0 exp(-i (phi + mu/2) t) and -i (alpha/2) c0 exp(-i (phi - mu/2) t)
-        on the first n rows of the padded times column t, in ``work``'s
-        buffers that the rotation no longer uses.
+        c0 exp(-i (phi + mu/2) t), then -i (alpha/2) c0 exp(-i (phi - mu/2) t),
+        on the first n rows of the padded times column t. Both are made in
+        ``work.excited``, which the rotation no longer uses, so the second
+        overwrites the first: take each before the next.
         """
         plan = self.plan
         m, w, mine = len(t), chunk.own, chunk.mine
         anchors = t[:: plan.group]
         ground_coarse = np.exp(-1j * (plan.ground_rate[mine] * anchors))
         shift = np.exp(-1j * (plan.mu * anchors))
-        excited_phase = _expand(
-            ground_coarse * shift, self.excited_fine[:, mine], _view(work.excited, m, w)
-        )
-        ground_phase = _expand(
-            ground_coarse, self.ground_fine[:, mine], _view(work.arg.view(complex), m, w)
-        )
-        return excited_phase[:n], ground_phase[:n]
+        out = _view(work.excited, m, w)
+        yield _expand(ground_coarse * shift, self.excited_fine[:, mine], out)[:n]
+        yield _expand(ground_coarse, self.ground_fine[:, mine], out)[:n]
 
     def take(self, block, chunk: _Chunk, t, envelope, s, work: _Scratch) -> None:
-        """Write a chunk's own columns of the block's amplitudes."""
-        excited, ground = block
-        n, w = len(excited), chunk.own
-        excited_phase, ground_phase = self.phases(chunk, t, n, work)
-        _product_into(excited, chunk.cols, excited_phase, envelope[:n, :w])
-        _product_into(ground, chunk.cols, ground_phase, s[:n, :w])
+        """Write a chunk's own columns: excited phase times envelope, then ground phase times s."""
+        n, w = len(block[0]), chunk.own
+        for out, phase, factor in zip(block, self.phases(chunk, t, n, work), (envelope, s)):
+            _product_into(out, chunk.cols, phase, factor[:n, :w])
 
     def finish(self, block, t) -> None:
         """Nothing: every doublet's amplitudes come from :meth:`take`."""
@@ -243,36 +244,56 @@ class DensitySink:
     arrays, float, float and complex (rho_eg = sum_n conj(c_{n+k,g})
     c_{n+k,e}), with one value per sample.
 
-    The plan's per-cell doublets and pairs are reduced from the rotation
-    stage of its ``kept_chunks`` (:meth:`take`); the separable ones, as
-    sums of exponentials, once per block (:meth:`finish`). Built once per
-    run: over the per-cell doublets |c0|^2 and alpha/2, and over their
-    pairs (n, n + k) the fine table exp(-i w r step) of the pair phase,
-    w = phi_{n+k} - phi_n + mu, with the weight
-    i (alpha_n/2) conj(c0_n) c0_{n+k} folded in; over the separable terms
-    (``plan.separable``) the coarse table exp(i w 16 J step) and the fine
-    table exp(i w r step), weights folded in, of each rate w. The sink
-    holds nothing else, so threads may share it. Its ``width``, the
-    columns per row of its widest array, is the widest span of its
+    The split. On a uniform grid of group _FINE everything the sink
+    reduces is a sum of exponentials in t: per doublet
+    p q (1 - cos 2 Omega t)/2 in rho_gg (and p less that in rho_ee), per
+    pair four exponentials in rho_eg (:func:`_separable_split`). Such a
+    sum evaluated from phase tables carries rounding of about
+    r = |weight| |rate| t_end 4 eps per exponential, where the per-cell
+    kernel moves each rotation onto fl(Omega t) itself. So the doublets
+    and pairs of largest r stay per cell until the others' r sum to at
+    most _SEPARABLE_BUDGET (1e-15): a bound on how far the split moves the
+    density, not a tuned constant. A pair kept per cell keeps both its
+    members; a doublet with Omega = 0 or a weight that is not finite stays
+    per cell, and so does every doublet of any other grid. The sink
+    reports ``doublets``, the per-cell ones' ascending positions among the
+    active doublets, ``per_cell_doublets`` their count, ``rounding_weight``
+    each active doublet's own r and ``separable_rounding_bound`` the
+    separable terms' summed r.
+
+    The per-cell doublets and pairs are reduced from the rotation stage of
+    its ``chunks`` (:meth:`take`), which cut them in ascending order; the
+    separable ones, as sums of exponentials, once per block
+    (:meth:`finish`). Built once per run: over the per-cell doublets |c0|^2
+    and alpha/2, and over their pairs (n, n + k) the fine table
+    exp(-i w r step) of the pair phase, w = ``pair_rate`` =
+    phi_{n+k} - phi_n + mu, with the weight i (alpha_n/2) conj(c0_n) c0_{n+k}
+    folded in; over the separable terms the coarse table exp(i w 16 J step)
+    and the fine table exp(i w r step), weights folded in, of each rate w.
+    The sink holds nothing else, so threads may share it. Its ``width``,
+    the columns per row of its widest array, is the widest span of its
     chunks, or its separable terms over _FINE where those are more (a
     coarse row of the separable sums covers _FINE rows).
     """
 
     def __init__(self, plan: "ClosedFormPlan"):
         self.plan = plan
-        self.chunk_count = plan.kept_chunks
+        split = _separable_split(plan)
+        self.doublets, pairs, self.separable_rounding_bound, self.rounding_weight = split[:4]
+        population, doublet_weight, self.doublet_rate, pair_weight, self.coherence_rate = split[4:]
+        self.per_cell_doublets = len(self.doublets)
+        self.chunks = plan.cut(self.doublets, pairs)
         c0, alpha, active = plan.c0, plan.coefficients.alpha, plan.active
-        c0a = c0[active]
+        c0a = c0[active[self.doublets]]
         self.population = c0a.real * c0a.real + c0a.imag * c0a.imag
         # |c0|^2, twice: once for the real, once for the imaginary part of
         # the envelope
         self.population_twice = np.repeat(self.population, 2).reshape(-1, 2)
-        self.half_alpha = 0.5 * alpha[active]
-        lo, hi = active[plan.pair_lo], active[plan.pair_hi]
+        self.half_alpha = 0.5 * alpha[active[self.doublets]]
+        lo, hi = active[plan.pair_lo[pairs]], active[plan.pair_hi[pairs]]
         weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
-        self.pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
-        terms = plan.separable
-        self.doublet_rate, self.coherence_rate = terms.doublet_rate, terms.pair_rate
+        self.pair_rate = plan.pair_rate[pairs]
+        self.pair_fine = np.exp(-1j * (self.pair_rate * plan.r_step)) * weight
         self.has_separable = bool(len(self.doublet_rate) or len(self.coherence_rate))
         coarse = plan.r_step * _FINE  # the offsets 16 J step of a block's coarse rows
         fine = plan.r_step[:, 0]
@@ -281,15 +302,15 @@ class DensitySink:
         # H = weight exp(i w r step), the weights real
         self.doublet_fine = np.empty((len(self.doublet_rate), 2, _FINE))
         arg = self.doublet_rate[:, None] * fine
-        np.multiply(np.cos(arg), terms.doublet_weight[:, None], out=self.doublet_fine[:, 0])
-        np.multiply(np.sin(arg), -terms.doublet_weight[:, None], out=self.doublet_fine[:, 1])
+        np.multiply(np.cos(arg), doublet_weight[:, None], out=self.doublet_fine[:, 0])
+        np.multiply(np.sin(arg), -doublet_weight[:, None], out=self.doublet_fine[:, 1])
         self.doublet_fine = self.doublet_fine.reshape(-1, _FINE)
-        self.doublet_constant = float(np.sum(terms.doublet_weight))
-        self.separable_population = float(np.sum(terms.population))
+        self.doublet_constant = float(np.sum(doublet_weight))
+        self.separable_population = float(np.sum(population))
         self.coherence_coarse = _phases(coarse * self.coherence_rate)
         self.coherence_fine = _phases(self.coherence_rate[:, None] * fine)
-        self.coherence_fine *= terms.pair_weight[:, None]
-        spans = (c.span.stop - c.span.start for c in plan.chunks[: self.chunk_count])
+        self.coherence_fine *= pair_weight[:, None]
+        spans = (c.span.stop - c.span.start for c in self.chunks)
         separable_width = -(-(len(self.doublet_rate) + len(self.coherence_rate)) // _FINE)
         self.width = max(max(spans, default=0), separable_width)
         self.rho_ee_at_zero = None
@@ -321,10 +342,11 @@ class DensitySink:
         plan = self.plan
         rho_ee, rho_gg, rho_eg = block
         n, w, mine = len(rho_ee), chunk.own, chunk.mine
-        ground = np.multiply(s[:n, :w], self.half_alpha[mine], out=_view(work.arg, n, w))
+        squares = work.excited.view(float)
+        ground = np.multiply(s[:n, :w], self.half_alpha[mine], out=_view(squares, n, w))
         rho_gg += np.square(ground, out=ground) @ self.population[mine]
         # |envelope|^2 = cos^2 + ((R_n - mu)/2 s)^2: its parts side by side
-        parts = np.square(envelope[:n, :w].view(float), out=_view(work.arg, n, 2 * w))
+        parts = np.square(envelope[:n, :w].view(float), out=_view(squares, n, 2 * w))
         rho_ee += parts @ self.population_twice[mine].reshape(-1)
         pairs = chunk.pairs
         p = pairs.stop - pairs.start
@@ -334,7 +356,7 @@ class DensitySink:
         terms = np.multiply(s[:, chunk.lo], envelope[:, chunk.hi], out=_view(work.excited, m, p))
         terms = terms.reshape(m // g, g, p)
         terms *= self.pair_fine[:, pairs]
-        coarse = np.exp(-1j * (plan.pair_rate[pairs] * t[::g]))
+        coarse = np.exp(-1j * (self.pair_rate[pairs] * t[::g]))
         rho_eg += np.matmul(terms, coarse[:, :, None]).reshape(m)[:n]
 
     def finish(self, block, t) -> None:
@@ -423,7 +445,7 @@ def _rho_ee_at_zero(plan: "ClosedFormPlan") -> float:
     0 of such a product does not depend on the rows below it, so the
     _BLOCK_ROWS rows here stand for a first block of any length.
     """
-    c0a = plan.c0[np.sort(plan.active)]
+    c0a = plan.c0[plan.active]
     twice = np.repeat(c0a.real * c0a.real + c0a.imag * c0a.imag, 2)
     rows = min(_BLOCK_ROWS, len(plan.times))
     parts = np.zeros(rows * 2 * _DOUBLET_CHUNK)
@@ -435,46 +457,39 @@ def _rho_ee_at_zero(plan: "ClosedFormPlan") -> float:
     return total
 
 
-@dataclass(frozen=True)
-class _SeparableTerms:
-    """A plan's separable doublets and pairs, as weights and rates of exponentials.
-
-    Over the separable doublets, ``population`` |c0|^2 and the term
-    p q/2 exp(i w t), ``doublet_weight`` p q/2 at ``doublet_rate``
-    w = 2 Omega, q = (alpha/(2 Omega))^2, of
-    rho_gg = sum p q (1 - cos 2 Omega t)/2. Over the separable pairs, four
-    terms each: s_n envelope_{n+k} exp(-i w_pair t) times the pair weight
-    expands into exponentials at ``pair_rate`` +-Omega_n +- Omega_{n+k} -
-    w_pair, with ``pair_weight``
-    sigma (alpha_n/(2 Omega_n))/2 conj(c0_n) c0_{n+k} (1 - tau b_{n+k})/2,
-    b = (R_n - mu)/(2 Omega) and sigma, tau the two signs.
-    """
-
-    population: np.ndarray
-    doublet_weight: np.ndarray
-    doublet_rate: np.ndarray
-    pair_weight: np.ndarray
-    pair_rate: np.ndarray
-
-
 # The signs (sigma, tau) of a pair's four exponentials.
 _SIGMA = np.array([1.0, 1.0, -1.0, -1.0])
 _TAU = np.array([1.0, -1.0, 1.0, -1.0])
 
 
-def _separable_split(co, c0a, levels, lo, hi, pair_rate, mu, t_max, step):
-    """The separable doublets and pairs, as masks, with their terms and rounding weights.
+def _separable_split(plan: "ClosedFormPlan"):
+    """A plan's per-cell doublets and pairs, with the rounding weights and the separable terms.
 
-    Returns (doublets, pairs, terms, bound, r). Every doublet's and
+    Returns (doublets, pairs, bound, r, population, doublet_weight,
+    doublet_rate, pair_weight, pair_rate). Every active doublet's and
     pair's exponentials get the rounding weight
     r = |weight| |rate| t_end 4 eps, summed per doublet or pair; a
     doublet with Omega = 0 or a term that is not finite has r = inf. On
-    a grid with a table ``step`` the lightest are separable as long as
-    their r sum to at most _SEPARABLE_BUDGET, and a pair kept per cell
-    keeps both its members; on any other grid nothing is. ``bound`` sums
-    the r of the separable doublets and pairs, and ``r`` is each
-    doublet's own.
+    a grid with a table step the lightest are separable as long as their
+    r sum to at most _SEPARABLE_BUDGET, and a pair kept per cell keeps
+    both its members; on any other grid nothing is. ``doublets`` and
+    ``pairs`` are the per-cell ones' ascending positions among the
+    plan's active doublets and pairs, ``bound`` sums the r of the
+    separable ones, and ``r`` is each doublet's own.
+
+    The terms are the separable ones, as weights and rates of
+    exponentials. Over the separable doublets, ``population`` |c0|^2 and
+    the term p q/2 exp(i w t), ``doublet_weight`` p q/2 at
+    ``doublet_rate`` w = 2 Omega, q = (alpha/(2 Omega))^2, of
+    rho_gg = sum p q (1 - cos 2 Omega t)/2. Over the separable pairs,
+    four terms each: s_n envelope_{n+k} exp(-i w_pair t) times the pair
+    weight expands into exponentials at ``pair_rate``
+    +-Omega_n +- Omega_{n+k} - w_pair, with ``pair_weight``
+    sigma (alpha_n/(2 Omega_n))/2 conj(c0_n) c0_{n+k} (1 - tau b_{n+k})/2,
+    b = (R_n - mu)/(2 Omega) and sigma, tau the two signs.
     """
+    co, levels, lo, hi, mu = plan.coefficients, plan.active, plan.pair_lo, plan.pair_hi, plan.mu
+    c0a = plan.c0[levels]
     p = c0a.real * c0a.real + c0a.imag * c0a.imag
     omega = co.Omega[levels]
     two_omega = 2.0 * omega  # hypot(R_n - mu, alpha), so |a|, |b| <= 1
@@ -484,29 +499,25 @@ def _separable_split(co, c0a, levels, lo, hi, pair_rate, mu, t_max, step):
         doublet_weight = 0.5 * p * (a * a)
         half = (0.5 * a[lo] * np.conj(c0a[lo]) * c0a[hi])[:, None]
         pair_weight = half * (_SIGMA * (0.5 - 0.5 * _TAU * b[hi][:, None]))
-        rates = _SIGMA * omega[lo][:, None] + _TAU * omega[hi][:, None] - pair_rate[:, None]
-        scale = 4.0 * _EPS * t_max
+        rates = _SIGMA * omega[lo][:, None] + _TAU * omega[hi][:, None] - plan.pair_rate[:, None]
+        scale = 4.0 * _EPS * plan.t_max
         doublet_r = doublet_weight * two_omega * scale
         pair_r = np.sum(np.abs(pair_weight) * np.abs(rates), axis=1) * scale
     doublet_r[~np.isfinite(doublet_r) | (omega == 0.0)] = np.inf
     pair_r[~np.isfinite(pair_r) | (omega[lo] == 0.0) | (omega[hi] == 0.0)] = np.inf
     r = np.concatenate((doublet_r, pair_r))
     light = np.zeros(len(r), dtype=bool)
-    if step is not None:
+    if plan.step is not None:
         lightest = np.argsort(r, kind="stable")
         count = np.searchsorted(np.cumsum(r[lightest]), _SEPARABLE_BUDGET, "right")
         light[lightest[:count]] = True
     doublets, pairs = light[: len(doublet_r)], light[len(doublet_r) :]
     doublets[lo[~pairs]] = doublets[hi[~pairs]] = False
-    terms = _SeparableTerms(
-        p[doublets],
-        doublet_weight[doublets],
-        two_omega[doublets],
-        pair_weight[pairs].reshape(-1),
-        rates[pairs].reshape(-1),
-    )
     bound = float(np.sum(doublet_r[doublets]) + np.sum(pair_r[pairs]))
-    return doublets, pairs, terms, bound, doublet_r
+    per_cell = np.flatnonzero(~doublets), np.flatnonzero(~pairs)
+    doublet_terms = p[doublets], doublet_weight[doublets], two_omega[doublets]
+    pair_terms = pair_weight[pairs].reshape(-1), rates[pairs].reshape(-1)
+    return *per_cell, bound, doublet_r, *doublet_terms, *pair_terms
 
 
 class ClosedFormPlan:
@@ -518,9 +529,9 @@ class ClosedFormPlan:
     :class:`DensitySink`'s is the block's rho_ee, rho_gg and rho_eg,
     reduced without writing any amplitude, an :class:`AmplitudeSink`'s
     the block's (block length, n_cut+1) amplitudes. Each sink is a pass
-    of its own over the grid. The plan also reports ``active_doublets``,
-    ``max_phase_argument``, ``per_cell_doublets`` and
-    ``separable_rounding_bound``.
+    of its own over the grid. The plan also reports ``active_doublets``
+    and ``max_phase_argument``; a density sink reports its split of the
+    doublets into per-cell and separable ones.
 
     Block length. A block has ``block_rows(sink)`` samples: 256
     (_BLOCK_ROWS) times as many as keep the sink's widest per-row array
@@ -535,46 +546,27 @@ class ClosedFormPlan:
     the block length: each row is reduced as in a block of 256
     (:meth:`DensitySink.finish`).
 
-    The split. On a uniform grid of group _FINE (below) everything the
-    density sink reduces is a sum of exponentials in t: per doublet
-    p q (1 - cos 2 Omega t)/2 in rho_gg (and p less that in rho_ee), per
-    pair four exponentials in rho_eg (:class:`_SeparableTerms`). Such a
-    sum evaluated from phase tables carries rounding of about
-    r = |weight| |rate| t_end 4 eps per exponential, where the per-cell
-    kernel moves each rotation onto fl(Omega t) itself. So the doublets
-    and pairs of largest r stay per cell until the others' r sum to at
-    most _SEPARABLE_BUDGET (1e-15): a bound on how far the split moves the
-    density, not a tuned constant. A pair kept per cell keeps both its
-    members; a doublet with Omega = 0 or a weight that is not finite stays
-    per cell, and so does every doublet of any other grid. ``separable``
-    holds the separable terms, ``rounding_weight`` each active doublet's
-    own r, ``per_cell_doublets`` counts the doublets kept and
-    ``separable_rounding_bound`` sums the separable terms' r.
-
     Built once per run, each as one array over the ``active`` doublets
-    (levels with c0 != 0), the per-cell ones first and each part in
-    ascending order: ``omega``; ``rabi`` = -Omega with its fine table
-    ``rabi_fine`` = exp(-i ``rabi_fine_arg``), rabi_fine_arg = rabi r
-    step; ``envelope_rate`` = -(R_n - mu)/2; ``ground_rate`` = phi - mu/2;
-    and ``pair_rate`` = phi_{n+k} - phi_n + mu over the per-cell
-    coherence pairs, whose members sit at ``pair_lo`` and ``pair_hi``
-    among the active doublets. A sink made for the plan builds its own
-    tables over the same doublets. ``chunks`` cut them into
-    _DOUBLET_CHUNK-wide column ranges with the halo their pairs need, the
-    first ``kept_chunks`` over the per-cell doublets and the rest over the
-    separable ones, which only an amplitude sink takes; the chunks the
-    sink takes bound ``scratch_shape(sink)``, the (rows, width) of the
-    work buffers that each call of :meth:`blocks` makes for itself. Each
-    block then evaluates only its coarse rows, anchored at the grid's own
-    times t_{group J}, and each chunk's rotation stage (:meth:`blocks`).
-    The plan and its sinks hold only these per-run tables, so threads may
+    (levels with c0 != 0) in ascending order: ``omega``;
+    ``envelope_rate`` = -(R_n - mu)/2; ``ground_rate`` = phi - mu/2; and
+    ``pair_rate`` = phi_{n+k} - phi_n + mu over the coherence pairs,
+    whose members sit at ``pair_lo`` and ``pair_hi`` among the active
+    doublets. A sink made for the plan builds its own tables over the
+    doublets it evaluates per cell, and its own ``chunks``
+    (:meth:`cut`): _DOUBLET_CHUNK-wide column ranges with the halo their
+    pairs need and the rotation tables of their spans. A sink's chunks
+    bound ``scratch_shape(sink)``, the (rows, width) of the work buffers
+    that each call of :meth:`blocks` makes for itself. Each block then
+    evaluates only its coarse rows, anchored at the grid's own times
+    t_{group J}, and each chunk's rotation stage (:meth:`blocks`). The
+    plan and its sinks hold only these per-run tables, so threads may
     share them.
 
     ``group``, the rows per coarse anchor, comes from the grid: _FINE on a
     uniform grid of at least _TABLE_MIN_SAMPLES samples (``step`` is then
     its step, the fine tables' spacing, and ``r_step`` the column of fine
     offsets r step), 1 on any other grid (``step`` is None), where every
-    time is its own anchor.
+    time is its own anchor. ``t_max`` is the grid's largest time.
 
     A grid whose largest phase argument |w| t_end reaches 2^52 is refused
     with PhysicsValidationError ("phase overflow") before any block is
@@ -587,22 +579,22 @@ class ClosedFormPlan:
     """
 
     def __init__(self, params, f, dist, times, initial_amplitudes=None):
-        self.times, t_max, step = _grid_span(times)
+        self.times, self.t_max, step = _grid_span(times)
         self.coefficients = co = CoefficientTable(params, f, dist.n_cut)
         self.c0 = c0 = _resolve_initial(dist, initial_amplitudes)
-        levels = np.nonzero(c0 != 0.0)[0]
+        self.active = levels = np.nonzero(c0 != 0.0)[0]
         self.active_doublets = len(levels)
         self.mu = mu = params.mu
         # position of level n + k among the active levels, -1 where inactive
         position = np.full(len(c0) + params.k, -1)
         position[levels] = np.arange(len(levels))
         partner = position[levels + params.k]
-        lo = np.nonzero(partner >= 0)[0]
-        hi = partner[lo]
-        omega = co.Omega[levels]
+        self.pair_lo = lo = np.nonzero(partner >= 0)[0]
+        self.pair_hi = hi = partner[lo]
+        self.omega = omega = co.Omega[levels]
         with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN: refused below
-            ground_rate = co.phi[levels] - 0.5 * mu
-            pair_rate = co.phi[levels[hi]] - co.phi[levels[lo]] + mu
+            self.ground_rate = ground_rate = co.phi[levels] - 0.5 * mu
+            self.pair_rate = pair_rate = co.phi[levels[hi]] - co.phi[levels[lo]] + mu
             _finite_rates(
                 ("Omega_n", levels, omega),
                 ("phi_n - mu/2", levels, ground_rate),
@@ -612,41 +604,39 @@ class ClosedFormPlan:
             # ground phase (phi - mu/2) t, the shift mu t and the pair phase
             # (phi_{n+k} - phi_n + mu) t, at the last time
             rates = np.abs(np.concatenate((omega, ground_rate, [mu], pair_rate)))
-            self.max_phase_argument = _phase_checked(float(np.max(rates) * t_max))
+            self.max_phase_argument = _phase_checked(float(np.max(rates) * self.t_max))
         self.step = step
         self.group = 1 if step is None else _FINE
         # the fine offsets r step of a group's rows: 0 alone in a group of one
         self.r_step = np.arange(self.group)[:, None] * (step or 0.0)
-        split = _separable_split(co, c0[levels], levels, lo, hi, pair_rate, mu, t_max, step)
-        separable, separable_pairs, self.separable, self.separable_rounding_bound, r = split
-        # the per-cell doublets first, then the separable ones
-        order = np.concatenate((np.nonzero(~separable)[0], np.nonzero(separable)[0]))
-        self.active = active = levels[order]
-        self.per_cell_doublets = kept = len(levels) - int(np.count_nonzero(separable))
-        position = np.empty_like(order)
-        position[order] = np.arange(len(order))
-        self.pair_lo = position[lo[~separable_pairs]]
-        self.pair_hi = position[hi[~separable_pairs]]
-        self.pair_rate = pair_rate[~separable_pairs]
-        self.rounding_weight = r[order]
-        self.omega = omega[order]
-        self.ground_rate = ground_rate[order]
-        self.rabi = -self.omega
-        self.rabi_fine_arg = self.rabi * self.r_step
-        self.rabi_fine = np.exp(-1j * self.rabi_fine_arg)
-        self.envelope_rate = -0.5 * (co.Rn[active] - mu)
-        self.chunks = []
-        for first, last in ((0, kept), (kept, len(active))):
-            for i0 in range(first, last, _DOUBLET_CHUNK):
-                i1 = min(i0 + _DOUBLET_CHUNK, last)
-                pairs = slice(*np.searchsorted(self.pair_lo, (i0, i1)).tolist())
-                lo, hi = self.pair_lo[pairs] - i0, self.pair_hi[pairs] - i0
-                span = slice(i0, max(i1, i0 + int(np.max(hi, initial=-1)) + 1))
-                cols = _as_slice(active[i0:i1])
-                self.chunks.append(
-                    _Chunk(span, i1 - i0, slice(i0, i1), cols, pairs, _as_slice(lo), _as_slice(hi))
-                )
-        self.kept_chunks = -(-kept // _DOUBLET_CHUNK)
+        self.envelope_rate = -0.5 * (co.Rn[levels] - mu)
+
+    def cut(self, doublets: np.ndarray, pairs) -> list:
+        """A sink's doublets, and the pairs among them, cut into :class:`_Chunk`s.
+
+        ``doublets`` are ascending positions among the active doublets and
+        ``pairs`` ascending positions among the plan's pairs (none for an
+        amplitude sink), both members of each among ``doublets``. Each
+        chunk owns the next _DOUBLET_CHUNK of the doublets, or the rest,
+        and the pairs whose lower member it owns, and holds the rotation
+        tables of its span, made here once per sink.
+        """
+        # each pair's members, both among ``doublets``, as positions there
+        pair_lo, pair_hi = np.searchsorted(doublets, (self.pair_lo[pairs], self.pair_hi[pairs]))
+        chunks = []
+        for i0 in range(0, len(doublets), _DOUBLET_CHUNK):
+            i1 = min(i0 + _DOUBLET_CHUNK, len(doublets))
+            owned = slice(*np.searchsorted(pair_lo, (i0, i1)).tolist())
+            lo, hi = pair_lo[owned] - i0, pair_hi[owned] - i0
+            span = slice(i0, max(i1, i0 + int(np.max(hi, initial=-1)) + 1))
+            at = doublets[span]
+            rabi = -self.omega[at]
+            arg = rabi * self.r_step
+            cols = _as_slice(self.active[doublets[i0:i1]])
+            tables = (self.omega[at], rabi, arg, np.exp(-1j * arg), self.envelope_rate[at])
+            own = (span, i1 - i0, slice(i0, i1), cols, owned, _as_slice(lo), _as_slice(hi))
+            chunks.append(_Chunk(*own, *tables))
+        return chunks
 
     def block_rows(self, sink) -> int:
         """Samples per block for ``sink``: as many whole _BLOCK_ROWS as fit its widest row.
@@ -662,11 +652,10 @@ class ClosedFormPlan:
         """(rows, width) of the work buffers of one call evaluating blocks into ``sink``.
 
         The rows of a block padded to whole groups, and the widest span of
-        the chunks the sink takes.
+        the sink's chunks.
         """
         rows = min(self.block_rows(sink), len(self.times))
-        chunks = self.chunks[: sink.chunk_count]
-        width = max((c.span.stop - c.span.start for c in chunks), default=0)
+        width = max((c.span.stop - c.span.start for c in sink.chunks), default=0)
         return -(-rows // self.group) * self.group, width
 
     def rotation(self, chunk: _Chunk, t: np.ndarray, work: _Scratch):
@@ -678,14 +667,13 @@ class ClosedFormPlan:
         ``work``'s buffers.
         """
         rot = self._rotation(chunk, t, work)
-        omega = self.omega[chunk.span]
-        s = _sin_over_omega(omega, t, rot.imag, out=_view(work.sin, *rot.shape))
+        s = _sin_over_omega(chunk.omega, t, rot.imag, out=_view(work.sin, *rot.shape))
         envelope = rot  # its real part already holds cos(Omega t)
-        np.multiply(self.envelope_rate[chunk.span], s, out=envelope.imag)
+        np.multiply(chunk.envelope_rate, s, out=envelope.imag)
         return envelope, s
 
     def _rotation(self, chunk: _Chunk, t: np.ndarray, work: _Scratch) -> np.ndarray:
-        """exp(i Omega t) of a chunk's span for one block, from the tables.
+        """exp(i Omega t) of a chunk's span for one block, from the chunk's tables.
 
         ``t`` is the block's column of grid times, padded to whole groups
         of g = ``group`` rows; its rows 0, g, 2 g, ... are the coarse
@@ -699,16 +687,15 @@ class ClosedFormPlan:
         rounding of fl(Omega t) evaluated directly, so unitarity and the
         population route to W hold as tightly as there.
         """
-        span, g = chunk.span, self.group
-        rabi = self.rabi[span]
+        rabi, g = chunk.rabi, self.group
         m, w = len(t), len(rabi)
         anchors = t[::g]
-        d = np.multiply(rabi, t, out=_view(work.arg, m, w))  # fl(w t_j), made d below
+        d = np.multiply(rabi, t, out=_view(work.sin, m, w))  # fl(w t_j), made d below
         anchor_arg = rabi * anchors
-        rot = _expand(np.exp(-1j * anchor_arg), self.rabi_fine[:, span], _view(work.rot, m, w))
+        rot = _expand(np.exp(-1j * anchor_arg), chunk.rabi_fine, _view(work.rot, m, w))
         groups = d.reshape(len(anchors), g, w)
         groups -= anchor_arg[:, None, :]
-        groups -= self.rabi_fine_arg[:, span]
+        groups -= chunk.rabi_fine_arg
         correction = _view(work.excited, m, w)
         re = correction.real
         np.multiply(d, 0.5, out=re)
@@ -737,9 +724,8 @@ class ClosedFormPlan:
     def _evaluate(self, start: int, rows: int, sink, work: _Scratch):
         """The value of the block of ``rows`` at ``start`` in ``sink``, evaluated in ``work``.
 
-        The sink takes the rotation stage of the plan's first
-        ``sink.chunk_count`` chunks, and then finishes the block (a density
-        sink adds its separable share).
+        The sink takes the rotation stage of each of its ``chunks``, and
+        then finishes the block (a density sink adds its separable share).
         """
         n = min(rows, len(self.times) - start)
         t = self._table_times(start, n)
@@ -747,7 +733,7 @@ class ClosedFormPlan:
         # a value that overflows shows as one that is not finite, reported
         # once below instead of as numpy warnings
         with np.errstate(over="ignore", invalid="ignore"):
-            for chunk in self.chunks[: sink.chunk_count]:
+            for chunk in sink.chunks:
                 envelope, s = self.rotation(chunk, t, work)
                 sink.take(block, chunk, t, envelope, s, work)
             sink.finish(block, t)

@@ -110,10 +110,15 @@ class ScenarioConfig:
         return out
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message: its first 80 characters, and a mark where it is cut."""
+    return text if len(text := repr(value)) <= 80 else f"{text[:80]}... ({len(text)} characters)"
+
+
 def _require_keys(section: dict, allowed, where: str) -> None:
     for key in section:
         if key not in allowed:
-            raise ConfigError(f"unknown key {where}.{key!r}")
+            raise ConfigError(f"unknown key {where}.{_shown(key)}")
 
 
 def _section(doc: dict, name: str, allowed, required: bool = False) -> dict:
@@ -130,13 +135,13 @@ def _section(doc: dict, name: str, allowed, required: bool = False) -> dict:
 def _finite(value, what: str):
     """A JSON number that is neither NaN nor infinite, else ConfigError."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {_shown(value)}")
     try:
         finite = math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         finite = False
     if not finite:
-        raise ConfigError(f"{what} must be finite, got {value!r}")
+        raise ConfigError(f"{what} must be finite, got {_shown(value)}")
     return value
 
 
@@ -146,7 +151,7 @@ def _number(section: dict, key: str, default, where: str, integer: bool = False)
     value = _finite(section[key], f"{where}.{key}")
     if integer:
         if int(value) != value:
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+            raise ConfigError(f"{where}.{key} must be an integer, got {_shown(value)}")
         return int(value)
     return float(value)
 
@@ -154,7 +159,7 @@ def _number(section: dict, key: str, default, where: str, integer: bool = False)
 def _flag(section: dict, key: str) -> bool:
     value = section.get(key, False)
     if not isinstance(value, bool):
-        raise ConfigError(f"options.{key} must be true or false, got {value!r}")
+        raise ConfigError(f"options.{key} must be true or false, got {_shown(value)}")
     return value
 
 
@@ -184,14 +189,15 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
             _finite(value, f"nonlinearity.table entry f({n})")
         nonlin = Nonlinearity.from_table(table)
     else:
-        raise ConfigError(f"nonlinearity must be a name or an inline table, got {selector!r}")
+        shown = _shown(selector)
+        raise ConfigError(f"nonlinearity must be a name or an inline table, got {shown}")
 
     raw_field = _section(
         doc, "field", ("kind", "nbar", "temperature", "frequency", "tail_eps"), required=True
     )
     kind = raw_field.get("kind")
     if kind not in field_states.KINDS:
-        raise ConfigError(f"field.kind must be one of {field_states.KINDS}, got {kind!r}")
+        raise ConfigError(f"field.kind must be one of {field_states.KINDS}, got {_shown(kind)}")
     tail_eps = _number(raw_field, "tail_eps", field_states.DEFAULT_TAIL_EPS, "field")
     temperature = _number(raw_field, "temperature", None, "field")
     frequency = _number(raw_field, "frequency", None, "field")
@@ -208,25 +214,25 @@ def config_from_dict(doc: dict, preset_name: str | None = None) -> ScenarioConfi
     else:
         raise ConfigError("field.nbar is required (or temperature+frequency for thermal)")
     if nbar < 0.0:
-        raise ConfigError(f"field.nbar must be >= 0, got {nbar!r}")
+        raise ConfigError(f"field.nbar must be >= 0, got {_shown(nbar)}")
 
     raw_time = _section(doc, "time", ("t_end", "samples"))
     t_end = _number(raw_time, "t_end", 50.0, "time")
     samples = _number(raw_time, "samples", 2000, "time", integer=True)
     if samples < 2:
-        raise ConfigError(f"time.samples must be >= 2, got {samples}")
+        raise ConfigError(f"time.samples must be >= 2, got {_shown(samples)}")
     if not (t_end > 0.0):
-        raise ConfigError(f"time.t_end must be > 0, got {t_end!r}")
+        raise ConfigError(f"time.t_end must be > 0, got {_shown(t_end)}")
 
     raw_options = _section(doc, "options", _OPTIONS)
 
     raw_output = _section(doc, "output", ("path", "format"))
     output_format = raw_output.get("format", "csv")
     if output_format not in ("csv", "json"):
-        raise ConfigError(f"output.format must be 'csv' or 'json', got {output_format!r}")
+        raise ConfigError(f"output.format must be 'csv' or 'json', got {_shown(output_format)}")
     output_path = raw_output.get("path")
     if output_path is not None and not isinstance(output_path, str):
-        raise ConfigError(f"output.path must be a string, got {output_path!r}")
+        raise ConfigError(f"output.path must be a string, got {_shown(output_path)}")
 
     return ScenarioConfig(
         params=params,
@@ -390,9 +396,9 @@ class ScenarioStream:
     Made by :func:`iter_scenario`. ``metadata`` is complete as soon as the
     stream exists, before any block is evaluated: the config's echo and,
     under ``resolved``, ``n_cut``, ``captured_mass``, ``active_doublets``,
-    ``max_phase_argument``, ``per_cell_doublets``,
-    ``separable_rounding_bound`` and the oracle options' deviations, which
-    making the stream checks in a pass of its own (:func:`_oracle_deviations`).
+    ``max_phase_argument``, the density sink's ``per_cell_doublets`` and
+    ``separable_rounding_bound``, and the oracle options' deviations, which
+    making the stream checks first, in a pass of its own (:func:`_oracle_deviations`).
 
     Iterating the stream (once) evaluates the closed form block by block
     through the density sink and yields each block's series. A block has
@@ -400,34 +406,37 @@ class ScenarioStream:
     density sink, 256 to 768, whatever the oracle options; the rows'
     values do not depend on it. The stream holds one block: the chunk
     buffers it is evaluated in, its values in the sink and its series.
+    Once iterated, it holds neither the sink nor the plan.
     """
 
     def __init__(self, config: ScenarioConfig):
         params = config.params
         self.config = config
         dist = config.build_distribution()
-        self._plan = plan = ClosedFormPlan(params, config.nonlinearity, dist, config.grid())
+        plan = ClosedFormPlan(params, config.nonlinearity, dist, config.grid())
         self._coherence_phase = params.nu * params.k if config.free_phase_on_coherence else 0.0
         # the free phase nu k t of rho_eg rounds as the kernel's phases do
         phase = _phase_checked(max(plan.max_phase_argument, self._coherence_phase * config.t_end))
+        deviations = _oracle_deviations(config, dist, plan)
+        self._sink = sink = DensitySink(plan)
         self.metadata = config.echo()
         self.metadata["resolved"] = {
             "n_cut": dist.n_cut,
             "captured_mass": dist.captured_mass,
             "active_doublets": plan.active_doublets,
             "max_phase_argument": phase,
-            "per_cell_doublets": plan.per_cell_doublets,
-            "separable_rounding_bound": plan.separable_rounding_bound,
-            **_oracle_deviations(config, dist, plan),
+            "per_cell_doublets": sink.per_cell_doublets,
+            "separable_rounding_bound": sink.separable_rounding_bound,
+            **deviations,
         }
 
     def __iter__(self):
-        plan = self._plan
-        if plan is None:
+        sink = self._sink
+        if sink is None:
             raise RuntimeError("a ScenarioStream is iterated once")
-        self._plan = None
-        for start, (rho_ee, rho_gg, rho_eg) in plan.blocks(DensitySink(plan)):
-            times = plan.times[start : start + len(rho_ee)]
+        self._sink = None
+        for start, (rho_ee, rho_gg, rho_eg) in sink.plan.blocks(sink):
+            times = sink.plan.times[start : start + len(rho_ee)]
             yield series_from_density(times, rho_ee, rho_gg, rho_eg, self._coherence_phase)
 
 
@@ -473,7 +482,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     ``free_phase_on_coherence``), the
     split of the density sink (``per_cell_doublets`` evaluated cell by
     cell, and ``separable_rounding_bound``, the summed rounding weight of
-    the separable terms; see :class:`~djcm.dynamics.ClosedFormPlan`),
+    the separable terms; see :class:`~djcm.dynamics.DensitySink`),
     plus the largest deviation of each oracle option. ``records`` is a whole-grid
     series; the CLI streams instead.
     """

@@ -388,6 +388,40 @@ def test_sizes_past_the_limits_exit_2(tmp_path, override, message):
     assert sorted(os.listdir(tmp_path)) == ["scenario.json"]
 
 
+LONG = "x" * 100_000
+
+
+@pytest.mark.parametrize(
+    "override, shown",
+    [
+        ({"nonlinearity": [1.0] * 200_000}, "got [1.0, 1.0,"),
+        ({"field": {"kind": "coherent", "nbar": LONG}}, "field.nbar must be a number, got 'xxx"),
+        ({"field": {"kind": LONG, "nbar": 0.5}}, "got 'xxx"),
+        ({"options": {"oracle_check": [1.0] * 100_000}}, "got [1.0, 1.0,"),
+        ({"params": {LONG: 1.0}}, "unknown key params.'xxx"),
+        # int(-1e300) has 301 digits
+        ({"time": {"samples": -1e300}}, "time.samples must be >= 2, got -1000"),
+    ],
+    ids=["nonlinearity", "nbar", "kind", "oracle_check", "key", "samples"],
+)
+def test_config_errors_echo_a_short_prefix_of_the_bad_value(tmp_path, capsys, override, shown):
+    out_path = tmp_path / "never.csv"
+    argv = ["simulate", "--config", write_config(tmp_path, {**CHEAP, **override})]
+    assert main(argv + ["--output", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and len(err.encode()) < 300, err
+    assert shown in err and "characters)" in err, err
+    assert not out_path.exists()
+
+
+def test_config_errors_echo_short_values_whole(tmp_path, capsys):
+    doc = {**CHEAP, "field": {"kind": "laser", "nbar": 0.5}}
+    assert main(["simulate", "--config", write_config(tmp_path, doc), "--output", "x.csv"]) == 2
+    assert capsys.readouterr().err == (
+        "error: field.kind must be one of ('coherent', 'squeezed', 'thermal'), got 'laser'\n"
+    )
+
+
 def test_unwritable_output_exits_4(tmp_path):
     code = main(
         [

@@ -16,7 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
-from djcm import dynamics
+from djcm import dynamics, scenario
 from djcm.cli import main
 from djcm.dynamics import (
     AmplitudeSink,
@@ -234,7 +234,8 @@ def _all_per_cell(plan):
     lo, hi = active[plan.pair_lo], active[plan.pair_hi]
     weight = 0.5j * alpha[lo] * np.conj(c0[lo]) * c0[hi]
     pair_fine = np.exp(-1j * (plan.pair_rate * plan.r_step)) * weight
-    # the blocks of a density sink, which takes every chunk of a plan without separable terms
+    # the blocks of a density sink without separable terms, whose chunks
+    # hold every active doublet and pair
     sink = DensitySink(plan)
     rows = plan.block_rows(sink)
     work = _Scratch(*plan.scratch_shape(sink))
@@ -243,7 +244,7 @@ def _all_per_cell(plan):
         t = plan._table_times(start, n)
         m, g = len(t), plan.group
         rho_ee, rho_gg, rho_eg = np.zeros(n), np.zeros(n), np.zeros(n, dtype=complex)
-        for chunk in plan.chunks:
+        for chunk in sink.chunks:
             envelope, s = plan.rotation(chunk, t, work)
             mine, w = chunk.mine, chunk.own
             rho_gg += np.square(s[:n, :w] * half_alpha[mine]) @ population[mine]
@@ -263,11 +264,12 @@ def test_split_keeps_row_0_and_the_all_per_cell_values_at_budget_0(monkeypatch, 
     split = run_scenario(cfg).records
     monkeypatch.setattr(dynamics, "_SEPARABLE_BUDGET", 0.0)
     plan = _plan(cfg)
+    sink = DensitySink(plan)
     # no budget: every doublet per cell, in ascending order, as before the split
-    assert plan.per_cell_doublets == plan.active_doublets
-    assert plan.separable_rounding_bound == 0.0
-    assert np.all(np.diff(plan.active) > 0) and len(plan.chunks) == plan.kept_chunks
-    blocks = [values for _, values in plan.blocks(DensitySink(plan))]
+    assert sink.per_cell_doublets == plan.active_doublets
+    assert sink.separable_rounding_bound == 0.0
+    assert np.all(np.diff(plan.active) > 0) and len(sink.chunks) == len(AmplitudeSink(plan).chunks)
+    blocks = [values for _, values in plan.blocks(sink)]
     for got, want in zip(blocks, _all_per_cell(plan), strict=True):
         for a, b in zip(got, want):
             assert a.tobytes() == b.tobytes()
@@ -293,13 +295,13 @@ def test_grids_without_fine_tables_keep_every_doublet_per_cell(times):
     cfg = config_from_dict(GRID_DOCS["thermal_kerr_stark"])
     plan = _plan(cfg, times)
     assert plan.group == 1
-    assert plan.per_cell_doublets == plan.active_doublets > 0
-    assert plan.separable_rounding_bound == 0.0
-    assert len(plan.chunks) == plan.kept_chunks
     sink = DensitySink(plan)
+    assert sink.per_cell_doublets == plan.active_doublets > 0
+    assert sink.separable_rounding_bound == 0.0
+    assert len(sink.chunks) == len(AmplitudeSink(plan).chunks)
     assert not sink.has_separable
     # the rounding weights are still reported, doublet by doublet
-    assert np.all(plan.rounding_weight > 0.0)
+    assert np.all(sink.rounding_weight > 0.0)
 
 
 @pytest.mark.parametrize("mu", [0.0, 1e-300])
@@ -307,7 +309,7 @@ def test_grids_without_fine_tables_keep_every_doublet_per_cell(times):
 def test_mu_zero_and_tiny_give_finite_rows(doc, mu):
     cfg = config_from_dict(merge_config(GRID_DOCS[doc], {"params": {"mu": mu}}))
     plan = _plan(cfg)
-    assert 0 < plan.per_cell_doublets < plan.active_doublets  # the split is in use
+    assert 0 < DensitySink(plan).per_cell_doublets < plan.active_doublets  # the split is in use
     records = run_scenario(cfg).records
     for column in CSV_COLUMNS:
         assert np.all(np.isfinite(records[column])), column
@@ -326,15 +328,16 @@ def test_tail_doublets_near_the_phase_limit_stay_per_cell():
     }
     cfg = config_from_dict(doc)
     plan = _plan(cfg)
+    sink = DensitySink(plan)
     assert 2.0**49 < plan.max_phase_argument < 2.0**52
     # every tail doublet whose own rounding would show is kept per cell,
     # and what is left to the separable sums stays within the budget
     huge = EPS * plan.omega * cfg.t_end > 0.1
-    heavy = plan.rounding_weight > dynamics._SEPARABLE_BUDGET
-    per_cell = np.arange(plan.active_doublets) < plan.per_cell_doublets
+    heavy = sink.rounding_weight > dynamics._SEPARABLE_BUDGET
+    per_cell = np.isin(np.arange(plan.active_doublets), sink.doublets)
     assert np.count_nonzero(huge & heavy) > 10
     assert np.all(per_cell[huge & heavy])
-    assert 0.0 <= plan.separable_rounding_bound <= dynamics._SEPARABLE_BUDGET
+    assert 0.0 <= sink.separable_rounding_bound <= dynamics._SEPARABLE_BUDGET
     records = run_scenario(cfg).records
     assert np.all(np.isfinite(records["W"])) and np.all(records["rho_gg"] >= 0.0)
 
@@ -360,21 +363,91 @@ def test_extreme_couplings_and_times_never_write_nan_rows(tmp_path, gamma, t_end
         # the fuzz test's extreme: the separable sums carry it
         assert code == 0
         plan = _plan(config_from_dict(doc))
-        assert plan.per_cell_doublets < plan.active_doublets
+        assert DensitySink(plan).per_cell_doublets < plan.active_doublets
 
 
 def test_split_is_reported_in_the_metadata(tmp_path):
     cfg = preset("coherent_bare_identity")
     res = run_scenario(cfg)
     resolved = res.metadata["resolved"]
-    plan = _plan(cfg)
-    assert resolved["per_cell_doublets"] == plan.per_cell_doublets == 30
+    sink = DensitySink(_plan(cfg))
+    assert resolved["per_cell_doublets"] == sink.per_cell_doublets == 30
     assert resolved["active_doublets"] == 80
     bound = resolved["separable_rounding_bound"]
-    assert bound == plan.separable_rounding_bound and 0.0 < bound <= 1e-15
+    assert bound == sink.separable_rounding_bound and 0.0 < bound <= 1e-15
     # the bound is the summed rounding weight of the separable terms
-    separable = plan.rounding_weight[plan.per_cell_doublets :]
+    separable = np.delete(sink.rounding_weight, sink.doublets)
     assert np.sum(separable) <= bound
     path = tmp_path / "run.json"
     emit(res.records, "json", str(path), res.metadata)
     assert json.loads(path.read_text())["metadata"]["resolved"] == resolved
+
+
+# ---------------------------------------------------------------------------
+# the split belongs to the density sink: amplitude passes make none
+# ---------------------------------------------------------------------------
+
+
+class _NoSplit(Exception):
+    """Raised by a _separable_split that refuses to run."""
+
+
+def _refuse_split(plan):
+    raise _NoSplit
+
+
+def test_amplitude_passes_make_no_split(monkeypatch, tmp_path):
+    monkeypatch.setattr(dynamics, "_separable_split", _refuse_split)
+    cfg = preset("coherent_kerr_stark_identity")
+    times = cfg.grid()[:]
+    dist = cfg.build_distribution()
+    excited, ground = closed_form_series(cfg.params, cfg.nonlinearity, dist, times)
+    assert excited.shape == ground.shape == (len(times), dist.n_cut + 1)
+    # the CLI's oracle pass completes; the density sink, made after it, splits
+    deviations = []
+    oracle_pass = scenario._oracle_deviations
+
+    def recording(*args):
+        deviations.append(oracle_pass(*args))
+        return deviations[-1]
+
+    monkeypatch.setattr(scenario, "_oracle_deviations", recording)
+    argv = ["simulate", "--preset", "coherent_bare_identity", "--output", str(tmp_path / "run.csv")]
+    with pytest.raises(_NoSplit):
+        main(argv + ["--oracle", "--counter-rotating-diagnostic"])
+    assert [list(found) for found in deviations] == [
+        ["max_oracle_deviation", "max_counter_rotating_deviation"]
+    ]
+    assert deviations[0]["max_oracle_deviation"] <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["squeezed_bare_sqrt_n_k4", "thermal_kerr_stark_identity"])
+def test_amplitude_sink_chunks_tile_every_active_doublet_in_order(name):
+    plan = _plan(preset(name))
+    chunks = AmplitudeSink(plan).chunks
+    own = np.concatenate([np.arange(c.mine.start, c.mine.stop) for c in chunks])
+    assert np.array_equal(own, np.arange(plan.active_doublets))
+    assert all(c.span == c.mine and c.own == c.mine.stop - c.mine.start for c in chunks)
+    assert [c.own for c in chunks[:-1]] == [dynamics._DOUBLET_CHUNK] * (len(chunks) - 1)
+    # ascending levels: each chunk's columns are one slice
+    for c in chunks:
+        assert isinstance(c.cols, slice)
+        assert np.array_equal(np.arange(plan.c0.size)[c.cols], plan.active[c.mine])
+
+
+@pytest.mark.parametrize(
+    "name", ["coherent_bare_identity", "squeezed_bare_sqrt_n_k4", "thermal_kerr_stark_identity"]
+)
+def test_at_budget_0_the_density_sink_owns_the_amplitude_sinks_doublets(monkeypatch, name):
+    monkeypatch.setattr(dynamics, "_SEPARABLE_BUDGET", 0.0)
+    plan = _plan(preset(name))
+    density, amplitude = DensitySink(plan), AmplitudeSink(plan)
+    assert np.array_equal(density.doublets, np.arange(plan.active_doublets))
+    assert len(density.chunks) == len(amplitude.chunks)
+    for d, a in zip(density.chunks, amplitude.chunks):
+        assert (d.own, d.mine, d.cols) == (a.own, a.mine, a.cols)
+        # the halo of its pairs aside, the same rotation tables
+        w = d.own
+        for table in ("omega", "rabi", "envelope_rate"):
+            assert getattr(d, table)[:w].tobytes() == getattr(a, table).tobytes(), table
+        assert d.rabi_fine[:, :w].tobytes() == a.rabi_fine.tobytes()

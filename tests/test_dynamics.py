@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from djcm import oracle
+from djcm import dynamics, oracle
 from djcm.dynamics import (
     AmplitudeSink,
     ClosedFormPlan,
     CoefficientTable,
+    DensitySink,
     ModelParams,
     UniformGrid,
     _BLOCK_ROWS,
@@ -503,11 +504,12 @@ def test_phase_table_matches_direct_on_uniform_grids(name):
             t = plan._table_times(start, n)
             tn = t[:n]
             t_end = tn[-1, 0]
-            for chunk in plan.chunks:
+            for chunk in sink.chunks:
                 rot = plan._rotation(chunk, t, work)
-                excited_phase, ground_phase = sink.phases(chunk, t, n, work)
+                # the phases share one buffer: each is copied before the next
+                excited_phase, ground_phase = (p.copy() for p in sink.phases(chunk, t, n, work))
                 # the Rabi rotation, moved onto the direct argument itself
-                w = plan.rabi[chunk.span]
+                w = chunk.rabi
                 direct = np.exp(-1j * w * tn)
                 err = np.abs(rot[:n] - direct)
                 assert np.all(err <= 8.0 * EPS * (1.0 + np.abs(w) * t_end)), (label, start, "rabi")
@@ -532,31 +534,54 @@ def _positions(cols) -> np.ndarray:
     return np.asarray(cols)
 
 
+def _crossing_pairs(plan, sink, doublets, pairs) -> int:
+    """Check that a sink's chunks tile ``doublets`` and ``pairs``; count pairs past their chunk.
+
+    ``doublets`` are positions among the plan's active doublets and
+    ``pairs`` among its pairs, both in ascending order.
+    """
+    own = np.concatenate([_positions(c.mine) for c in sink.chunks])
+    assert np.array_equal(own, np.arange(len(doublets)))
+    tiled = np.concatenate([_positions(c.pairs) for c in sink.chunks])
+    assert np.array_equal(tiled, np.arange(len(pairs)))
+    pair_lo = np.searchsorted(doublets, plan.pair_lo[pairs])
+    pair_hi = np.searchsorted(doublets, plan.pair_hi[pairs])
+    crossing = 0
+    for c in sink.chunks:
+        assert c.own == c.mine.stop - c.mine.start <= _DOUBLET_CHUNK
+        assert c.span.start == c.mine.start and c.span.stop >= c.mine.stop
+        assert np.array_equal(_positions(c.cols), plan.active[doublets[c.mine]])
+        assert np.array_equal(c.omega, plan.omega[doublets[c.span]])
+        width = c.span.stop - c.span.start
+        lo, hi = _positions(c.lo), _positions(c.hi)
+        assert np.all((0 <= lo) & (lo < c.own)) and np.all((0 <= hi) & (hi < width))
+        assert np.array_equal(lo + c.span.start, pair_lo[c.pairs])
+        assert np.array_equal(hi + c.span.start, pair_hi[c.pairs])
+        crossing += np.count_nonzero(hi >= c.own)
+    return crossing
+
+
 @pytest.mark.parametrize("name", ["squeezed_bare_sqrt_n_k4", "coherent_kerr_sqrt_n"])
 def test_chunk_ranges_tile_the_active_doublets_and_pairs(name):
     cfg = preset(name)
     dist = cfg.build_distribution()
     plan = ClosedFormPlan(cfg.params, cfg.nonlinearity, dist, cfg.grid())
-    own = np.concatenate([_positions(c.mine) for c in plan.chunks])
-    assert np.array_equal(own, np.arange(plan.active_doublets))
-    pairs = np.concatenate([_positions(c.pairs) for c in plan.chunks])
-    assert np.array_equal(pairs, np.arange(len(plan.pair_lo)))
-    crossing = 0
-    for c in plan.chunks:
-        assert c.own == c.mine.stop - c.mine.start <= _DOUBLET_CHUNK
-        assert c.span.start == c.mine.start and c.span.stop >= c.mine.stop
-        assert np.array_equal(_positions(c.cols), plan.active[c.mine])
-        width = c.span.stop - c.span.start
-        lo, hi = _positions(c.lo), _positions(c.hi)
-        assert np.all((0 <= lo) & (lo < c.own)) and np.all((0 <= hi) & (hi < width))
-        assert np.array_equal(lo + c.span.start, plan.pair_lo[c.pairs])
-        assert np.array_equal(hi + c.span.start, plan.pair_hi[c.pairs])
-        crossing += np.count_nonzero(hi >= c.own)
+    # the amplitude sink's chunks: every active doublet, no pair, no halo
+    amplitude = AmplitudeSink(plan)
+    assert _crossing_pairs(plan, amplitude, np.arange(plan.active_doublets), []) == 0
+    assert all(c.span == c.mine for c in amplitude.chunks)
+    # the density sink's: its per-cell doublets and pairs
+    density = DensitySink(plan)
+    doublets, pairs = dynamics._separable_split(plan)[:2]
+    assert np.array_equal(density.doublets, doublets)
+    assert np.array_equal(density.pair_rate, plan.pair_rate[pairs])
+    crossing = _crossing_pairs(plan, density, density.doublets, pairs)
     # each pair is (n, n + k), both members active
     gaps = plan.active[plan.pair_hi] - plan.active[plan.pair_lo]
     assert np.all(gaps == cfg.params.k)
     if name == "squeezed_bare_sqrt_n_k4":
-        assert plan.active_doublets == 656 and len(plan.chunks) > 1 and crossing > 0
+        assert plan.active_doublets == 656 and len(amplitude.chunks) > 1
+        assert len(density.chunks) > 1 and crossing > 0
 
 
 def _closed_form_direct(params, f, dist, times):

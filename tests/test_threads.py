@@ -22,10 +22,10 @@ import pytest
 
 from djcm.dynamics import AmplitudeSink, ClosedFormPlan, DensitySink, UniformGrid
 from djcm.errors import PhysicsValidationError
-from djcm.scenario import preset, run_scenario
+from djcm.scenario import iter_scenario, preset, run_scenario
 
-WIDE = "thermal_kerr_stark_identity"  # 6 chunks of doublets, 2 per cell; k = 2
-NARROW = "coherent_bare_identity"  # 2 chunks of doublets, 1 per cell
+WIDE = "thermal_kerr_stark_identity"  # 6 amplitude chunks, 2 density chunks; k = 2
+NARROW = "coherent_bare_identity"  # 1 amplitude chunk, 1 density chunk
 SAMPLES = 1100  # 5 blocks, the last one short
 
 
@@ -101,17 +101,18 @@ def test_no_thread_where_it_cannot_pay(monkeypatch, name, samples, cpus):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     before = threading.active_count()
     plan = _plan(name, samples)
-    # the amplitude sink takes every chunk, the separable ones too
-    assert len(plan.chunks) >= 2
+    # the amplitude sink's chunks cut every active doublet: coherent_bare_identity's
+    # 80 make one chunk, thermal_kerr_stark_identity's 717 six
+    assert len(AmplitudeSink(plan).chunks) == {NARROW: 1, WIDE: 6}[name]
     _, threads = _blocks(plan)
     assert threads == [before] * len(threads)
 
 
 def test_a_wide_plan_starts_no_thread():
-    # two chunks of per-cell doublets on a grid of five blocks
+    # six amplitude chunks and two of per-cell doublets on a grid of five blocks
     before = threading.active_count()
     plan = _plan(WIDE)
-    assert (len(plan.chunks), plan.kept_chunks) == (6, 2)
+    assert (len(AmplitudeSink(plan).chunks), len(DensitySink(plan).chunks)) == (6, 2)
     blocks, threads = _blocks(plan)
     assert [b[0] for b in blocks] == 2 * list(range(0, SAMPLES, 256))
     assert threads == [before] * len(blocks)
@@ -212,5 +213,14 @@ def test_a_finished_run_keeps_no_plan():
     _blocks(plan, (sink,))
     finished = weakref.ref(plan)
     del plan, sink
+    gc.collect()
+    assert finished() is None
+
+
+def test_a_finished_stream_keeps_no_plan():
+    stream = iter_scenario(preset(NARROW))
+    finished = weakref.ref(stream._sink.plan)
+    blocks = list(stream)
+    assert blocks and stream._sink is None
     gc.collect()
     assert finished() is None

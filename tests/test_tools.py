@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import djcm
-from djcm.dynamics import evolve_ode_oracle
+from djcm.dynamics import closed_form_series, evolve_ode_oracle
 from djcm.scenario import (
     CSV_COLUMNS,
     config_from_dict,
@@ -167,20 +167,28 @@ def test_emit_all_writes_through_the_cli(tmp_path, monkeypatch):
     assert metadata["resolved"]["n_cut"] == 67
 
 
-def test_oracle_blocks_saves_every_case_both_ways(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("grid", ["array", "uniform grid"])
+def test_oracle_blocks_saves_every_case_both_ways(tmp_path, monkeypatch, capsys, grid):
+    # both oracle integrations and the closed form; the CLI case passes a UniformGrid
     cfg = config_from_dict(SMALL)
     dist = cfg.build_distribution()
     times = cfg.grid()[:]
-    case = ("small", cfg.params, cfg.nonlinearity, dist, times, 1e-10)
+    run_on = cfg.grid() if grid == "uniform grid" else times
+    case = ("small", cfg.params, cfg.nonlinearity, dist, run_on, 1e-10)
     monkeypatch.setattr(oracle_blocks, "cases", lambda: iter([case]))
     digests = oracle_blocks.oracle_blocks(str(tmp_path))
-    assert list(digests) == ["small", "small_counter_rotating"]
+    assert list(digests) == ["small", "small_counter_rotating", "small_closed_form"]
     with np.load(tmp_path / oracle_blocks.FILE) as saved:
+        assert saved.files == list(digests)
         for name, counter_rotating in (("small", False), ("small_counter_rotating", True)):
             states = evolve_ode_oracle(cfg.params, cfg.nonlinearity, dist, times, counter_rotating)
             expected = np.stack([states.excited, states.ground])
             assert saved[name].tobytes() == expected.tobytes()
-    assert capsys.readouterr().out.splitlines()[0] == f"small: {digests['small']}"
+        expected = np.stack(closed_form_series(cfg.params, cfg.nonlinearity, dist, times))
+        assert saved["small_closed_form"].tobytes() == expected.tobytes()
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"small: {digests['small']}"
+    assert out[2] == f"small_closed_form: {digests['small_closed_form']}"
 
 
 def test_oracle_blocks_compare_exit_code_follows_the_limit(tmp_path, capsys):

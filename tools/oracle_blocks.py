@@ -1,9 +1,10 @@
-"""Save the RK4 oracle's blocks on fixed cases, and compare two such runs.
+"""Save the RK4 oracle's blocks and the closed form's amplitudes on fixed cases; compare two runs.
 
     PYTHONPATH=src python tools/oracle_blocks.py OUTDIR [--compare OTHERDIR]
 
 Runs ``ode_oracle_blocks`` with the djcm found on the import path on each
-case, rotating-wave and with the counter-rotating terms:
+case, rotating-wave and with the counter-rotating terms, and
+``closed_form_series`` on the case's grid (case ``<name>_closed_form``):
 
 * the acceptance suite's criterion-2 windows: its 12 presets, each on
   ``ORACLE_SEGMENTS + 1`` points up to the window the suite's step-cost
@@ -11,11 +12,12 @@ case, rotating-wave and with the counter-rotating terms:
 * the grid of ``djcm simulate --preset coherent_bare_identity --oracle``:
   that preset's 2000 samples at the default tol.
 
-It writes the stacked excited and ground blocks of every case to
+It writes the stacked excited and ground amplitudes of every case to
 ``OUTDIR/oracle_blocks.npz`` and prints one SHA-256 per case. The emitted
-CSV and JSON carry only the largest oracle deviations, so this is the
-check on the oracle's own amplitudes. Point PYTHONPATH at another
-checkout's ``src`` to save that version's blocks.
+CSV and JSON carry only the largest oracle deviations and the density
+sink's columns, so this is the check on the oracle's own amplitudes and
+on the closed form's amplitude sink. Point PYTHONPATH at another
+checkout's ``src`` to save that version's arrays.
 
 With ``--compare OTHERDIR`` it reports, per case, whether the blocks equal
 those in OTHERDIR byte for byte and, where they differ, the largest
@@ -65,14 +67,21 @@ def cases():
     yield f"{CLI_PRESET}_cli", cfg.params, cfg.nonlinearity, dist, cfg.grid(), CLI_TOL
 
 
+def _runs(name, params, f, dist, grid, tol):
+    """(case, (excited, ground)) of the oracle both ways and of the closed form on one case."""
+    for counter_rotating in (False, True):
+        blocks = list(dynamics.ode_oracle_blocks(params, f, dist, grid, counter_rotating, tol))
+        amplitudes = [np.concatenate([b[i] for b in blocks]) for i in (0, 1)]
+        yield f"{name}{'_counter_rotating' if counter_rotating else ''}", amplitudes
+    yield f"{name}_closed_form", dynamics.closed_form_series(params, f, dist, grid[:])
+
+
 def oracle_blocks(outdir: str) -> dict:
-    """Run every case both ways; save the arrays and return {case: sha256}."""
+    """Run every case; save the arrays and return {case: sha256}."""
     arrays, digests = {}, {}
-    for name, params, f, dist, grid, tol in cases():
-        for counter_rotating in (False, True):
-            case = f"{name}{'_counter_rotating' if counter_rotating else ''}"
-            blocks = list(dynamics.ode_oracle_blocks(params, f, dist, grid, counter_rotating, tol))
-            stacked = np.stack([np.concatenate([b[i] for b in blocks]) for i in (0, 1)])
+    for run in cases():
+        for case, amplitudes in _runs(*run):
+            stacked = np.stack(amplitudes)
             arrays[case] = stacked
             digests[case] = hashlib.sha256(stacked.tobytes()).hexdigest()
             print(f"{case}: {digests[case]}")
